@@ -22,7 +22,7 @@ class NotSpdError(ArithmeticError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """LU elimination found no usable pivot."""
+    """A general solve met a singular matrix or a non-finite solution."""
 
 
 class ConfigError(ValueError):

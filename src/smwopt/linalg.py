@@ -1,18 +1,19 @@
-"""Minimal dense linear algebra: matrix products and direct solves.
+"""Minimal dense linear algebra: validated matrix products and direct solves.
 
-All routines operate on float64 numpy arrays. Factorizations are written
-as numpy-vectorized elimination loops so that failures can report the
-offending pivot and results are bit-reproducible run to run.
+All routines operate on float64 numpy arrays; non-finite operands raise
+NumericError. Factorizations and solves are LAPACK calls through
+np.linalg, so repeated calls on identical inputs give bit-identical
+results. A Cholesky failure still reports the offending pivot: it is
+located only on the failure path, by bisecting over leading blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import NotSpdError, ShapeError, SingularMatrixError
+from .exceptions import NotSpdError, NumericError, ShapeError, SingularMatrixError
 
 SYMMETRY_TOL = 1e-10
-SINGULAR_PIVOT_REL = 1e-14
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -20,17 +21,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
-        raise ShapeError(f"{name} contains non-finite entries")
+        raise NumericError(f"{name} contains non-finite entries")
     return a
-
-
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"{name} must be 1-dimensional, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
-        raise ShapeError(f"{name} contains non-finite entries")
-    return v
 
 
 def matmul(a, b) -> np.ndarray:
@@ -48,137 +40,94 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def _check_square(a: np.ndarray) -> int:
+def _as_square(a) -> np.ndarray:
+    a = as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
-    return a.shape[0]
+    return a
 
 
-def _rhs_to_2d(rhs) -> tuple[np.ndarray, bool]:
+def _check_system(a, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a square matrix and a 1- or 2-dimensional right-hand side."""
+    a = _as_square(a)
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.ndim == 1:
-        return rhs.reshape(-1, 1), True
-    if rhs.ndim == 2:
-        return rhs, False
-    raise ShapeError(f"rhs must be 1- or 2-dimensional, got ndim={rhs.ndim}")
+    if rhs.ndim not in (1, 2):
+        raise ShapeError(f"rhs must be 1- or 2-dimensional, got ndim={rhs.ndim}")
+    if rhs.shape[0] != a.shape[0]:
+        raise ShapeError(f"rhs has {rhs.shape[0]} rows, expected {a.shape[0]}")
+    if not np.all(np.isfinite(rhs)):
+        raise NumericError("rhs contains non-finite entries")
+    return a, rhs
+
+
+def _is_spd(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _first_bad_pivot(a: np.ndarray) -> NotSpdError:
+    """Locate the first non-positive Cholesky pivot of a non-SPD matrix.
+
+    The leading j x j block is positive definite exactly when pivots
+    0..j-1 are positive, so bisection finds the failing index j; its pivot
+    is the Schur complement of the leading block in the (j+1)-block.
+    """
+    good, bad = 0, a.shape[0]
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _is_spd(a[:mid, :mid]):
+            good = mid
+        else:
+            bad = mid
+    j = good
+    pivot = a[j, j]
+    if j:
+        row = np.linalg.solve(np.linalg.cholesky(a[:j, :j]), a[j, :j])
+        pivot -= row @ row
+    return NotSpdError(j, float(pivot))
 
 
 def cholesky(a) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
-    Symmetry is checked to SYMMETRY_TOL (scaled by the largest entry);
-    positive definiteness is detected during elimination and a failing
-    pivot raises NotSpdError with its index.
+    Symmetry is checked to SYMMETRY_TOL (scaled by the largest entry); a
+    matrix that is not positive definite raises NotSpdError with the index
+    and value of its first non-positive pivot.
     """
-    a = as_matrix(a, "a")
-    n = _check_square(a)
-    scale = max(1.0, float(np.max(np.abs(a)))) if n else 1.0
-    if n and float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
-        raise ShapeError("matrix is not symmetric to tolerance 1e-10")
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not (pivot > 0.0) or not np.isfinite(pivot):
-            raise NotSpdError(j, float(pivot))
-        ljj = np.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
-    return lower
-
-
-def solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution with a lower-triangular matrix."""
-    n = lower.shape[0]
-    x = np.array(rhs, dtype=np.float64, copy=True)
-    for i in range(n):
-        if i:
-            x[i] -= lower[i, :i] @ x[:i]
-        x[i] /= lower[i, i]
-    return x
-
-
-def solve_upper(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Back substitution with an upper-triangular matrix."""
-    n = upper.shape[0]
-    x = np.array(rhs, dtype=np.float64, copy=True)
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= upper[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= upper[i, i]
-    return x
+    a = _as_square(a)
+    if a.size:
+        scale = max(1.0, float(np.max(np.abs(a))))
+        if float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
+            raise ShapeError("matrix is not symmetric to tolerance 1e-10")
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise _first_bad_pivot(a) from None
 
 
 def solve_spd(a, rhs) -> np.ndarray:
-    """Solve a @ x = rhs for symmetric positive definite a via Cholesky."""
-    a = as_matrix(a, "a")
-    n = _check_square(a)
-    rhs2, was_1d = _rhs_to_2d(rhs)
-    if rhs2.shape[0] != n:
-        raise ShapeError(f"rhs has {rhs2.shape[0]} rows, expected {n}")
-    lower = cholesky(a)
-    x = solve_upper(lower.T, solve_lower(lower, rhs2))
-    return x[:, 0] if was_1d else x
+    """Solve a @ x = rhs for symmetric positive definite a.
 
-
-def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization with partial pivoting.
-
-    Returns (lu, perm) where lu packs L (unit diagonal, strictly lower part)
-    and U, and perm maps factored row -> original row.
+    cholesky validates symmetry and definiteness; the solve itself is
+    LAPACK's LU, since numpy exposes no triangular solve.
     """
-    a = as_matrix(a, "a")
-    n = _check_square(a)
-    lu = np.array(a, copy=True)
-    perm = np.arange(n)
-    amax = float(np.max(np.abs(a))) if n else 0.0
-    tol = SINGULAR_PIVOT_REL * max(amax, 1e-300)
-    for j in range(n):
-        k = j + int(np.argmax(np.abs(lu[j:, j])))
-        if abs(lu[k, j]) < tol:
-            raise SingularMatrixError(
-                f"matrix is numerically singular: column {j} has no pivot "
-                f"above {tol:.3e}"
-            )
-        if k != j:
-            lu[[j, k]] = lu[[k, j]]
-            perm[[j, k]] = perm[[k, j]]
-        lu[j + 1 :, j] /= lu[j, j]
-        if j + 1 < n:
-            lu[j + 1 :, j + 1 :] -= np.outer(lu[j + 1 :, j], lu[j, j + 1 :])
-    return lu, perm
+    a, rhs = _check_system(a, rhs)
+    cholesky(a)
+    return np.linalg.solve(a, rhs)
 
 
 def solve_general(a, rhs) -> np.ndarray:
     """Solve a @ x = rhs for a general square a via LU with partial pivoting."""
-    a = as_matrix(a, "a")
-    n = _check_square(a)
-    rhs2, was_1d = _rhs_to_2d(rhs)
-    if rhs2.shape[0] != n:
-        raise ShapeError(f"rhs has {rhs2.shape[0]} rows, expected {n}")
-    lu, perm = lu_factor(a)
-    permuted = rhs2[perm]
-    # L has unit diagonal: substitute without dividing by lu[i, i].
-    y = np.array(permuted, copy=True)
-    for i in range(1, n):
-        y[i] -= lu[i, :i] @ y[:i]
-    x = solve_upper(np.triu(lu), y)
-    return x[:, 0] if was_1d else x
-
-
-def explicit_inverse(a) -> np.ndarray:
-    """Dense inverse via Gauss-Jordan elimination; test oracle only."""
-    a = as_matrix(a, "a")
-    n = _check_square(a)
-    aug = np.hstack([np.array(a, copy=True), np.eye(n)])
-    for j in range(n):
-        k = j + int(np.argmax(np.abs(aug[j:, j])))
-        if aug[k, j] == 0.0:
-            raise SingularMatrixError(f"matrix is singular at column {j}")
-        if k != j:
-            aug[[j, k]] = aug[[k, j]]
-        aug[j] /= aug[j, j]
-        for i in range(n):
-            if i != j:
-                aug[i] -= aug[i, j] * aug[j]
-    return aug[:, n:]
+    a, rhs = _check_system(a, rhs)
+    try:
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as err:
+        raise SingularMatrixError(f"matrix is singular: {err}") from err
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrixError(
+            "matrix is numerically singular: solution is non-finite"
+        )
+    return x

@@ -102,41 +102,36 @@ def quadratic_terms(
     return grad_dot, quad
 
 
-def _core_solver(system: curvature.GramSystem):
-    """Factor the core once; return a solve(rhs) closure."""
+def _core_solve(system: curvature.GramSystem, rhs: np.ndarray) -> np.ndarray:
+    """core^-1 rhs, symmetric or general by the system's path."""
     if system.path == curvature.PATH_SPD:
-        lower = linalg.cholesky(system.core)
-
-        def solve(rhs):
-            return linalg.solve_upper(lower.T, linalg.solve_lower(lower, rhs))
-
-        return solve
-    lu, perm = linalg.lu_factor(system.core)
-    upper = np.triu(lu)
-
-    def solve(rhs):
-        y = np.array(rhs[perm], copy=True)
-        for i in range(1, y.size):
-            y[i] -= lu[i, :i] @ y[:i]
-        return linalg.solve_upper(upper, y)
-
-    return solve
+        solve = linalg.solve_spd
+    else:
+        solve = linalg.solve_general
+    try:
+        return solve(system.core, rhs)
+    except (NotSpdError, SingularMatrixError) as err:
+        diag = np.diag(system.core)
+        raise ArithmeticError(
+            f"core factorization failed at lambda={system.lam:.6e} "
+            f"(diag range [{diag.min():.3e}, {diag.max():.3e}]): {err}"
+        ) from err
 
 
-def _apply_damped_inverse(shape, theta, system, core_solve, v, counters):
+def _apply_damped_inverse(shape, theta, system, v, counters):
     """(B_t + lam I)^-1 v through the Woodbury identity."""
     lam, n2 = system.lam, system.n2
     if system.method == curvature.GN:
         batch = system.gn_factors
         jv = diff.jvp(shape, theta, batch.cache, v, counters)
-        q = core_solve(_stack_sample_major(jv))
+        q = _core_solve(system, _stack_sample_major(jv))
         qcols = _unstack_sample_major(q, shape.output_size)
         if system.path == curvature.PATH_GENERAL:
             qcols = np.einsum("bjk,kb->jb", batch.hessians, qcols)
         correction, _ = diff.vjp(shape, theta, batch.cache, qcols, counters)
     else:
         factors = system.ng_factors
-        q = core_solve(factors.dots_with(v))
+        q = _core_solve(system, factors.dots_with(v))
         correction = factors.expand_sum(weights=q)
     return (v - correction / n2) / lam
 
@@ -179,22 +174,14 @@ def smw_direction(
     """Exact damped-curvature direction through the small core solve."""
     g = np.asarray(g, dtype=np.float64)
     lam = system.lam
-    try:
-        core_solve = _core_solver(system)
-    except (NotSpdError, SingularMatrixError) as err:
-        diag = np.diag(system.core)
-        raise ArithmeticError(
-            f"core factorization failed at lambda={lam:.6e} "
-            f"(diag range [{diag.min():.3e}, {diag.max():.3e}]): {err}"
-        ) from err
-    p = -_apply_damped_inverse(shape, theta, system, core_solve, g, counters)
+    p = -_apply_damped_inverse(shape, theta, system, g, counters)
     if lam < REFINE_LAMBDA:
         for _ in range(REFINE_ROUNDS):
             residual = -g - (
                 apply_curvature(shape, theta, system, p, counters) + lam * p
             )
             p = p + _apply_damped_inverse(
-                shape, theta, system, core_solve, residual, counters
+                shape, theta, system, residual, counters
             )
     grad_dot, quad = quadratic_terms(shape, theta, system, g, p, counters)
     return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)

@@ -7,6 +7,7 @@ import pytest
 
 from smwopt import loss as loss_mod
 from smwopt import network
+from smwopt.exceptions import SingularMatrixError
 
 
 def make_net(rng, kind, hidden=None, m_in=None, m_out=None):
@@ -77,6 +78,24 @@ def fd_output_jacobian_product(shape, theta, x, direction, step=1e-6):
     up = network.forward(shape, theta + step * direction, x).output[:, 0]
     down = network.forward(shape, theta - step * direction, x).output[:, 0]
     return (up - down) / (2.0 * step)
+
+
+def explicit_inverse(a):
+    """Dense inverse via Gauss-Jordan elimination with partial pivoting."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    aug = np.hstack([a, np.eye(n)])
+    for j in range(n):
+        k = j + int(np.argmax(np.abs(aug[j:, j])))
+        if aug[k, j] == 0.0:
+            raise SingularMatrixError(f"matrix is singular at column {j}")
+        if k != j:
+            aug[[j, k]] = aug[[k, j]]
+        aug[j] /= aug[j, j]
+        for i in range(n):
+            if i != j:
+                aug[i] -= aug[i, j] * aug[j]
+    return aug[:, n:]
 
 
 @pytest.fixture

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,3 +187,39 @@ class TestVerify:
     def test_main_verify_flag(self, capsys):
         assert cli.main(["--verify"]) == 0
         assert "model_decrease_bound_margin" in capsys.readouterr().out
+
+
+# One smw-gn step through the library, then report whether scipy was
+# imported along the way. numpy is the only declared dependency, so nothing
+# on the training path may pull in scipy.
+DEPENDENCY_PROBE = """
+import sys
+import numpy as np
+import smwopt.cli
+from smwopt import loss, network, optim
+
+rng = np.random.default_rng(0)
+shape = network.NetworkShape((3, 4, 2), ("logistic", "softmax"))
+x = rng.normal(size=(8, 3))
+y = np.eye(2)[rng.integers(0, 2, size=8)]
+config = optim.OptimizerConfig(method=optim.SMW_GN, n1=4, n2=2)
+trainer = optim.Trainer(
+    shape, loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY), x, y, config
+)
+trainer.step()
+print("scipy" in sys.modules)
+"""
+
+
+def test_training_path_does_not_import_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run(
+        [sys.executable, "-c", DEPENDENCY_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

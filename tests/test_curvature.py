@@ -3,6 +3,7 @@ import pytest
 
 from smwopt import curvature, diff, loss, network
 from smwopt.counters import OpCounters
+from smwopt.exceptions import NumericError
 from tests.conftest import make_net, random_targets
 
 
@@ -124,6 +125,10 @@ class TestAssemble:
     def test_ng_zero_gram(self):
         core = curvature.assemble_d(curvature.NG, np.zeros((3, 3)), None, 2.5, 3)
         assert np.array_equal(core, 2.5 * np.eye(3))
+
+    def test_non_finite_gram_is_numeric_error(self):
+        with pytest.raises(NumericError):
+            curvature.assemble_d(curvature.NG, np.full((2, 2), np.nan), None, 1.0, 2)
 
     def test_gn_squared_error_blocks(self, rng):
         n2, m_out = 2, 2

@@ -3,6 +3,7 @@ import pytest
 
 from smwopt import linalg
 from smwopt.exceptions import NotSpdError, ShapeError, SingularMatrixError
+from tests.conftest import explicit_inverse
 
 
 def naive_matmul(a, b):
@@ -58,11 +59,32 @@ class TestSolveSpd:
         expected = np.linalg.inv(spd) @ rhs
         assert np.max(np.abs(linalg.solve_spd(spd, rhs) - expected)) < 1e-10
 
-    def test_not_spd_reports_pivot(self):
+    def test_not_spd_reports_pivot(self, rng):
         a = np.diag([1.0, -2.0, 3.0])
         with pytest.raises(NotSpdError) as err:
             linalg.solve_spd(a, np.ones(3))
         assert err.value.pivot_index == 1
+
+        # Leading 2x2 block is SPD; the Schur complement at index 2 is -1.
+        a = np.array([[4.0, 2.0, 2.0], [2.0, 5.0, 3.0], [2.0, 3.0, 1.0]])
+        with pytest.raises(NotSpdError) as err:
+            linalg.solve_spd(a, np.ones(3))
+        assert err.value.pivot_index == 2
+        assert err.value.pivot_value == -1.0
+
+        # L L^T - 0.5 e37 e37^T, with column 37 of L zero from the diagonal
+        # down: pivots 0..36 are L[i, i]**2 and pivot 37 is -0.5.
+        lower = np.tril(rng.normal(size=(50, 50)), -1) + np.diag(
+            rng.uniform(1.0, 2.0, size=50)
+        )
+        lower[37, 37] = 0.0
+        lower[38:, 37] = 0.0
+        a = lower @ lower.T
+        a[37, 37] -= 0.5
+        with pytest.raises(NotSpdError) as err:
+            linalg.solve_spd(a, np.ones(50))
+        assert err.value.pivot_index == 37
+        assert abs(err.value.pivot_value + 0.5) < 1e-10
 
     def test_asymmetric_rejected(self, rng):
         a = np.eye(3)
@@ -112,4 +134,4 @@ def test_solve_residual_bounds_many_instances(rng):
 
 def test_explicit_inverse_matches_numpy(rng):
     a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
-    assert np.max(np.abs(linalg.explicit_inverse(a) - np.linalg.inv(a))) < 1e-10
+    assert np.max(np.abs(explicit_inverse(a) - np.linalg.inv(a))) < 1e-10
