@@ -6,13 +6,15 @@ Subpackages:
     loss       matching losses and their output-Hessian closed forms
     diff       gradients, jvp/vjp, factored dot products
     curvature  Gram matrices and the small core systems
-    solver     Woodbury direction, dense oracle, CG baseline
+    solver     Woodbury direction, CG baseline
     damping    reduction ratio and the adaptive damping rule
     optim      training loops and batch sampling
     data       CSV / IDX loading and standardization
+    oracles    brute-force references for the tests and --verify
     cli        experiment harness
 """
 
+# cli loads oracles; no training module imports it.
 from . import (  # noqa: F401
     cli,
     counters,
@@ -38,6 +40,7 @@ __all__ = [
     "loss",
     "network",
     "optim",
+    "oracles",
     "solver",
 ]
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curvature, data as data_mod, diff, loss as loss_mod
-from . import network, optim, solver
+from . import network, optim, oracles, solver
 from .exceptions import ConfigError, DataFormatError, NumericError
 
 METRICS_COLUMNS = [
@@ -75,9 +75,6 @@ class RunConfig:
     out: str = "metrics.csv"
 
 
-_BOOL_FIELDS = {"csv_header", "standardize", "semi_stochastic"}
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -112,7 +109,7 @@ def build_config(file_values: dict[str, str], overrides: dict) -> RunConfig:
         current = getattr(config, key)
         if isinstance(value, str):
             try:
-                if key in _BOOL_FIELDS:
+                if isinstance(current, bool):
                     value = _parse_bool(value)
                 elif isinstance(current, int):
                     value = int(value)
@@ -170,23 +167,25 @@ def load_datasets(
 def build_model(
     config: RunConfig, train: data_mod.Dataset
 ) -> tuple[network.NetworkShape, loss_mod.LossSpec]:
-    spec = loss_mod.LossSpec(config.loss, config.softmax_perturbation)
-    if config.layers:
-        sizes = tuple(int(v) for v in config.layers.split(","))
-    else:
+    if not config.layers:
         raise ConfigError("network layers must be configured (e.g. layers=784,500,10)")
+    try:
+        spec = loss_mod.LossSpec(config.loss, config.softmax_perturbation)
+        sizes = tuple(int(v) for v in config.layers.split(","))
+        if config.activations:
+            acts = tuple(a.strip() for a in config.activations.split(","))
+        else:
+            hidden = (network.LOGISTIC,) * (len(sizes) - 2)
+            acts = hidden + (loss_mod.MATCHING_ACTIVATION[spec.kind],)
+        shape = network.NetworkShape(sizes, acts)
+        spec.check_matches(shape)
+    except ValueError as err:
+        raise ConfigError(f"model: {err}") from err
     if sizes[0] != train.inputs.shape[1] or sizes[-1] != train.targets.shape[1]:
         raise ConfigError(
             f"layers {sizes} do not match data with {train.inputs.shape[1]} "
             f"features and {train.targets.shape[1]} target columns"
         )
-    if config.activations:
-        acts = tuple(a.strip() for a in config.activations.split(","))
-    else:
-        hidden = (network.LOGISTIC,) * (len(sizes) - 2)
-        acts = hidden + (loss_mod.MATCHING_ACTIVATION[spec.kind],)
-    shape = network.NetworkShape(sizes, acts)
-    spec.check_matches(shape)
     return shape, spec
 
 
@@ -225,20 +224,10 @@ def run(config: RunConfig) -> int:
     """Train per the config and stream metrics rows to the output CSV."""
     train, test = load_datasets(config)
     shape, spec = build_model(config, train)
+    shared = {f.name for f in fields(optim.OptimizerConfig)}
     opt_config = optim.OptimizerConfig(
-        method=config.method,
-        n1=config.n1,
-        n2=config.n2,
-        alpha=config.alpha,
-        lambda_lm=config.lambda_lm,
-        tau=config.tau,
-        boost=config.boost,
-        drop=config.drop,
-        epsilon=config.epsilon,
-        semi_stochastic=config.semi_stochastic,
-        eta=config.eta,
+        **{f.name: getattr(config, f.name) for f in fields(config) if f.name in shared},
         cg=solver.CgConfig(config.cg_max_iters, config.cg_tol),
-        seed=config.seed,
     )
     trainer = optim.Trainer(
         shape,
@@ -264,46 +253,6 @@ def run(config: RunConfig) -> int:
 # --- self-verification ------------------------------------------------------
 
 
-def _random_net(rng, loss_kind, max_width=8, max_hidden=2):
-    sizes = [int(rng.integers(2, max_width + 1))]
-    for _ in range(int(rng.integers(1, max_hidden + 1))):
-        sizes.append(int(rng.integers(2, max_width + 1)))
-    m_out = 1 if loss_kind == loss_mod.BINARY_CROSS_ENTROPY else int(
-        rng.integers(2, max_width + 1)
-    )
-    sizes.append(m_out)
-    acts = [network.LOGISTIC] * (len(sizes) - 2) + [
-        loss_mod.MATCHING_ACTIVATION[loss_kind]
-    ]
-    shape = network.NetworkShape(tuple(sizes), tuple(acts))
-    spec = loss_mod.LossSpec(loss_kind)
-    theta = network.init_theta(shape, rng)
-    return shape, spec, theta
-
-
-def _random_targets(rng, spec, m_out, nbatch):
-    if spec.kind == loss_mod.SQUARED_ERROR:
-        return rng.normal(size=(m_out, nbatch))
-    if spec.kind == loss_mod.BINARY_CROSS_ENTROPY:
-        return rng.integers(0, 2, size=(m_out, nbatch)).astype(float)
-    labels = rng.integers(0, m_out, size=nbatch)
-    t = np.zeros((m_out, nbatch))
-    t[labels, np.arange(nbatch)] = 1.0
-    return t
-
-
-def _fd_gradient(shape, theta, x, y, spec, step=1e-6):
-    grad = np.zeros_like(theta)
-    for k in range(theta.size):
-        up, down = theta.copy(), theta.copy()
-        up[k] += step
-        down[k] -= step
-        f_up = loss_mod.loss_value(spec, network.forward(shape, up, x), y)
-        f_dn = loss_mod.loss_value(spec, network.forward(shape, down, x), y)
-        grad[k] = (f_up - f_dn) / (2 * step)
-    return grad
-
-
 def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
     """Run the oracle suites and print max error and pass/fail per check.
 
@@ -316,14 +265,14 @@ def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
     # Gradients against central finite differences.
     worst = 0.0
     for trial, kind in enumerate(loss_mod.LOSS_KINDS * 2):
-        shape, spec, theta = _random_net(rng, kind)
+        shape, spec, theta = oracles.make_net(rng, kind)
         x = rng.normal(size=shape.input_size)
-        y = _random_targets(rng, spec, shape.output_size, 1)[:, 0]
+        y = oracles.random_targets(rng, kind, shape.output_size)[:, 0]
         cache = network.forward(shape, theta, x)
         g, _ = diff.gradient(shape, theta, cache, y, spec)
         if trial == 0:
             g = g + grad_bias
-        fd = _fd_gradient(shape, theta, x, y, spec)
+        fd = oracles.fd_loss_gradient(shape, theta, x, y, spec)
         worst = max(worst, float(np.max(np.abs(g - fd) / (1.0 + np.abs(fd)))))
     checks.append(("gradient_vs_finite_differences", worst, 1e-5))
 
@@ -331,7 +280,7 @@ def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
     worst = 0.0
     for kind in loss_mod.LOSS_KINDS:
         for _ in range(20):
-            shape, spec, theta = _random_net(rng, kind)
+            shape, spec, theta = oracles.make_net(rng, kind)
             x = rng.normal(size=shape.input_size)
             cache = network.forward(shape, theta, x)
             t1 = rng.normal(size=shape.num_params)
@@ -346,33 +295,13 @@ def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
     worst = 0.0
     ones_worst = 0.0
     inv_worst = 0.0
-    step = 1e-6
     for kind in loss_mod.LOSS_KINDS:
-        shape, spec, theta = _random_net(rng, kind)
-        x = rng.normal(size=shape.input_size)
-        y = _random_targets(rng, spec, shape.output_size, 1)[:, 0]
-        cache = network.forward(shape, theta, x)
+        shape, spec, theta = oracles.make_net(rng, kind)
         m_out = shape.output_size
-        h = cache.h(shape.num_layers)[:, 0]
-        fd_h = np.zeros((m_out, m_out))
-        for k in range(m_out):
-            for direction, sign in ((step, 1.0), (-step, -1.0)):
-                hp = h.copy()
-                hp[k] += direction
-                shifted = network.ForwardCache(
-                    shape=shape,
-                    x=cache.x,
-                    preacts=cache.preacts[:-1] + [hp.reshape(-1, 1)],
-                    acts=cache.acts[:-1]
-                    + [
-                        network.apply_activation(
-                            shape.activations[-1], hp.reshape(-1, 1)
-                        )
-                    ],
-                    single=True,
-                )
-                fd_h[:, k] += sign * loss_mod.loss_grad_h(spec, shifted, y)
-        fd_h /= 2 * step
+        x = rng.normal(size=shape.input_size)
+        y = oracles.random_targets(rng, kind, m_out)[:, 0]
+        cache = network.forward(shape, theta, x)
+        fd_h = oracles.fd_loss_hessian_h(spec, cache.h(shape.num_layers)[:, 0], y)
         closed = loss_mod.loss_hessian_h(spec, cache, y)
         worst = max(worst, float(np.max(np.abs(closed - fd_h))))
         if kind == loss_mod.SOFTMAX_CROSS_ENTROPY:
@@ -392,23 +321,14 @@ def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
     worst_gn = 0.0
     worst_ng = 0.0
     for kind in loss_mod.LOSS_KINDS:
-        shape, spec, theta = _random_net(rng, kind)
+        shape, spec, theta = oracles.make_net(rng, kind)
         nb = 3
         x = rng.normal(size=(shape.input_size, nb))
-        y = _random_targets(rng, spec, shape.output_size, nb)
+        y = oracles.random_targets(rng, kind, shape.output_size, nb)
         cache = network.forward(shape, theta, x)
         batch = curvature.gn_batch_factors(shape, theta, cache, y, spec)
         gram = curvature.gn_block_gram(batch)
-        m_out = shape.output_size
-        jrows = []
-        for i in range(nb):
-            ci = cache.cols([i])
-            for j in range(m_out):
-                seed_vec = np.zeros((m_out, 1))
-                seed_vec[j, 0] = 1.0
-                row, _ = diff.vjp(shape, theta, ci, seed_vec)
-                jrows.append(row)
-        jmat = np.stack(jrows, axis=0)
+        jmat = oracles.stacked_jacobian(shape, theta, cache)
         worst_gn = max(worst_gn, float(np.max(np.abs(gram - jmat @ jmat.T))))
         _, gf = diff.gradient(shape, theta, cache, y, spec)
         ngram = curvature.ng_gram(gf)
@@ -425,10 +345,10 @@ def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
     for kind in loss_mod.LOSS_KINDS:
         for method in (curvature.GN, curvature.NG):
             for lam in (1e-3, 1.0, 1e3):
-                shape, spec, theta = _random_net(rng, kind)
+                shape, spec, theta = oracles.make_net(rng, kind)
                 nb = 3
                 x = rng.normal(size=(shape.input_size, nb))
-                y = _random_targets(rng, spec, shape.output_size, nb)
+                y = oracles.random_targets(rng, kind, shape.output_size, nb)
                 cache = network.forward(shape, theta, x)
                 g, gf = diff.gradient(shape, theta, cache, y, spec)
                 if method == curvature.GN:
@@ -438,7 +358,7 @@ def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
                 else:
                     system = curvature.build_ng_system(gf, lam)
                 res = solver.smw_direction(shape, theta, system, g)
-                oracle = solver.dense_direction_oracle(
+                oracle = oracles.dense_direction_oracle(
                     shape, theta, x, y, spec, lam, method,
                     hessian_shift=system.hessian_shift,
                 )
@@ -446,7 +366,7 @@ def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
                 worst_dir = max(
                     worst_dir, float(np.max(np.abs(res.p - oracle.p))) / scale
                 )
-                b_mat, _ = solver.build_curvature_matrix(
+                b_mat, _ = oracles.build_curvature_matrix(
                     shape, theta, x, y, spec, method,
                     hessian_shift=system.hessian_shift,
                 )
@@ -493,52 +413,20 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--verify", action="store_true",
                         help="run the numerical self-checks and exit")
-    parser.add_argument("--method", choices=list(optim.METHODS))
-    parser.add_argument("--n1", type=int)
-    parser.add_argument("--n2", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--subset", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--loss", choices=list(loss_mod.LOSS_KINDS))
-    parser.add_argument("--layers")
-    parser.add_argument("--activations")
-    parser.add_argument("--train-images", dest="train_images")
-    parser.add_argument("--train-labels", dest="train_labels")
-    parser.add_argument("--train-csv", dest="train_csv")
-    parser.add_argument("--test-images", dest="test_images")
-    parser.add_argument("--test-labels", dest="test_labels")
-    parser.add_argument("--test-csv", dest="test_csv")
-    parser.add_argument("--csv-features", dest="csv_features", type=int)
-    parser.add_argument("--csv-classes", dest="csv_classes", type=int)
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--semi-stochastic", dest="semi_stochastic",
-                        choices=["true", "false"])
-    parser.add_argument("--lambda-lm", dest="lambda_lm", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--boost", type=float)
-    parser.add_argument("--drop", type=float)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--cg-max-iters", dest="cg_max_iters", type=int)
-    parser.add_argument("--cg-tol", dest="cg_tol", type=float)
-    parser.add_argument("--eval-interval", dest="eval_interval", type=int)
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            metavar=type(f.default).__name__.upper())
     return parser
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    overrides = {k: v for k, v in vars(args).items() if k not in ("config", "verify")}
     try:
         if args.verify:
-            return verify(seed=args.seed or 0)
+            return verify(seed=build_config({}, overrides).seed)
         file_values = parse_config_file(args.config) if args.config else {}
-        overrides = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("config", "verify")
-        }
-        config = build_config(file_values, overrides)
-        return run(config)
+        return run(build_config(file_values, overrides))
     except (ConfigError, DataFormatError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -20,10 +20,3 @@ class OpCounters:
     def snapshot(self) -> "OpCounters":
         return replace(self)
 
-    def delta(self, earlier: "OpCounters") -> "OpCounters":
-        return OpCounters(
-            forward_passes=self.forward_passes - earlier.forward_passes,
-            backward_passes=self.backward_passes - earlier.backward_passes,
-            jvp_products=self.jvp_products - earlier.jvp_products,
-            vjp_products=self.vjp_products - earlier.vjp_products,
-        )

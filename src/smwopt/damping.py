@@ -58,15 +58,18 @@ def compute_rho(
 
     The model decrease is -grad_dot - quad_term / 2. A decrease below
     DEGENERATE_DECREASE flags the step as degenerate with rho = -inf,
-    which the update rule treats as a failed step.
+    which the update rule treats as a failed step. A non-finite trial
+    value f_after is a failed step too (rho = -inf), not an error.
     """
-    for name, v in (("f_before", f_before), ("f_after", f_after),
-                    ("grad_dot", grad_dot), ("quad_term", quad_term)):
+    for name, v in (("f_before", f_before), ("grad_dot", grad_dot),
+                    ("quad_term", quad_term)):
         if not math.isfinite(v):
             raise ValueError(f"{name} is not finite: {v}")
     model_decrease = -grad_dot - 0.5 * quad_term
     if model_decrease < DEGENERATE_DECREASE:
         return RhoReport(f_before, f_after, model_decrease, -math.inf, True)
+    if not math.isfinite(f_after):
+        return RhoReport(f_before, f_after, model_decrease, -math.inf)
     rho = (f_before - f_after) / model_decrease
     return RhoReport(f_before, f_after, model_decrease, rho)
 

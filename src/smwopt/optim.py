@@ -191,32 +191,27 @@ class Trainer:
     def iters_per_epoch(self) -> int:
         return math.ceil(self.n_samples / self.config.n1)
 
-    def _positions_in(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-        where = {int(idx): pos for pos, idx in enumerate(s1)}
-        try:
-            return np.array([where[int(idx)] for idx in s2])
-        except KeyError:
-            raise ConfigError("curvature batch is not a subset of the gradient batch")
-
     def _mean_loss(self, cache, targets) -> float:
         return float(np.mean(loss_mod.loss_value(self.spec, cache, targets)))
 
     def step(self) -> IterationRecord:
         """Sample batches and run one iteration of the configured method."""
         s1, s2 = self.sampler.sample_batches()
+        # Curvature sample positions within the gradient batch: S2 is a
+        # prefix of S1.
+        positions = np.arange(s2.size)
+        accept_threshold = None
         if self.config.semi_stochastic:
             # Evaluate the full-set objective in fixed index order so
             # rejected steps reproduce f(theta) bit for bit; the curvature
             # sub-batch keeps the random draw.
             s1 = np.arange(self.n_samples)
+            positions = s2
+            accept_threshold = self.config.eta
         try:
             if self.config.method == SGD:
                 return self.step_sgd(s1)
-            if self.config.semi_stochastic:
-                return self.step_semi_stochastic(s1, s2)
-            if self.config.method == HF:
-                return self.step_hf(s1, s2)
-            return self.step_smw(s1, s2)
+            return self._second_order_step(s1, positions, accept_threshold)
         except (ArithmeticError, FloatingPointError) as err:
             raise TrainingError(self.t, err) from err
 
@@ -237,48 +232,26 @@ class Trainer:
             batch_size=s1.size,
         )
 
-    def step_smw(self, s1: np.ndarray, s2: np.ndarray) -> IterationRecord:
-        return self._second_order_step(s1, s2, accept_threshold=None)
-
-    def step_hf(self, s1: np.ndarray, s2: np.ndarray) -> IterationRecord:
-        return self._second_order_step(s1, s2, accept_threshold=None)
-
-    def step_semi_stochastic(self, s1: np.ndarray, s2: np.ndarray) -> IterationRecord:
-        """Full-gradient iteration: apply the step only when rho >= eta."""
-        if s1.size != self.n_samples:
-            raise ConfigError("semi-stochastic step needs the full index set")
-        return self._second_order_step(s1, s2, accept_threshold=self.config.eta)
-
-    def _direction(self, s1, s2, cache1, g, gfactors) -> solver.DirectionResult:
-        positions = self._positions_in(s1, s2)
-        cache2 = cache1.cols(positions)
+    def _direction(self, positions, cache1, y1, g, gfactors) -> solver.DirectionResult:
         lam = self.damping.lam
         if self.config.method == SMW_NG:
             system = curvature.build_ng_system(gfactors.cols(positions), lam)
-            return solver.smw_direction(
-                self.shape, self.theta, system, g, self.counters
+        else:
+            cache2, y2 = cache1.cols(positions), y1[:, positions]
+            if self.config.method == HF:
+                return solver.hf_cg_direction(
+                    self.shape, self.theta, cache2, y2, self.spec, lam,
+                    self.config.cg, g, self.counters,
+                )
+            system = curvature.build_gn_system(
+                self.shape, self.theta, cache2, y2, self.spec, lam, self.counters
             )
-        if self.config.method == HF:
-            return solver.hf_cg_direction(
-                self.shape,
-                self.theta,
-                cache2,
-                self.y[:, s2],
-                self.spec,
-                lam,
-                self.config.cg,
-                g,
-                self.counters,
-            )
-        system = curvature.build_gn_system(
-            self.shape, self.theta, cache2, self.y[:, s2], self.spec, lam,
-            self.counters,
-        )
         return solver.smw_direction(self.shape, self.theta, system, g, self.counters)
 
     def _second_order_step(
-        self, s1, s2, accept_threshold: float | None
+        self, s1, positions, accept_threshold: float | None
     ) -> IterationRecord:
+        """Curvature step; applied only when rho clears accept_threshold."""
         x1, y1 = self.x[:, s1], self.y[:, s1]
         cache1 = forward(self.shape, self.theta, x1, self.counters)
         f_before = self._mean_loss(cache1, y1)
@@ -286,7 +259,7 @@ class Trainer:
             self.shape, self.theta, cache1, y1, self.spec, self.counters
         )
         lam_used = self.damping.lam
-        result = self._direction(s1, s2, cache1, g, gfactors)
+        result = self._direction(positions, cache1, y1, g, gfactors)
         trial_cache = forward(
             self.shape, self.theta + result.p, x1, self.counters
         )

@@ -1,4 +1,4 @@
-"""Damped curvature solves: Woodbury direction, dense oracle, CG baseline.
+"""Damped curvature solves: Woodbury direction and the CG baseline.
 
 With B_t the batch curvature matrix (Gauss-Newton or Fisher) and
 G_t = B_t + lam * I, the update direction solves G_t p = -g. The
@@ -9,13 +9,13 @@ Woodbury route reduces this to one small core solve:
     q = core^-1 (J g)
 
 where J g stacks per-sample forward-mode products and J^T(.) is one
-reverse-mode product per sample. The dense oracle materializes B_t for
-small parameter counts and the CG routine solves the same system
+reverse-mode product per sample. The CG routine solves the same system
 matrix-free to a relative residual tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +26,9 @@ from .exceptions import (
     ConfigError,
     NotSpdError,
     NumericError,
-    ShapeError,
     SingularMatrixError,
 )
-from .network import ForwardCache, NetworkShape, forward
-
-DENSE_ORACLE_MAX_PARAMS = 5000
-
+from .network import ForwardCache, NetworkShape
 
 @dataclass
 class DirectionResult:
@@ -99,6 +95,8 @@ def quadratic_terms(
     else:
         dots = system.ng_factors.dots_with(p)
         quad = float(np.mean(dots**2))
+    if not (math.isfinite(grad_dot) and math.isfinite(quad)):
+        raise NumericError(f"quadratic model is not finite: g.p={grad_dot}, pBp={quad}")
     return grad_dot, quad
 
 
@@ -185,70 +183,6 @@ def smw_direction(
             )
     grad_dot, quad = quadratic_terms(shape, theta, system, g, p, counters)
     return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)
-
-
-def build_curvature_matrix(
-    shape: NetworkShape,
-    theta,
-    x,
-    y,
-    spec: loss_mod.LossSpec,
-    method: str,
-    hessian_shift: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize B_t and the batch gradient; test oracle only."""
-    n = shape.num_params
-    if n > DENSE_ORACLE_MAX_PARAMS:
-        raise ShapeError(
-            f"{n} parameters exceed the dense-oracle guard "
-            f"({DENSE_ORACLE_MAX_PARAMS})"
-        )
-    cache = forward(shape, theta, x)
-    g, factors = diff.gradient(shape, theta, cache, y, spec)
-    nb = cache.ncols
-    b_mat = np.zeros((n, n))
-    if method == curvature.NG:
-        for i in range(nb):
-            gi = factors.cols([i]).expand_sum()
-            b_mat += np.outer(gi, gi)
-    else:
-        m_out = shape.output_size
-        for i in range(nb):
-            ci = cache.cols([i])
-            rows = []
-            for j in range(m_out):
-                seed = np.zeros((m_out, 1))
-                seed[j, 0] = 1.0
-                row, _ = diff.vjp(shape, theta, ci, seed)
-                rows.append(row)
-            ji = np.stack(rows, axis=0)
-            hi = loss_mod.loss_hessian_h(spec, ci)
-            if hessian_shift:
-                hi = hi + hessian_shift * np.eye(m_out)
-            b_mat += ji.T @ hi @ ji
-    b_mat /= nb
-    return b_mat, g
-
-
-def dense_direction_oracle(
-    shape: NetworkShape,
-    theta,
-    x,
-    y,
-    spec: loss_mod.LossSpec,
-    lam: float,
-    method: str = curvature.GN,
-    hessian_shift: float = 0.0,
-) -> DirectionResult:
-    """Solve (B_t + lam I) p = -g with B_t materialized; test oracle only."""
-    b_mat, g = build_curvature_matrix(
-        shape, theta, x, y, spec, method, hessian_shift
-    )
-    a = b_mat + lam * np.eye(shape.num_params)
-    p = linalg.solve_spd(a, -g)
-    return DirectionResult(
-        p=p, grad_dot=float(g @ p), quad_term=float(p @ b_mat @ p)
-    )
 
 
 def hf_cg_direction(

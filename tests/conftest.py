@@ -5,37 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from smwopt import loss as loss_mod
 from smwopt import network
 from smwopt.exceptions import SingularMatrixError
-
-
-def make_net(rng, kind, hidden=None, m_in=None, m_out=None):
-    """Random small network whose output layer matches the loss kind."""
-    if m_in is None:
-        m_in = int(rng.integers(2, 7))
-    if hidden is None:
-        hidden = [int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 3)))]
-    if m_out is None:
-        m_out = 1 if kind == loss_mod.BINARY_CROSS_ENTROPY else int(rng.integers(2, 5))
-    sizes = (m_in, *hidden, m_out)
-    acts = (network.LOGISTIC,) * len(hidden) + (
-        loss_mod.MATCHING_ACTIVATION[kind],
-    )
-    shape = network.NetworkShape(sizes, acts)
-    theta = network.init_theta(shape, rng)
-    return shape, loss_mod.LossSpec(kind), theta
-
-
-def random_targets(rng, kind, m_out, nbatch=1):
-    """(m_out, nbatch) target columns valid for the loss kind."""
-    if kind == loss_mod.SQUARED_ERROR:
-        return rng.normal(size=(m_out, nbatch))
-    if kind == loss_mod.BINARY_CROSS_ENTROPY:
-        return rng.integers(0, 2, size=(m_out, nbatch)).astype(float)
-    t = np.zeros((m_out, nbatch))
-    t[rng.integers(0, m_out, size=nbatch), np.arange(nbatch)] = 1.0
-    return t
+from smwopt.oracles import fd_loss_gradient, make_net, random_targets  # noqa: F401
 
 
 def scalar_forward(sizes, acts, params, x):
@@ -57,20 +29,6 @@ def scalar_forward(sizes, acts, params, x):
             s = sum(e)
             v = [ei / s for ei in e]
     return v
-
-
-def fd_loss_gradient(shape, theta, x, y, spec, step=1e-6):
-    """Central finite differences of the per-sample loss over every coordinate."""
-    grad = np.zeros_like(theta)
-    for k in range(theta.size):
-        up = theta.copy()
-        up[k] += step
-        down = theta.copy()
-        down[k] -= step
-        f_up = loss_mod.loss_value(spec, network.forward(shape, up, x), y)
-        f_down = loss_mod.loss_value(spec, network.forward(shape, down, x), y)
-        grad[k] = (f_up - f_down) / (2.0 * step)
-    return grad
 
 
 def fd_output_jacobian_product(shape, theta, x, direction, step=1e-6):

@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 
 from smwopt import cli, curvature, damping, data, diff, loss, network, optim, solver
-from tests.conftest import fd_loss_gradient, make_net, random_targets
+from smwopt.oracles import (
+    build_curvature_matrix,
+    dense_direction_oracle,
+    fd_loss_gradient,
+    fd_loss_hessian_h,
+    make_net,
+    output_cache,
+    random_targets,
+    stacked_jacobian,
+)
 
 
 def report(num, text):
@@ -66,11 +75,10 @@ def test_criterion_02_adjoint_identity():
 
 def test_criterion_03_loss_hessians():
     rng = np.random.default_rng(303)
-    step = 1e-6
     worst_fd = 0.0
     worst_ones = 0.0
     worst_inv = 0.0
-    from tests.test_loss import output_cache, random_h_y
+    from tests.test_loss import random_h_y
 
     for kind in loss.LOSS_KINDS:
         spec = loss.LossSpec(kind)
@@ -78,15 +86,7 @@ def test_criterion_03_loss_hessians():
             h, y = random_h_y(rng, kind)
             cache = output_cache(kind, h)
             closed = loss.loss_hessian_h(spec, cache, y)
-            fd = np.zeros((h.size, h.size))
-            for k in range(h.size):
-                hp, hm = h.copy(), h.copy()
-                hp[k] += step
-                hm[k] -= step
-                fd[:, k] = (
-                    loss.loss_grad_h(spec, output_cache(kind, hp), y)
-                    - loss.loss_grad_h(spec, output_cache(kind, hm), y)
-                ) / (2 * step)
+            fd = fd_loss_hessian_h(spec, h, y)
             worst_fd = max(worst_fd, float(np.max(np.abs(closed - fd))))
             if kind == loss.SOFTMAX_CROSS_ENTROPY:
                 worst_ones = max(
@@ -105,8 +105,6 @@ def test_criterion_03_loss_hessians():
 
 def test_criterion_04_gram_oracles():
     rng = np.random.default_rng(404)
-    from tests.test_curvature import stacked_jacobian
-
     worst_gn = 0.0
     worst_ng = 0.0
     for trial in range(50):
@@ -159,7 +157,7 @@ def test_criterion_05_smw_exactness():
                 else:
                     system = curvature.build_ng_system(gfactors, lam)
                 res = solver.smw_direction(shape, theta, system, g)
-                oracle = solver.dense_direction_oracle(
+                oracle = dense_direction_oracle(
                     shape, theta, x, y, spec, lam, method,
                     hessian_shift=system.hessian_shift,
                 )
@@ -167,7 +165,7 @@ def test_criterion_05_smw_exactness():
                 err = float(np.max(np.abs(res.p - oracle.p))) / scale
                 worst_dir = max(worst_dir, err)
                 assert err <= 1e-9
-                b_mat, _ = solver.build_curvature_matrix(
+                b_mat, _ = build_curvature_matrix(
                     shape, theta, x, y, spec, method,
                     hessian_shift=system.hessian_shift,
                 )
@@ -193,7 +191,7 @@ def test_criterion_06_hf_consistency():
         lam = 0.5
         tight = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-12)
         res = solver.hf_cg_direction(shape, theta, cache, y, spec, lam, tight, g)
-        oracle = solver.dense_direction_oracle(shape, theta, x, y, spec, lam)
+        oracle = dense_direction_oracle(shape, theta, x, y, spec, lam)
         err = float(np.max(np.abs(res.p - oracle.p))) / (
             1.0 + float(np.max(np.abs(oracle.p)))
         )

@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +175,79 @@ class TestMain:
         assert cli.main(["--config", str(cfg)]) == 3
 
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"loss": "foo"},
+            {"activations": "logistic,tanh"},
+            {"layers": "3,x,2"},
+            {"softmax_perturbation": "-1"},
+        ],
+    )
+    def test_bad_model_value_exit_2(self, bad, tmp_path, rng):
+        values = base_config(tmp_path, rng, **bad)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        assert cli.main(["--config", str(cfg)]) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_trial_loss_exit_3(self, tmp_path, rng):
+        # Unscaled inputs and no damping send the smw-ng trial loss to inf;
+        # that is a failed step, and the run ends on a NumericError, never
+        # on an uncaught ValueError.
+        csv_path = tmp_path / "train.csv"
+        x = 1e3 * rng.normal(size=(40, 5))
+        data.save_csv(
+            csv_path, data.Dataset(x, data.one_hot(rng.integers(0, 3, size=40), 3))
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"train_csv={csv_path}\ncsv_features=5\ncsv_classes=3\n"
+            "standardize=false\nlayers=5,4,3\nactivations=linear,linear\n"
+            "loss=squared_error\nmethod=smw-ng\nn1=10\nn2=5\nalpha=1\n"
+            f"lambda_lm=0\nepochs=3\nout={tmp_path / 'm.csv'}\n"
+        )
+        assert cli.main(["--config", str(cfg)]) == 3
+
+
+def _flag_value(default):
+    """A value differing from the default, as it would be typed."""
+    if isinstance(default, bool):
+        return str(not default).lower()
+    if isinstance(default, (int, float)):
+        return str(default + 3)
+    return default + "x"
+
+
+@pytest.mark.parametrize("field", fields(cli.RunConfig), ids=lambda f: f.name)
+def test_every_config_key_has_a_flag(field):
+    value = _flag_value(field.default)
+    args = cli.make_parser().parse_args(["--" + field.name.replace("_", "-"), value])
+    assert getattr(args, field.name) == value
+    overrides = {k: v for k, v in vars(args).items() if k not in ("config", "verify")}
+    from_flag = cli.build_config({}, overrides)
+    assert from_flag == cli.build_config({field.name: value}, {})
+    assert getattr(from_flag, field.name) != field.default
+
+
+def test_only_cli_imports_oracles():
+    """The brute-force oracles serve --verify and the tests, not training."""
+    package = Path(cli.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any("oracles" in n.split(".") for n in names):
+                importers.append(path.name)
+    assert importers == ["cli.py"]
+
+
 class TestVerify:
     def test_passes_by_default(self, capsys):
         assert cli.verify(seed=0) == 0
@@ -211,15 +286,23 @@ print("scipy" in sys.modules)
 """
 
 
-def test_training_path_does_not_import_scipy():
+def run_python(*args, check=False):
+    """Run this interpreter on the checkout's src/ and capture its output."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    out = subprocess.run(
-        [sys.executable, "-c", DEPENDENCY_PROBE],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=check
     )
+
+
+def test_training_path_does_not_import_scipy():
+    out = run_python("-c", DEPENDENCY_PROBE, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_python_dash_m_entry_point():
+    out = run_python("-m", "smwopt", "--help")
+    assert out.returncode == 0
+    assert "usage: smwopt" in out.stdout
+    assert "RuntimeWarning" not in out.stderr

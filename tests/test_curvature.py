@@ -4,25 +4,7 @@ import pytest
 from smwopt import curvature, diff, loss, network
 from smwopt.counters import OpCounters
 from smwopt.exceptions import NumericError
-from tests.conftest import make_net, random_targets
-
-
-def explicit_jacobian(shape, theta, cache_single):
-    """J built row by row from unit-seed reverse products."""
-    m_out = shape.output_size
-    rows = []
-    for j in range(m_out):
-        seed = np.zeros((m_out, 1))
-        seed[j, 0] = 1.0
-        packed, _ = diff.vjp(shape, theta, cache_single, seed)
-        rows.append(packed)
-    return np.stack(rows, axis=0)
-
-
-def stacked_jacobian(shape, theta, cache):
-    return np.vstack(
-        [explicit_jacobian(shape, theta, cache.cols([i])) for i in range(cache.ncols)]
-    )
+from smwopt.oracles import make_net, random_targets, stacked_jacobian
 
 
 class TestGnBlockGram:

@@ -46,6 +46,14 @@ class TestComputeRho:
         with pytest.raises(ValueError):
             damping.compute_rho(math.nan, 1.0, -1.0, 0.5)
 
+    @pytest.mark.parametrize("f_after", [math.inf, math.nan])
+    def test_nonfinite_trial_is_failed_step(self, f_after):
+        report = damping.compute_rho(1.0, f_after, -1.0, 0.5)
+        assert report.rho == -math.inf
+        assert not report.degenerate
+        state = damping.DampingState(lambda_lm=1.0)
+        assert damping.update_lambda(state, report.rho).lambda_lm == pytest.approx(1.01)
+
 
 class TestUpdateLambda:
     def test_boost(self):

@@ -3,26 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from smwopt import loss, network
-from smwopt.network import ForwardCache
+from smwopt import loss
+from smwopt.oracles import fd_loss_hessian_h, output_cache
 
 KINDS = loss.LOSS_KINDS
-
-
-def output_cache(kind, h):
-    """Single-layer cache with a controlled output pre-activation."""
-    h = np.asarray(h, dtype=float)
-    single = h.ndim == 1
-    cols = h.reshape(-1, 1) if single else h
-    m = cols.shape[0]
-    shape = network.NetworkShape((m, m), (loss.MATCHING_ACTIVATION[kind],))
-    return ForwardCache(
-        shape=shape,
-        x=np.zeros_like(cols),
-        preacts=[cols],
-        acts=[network.apply_activation(loss.MATCHING_ACTIVATION[kind], cols)],
-        single=single,
-    )
 
 
 def random_h_y(rng, kind, m=4):
@@ -127,19 +111,10 @@ class TestHessians:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_finite_differences_of_gradient(self, kind, rng):
         spec = loss.LossSpec(kind)
-        step = 1e-6
         for _ in range(100):
             h, y = random_h_y(rng, kind)
             hess = loss.loss_hessian_h(spec, output_cache(kind, h), y)
-            fd = np.zeros((h.size, h.size))
-            for k in range(h.size):
-                hp, hm = h.copy(), h.copy()
-                hp[k] += step
-                hm[k] -= step
-                fd[:, k] = (
-                    loss.loss_grad_h(spec, output_cache(kind, hp), y)
-                    - loss.loss_grad_h(spec, output_cache(kind, hm), y)
-                ) / (2 * step)
+            fd = fd_loss_hessian_h(spec, h, y)
             assert np.max(np.abs(hess - fd)) < 1e-5
 
     @pytest.mark.parametrize("kind", KINDS)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smwopt import loss, network, optim, solver
+from smwopt import curvature, loss, network, optim, solver
 from smwopt.exceptions import ConfigError
 
 
@@ -282,12 +282,36 @@ class TestSmwStep:
             np.abs(trainer.theta - (theta0 + alpha * direction.p))
         ) < 1e-12
 
-    def test_subset_validation(self, rng):
-        shape, spec, x, y = linear_regression_data(rng, n=6)
-        config = optim.OptimizerConfig(method=optim.SMW_GN, n1=4, n2=2)
+    @pytest.mark.parametrize("semi_stochastic", [False, True])
+    def test_curvature_batch_is_the_drawn_s2(self, semi_stochastic, rng, monkeypatch):
+        x, y = blob_classification_data(rng, n=20)
+        shape = network.NetworkShape((2, 3, 1), ("logistic", "logistic"))
+        spec = loss.LossSpec(loss.BINARY_CROSS_ENTROPY)
+        config = optim.OptimizerConfig(
+            method=optim.SMW_GN, n1=20 if semi_stochastic else 8, n2=5,
+            alpha=1.0, semi_stochastic=semi_stochastic, seed=4,
+        )
+        drawn, built = [], []
+        sample, build = optim.EpochSampler.sample_batches, curvature.build_gn_system
+
+        def spy_sample(self):
+            s1, s2 = sample(self)
+            drawn.append(s2.copy())
+            return s1, s2
+
+        def spy_build(shape, theta, cache, y2, *args, **kwargs):
+            built.append((cache.x.copy(), y2.copy()))
+            return build(shape, theta, cache, y2, *args, **kwargs)
+
+        monkeypatch.setattr(optim.EpochSampler, "sample_batches", spy_sample)
+        monkeypatch.setattr(curvature, "build_gn_system", spy_build)
         trainer = optim.Trainer(shape, spec, x, y, config)
-        with pytest.raises(ConfigError):
-            trainer.step_smw(np.array([0, 1, 2, 3]), np.array([4, 5]))
+        for _ in range(3):  # stochastic mode ends on a 4-sample tail batch
+            trainer.step()
+        assert len(drawn) == len(built) == 3
+        for s2, (cache_x, y2) in zip(drawn, built):
+            assert np.array_equal(cache_x, x[s2].T)
+            assert np.array_equal(y2, y[s2].T)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_numeric_failure_reports_iteration(self, rng):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from smwopt import curvature, diff, loss, network, solver
+from smwopt import curvature, diff, loss, network, oracles, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import ConfigError, ShapeError
-from tests.conftest import make_net, random_targets
+from smwopt.oracles import make_net, random_targets
 
 
 def build_instance(rng, kind, method, nb=4, hidden=None):
@@ -65,13 +65,13 @@ class TestSmwDirection:
                     shape, theta, cache, y, spec, gfactors, lam, method
                 )
                 res = solver.smw_direction(shape, theta, system, g)
-                oracle = solver.dense_direction_oracle(
+                oracle = oracles.dense_direction_oracle(
                     shape, theta, x, y, spec, lam, method,
                     hessian_shift=system.hessian_shift,
                 )
                 scale = float(np.max(np.abs(oracle.p))) + 1e-300
                 assert np.max(np.abs(res.p - oracle.p)) <= 1e-9 * scale
-                b_mat, _ = solver.build_curvature_matrix(
+                b_mat, _ = oracles.build_curvature_matrix(
                     shape, theta, x, y, spec, method,
                     hessian_shift=system.hessian_shift,
                 )
@@ -103,7 +103,7 @@ class TestSmwDirection:
             shape, theta, cache, y, spec, lam, path=curvature.PATH_SPD
         )
         res = solver.smw_direction(shape, theta, system, g)
-        oracle = solver.dense_direction_oracle(
+        oracle = oracles.dense_direction_oracle(
             shape, theta, x, y, spec, lam, curvature.GN,
             hessian_shift=spec.softmax_perturbation,
         )
@@ -128,7 +128,7 @@ class TestSmwDirection:
                 e = np.zeros(n)
                 e[k] = 1.0
                 ginv[:, k] = -solver.smw_direction(shape, theta, system, e).p
-            b_mat, _ = solver.build_curvature_matrix(
+            b_mat, _ = oracles.build_curvature_matrix(
                 shape, theta, x, y, spec, method,
                 hessian_shift=system.hessian_shift,
             )
@@ -157,21 +157,21 @@ class TestDenseOracle:
             rng, loss.SQUARED_ERROR, curvature.GN
         )
         lam = 1e8
-        res = solver.dense_direction_oracle(shape, theta, x, y, spec, lam)
+        res = oracles.dense_direction_oracle(shape, theta, x, y, spec, lam)
         assert np.linalg.norm(res.p + g / lam) <= 1e-6 * np.linalg.norm(g / lam)
 
     def test_definiteness(self, rng):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
             rng, loss.BINARY_CROSS_ENTROPY, curvature.GN
         )
-        res = solver.dense_direction_oracle(shape, theta, x, y, spec, 0.5)
+        res = oracles.dense_direction_oracle(shape, theta, x, y, spec, 0.5)
         assert float(g @ res.p) < 0.0
 
     def test_size_guard(self, rng):
         shape = network.NetworkShape((100, 100), ("linear",))
         theta = network.init_theta(shape, rng)
         with pytest.raises(ShapeError):
-            solver.build_curvature_matrix(
+            oracles.build_curvature_matrix(
                 shape, theta, rng.normal(size=(100, 2)),
                 rng.normal(size=(100, 2)), loss.LossSpec(loss.SQUARED_ERROR),
                 curvature.GN,
@@ -200,7 +200,7 @@ class TestHfCg:
         lam = 0.5
         cfg = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-12)
         res = solver.hf_cg_direction(shape, theta, cache, y, spec, lam, cfg, g)
-        oracle = solver.dense_direction_oracle(shape, theta, x, y, spec, lam)
+        oracle = oracles.dense_direction_oracle(shape, theta, x, y, spec, lam)
         assert np.max(np.abs(res.p - oracle.p)) <= 1e-8 * (
             1.0 + np.max(np.abs(oracle.p))
         )
@@ -212,7 +212,7 @@ class TestHfCg:
         lam = 0.5
         cfg = solver.CgConfig(max_iters=1, rel_residual_tol=1e-300)
         res = solver.hf_cg_direction(shape, theta, cache, y, spec, lam, cfg, g)
-        b_mat, _ = solver.build_curvature_matrix(
+        b_mat, _ = oracles.build_curvature_matrix(
             shape, theta, x, y, spec, curvature.GN
         )
         alpha = float(g @ g) / float(g @ (b_mat + lam * np.eye(g.size)) @ g)
@@ -254,7 +254,7 @@ class TestQuadraticTerms:
         system = build_system(shape, theta, cache, y, spec, gfactors, 1.0, method)
         p = rng.normal(size=shape.num_params)
         _, quad = solver.quadratic_terms(shape, theta, system, g, p)
-        b_mat, _ = solver.build_curvature_matrix(shape, theta, x, y, spec, method)
+        b_mat, _ = oracles.build_curvature_matrix(shape, theta, x, y, spec, method)
         assert abs(quad - float(p @ b_mat @ p)) <= 1e-10 * (1.0 + abs(quad))
 
     def test_ng_sum_of_squares(self, rng):
@@ -283,7 +283,7 @@ def test_model_decrease_bound(rng):
                     shape, theta, cache, y, spec, gfactors, lam, method
                 )
                 res = solver.smw_direction(shape, theta, system, g)
-                b_mat, _ = solver.build_curvature_matrix(
+                b_mat, _ = oracles.build_curvature_matrix(
                     shape, theta, x, y, spec, method,
                     hessian_shift=system.hessian_shift,
                 )
