@@ -55,7 +55,6 @@ class RunConfig:
     layers: str = ""
     activations: str = ""
     loss: str = loss_mod.SOFTMAX_CROSS_ENTROPY
-    softmax_perturbation: float = 1e-4
     method: str = optim.SMW_GN
     n1: int = 60
     n2: int = 30
@@ -170,7 +169,7 @@ def build_model(
     if not config.layers:
         raise ConfigError("network layers must be configured (e.g. layers=784,500,10)")
     try:
-        spec = loss_mod.LossSpec(config.loss, config.softmax_perturbation)
+        spec = loss_mod.LossSpec(config.loss)
         sizes = tuple(int(v) for v in config.layers.split(","))
         if config.activations:
             acts = tuple(a.strip() for a in config.activations.split(","))
@@ -326,7 +325,7 @@ def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
         x = rng.normal(size=(shape.input_size, nb))
         y = oracles.random_targets(rng, kind, shape.output_size, nb)
         cache = network.forward(shape, theta, x)
-        batch = curvature.gn_batch_factors(shape, theta, cache, y, spec)
+        batch = curvature.gn_batch_factors(shape, theta, cache, spec)
         gram = curvature.gn_block_gram(batch)
         jmat = oracles.stacked_jacobian(shape, theta, cache)
         worst_gn = max(worst_gn, float(np.max(np.abs(gram - jmat @ jmat.T))))
@@ -353,22 +352,20 @@ def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
                 g, gf = diff.gradient(shape, theta, cache, y, spec)
                 if method == curvature.GN:
                     system = curvature.build_gn_system(
-                        shape, theta, cache, y, spec, lam
+                        shape, theta, cache, spec, lam
                     )
                 else:
                     system = curvature.build_ng_system(gf, lam)
                 res = solver.smw_direction(shape, theta, system, g)
                 oracle = oracles.dense_direction_oracle(
-                    shape, theta, x, y, spec, lam, method,
-                    hessian_shift=system.hessian_shift,
+                    shape, theta, x, y, spec, lam, method
                 )
                 scale = float(np.max(np.abs(oracle.p))) + 1e-30
                 worst_dir = max(
                     worst_dir, float(np.max(np.abs(res.p - oracle.p))) / scale
                 )
                 b_mat, _ = oracles.build_curvature_matrix(
-                    shape, theta, x, y, spec, method,
-                    hessian_shift=system.hessian_shift,
+                    shape, theta, x, y, spec, method
                 )
                 residual = b_mat @ res.p + lam * res.p + g
                 worst_res = max(

@@ -15,6 +15,10 @@ Gram blocks come from the factored identity
                                    * (a_i1^(l,j1) . a_i2^(l,j2)),
 so the cost is B*m_L backward factor computations plus layer-sized
 matrix products, independent of the parameter count.
+
+The loss picks the Gauss-Newton path: the softmax Hessian is singular and
+takes the general core; squared error and binary cross-entropy take the
+symmetric core, with H_i^-1 in closed form from loss.hessian_inverse.
 """
 
 from __future__ import annotations
@@ -25,15 +29,13 @@ import numpy as np
 
 from . import diff, linalg, loss as loss_mod
 from .counters import OpCounters
-from .exceptions import NotSpdError, ShapeError
+from .exceptions import ShapeError
 from .network import ForwardCache, NetworkShape
 
 GN = "gn"
 NG = "ng"
 PATH_SPD = "spd"
 PATH_GENERAL = "general"
-
-BCE_HESSIAN_FLOOR = 1e-12
 
 
 @dataclass
@@ -60,7 +62,6 @@ def gn_batch_factors(
     shape: NetworkShape,
     theta,
     cache: ForwardCache,
-    y,
     spec: loss_mod.LossSpec,
     counters: OpCounters | None = None,
 ) -> GnBatchFactors:
@@ -77,9 +78,7 @@ def gn_batch_factors(
         np.stack([per_seed[j][l] for j in range(m_out)], axis=2)
         for l in range(shape.num_layers)
     ]
-    hs = loss_mod.loss_hessian_h(spec, cache, y)
-    if hs.ndim == 2:
-        hs = hs[None, :, :]
+    hs = loss_mod.loss_hessian_h(spec, cache).reshape(nb, m_out, m_out)
     return GnBatchFactors(shape, spec, cache, adjoints, hs)
 
 
@@ -126,22 +125,21 @@ class GramSystem:
     n2: int
     gn_factors: GnBatchFactors | None = None
     ng_factors: diff.BackpropFactors | None = None
-    hessian_shift: float = 0.0
-
-    @property
-    def spec(self) -> loss_mod.LossSpec | None:
-        return self.gn_factors.spec if self.gn_factors is not None else None
 
 
 def assemble_d(
     method: str,
     gram: np.ndarray,
-    hessians: np.ndarray | None,
+    blocks: np.ndarray | None,
     lam: float,
     n2: int,
     path: str = PATH_SPD,
 ) -> np.ndarray:
-    """Assemble the core matrix from a Gram matrix and loss Hessians."""
+    """Assemble the core matrix from a Gram matrix and per-sample blocks.
+
+    The Gauss-Newton blocks are (n2, m_L, m_L): the loss-Hessian inverses
+    H_i^-1 on the symmetric path, the Hessians H_i on the general path.
+    """
     if lam <= 0.0:
         raise ShapeError(f"damping must be positive, got {lam}")
     gram = linalg.as_matrix(gram, "gram")
@@ -151,94 +149,61 @@ def assemble_d(
         return lam * np.eye(n2) + gram / n2
     if method != GN:
         raise ShapeError(f"unknown curvature method: {method!r}")
-    if hessians is None:
-        raise ShapeError("the Gauss-Newton core needs per-sample Hessians")
-    hs = np.asarray(hessians, dtype=np.float64)
-    if hs.ndim == 2:
-        hs = hs[None, :, :]
-    m_out = hs.shape[1]
+    if blocks is None:
+        raise ShapeError("the Gauss-Newton core needs per-sample Hessian blocks")
+    blocks = np.asarray(blocks, dtype=np.float64)
+    m_out = blocks.shape[-1]
     size = n2 * m_out
-    if hs.shape != (n2, m_out, m_out) or gram.shape != (size, size):
+    if blocks.shape != (n2, m_out, m_out) or gram.shape != (size, size):
         raise ShapeError(
-            f"hessians {hs.shape} / gram {gram.shape} inconsistent with "
+            f"blocks {blocks.shape} / gram {gram.shape} inconsistent with "
             f"n2={n2}, m_L={m_out}"
         )
     if path == PATH_SPD:
         core = gram / n2
         for i in range(n2):
-            try:
-                hinv = linalg.solve_spd(hs[i], np.eye(m_out))
-            except NotSpdError as err:
-                raise ArithmeticError(
-                    f"loss Hessian of batch sample {i} is not invertible "
-                    f"(pivot {err.pivot_index}); assemble with the "
-                    f"singular-Hessian path (path='general') instead"
-                ) from err
             sl = slice(i * m_out, (i + 1) * m_out)
-            core[sl, sl] += lam * hinv
+            core[sl, sl] += lam * blocks[i]
         return core
     if path == PATH_GENERAL:
         core = np.empty((size, size))
         for i in range(n2):
             sl = slice(i * m_out, (i + 1) * m_out)
-            core[:, sl] = gram[:, sl] @ hs[i]
+            core[:, sl] = gram[:, sl] @ blocks[i]
         core /= n2
         core[np.diag_indices(size)] += lam
         return core
     raise ShapeError(f"unknown core path: {path!r}")
 
 
-def default_gn_path(spec: loss_mod.LossSpec) -> str:
-    """Singular-Hessian core for the softmax loss, symmetric core otherwise."""
-    if spec.kind == loss_mod.SOFTMAX_CROSS_ENTROPY:
-        return PATH_GENERAL
-    return PATH_SPD
-
-
 def build_gn_system(
     shape: NetworkShape,
     theta,
     cache: ForwardCache,
-    y,
     spec: loss_mod.LossSpec,
     lam: float,
     counters: OpCounters | None = None,
-    path: str | None = None,
 ) -> GramSystem:
     """Factor the batch, form the Gram matrix, and assemble the GN core.
 
-    On the symmetric path saturated logistic Hessian diagonals are floored
-    at BCE_HESSIAN_FLOOR before inversion, and a softmax loss uses its
-    diagonal perturbation (the effective curvature then carries the same
-    shift, recorded in hessian_shift).
+    The loss picks the path: softmax cross-entropy, whose Hessians are
+    singular, assembles the general core from the Hessians; every other
+    loss assembles the symmetric core from loss.hessian_inverse.
     """
-    path = default_gn_path(spec) if path is None else path
-    batch = gn_batch_factors(shape, theta, cache, y, spec, counters)
+    batch = gn_batch_factors(shape, theta, cache, spec, counters)
     gram = gn_block_gram(batch)
-    hs = batch.hessians
-    shift = 0.0
-    if path == PATH_SPD:
-        if spec.kind == loss_mod.BINARY_CROSS_ENTROPY:
-            hs = hs.copy()
-            idx = np.arange(shape.output_size)
-            hs[:, idx, idx] = np.maximum(hs[:, idx, idx], BCE_HESSIAN_FLOOR)
-        elif spec.kind == loss_mod.SOFTMAX_CROSS_ENTROPY:
-            shift = spec.softmax_perturbation
-            if shift <= 0.0:
-                raise ArithmeticError(
-                    "softmax loss Hessians are singular; use path='general' "
-                    "or a positive perturbation"
-                )
-            hs = hs + shift * np.eye(shape.output_size)[None, :, :]
-    core = assemble_d(GN, gram, hs, lam, batch.nbatch, path)
+    if spec.kind == loss_mod.SOFTMAX_CROSS_ENTROPY:
+        path, blocks = PATH_GENERAL, batch.hessians
+    else:
+        path = PATH_SPD
+        blocks = loss_mod.hessian_inverse(spec, cache).reshape(batch.hessians.shape)
     return GramSystem(
         method=GN,
         path=path,
-        core=core,
+        core=assemble_d(GN, gram, blocks, lam, batch.nbatch, path),
         lam=lam,
         n2=batch.nbatch,
-        gn_factors=GnBatchFactors(shape, spec, batch.cache, batch.adjoints, hs),
-        hessian_shift=shift,
+        gn_factors=batch,
     )
 
 

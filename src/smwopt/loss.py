@@ -27,6 +27,9 @@ BINARY_CROSS_ENTROPY = "binary_cross_entropy"
 SOFTMAX_CROSS_ENTROPY = "softmax_cross_entropy"
 LOSS_KINDS = (SQUARED_ERROR, BINARY_CROSS_ENTROPY, SOFTMAX_CROSS_ENTROPY)
 
+# Smallest logistic Hessian diagonal that hessian_inverse inverts.
+BCE_HESSIAN_FLOOR = 1e-12
+
 MATCHING_ACTIVATION = {
     SQUARED_ERROR: network.LINEAR,
     BINARY_CROSS_ENTROPY: network.LOGISTIC,
@@ -145,13 +148,14 @@ def hessian_apply(spec: LossSpec, cache: ForwardCache, u: np.ndarray) -> np.ndar
     return network.act_jac_apply(network.SOFTMAX, yhat, u)
 
 
-def hessian_inverse(spec: LossSpec, cache: ForwardCache, floor: float | None = None) -> np.ndarray:
-    """Inverse of H (perturbed by c I for the softmax kind).
+def hessian_inverse(spec: LossSpec, cache: ForwardCache) -> np.ndarray:
+    """Inverse of H, in closed form.
 
-    For the softmax kind the perturbed matrix diag(yhat + c) - yhat yhat^T
-    is inverted by a rank-one update of the diagonal inverse. For the
-    logistic kind a saturated output makes H singular; pass `floor` to
-    clamp the diagonal instead of raising.
+    Squared error gives I / 2. The logistic diagonal is floored at
+    BCE_HESSIAN_FLOOR, so a saturated output inverts to 1 / floor instead
+    of dividing by zero. The singular softmax H is perturbed by c I, and
+    diag(yhat + c) - yhat yhat^T is inverted by a rank-one update of the
+    diagonal inverse.
 
     Returns (m_L, m_L) for a single-sample cache, else (B, m_L, m_L).
     """
@@ -160,13 +164,7 @@ def hessian_inverse(spec: LossSpec, cache: ForwardCache, floor: float | None = N
     if spec.kind == SQUARED_ERROR:
         out = np.broadcast_to(0.5 * np.eye(m_out), (b, m_out, m_out)).copy()
     elif spec.kind == BINARY_CROSS_ENTROPY:
-        diag = yhat * (1.0 - yhat)
-        if floor is not None:
-            diag = np.maximum(diag, floor)
-        elif np.any(diag == 0.0):
-            raise ArithmeticError(
-                "logistic output saturated to 0 or 1; Hessian is numerically singular"
-            )
+        diag = np.maximum(yhat * (1.0 - yhat), BCE_HESSIAN_FLOOR)
         out = np.zeros((b, m_out, m_out))
         idx = np.arange(m_out)
         out[:, idx, idx] = (1.0 / diag).T

@@ -232,19 +232,19 @@ class Trainer:
             batch_size=s1.size,
         )
 
-    def _direction(self, positions, cache1, y1, g, gfactors) -> solver.DirectionResult:
+    def _direction(self, positions, cache1, g, gfactors) -> solver.DirectionResult:
         lam = self.damping.lam
         if self.config.method == SMW_NG:
             system = curvature.build_ng_system(gfactors.cols(positions), lam)
         else:
-            cache2, y2 = cache1.cols(positions), y1[:, positions]
+            cache2 = cache1.cols(positions)
             if self.config.method == HF:
                 return solver.hf_cg_direction(
-                    self.shape, self.theta, cache2, y2, self.spec, lam,
+                    self.shape, self.theta, cache2, self.spec, lam,
                     self.config.cg, g, self.counters,
                 )
             system = curvature.build_gn_system(
-                self.shape, self.theta, cache2, y2, self.spec, lam, self.counters
+                self.shape, self.theta, cache2, self.spec, lam, self.counters
             )
         return solver.smw_direction(self.shape, self.theta, system, g, self.counters)
 
@@ -259,7 +259,7 @@ class Trainer:
             self.shape, self.theta, cache1, y1, self.spec, self.counters
         )
         lam_used = self.damping.lam
-        result = self._direction(positions, cache1, y1, g, gfactors)
+        result = self._direction(positions, cache1, g, gfactors)
         trial_cache = forward(
             self.shape, self.theta + result.p, x1, self.counters
         )

@@ -109,7 +109,7 @@ def stacked_jacobian(shape, theta, cache):
 
 
 def build_curvature_matrix(
-    shape, theta, x, y, spec, method: str, hessian_shift: float = 0.0
+    shape, theta, x, y, spec, method: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Materialize B_t and the batch gradient."""
     n = shape.num_params
@@ -127,26 +127,20 @@ def build_curvature_matrix(
             gi = factors.cols([i]).expand_sum()
             b_mat += np.outer(gi, gi)
     else:
-        m_out = shape.output_size
         for i in range(nb):
             ci = cache.cols([i])
             ji = explicit_jacobian(shape, theta, ci)
             hi = loss_mod.loss_hessian_h(spec, ci)
-            if hessian_shift:
-                hi = hi + hessian_shift * np.eye(m_out)
             b_mat += ji.T @ hi @ ji
     b_mat /= nb
     return b_mat, g
 
 
 def dense_direction_oracle(
-    shape, theta, x, y, spec, lam: float, method: str = curvature.GN,
-    hessian_shift: float = 0.0,
+    shape, theta, x, y, spec, lam: float, method: str = curvature.GN
 ) -> DirectionResult:
     """Solve (B_t + lam I) p = -g with B_t materialized."""
-    b_mat, g = build_curvature_matrix(
-        shape, theta, x, y, spec, method, hessian_shift
-    )
+    b_mat, g = build_curvature_matrix(shape, theta, x, y, spec, method)
     a = b_mat + lam * np.eye(shape.num_params)
     p = linalg.solve_spd(a, -g)
     return DirectionResult(

@@ -90,8 +90,6 @@ def quadratic_terms(
         jp = diff.jvp(shape, theta, batch.cache, p, counters)
         hjp = loss_mod.hessian_apply(batch.spec, batch.cache, jp)
         quad = float(np.mean(np.sum(jp * hjp, axis=0)))
-        if system.hessian_shift:
-            quad += system.hessian_shift * float(np.mean(np.sum(jp * jp, axis=0)))
     else:
         dots = system.ng_factors.dots_with(p)
         quad = float(np.mean(dots**2))
@@ -134,6 +132,14 @@ def _apply_damped_inverse(shape, theta, system, v, counters):
     return (v - correction / n2) / lam
 
 
+def _gn_product(shape, theta, cache, spec, v, counters):
+    """Gauss-Newton product J^T H J v / B over the B samples of the cache."""
+    jv = diff.jvp(shape, theta, cache, v, counters)
+    hjv = loss_mod.hessian_apply(spec, cache, jv)
+    bv, _ = diff.vjp(shape, theta, cache, hjv, counters)
+    return bv / cache.ncols
+
+
 def apply_curvature(
     shape: NetworkShape,
     theta,
@@ -144,12 +150,7 @@ def apply_curvature(
     """Matrix-free product B_t v for the batch the system was built on."""
     if system.method == curvature.GN:
         batch = system.gn_factors
-        jv = diff.jvp(shape, theta, batch.cache, v, counters)
-        hjv = loss_mod.hessian_apply(batch.spec, batch.cache, jv)
-        if system.hessian_shift:
-            hjv = hjv + system.hessian_shift * jv
-        bv, _ = diff.vjp(shape, theta, batch.cache, hjv, counters)
-        return bv / system.n2
+        return _gn_product(shape, theta, batch.cache, batch.spec, v, counters)
     factors = system.ng_factors
     dots = factors.dots_with(v)
     return factors.expand_sum(weights=dots) / system.n2
@@ -189,7 +190,6 @@ def hf_cg_direction(
     shape: NetworkShape,
     theta,
     cache: ForwardCache,
-    y,
     spec: loss_mod.LossSpec,
     lam: float,
     cfg: CgConfig,
@@ -203,13 +203,9 @@ def hf_cg_direction(
     residual drops below rel_residual_tol * ||g||.
     """
     g = np.asarray(g, dtype=np.float64)
-    nb = cache.ncols
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        jv = diff.jvp(shape, theta, cache, v, counters)
-        hjv = loss_mod.hessian_apply(spec, cache, jv)
-        bv, _ = diff.vjp(shape, theta, cache, hjv, counters)
-        return lam * v + bv / nb
+        return lam * v + _gn_product(shape, theta, cache, spec, v, counters)
 
     gnorm = float(np.linalg.norm(g))
     p = np.zeros_like(g)

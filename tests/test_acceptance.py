@@ -120,7 +120,7 @@ def test_criterion_04_gram_oracles():
         x = rng.normal(size=(shape.input_size, nb))
         y = random_targets(rng, kind, shape.output_size, nb)
         cache = network.forward(shape, theta, x)
-        batch = curvature.gn_batch_factors(shape, theta, cache, y, spec)
+        batch = curvature.gn_batch_factors(shape, theta, cache, spec)
         gram = curvature.gn_block_gram(batch)
         jmat = stacked_jacobian(shape, theta, cache)
         worst_gn = max(worst_gn, float(np.max(np.abs(gram - jmat @ jmat.T))))
@@ -152,22 +152,20 @@ def test_criterion_05_smw_exactness():
             for lam in (1e-3, 1.0, 1e3):
                 if method == curvature.GN:
                     system = curvature.build_gn_system(
-                        shape, theta, cache, y, spec, lam
+                        shape, theta, cache, spec, lam
                     )
                 else:
                     system = curvature.build_ng_system(gfactors, lam)
                 res = solver.smw_direction(shape, theta, system, g)
                 oracle = dense_direction_oracle(
-                    shape, theta, x, y, spec, lam, method,
-                    hessian_shift=system.hessian_shift,
+                    shape, theta, x, y, spec, lam, method
                 )
                 scale = float(np.max(np.abs(oracle.p))) + 1e-300
                 err = float(np.max(np.abs(res.p - oracle.p))) / scale
                 worst_dir = max(worst_dir, err)
                 assert err <= 1e-9
                 b_mat, _ = build_curvature_matrix(
-                    shape, theta, x, y, spec, method,
-                    hessian_shift=system.hessian_shift,
+                    shape, theta, x, y, spec, method
                 )
                 rnorm = float(
                     np.linalg.norm(b_mat @ res.p + lam * res.p + g)
@@ -190,7 +188,7 @@ def test_criterion_06_hf_consistency():
         g, _ = diff.gradient(shape, theta, cache, y, spec)
         lam = 0.5
         tight = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-12)
-        res = solver.hf_cg_direction(shape, theta, cache, y, spec, lam, tight, g)
+        res = solver.hf_cg_direction(shape, theta, cache, spec, lam, tight, g)
         oracle = dense_direction_oracle(shape, theta, x, y, spec, lam)
         err = float(np.max(np.abs(res.p - oracle.p))) / (
             1.0 + float(np.max(np.abs(oracle.p)))
@@ -199,7 +197,7 @@ def test_criterion_06_hf_consistency():
         assert err <= 1e-8
         for _ in range(10):
             default = solver.hf_cg_direction(
-                shape, theta, cache, y, spec, lam, solver.CgConfig(), g
+                shape, theta, cache, spec, lam, solver.CgConfig(), g
             )
             assert float(g @ default.p) < 0.0
     report(6, f"CG baseline matches dense at tight tolerance ({worst:.2e}) "

@@ -181,7 +181,6 @@ class TestMain:
             {"loss": "foo"},
             {"activations": "logistic,tanh"},
             {"layers": "3,x,2"},
-            {"softmax_perturbation": "-1"},
         ],
     )
     def test_bad_model_value_exit_2(self, bad, tmp_path, rng):

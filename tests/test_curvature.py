@@ -14,7 +14,7 @@ class TestGnBlockGram:
         x = rng.normal(size=3)
         cache = network.forward(shape, theta, x)
         batch = curvature.gn_batch_factors(
-            shape, theta, cache, rng.normal(size=2), loss.LossSpec(loss.SQUARED_ERROR)
+            shape, theta, cache, loss.LossSpec(loss.SQUARED_ERROR)
         )
         gram = curvature.gn_block_gram(batch)
         expected = (float(x @ x) + 1.0) * np.eye(2)
@@ -25,7 +25,7 @@ class TestGnBlockGram:
         theta = network.init_theta(shape, rng)
         cache = network.forward(shape, theta, np.zeros(3))
         batch = curvature.gn_batch_factors(
-            shape, theta, cache, rng.normal(size=2), loss.LossSpec(loss.SQUARED_ERROR)
+            shape, theta, cache, loss.LossSpec(loss.SQUARED_ERROR)
         )
         gram = curvature.gn_block_gram(batch)
         assert np.max(np.abs(gram - np.eye(2))) < 1e-15
@@ -34,9 +34,8 @@ class TestGnBlockGram:
     def test_matches_explicit_jacobian(self, kind, rng):
         shape, spec, theta = make_net(rng, kind, hidden=[4])
         x = rng.normal(size=(shape.input_size, 3))
-        y = random_targets(rng, kind, shape.output_size, 3)
         cache = network.forward(shape, theta, x)
-        batch = curvature.gn_batch_factors(shape, theta, cache, y, spec)
+        batch = curvature.gn_batch_factors(shape, theta, cache, spec)
         gram = curvature.gn_block_gram(batch)
         jmat = stacked_jacobian(shape, theta, cache)
         assert np.max(np.abs(gram - jmat @ jmat.T)) < 1e-10
@@ -44,10 +43,9 @@ class TestGnBlockGram:
     def test_symmetric_psd(self, rng):
         shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY)
         x = rng.normal(size=(shape.input_size, 4))
-        y = random_targets(rng, spec.kind, shape.output_size, 4)
         cache = network.forward(shape, theta, x)
         gram = curvature.gn_block_gram(
-            curvature.gn_batch_factors(shape, theta, cache, y, spec)
+            curvature.gn_batch_factors(shape, theta, cache, spec)
         )
         assert np.max(np.abs(gram - gram.T)) <= 1e-10
         eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
@@ -58,9 +56,8 @@ class TestGnBlockGram:
         counters = OpCounters()
         nb = 5
         x = rng.normal(size=(shape.input_size, nb))
-        y = random_targets(rng, spec.kind, shape.output_size, nb)
         cache = network.forward(shape, theta, x)
-        curvature.gn_batch_factors(shape, theta, cache, y, spec, counters)
+        curvature.gn_batch_factors(shape, theta, cache, spec, counters)
         assert counters.vjp_products == nb * shape.output_size
         assert counters.jvp_products == 0
 
@@ -116,42 +113,32 @@ class TestAssemble:
         n2, m_out = 2, 2
         gram = rng.normal(size=(4, 4))
         gram = gram + gram.T
-        hs = np.broadcast_to(2.0 * np.eye(m_out), (n2, m_out, m_out)).copy()
-        core = curvature.assemble_d(curvature.GN, gram, hs, 1.0, n2)
+        hinvs = np.broadcast_to(0.5 * np.eye(m_out), (n2, m_out, m_out)).copy()
+        core = curvature.assemble_d(curvature.GN, gram, hinvs, 1.0, n2)
         assert np.max(np.abs(core - (0.5 * np.eye(4) + gram / n2))) < 1e-12
 
-    def test_gn_singular_hessian_instructs_general_path(self, rng):
-        shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY)
-        x = rng.normal(size=(shape.input_size, 2))
-        y = random_targets(rng, spec.kind, shape.output_size, 2)
-        cache = network.forward(shape, theta, x)
-        batch = curvature.gn_batch_factors(shape, theta, cache, y, spec)
-        gram = curvature.gn_block_gram(batch)
-        with pytest.raises(ArithmeticError, match="general"):
-            curvature.assemble_d(
-                curvature.GN, gram, batch.hessians, 1.0, 2, curvature.PATH_SPD
-            )
-
     @pytest.mark.parametrize(
-        "kind,path",
+        "kind,path,nb",
         [
-            (loss.SQUARED_ERROR, curvature.PATH_SPD),
-            (loss.BINARY_CROSS_ENTROPY, curvature.PATH_SPD),
-            (loss.SOFTMAX_CROSS_ENTROPY, curvature.PATH_GENERAL),
+            pytest.param(kind, path, nb, id=f"{kind}-{path}{suffix}")
+            for nb, suffix in ((3, ""), (1, "-one_sample"))
+            for kind, path in (
+                (loss.SQUARED_ERROR, curvature.PATH_SPD),
+                (loss.BINARY_CROSS_ENTROPY, curvature.PATH_SPD),
+                (loss.SOFTMAX_CROSS_ENTROPY, curvature.PATH_GENERAL),
+            )
         ],
     )
-    def test_core_matches_dense_construction(self, kind, path, rng):
+    def test_core_matches_dense_construction(self, kind, path, nb, rng):
         shape, spec, theta = make_net(rng, kind, hidden=[4])
-        nb = 3
         x = rng.normal(size=(shape.input_size, nb))
-        y = random_targets(rng, kind, shape.output_size, nb)
         cache = network.forward(shape, theta, x)
         lam = 0.7
-        system = curvature.build_gn_system(shape, theta, cache, y, spec, lam)
+        system = curvature.build_gn_system(shape, theta, cache, spec, lam)
         assert system.path == path
         jmat = stacked_jacobian(shape, theta, cache)
-        hs = loss.loss_hessian_h(spec, cache)
         m_out = shape.output_size
+        hs = loss.loss_hessian_h(spec, cache).reshape(nb, m_out, m_out)
         hblk = np.zeros((nb * m_out, nb * m_out))
         for i in range(nb):
             sl = slice(i * m_out, (i + 1) * m_out)
@@ -166,29 +153,12 @@ class TestAssemble:
             dense = lam * np.eye(nb * m_out) + (jmat @ jmat.T) @ hblk / nb
         assert np.max(np.abs(system.core - dense)) < 1e-10
 
-    def test_forced_spd_path_with_softmax_uses_perturbation(self, rng):
-        shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=[4])
-        x = rng.normal(size=(shape.input_size, 2))
-        y = random_targets(rng, spec.kind, shape.output_size, 2)
-        cache = network.forward(shape, theta, x)
-        system = curvature.build_gn_system(
-            shape, theta, cache, y, spec, 1.0, path=curvature.PATH_SPD
-        )
-        assert system.hessian_shift == spec.softmax_perturbation > 0.0
-        zero_c = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY, softmax_perturbation=0.0)
-        with pytest.raises(ArithmeticError):
-            curvature.build_gn_system(
-                shape, theta, cache, y, zero_c, 1.0, path=curvature.PATH_SPD
-            )
-
     def test_bce_floor_applied(self, rng):
         shape = network.NetworkShape((2, 1), ("logistic",))
         theta = network.pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
         cache = network.forward(shape, theta, np.ones(2))
         assert cache.output[0, 0] == 1.0
         spec = loss.LossSpec(loss.BINARY_CROSS_ENTROPY)
-        system = curvature.build_gn_system(
-            shape, theta, cache, np.zeros((1, 1)), spec, lam=1.0
-        )
+        system = curvature.build_gn_system(shape, theta, cache, spec, lam=1.0)
         # H floored at 1e-12, so the core picks up lam / 1e-12 on the diagonal.
         assert system.core[0, 0] >= 1e11

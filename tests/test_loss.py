@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smwopt import loss
+from smwopt.exceptions import ShapeError
 from smwopt.oracles import fd_loss_hessian_h, output_cache
 
 KINDS = loss.LOSS_KINDS
@@ -156,24 +157,20 @@ class TestHessianInverse:
         inv = loss.hessian_inverse(loss.LossSpec(loss.BINARY_CROSS_ENTROPY), cache)
         assert np.max(np.abs(inv - 4.0 * np.eye(3))) < 1e-12
 
-    def test_bce_saturated_errors(self):
-        cache = output_cache(loss.BINARY_CROSS_ENTROPY, np.array([800.0]))
-        assert cache.output[0, 0] == 1.0
-        with pytest.raises(ArithmeticError):
-            loss.hessian_inverse(loss.LossSpec(loss.BINARY_CROSS_ENTROPY), cache)
-
     def test_bce_floor(self):
         cache = output_cache(loss.BINARY_CROSS_ENTROPY, np.array([800.0]))
-        inv = loss.hessian_inverse(
-            loss.LossSpec(loss.BINARY_CROSS_ENTROPY), cache, floor=1e-12
-        )
-        assert inv[0, 0] == 1e12
+        inv = loss.hessian_inverse(loss.LossSpec(loss.BINARY_CROSS_ENTROPY), cache)
+        assert inv[0, 0] == 1 / loss.BCE_HESSIAN_FLOOR
 
     def test_softmax_needs_perturbation(self):
         cache = output_cache(loss.SOFTMAX_CROSS_ENTROPY, np.zeros(2))
         spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY, softmax_perturbation=0.0)
         with pytest.raises(ArithmeticError):
             loss.hessian_inverse(spec, cache)
+
+    def test_negative_perturbation_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY, softmax_perturbation=-1)
 
     def test_softmax_against_dense_inverse(self):
         cache = output_cache(loss.SOFTMAX_CROSS_ENTROPY, np.zeros(2))

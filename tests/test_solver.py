@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smwopt import curvature, diff, loss, network, oracles, solver
+from smwopt import curvature, diff, linalg, loss, network, oracles, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import ConfigError, ShapeError
 from smwopt.oracles import make_net, random_targets
@@ -16,10 +16,10 @@ def build_instance(rng, kind, method, nb=4, hidden=None):
     return shape, spec, theta, x, y, cache, g, gfactors
 
 
-def build_system(shape, theta, cache, y, spec, gfactors, lam, method):
+def build_system(shape, theta, cache, spec, gfactors, lam, method):
     if method == curvature.NG:
         return curvature.build_ng_system(gfactors, lam)
-    return curvature.build_gn_system(shape, theta, cache, y, spec, lam)
+    return curvature.build_gn_system(shape, theta, cache, spec, lam)
 
 
 class TestSmwDirection:
@@ -33,7 +33,7 @@ class TestSmwDirection:
         g, gfactors = diff.gradient(shape, theta, cache, y, spec)
         assert np.array_equal(g, np.zeros(shape.num_params))
         for method in (curvature.GN, curvature.NG):
-            system = build_system(shape, theta, cache, y, spec, gfactors, 0.5, method)
+            system = build_system(shape, theta, cache, spec, gfactors, 0.5, method)
             res = solver.smw_direction(shape, theta, system, g)
             assert np.array_equal(res.p, np.zeros(shape.num_params))
             assert res.grad_dot == res.quad_term == 0.0
@@ -48,7 +48,7 @@ class TestSmwDirection:
         g, gfactors = diff.gradient(shape, theta, cache, y, spec)
         assert np.linalg.norm(g) > 0
         lam = 2.0
-        system = curvature.build_gn_system(shape, theta, cache, y, spec, lam)
+        system = curvature.build_gn_system(shape, theta, cache, spec, lam)
         res = solver.smw_direction(shape, theta, system, g)
         assert np.max(np.abs(res.p + g / lam)) < 1e-12
 
@@ -62,18 +62,16 @@ class TestSmwDirection:
             )
             for lam in (1e-3, 1.0, 1e3):
                 system = build_system(
-                    shape, theta, cache, y, spec, gfactors, lam, method
+                    shape, theta, cache, spec, gfactors, lam, method
                 )
                 res = solver.smw_direction(shape, theta, system, g)
                 oracle = oracles.dense_direction_oracle(
-                    shape, theta, x, y, spec, lam, method,
-                    hessian_shift=system.hessian_shift,
+                    shape, theta, x, y, spec, lam, method
                 )
                 scale = float(np.max(np.abs(oracle.p))) + 1e-300
                 assert np.max(np.abs(res.p - oracle.p)) <= 1e-9 * scale
                 b_mat, _ = oracles.build_curvature_matrix(
-                    shape, theta, x, y, spec, method,
-                    hessian_shift=system.hessian_shift,
+                    shape, theta, x, y, spec, method
                 )
                 residual = b_mat @ res.p + lam * res.p + g
                 assert np.linalg.norm(residual) <= 1e-8 * (
@@ -89,26 +87,37 @@ class TestSmwDirection:
             )
             if np.linalg.norm(g) == 0.0:
                 continue
-            system = build_system(shape, theta, cache, y, spec, gfactors, 0.01, method)
+            system = build_system(shape, theta, cache, spec, gfactors, 0.01, method)
             res = solver.smw_direction(shape, theta, system, g)
             assert res.grad_dot < 0.0
             assert res.quad_term >= -1e-10
 
-    def test_forced_spd_softmax_matches_shifted_dense(self, rng):
-        shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.SOFTMAX_CROSS_ENTROPY, curvature.GN, nb=3, hidden=[4]
-        )
-        lam = 0.25
-        system = curvature.build_gn_system(
-            shape, theta, cache, y, spec, lam, path=curvature.PATH_SPD
-        )
-        res = solver.smw_direction(shape, theta, system, g)
-        oracle = oracles.dense_direction_oracle(
-            shape, theta, x, y, spec, lam, curvature.GN,
-            hessian_shift=spec.softmax_perturbation,
-        )
-        scale = float(np.max(np.abs(oracle.p))) + 1e-300
-        assert np.max(np.abs(res.p - oracle.p)) <= 1e-9 * scale
+    @pytest.mark.parametrize(
+        "kind,expected",
+        [
+            (loss.SQUARED_ERROR, ["solve_spd", "cholesky"]),
+            (loss.BINARY_CROSS_ENTROPY, ["solve_spd", "cholesky"]),
+            (loss.SOFTMAX_CROSS_ENTROPY, ["solve_general"]),
+        ],
+    )
+    def test_one_core_factorization(self, kind, expected, rng, monkeypatch):
+        """A GN direction factors its core once and no loss Hessian."""
+        shape, spec, theta = make_net(rng, kind, hidden=[4], m_out=10)
+        nb = 30
+        x = rng.normal(size=(shape.input_size, nb))
+        y = random_targets(rng, kind, shape.output_size, nb)
+        cache = network.forward(shape, theta, x)
+        g, _ = diff.gradient(shape, theta, cache, y, spec)
+        calls = []
+        for name in ("solve_spd", "solve_general", "cholesky"):
+            def spy(*args, _name=name, _fn=getattr(linalg, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(linalg, name, spy)
+        system = curvature.build_gn_system(shape, theta, cache, spec, 1.0)
+        solver.smw_direction(shape, theta, system, g)
+        assert calls == expected
 
     def test_woodbury_inverse_reconstruction(self, rng):
         """lam I + B applied densely inverts the reconstructed inverse."""
@@ -121,7 +130,7 @@ class TestSmwDirection:
                 rng, kind, method, nb=3, hidden=[4]
             )
             lam = 0.3
-            system = build_system(shape, theta, cache, y, spec, gfactors, lam, method)
+            system = build_system(shape, theta, cache, spec, gfactors, lam, method)
             n = shape.num_params
             ginv = np.zeros((n, n))
             for k in range(n):
@@ -129,8 +138,7 @@ class TestSmwDirection:
                 e[k] = 1.0
                 ginv[:, k] = -solver.smw_direction(shape, theta, system, e).p
             b_mat, _ = oracles.build_curvature_matrix(
-                shape, theta, x, y, spec, method,
-                hessian_shift=system.hessian_shift,
+                shape, theta, x, y, spec, method
             )
             dense = b_mat + lam * np.eye(n)
             assert np.max(np.abs(dense @ ginv - np.eye(n))) < 1e-9
@@ -142,7 +150,7 @@ class TestSmwDirection:
         )
         counters = OpCounters()
         system = curvature.build_gn_system(
-            shape, theta, cache, y, spec, 1.0, counters
+            shape, theta, cache, spec, 1.0, counters
         )
         solver.smw_direction(shape, theta, system, g, counters)
         nb, m_out = 4, shape.output_size
@@ -188,7 +196,7 @@ class TestHfCg:
         g, _ = diff.gradient(shape, theta, cache, y, spec)
         lam = 2.0
         res = solver.hf_cg_direction(
-            shape, theta, cache, y, spec, lam, solver.CgConfig(), g
+            shape, theta, cache, spec, lam, solver.CgConfig(), g
         )
         assert np.max(np.abs(res.p + g / lam)) < 1e-12
 
@@ -199,7 +207,7 @@ class TestHfCg:
         )
         lam = 0.5
         cfg = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-12)
-        res = solver.hf_cg_direction(shape, theta, cache, y, spec, lam, cfg, g)
+        res = solver.hf_cg_direction(shape, theta, cache, spec, lam, cfg, g)
         oracle = oracles.dense_direction_oracle(shape, theta, x, y, spec, lam)
         assert np.max(np.abs(res.p - oracle.p)) <= 1e-8 * (
             1.0 + np.max(np.abs(oracle.p))
@@ -211,7 +219,7 @@ class TestHfCg:
         )
         lam = 0.5
         cfg = solver.CgConfig(max_iters=1, rel_residual_tol=1e-300)
-        res = solver.hf_cg_direction(shape, theta, cache, y, spec, lam, cfg, g)
+        res = solver.hf_cg_direction(shape, theta, cache, spec, lam, cfg, g)
         b_mat, _ = oracles.build_curvature_matrix(
             shape, theta, x, y, spec, curvature.GN
         )
@@ -224,7 +232,7 @@ class TestHfCg:
                 rng, kind, curvature.GN
             )
             res = solver.hf_cg_direction(
-                shape, theta, cache, y, spec, 0.1, solver.CgConfig(), g
+                shape, theta, cache, spec, 0.1, solver.CgConfig(), g
             )
             assert float(g @ res.p) < 0.0
 
@@ -240,7 +248,7 @@ class TestQuadraticTerms:
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
             rng, loss.SQUARED_ERROR, curvature.GN
         )
-        system = curvature.build_gn_system(shape, theta, cache, y, spec, 1.0)
+        system = curvature.build_gn_system(shape, theta, cache, spec, 1.0)
         grad_dot, quad = solver.quadratic_terms(
             shape, theta, system, g, np.zeros_like(g)
         )
@@ -251,7 +259,7 @@ class TestQuadraticTerms:
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
             rng, loss.SQUARED_ERROR, method
         )
-        system = build_system(shape, theta, cache, y, spec, gfactors, 1.0, method)
+        system = build_system(shape, theta, cache, spec, gfactors, 1.0, method)
         p = rng.normal(size=shape.num_params)
         _, quad = solver.quadratic_terms(shape, theta, system, g, p)
         b_mat, _ = oracles.build_curvature_matrix(shape, theta, x, y, spec, method)
@@ -280,12 +288,11 @@ def test_model_decrease_bound(rng):
                 continue
             for lam in (1e-3, 1.0):
                 system = build_system(
-                    shape, theta, cache, y, spec, gfactors, lam, method
+                    shape, theta, cache, spec, gfactors, lam, method
                 )
                 res = solver.smw_direction(shape, theta, system, g)
                 b_mat, _ = oracles.build_curvature_matrix(
-                    shape, theta, x, y, spec, method,
-                    hessian_shift=system.hessian_shift,
+                    shape, theta, x, y, spec, method
                 )
                 beta = float(np.max(np.linalg.eigvalsh(b_mat)))
                 tau = lam
