@@ -1,9 +1,9 @@
 """Woodbury-based second-order training for feed-forward networks.
 
 Subpackages:
-    linalg     dense matrix products and direct solves
+    linalg     validated symmetric positive definite solves
     network    shapes, parameter packing, forward pass
-    loss       matching losses and their output-Hessian closed forms
+    loss       matching losses, output-Hessian closed forms and factors
     diff       gradients, jvp/vjp, factored dot products
     curvature  Gram matrices and the small core systems
     solver     Woodbury direction, CG baseline

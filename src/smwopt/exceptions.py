@@ -21,10 +21,6 @@ class NotSpdError(ArithmeticError):
         )
 
 
-class SingularMatrixError(ArithmeticError):
-    """A general solve met a singular matrix or a non-finite solution."""
-
-
 class ConfigError(ValueError):
     """Invalid run configuration."""
 

@@ -1,4 +1,4 @@
-"""Minimal dense linear algebra: validated matrix products and direct solves.
+"""Minimal dense linear algebra: validated symmetric positive definite solves.
 
 All routines operate on float64 numpy arrays; non-finite operands raise
 NumericError. Factorizations and solves are LAPACK calls through
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import NotSpdError, NumericError, ShapeError, SingularMatrixError
+from .exceptions import NotSpdError, NumericError, ShapeError
 
 SYMMETRY_TOL = 1e-10
 
@@ -23,21 +23,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NumericError(f"{name} contains non-finite entries")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with shape validation.
-
-    Accumulation order is fixed by the BLAS backend, so repeated calls on
-    identical inputs give bit-identical results.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"inner dimensions differ: {a.shape} @ {b.shape}"
-        )
-    return a @ b
 
 
 def _as_square(a) -> np.ndarray:
@@ -118,16 +103,3 @@ def solve_spd(a, rhs) -> np.ndarray:
     cholesky(a)
     return np.linalg.solve(a, rhs)
 
-
-def solve_general(a, rhs) -> np.ndarray:
-    """Solve a @ x = rhs for a general square a via LU with partial pivoting."""
-    a, rhs = _check_system(a, rhs)
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SingularMatrixError(f"matrix is singular: {err}") from err
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError(
-            "matrix is numerically singular: solution is non-finite"
-        )
-    return x

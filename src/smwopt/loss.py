@@ -7,9 +7,10 @@ Hessian w.r.t. h = h_L take simple closed forms:
     binary_cross_entropy  (logistic): grad yhat - y, H = diag(yhat (1 - yhat))
     softmax_cross_entropy (softmax):  grad yhat - y, H = diag(yhat) - yhat yhat^T
 
-All values are nonnegative and every H is symmetric positive semidefinite.
-Cross-entropy values are computed from pre-activations with softplus /
-log-sum-exp, never from clipped probabilities.
+All values are nonnegative and every H is symmetric positive semidefinite,
+with a closed-form square factor H = C C^T (hessian_factor). Cross-entropy
+values are computed from pre-activations with softplus / log-sum-exp, never
+from clipped probabilities.
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .exceptions import ShapeError
+from .exceptions import ConfigError, ShapeError
 from .network import ForwardCache
 
 SQUARED_ERROR = "squared_error"
 BINARY_CROSS_ENTROPY = "binary_cross_entropy"
 SOFTMAX_CROSS_ENTROPY = "softmax_cross_entropy"
 LOSS_KINDS = (SQUARED_ERROR, BINARY_CROSS_ENTROPY, SOFTMAX_CROSS_ENTROPY)
-
-# Smallest logistic Hessian diagonal that hessian_inverse inverts.
-BCE_HESSIAN_FLOOR = 1e-12
 
 MATCHING_ACTIVATION = {
     SQUARED_ERROR: network.LINEAR,
@@ -40,13 +38,10 @@ MATCHING_ACTIVATION = {
 @dataclass(frozen=True)
 class LossSpec:
     kind: str
-    softmax_perturbation: float = 1e-4
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ShapeError(f"unknown loss kind: {self.kind!r}")
-        if self.softmax_perturbation < 0:
-            raise ShapeError("softmax_perturbation must be nonnegative")
 
     def check_matches(self, shape: network.NetworkShape) -> None:
         expected = MATCHING_ACTIVATION[self.kind]
@@ -58,7 +53,25 @@ class LossSpec:
             )
 
 
-def _targets(cache: ForwardCache, y, kind: str) -> np.ndarray:
+def check_targets(spec: LossSpec, y) -> None:
+    """Reject targets outside the loss's domain, once per data set.
+
+    y is one target vector or (m_L, B) target columns. Cross-entropy
+    targets lie in [0, 1], and softmax target columns sum to 1.
+    """
+    cols = np.asarray(y, dtype=np.float64)
+    cols = cols.reshape(-1, 1) if cols.ndim == 1 else cols
+    if np.any(np.isnan(cols)):
+        raise ConfigError("targets contain NaN")
+    if spec.kind in (BINARY_CROSS_ENTROPY, SOFTMAX_CROSS_ENTROPY):
+        if np.any(cols < 0.0) or np.any(cols > 1.0):
+            raise ConfigError("cross-entropy targets must lie in [0, 1]")
+    if spec.kind == SOFTMAX_CROSS_ENTROPY:
+        if np.any(np.abs(np.sum(cols, axis=0) - 1.0) > 1e-8):
+            raise ConfigError("softmax cross-entropy targets must sum to 1")
+
+
+def _targets(cache: ForwardCache, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     cols = y.reshape(-1, 1) if y.ndim == 1 else y
     m_out = cache.output.shape[0]
@@ -67,15 +80,6 @@ def _targets(cache: ForwardCache, y, kind: str) -> np.ndarray:
             f"targets of shape {y.shape} do not match outputs "
             f"({m_out}, {cache.ncols})"
         )
-    if np.any(np.isnan(cols)):
-        raise ValueError("targets contain NaN")
-    if kind in (BINARY_CROSS_ENTROPY, SOFTMAX_CROSS_ENTROPY):
-        if np.any(cols < 0.0) or np.any(cols > 1.0):
-            raise ValueError("cross-entropy targets must lie in [0, 1]")
-    if kind == SOFTMAX_CROSS_ENTROPY:
-        sums = np.sum(cols, axis=0)
-        if np.any(np.abs(sums - 1.0) > 1e-8):
-            raise ValueError("softmax cross-entropy targets must sum to 1")
     return cols
 
 
@@ -91,7 +95,7 @@ def _logsumexp_cols(h: np.ndarray) -> np.ndarray:
 def loss_value(spec: LossSpec, cache: ForwardCache, y):
     """Per-sample loss; scalar for a 1-D target, per-column array otherwise."""
     single = np.asarray(y).ndim == 1
-    t = _targets(cache, y, spec.kind)
+    t = _targets(cache, y)
     if spec.kind == SQUARED_ERROR:
         vals = np.sum((cache.output - t) ** 2, axis=0)
     elif spec.kind == BINARY_CROSS_ENTROPY:
@@ -106,7 +110,7 @@ def loss_value(spec: LossSpec, cache: ForwardCache, y):
 def loss_grad_h(spec: LossSpec, cache: ForwardCache, y):
     """Gradient of the loss w.r.t. the output pre-activation h_L."""
     single = np.asarray(y).ndim == 1
-    t = _targets(cache, y, spec.kind)
+    t = _targets(cache, y)
     if spec.kind == SQUARED_ERROR:
         g = 2.0 * (cache.output - t)
     else:
@@ -114,7 +118,7 @@ def loss_grad_h(spec: LossSpec, cache: ForwardCache, y):
     return g[:, 0] if single else g
 
 
-def loss_hessian_h(spec: LossSpec, cache: ForwardCache, y=None) -> np.ndarray:
+def loss_hessian_h(spec: LossSpec, cache: ForwardCache) -> np.ndarray:
     """Closed-form Hessian(s) w.r.t. h_L.
 
     Returns (m_L, m_L) for a single-sample cache, else (B, m_L, m_L).
@@ -148,39 +152,28 @@ def hessian_apply(spec: LossSpec, cache: ForwardCache, u: np.ndarray) -> np.ndar
     return network.act_jac_apply(network.SOFTMAX, yhat, u)
 
 
-def hessian_inverse(spec: LossSpec, cache: ForwardCache) -> np.ndarray:
-    """Inverse of H, in closed form.
+def hessian_factor(spec: LossSpec, cache: ForwardCache) -> np.ndarray:
+    """Square factors C_i with C_i C_i^T = H_i, shape (B, m_L, m_L).
 
-    Squared error gives I / 2. The logistic diagonal is floored at
-    BCE_HESSIAN_FLOOR, so a saturated output inverts to 1 / floor instead
-    of dividing by zero. The singular softmax H is perturbed by c I, and
-    diag(yhat + c) - yhat yhat^T is inverted by a rank-one update of the
-    diagonal inverse.
-
-    Returns (m_L, m_L) for a single-sample cache, else (B, m_L, m_L).
+    Squared error gives sqrt(2) I and the logistic loss
+    diag(sqrt(yhat (1 - yhat))); a saturated output gives a zero factor.
+    The softmax factor diag(sqrt(yhat)) - yhat sqrt(yhat)^T squares to
+    diag(yhat) - yhat yhat^T because the yhat sum to 1.
     """
     yhat = cache.output
     m_out, b = yhat.shape
     if spec.kind == SQUARED_ERROR:
-        out = np.broadcast_to(0.5 * np.eye(m_out), (b, m_out, m_out)).copy()
+        roots = np.full_like(yhat, np.sqrt(2.0))
     elif spec.kind == BINARY_CROSS_ENTROPY:
-        diag = np.maximum(yhat * (1.0 - yhat), BCE_HESSIAN_FLOOR)
-        out = np.zeros((b, m_out, m_out))
-        idx = np.arange(m_out)
-        out[:, idx, idx] = (1.0 / diag).T
+        roots = np.sqrt(yhat * (1.0 - yhat))
     else:
-        c = spec.softmax_perturbation
-        if c <= 0.0:
-            raise ArithmeticError(
-                "softmax Hessian is singular; a positive perturbation is required"
-            )
-        out = np.empty((b, m_out, m_out))
-        for i in range(b):
-            ainv = 1.0 / (yhat[:, i] + c)
-            w = ainv * yhat[:, i]
-            denom = 1.0 - yhat[:, i] @ w
-            out[i] = np.diag(ainv) + np.outer(w, w) / denom
-    return out[0] if cache.single or b == 1 else out
+        roots = np.sqrt(yhat)
+    out = np.zeros((b, m_out, m_out))
+    idx = np.arange(m_out)
+    out[:, idx, idx] = roots.T
+    if spec.kind == SOFTMAX_CROSS_ENTROPY:
+        out -= np.einsum("jb,kb->bjk", yhat, roots)
+    return out
 
 
 def classification_error(yhat, y) -> int:

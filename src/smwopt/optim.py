@@ -185,6 +185,9 @@ class Trainer:
         self.test_y = None if test_targets is None else np.ascontiguousarray(
             np.asarray(test_targets, dtype=np.float64).T
         )
+        for y in (self.y, self.test_y):
+            if y is not None:
+                loss_mod.check_targets(spec, y)
         self._clock_start = time.perf_counter()
 
     @property

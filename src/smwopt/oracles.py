@@ -108,6 +108,19 @@ def stacked_jacobian(shape, theta, cache):
     )
 
 
+def factored_jacobian(shape, theta, cache, spec):
+    """blockdiag(C_i)^T J: each sample's Jacobian rows mixed by its Hessian factor.
+
+    Its Gram matrix is the Gauss-Newton core's blockdiag(C)^T J J^T blockdiag(C).
+    """
+    m_out = shape.output_size
+    jmat = stacked_jacobian(shape, theta, cache)
+    c = loss_mod.hessian_factor(spec, cache)
+    return np.vstack(
+        [c[i].T @ jmat[i * m_out : (i + 1) * m_out] for i in range(cache.ncols)]
+    )
+
+
 def build_curvature_matrix(
     shape, theta, x, y, spec, method: str
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,16 +1,17 @@
 """Damped curvature solves: Woodbury direction and the CG baseline.
 
 With B_t the batch curvature matrix (Gauss-Newton or Fisher) and
-G_t = B_t + lam * I, the update direction solves G_t p = -g. The
-Woodbury route reduces this to one small core solve:
+G_t = B_t + lam * I, the update direction solves G_t p = -g. Writing
+B_t = U U^T / n2, the Woodbury route reduces this to one small symmetric
+positive definite core solve:
 
-    p = -(1/lam) * (g - J^T q / n2)          (symmetric core)
-    p = -(1/lam) * (g - J^T H q / n2)        (singular-Hessian core)
-    q = core^-1 (J g)
+    p = -(1/lam) * (g - U q / n2),   q = core^-1 (U^T g)
 
-where J g stacks per-sample forward-mode products and J^T(.) is one
-reverse-mode product per sample. The CG routine solves the same system
-matrix-free to a relative residual tolerance.
+Gauss-Newton has U^T g = C^T J g, stacking per-sample forward-mode
+products mapped through the loss-Hessian factors C_i (H_i = C_i C_i^T),
+and U q = J^T C q, one reverse-mode product per sample. Natural gradient
+has U^T g = per-sample gradient dot products. The CG routine solves the
+same system matrix-free to a relative residual tolerance.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ import numpy as np
 
 from . import curvature, diff, linalg, loss as loss_mod
 from .counters import OpCounters
-from .exceptions import (
-    ConfigError,
-    NotSpdError,
-    NumericError,
-    SingularMatrixError,
-)
+from .exceptions import ConfigError, NotSpdError, NumericError
 from .network import ForwardCache, NetworkShape
 
 @dataclass
@@ -59,13 +55,14 @@ class CgConfig:
             raise ConfigError("cg rel_residual_tol must be positive")
 
 
-def _stack_sample_major(cols: np.ndarray) -> np.ndarray:
-    """(m_L, B) columns -> length B*m_L vector grouped by sample."""
-    return cols.T.reshape(-1)
+def _to_core(c: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(m_L, B) columns u_i -> C_i^T u_i, stacked sample by sample."""
+    return (cols.T[:, None, :] @ c).reshape(-1)
 
 
-def _unstack_sample_major(flat: np.ndarray, m_out: int) -> np.ndarray:
-    return flat.reshape(-1, m_out).T
+def _from_core(c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sample-major core vector q -> (m_L, B) columns C_i q_i."""
+    return (c @ q.reshape(len(c), -1, 1))[:, :, 0].T
 
 
 def quadratic_terms(
@@ -99,14 +96,10 @@ def quadratic_terms(
 
 
 def _core_solve(system: curvature.GramSystem, rhs: np.ndarray) -> np.ndarray:
-    """core^-1 rhs, symmetric or general by the system's path."""
-    if system.path == curvature.PATH_SPD:
-        solve = linalg.solve_spd
-    else:
-        solve = linalg.solve_general
+    """core^-1 rhs through the symmetric positive definite solve."""
     try:
-        return solve(system.core, rhs)
-    except (NotSpdError, SingularMatrixError) as err:
+        return linalg.solve_spd(system.core, rhs)
+    except NotSpdError as err:
         diag = np.diag(system.core)
         raise ArithmeticError(
             f"core factorization failed at lambda={system.lam:.6e} "
@@ -119,12 +112,12 @@ def _apply_damped_inverse(shape, theta, system, v, counters):
     lam, n2 = system.lam, system.n2
     if system.method == curvature.GN:
         batch = system.gn_factors
+        c = batch.hessian_factors
         jv = diff.jvp(shape, theta, batch.cache, v, counters)
-        q = _core_solve(system, _stack_sample_major(jv))
-        qcols = _unstack_sample_major(q, shape.output_size)
-        if system.path == curvature.PATH_GENERAL:
-            qcols = np.einsum("bjk,kb->jb", batch.hessians, qcols)
-        correction, _ = diff.vjp(shape, theta, batch.cache, qcols, counters)
+        q = _core_solve(system, _to_core(c, jv))
+        correction, _ = diff.vjp(
+            shape, theta, batch.cache, _from_core(c, q), counters
+        )
     else:
         factors = system.ng_factors
         q = _core_solve(system, factors.dots_with(v))

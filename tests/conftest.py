@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from smwopt import network
-from smwopt.exceptions import SingularMatrixError
 from smwopt.oracles import fd_loss_gradient, make_net, random_targets  # noqa: F401
 
 
@@ -46,7 +45,7 @@ def explicit_inverse(a):
     for j in range(n):
         k = j + int(np.argmax(np.abs(aug[j:, j])))
         if aug[k, j] == 0.0:
-            raise SingularMatrixError(f"matrix is singular at column {j}")
+            raise np.linalg.LinAlgError(f"matrix is singular at column {j}")
         if k != j:
             aug[[j, k]] = aug[[k, j]]
         aug[j] /= aug[j, j]

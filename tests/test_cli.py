@@ -158,6 +158,20 @@ class TestMain:
         assert cli.main(["--config", str(cfg), "--method", "smw-ng"]) == 0
         assert (tmp_path / "metrics.csv").exists()
 
+    def test_bad_targets_exit_2(self, tmp_path, rng, capsys):
+        csv_path = tmp_path / "train.csv"
+        labels = rng.integers(0, 3, size=(20, 1)).astype(float)
+        labels[:3, 0] = [0.0, 1.0, 2.0]
+        data.save_csv(csv_path, data.Dataset(rng.normal(size=(20, 2)), labels))
+        argv = [
+            "--train-csv", str(csv_path), "--csv-features", "2",
+            "--loss", "binary_cross_entropy", "--layers", "2,3,1",
+            "--n1", "10", "--n2", "5",
+            "--out", str(tmp_path / "m.csv"),
+        ]
+        assert cli.main(argv) == 2
+        assert "targets must lie in [0, 1]" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_numeric_failure_exit_3(self, tmp_path, rng):

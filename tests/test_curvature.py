@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from smwopt import curvature, diff, loss, network
+from smwopt import curvature, diff, linalg, loss, network, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import NumericError
-from smwopt.oracles import make_net, random_targets, stacked_jacobian
+from smwopt.oracles import (
+    dense_direction_oracle,
+    factored_jacobian,
+    make_net,
+    random_targets,
+)
 
 
 class TestGnBlockGram:
@@ -17,7 +22,8 @@ class TestGnBlockGram:
             shape, theta, cache, loss.LossSpec(loss.SQUARED_ERROR)
         )
         gram = curvature.gn_block_gram(batch)
-        expected = (float(x @ x) + 1.0) * np.eye(2)
+        # H = 2 I, so the factor is sqrt(2) I and the Gram doubles.
+        expected = 2.0 * (float(x @ x) + 1.0) * np.eye(2)
         assert np.max(np.abs(gram - expected)) < 1e-12
 
     def test_zero_input_leaves_bias_column(self, rng):
@@ -28,7 +34,7 @@ class TestGnBlockGram:
             shape, theta, cache, loss.LossSpec(loss.SQUARED_ERROR)
         )
         gram = curvature.gn_block_gram(batch)
-        assert np.max(np.abs(gram - np.eye(2))) < 1e-15
+        assert np.max(np.abs(gram - 2.0 * np.eye(2))) < 1e-15
 
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
     def test_matches_explicit_jacobian(self, kind, rng):
@@ -37,8 +43,8 @@ class TestGnBlockGram:
         cache = network.forward(shape, theta, x)
         batch = curvature.gn_batch_factors(shape, theta, cache, spec)
         gram = curvature.gn_block_gram(batch)
-        jmat = stacked_jacobian(shape, theta, cache)
-        assert np.max(np.abs(gram - jmat @ jmat.T)) < 1e-10
+        fmat = factored_jacobian(shape, theta, cache, spec)
+        assert np.max(np.abs(gram - fmat @ fmat.T)) < 1e-10
 
     def test_symmetric_psd(self, rng):
         shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY)
@@ -102,63 +108,56 @@ class TestNgGram:
 
 class TestAssemble:
     def test_ng_zero_gram(self):
-        core = curvature.assemble_d(curvature.NG, np.zeros((3, 3)), None, 2.5, 3)
+        core = curvature.assemble_d(np.zeros((3, 3)), 2.5, 3)
         assert np.array_equal(core, 2.5 * np.eye(3))
 
     def test_non_finite_gram_is_numeric_error(self):
         with pytest.raises(NumericError):
-            curvature.assemble_d(curvature.NG, np.full((2, 2), np.nan), None, 1.0, 2)
+            curvature.assemble_d(np.full((2, 2), np.nan), 1.0, 2)
 
     def test_gn_squared_error_blocks(self, rng):
         n2, m_out = 2, 2
-        gram = rng.normal(size=(4, 4))
+        gram = rng.normal(size=(n2 * m_out, n2 * m_out))
         gram = gram + gram.T
-        hinvs = np.broadcast_to(0.5 * np.eye(m_out), (n2, m_out, m_out)).copy()
-        core = curvature.assemble_d(curvature.GN, gram, hinvs, 1.0, n2)
-        assert np.max(np.abs(core - (0.5 * np.eye(4) + gram / n2))) < 1e-12
+        core = curvature.assemble_d(gram, 1.0, n2)
+        assert np.max(np.abs(core - (np.eye(4) + gram / n2))) < 1e-12
 
     @pytest.mark.parametrize(
-        "kind,path,nb",
+        "kind,nb",
         [
-            pytest.param(kind, path, nb, id=f"{kind}-{path}{suffix}")
+            pytest.param(kind, nb, id=f"{kind}-spd{suffix}")
             for nb, suffix in ((3, ""), (1, "-one_sample"))
-            for kind, path in (
-                (loss.SQUARED_ERROR, curvature.PATH_SPD),
-                (loss.BINARY_CROSS_ENTROPY, curvature.PATH_SPD),
-                (loss.SOFTMAX_CROSS_ENTROPY, curvature.PATH_GENERAL),
-            )
+            for kind in loss.LOSS_KINDS
         ],
     )
-    def test_core_matches_dense_construction(self, kind, path, nb, rng):
+    def test_core_matches_dense_construction(self, kind, nb, rng):
         shape, spec, theta = make_net(rng, kind, hidden=[4])
         x = rng.normal(size=(shape.input_size, nb))
         cache = network.forward(shape, theta, x)
         lam = 0.7
         system = curvature.build_gn_system(shape, theta, cache, spec, lam)
-        assert system.path == path
-        jmat = stacked_jacobian(shape, theta, cache)
-        m_out = shape.output_size
-        hs = loss.loss_hessian_h(spec, cache).reshape(nb, m_out, m_out)
-        hblk = np.zeros((nb * m_out, nb * m_out))
-        for i in range(nb):
-            sl = slice(i * m_out, (i + 1) * m_out)
-            hblk[sl, sl] = hs[i]
-        if path == curvature.PATH_SPD:
-            hinvblk = np.zeros_like(hblk)
-            for i in range(nb):
-                sl = slice(i * m_out, (i + 1) * m_out)
-                hinvblk[sl, sl] = np.linalg.inv(hs[i])
-            dense = lam * hinvblk + (jmat @ jmat.T) / nb
-        else:
-            dense = lam * np.eye(nb * m_out) + (jmat @ jmat.T) @ hblk / nb
+        fmat = factored_jacobian(shape, theta, cache, spec)
+        dense = lam * np.eye(nb * shape.output_size) + (fmat @ fmat.T) / nb
         assert np.max(np.abs(system.core - dense)) < 1e-10
+        linalg.cholesky(system.core)
 
-    def test_bce_floor_applied(self, rng):
+    def test_saturated_bce_sample_adds_only_damping(self):
         shape = network.NetworkShape((2, 1), ("logistic",))
-        theta = network.pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
-        cache = network.forward(shape, theta, np.ones(2))
+        theta = network.pack(shape, [(np.array([[1.0, -1.0]]), np.zeros(1))])
+        x = np.array([[800.0, 0.3], [0.0, -0.2]])
+        y = np.zeros((1, 2))
+        cache = network.forward(shape, theta, x)
         assert cache.output[0, 0] == 1.0
         spec = loss.LossSpec(loss.BINARY_CROSS_ENTROPY)
-        system = curvature.build_gn_system(shape, theta, cache, spec, lam=1.0)
-        # H floored at 1e-12, so the core picks up lam / 1e-12 on the diagonal.
-        assert system.core[0, 0] >= 1e11
+        lam = 1.0
+        system = curvature.build_gn_system(shape, theta, cache, spec, lam)
+        # The saturated sample's Hessian factor is zero, so its core row
+        # and column hold only the damping.
+        assert system.core[0, 0] == lam
+        assert system.core[0, 1] == 0.0 and system.core[1, 0] == 0.0
+        assert system.core[1, 1] > lam
+        g, _ = diff.gradient(shape, theta, cache, y, spec)
+        res = solver.smw_direction(shape, theta, system, g)
+        oracle = dense_direction_oracle(shape, theta, x, y, spec, lam)
+        scale = float(np.max(np.abs(oracle.p)))
+        assert np.max(np.abs(res.p - oracle.p)) <= 1e-9 * scale

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smwopt import loss
-from smwopt.exceptions import ShapeError
+from smwopt.exceptions import ConfigError
 from smwopt.oracles import fd_loss_hessian_h, output_cache
 
 KINDS = loss.LOSS_KINDS
@@ -43,11 +43,23 @@ class TestValues:
         assert abs(val - math.log(10.0)) < 1e-14
 
     def test_nan_target_rejected(self):
-        cache = output_cache(loss.SQUARED_ERROR, np.zeros(2))
-        with pytest.raises(ValueError):
-            loss.loss_value(
-                loss.LossSpec(loss.SQUARED_ERROR), cache, np.array([np.nan, 0.0])
+        with pytest.raises(ConfigError):
+            loss.check_targets(
+                loss.LossSpec(loss.SQUARED_ERROR), np.array([np.nan, 0.0])
             )
+
+    @pytest.mark.parametrize(
+        "kind,y",
+        [
+            (loss.BINARY_CROSS_ENTROPY, [[0.0, 2.0]]),
+            (loss.SOFTMAX_CROSS_ENTROPY, [[-0.5, 0.0], [1.5, 1.0]]),
+            (loss.SOFTMAX_CROSS_ENTROPY, [[0.5, 0.0], [0.4, 1.0]]),
+        ],
+    )
+    def test_out_of_domain_targets_rejected(self, kind, y):
+        with pytest.raises(ConfigError):
+            loss.check_targets(loss.LossSpec(kind), np.array(y))
+        loss.check_targets(loss.LossSpec(loss.SQUARED_ERROR), np.array(y))
 
     def test_values_nonnegative(self, rng):
         for kind in KINDS:
@@ -114,7 +126,7 @@ class TestHessians:
         spec = loss.LossSpec(kind)
         for _ in range(100):
             h, y = random_h_y(rng, kind)
-            hess = loss.loss_hessian_h(spec, output_cache(kind, h), y)
+            hess = loss.loss_hessian_h(spec, output_cache(kind, h))
             fd = fd_loss_hessian_h(spec, h, y)
             assert np.max(np.abs(hess - fd)) < 1e-5
 
@@ -123,7 +135,7 @@ class TestHessians:
         spec = loss.LossSpec(kind)
         for _ in range(30):
             h, y = random_h_y(rng, kind)
-            hess = loss.loss_hessian_h(spec, output_cache(kind, h), y)
+            hess = loss.loss_hessian_h(spec, output_cache(kind, h))
             assert np.max(np.abs(hess - hess.T)) <= 1e-10
             assert np.min(np.linalg.eigvalsh(hess)) >= -1e-10
 
@@ -146,50 +158,31 @@ class TestHessians:
                 assert np.max(np.abs(out[:, i] - hs[i] @ u[:, i])) < 1e-14
 
 
-class TestHessianInverse:
-    def test_squared_error(self, rng):
-        cache = output_cache(loss.SQUARED_ERROR, rng.normal(size=3))
-        inv = loss.hessian_inverse(loss.LossSpec(loss.SQUARED_ERROR), cache)
-        assert np.array_equal(inv, 0.5 * np.eye(3))
-
-    def test_bce_at_half(self):
-        cache = output_cache(loss.BINARY_CROSS_ENTROPY, np.zeros(3))
-        inv = loss.hessian_inverse(loss.LossSpec(loss.BINARY_CROSS_ENTROPY), cache)
-        assert np.max(np.abs(inv - 4.0 * np.eye(3))) < 1e-12
-
-    def test_bce_floor(self):
-        cache = output_cache(loss.BINARY_CROSS_ENTROPY, np.array([800.0]))
-        inv = loss.hessian_inverse(loss.LossSpec(loss.BINARY_CROSS_ENTROPY), cache)
-        assert inv[0, 0] == 1 / loss.BCE_HESSIAN_FLOOR
-
-    def test_softmax_needs_perturbation(self):
-        cache = output_cache(loss.SOFTMAX_CROSS_ENTROPY, np.zeros(2))
-        spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY, softmax_perturbation=0.0)
-        with pytest.raises(ArithmeticError):
-            loss.hessian_inverse(spec, cache)
-
-    def test_negative_perturbation_is_shape_error(self):
-        with pytest.raises(ShapeError):
-            loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY, softmax_perturbation=-1)
-
-    def test_softmax_against_dense_inverse(self):
-        cache = output_cache(loss.SOFTMAX_CROSS_ENTROPY, np.zeros(2))
-        spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY, softmax_perturbation=0.01)
-        inv = loss.hessian_inverse(spec, cache)
-        dense = np.linalg.inv(np.array([[0.26, -0.25], [-0.25, 0.26]]))
-        assert np.max(np.abs(inv - dense)) < 1e-10
+class TestHessianFactor:
+    @staticmethod
+    def factor_error(kind, h):
+        spec = loss.LossSpec(kind)
+        cache = output_cache(kind, h)
+        c = loss.hessian_factor(spec, cache)
+        hs = loss.loss_hessian_h(spec, cache).reshape(c.shape)
+        return np.max(np.abs(c @ c.transpose(0, 2, 1) - hs))
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_product_with_perturbed_hessian_is_identity(self, kind, rng):
-        spec = loss.LossSpec(kind, softmax_perturbation=1e-4)
-        for _ in range(20):
-            h, y = random_h_y(rng, kind)
-            cache = output_cache(kind, h)
-            inv = loss.hessian_inverse(spec, cache)
-            hess = loss.loss_hessian_h(spec, cache, y)
-            if kind == loss.SOFTMAX_CROSS_ENTROPY:
-                hess = hess + spec.softmax_perturbation * np.eye(h.size)
-            assert np.max(np.abs(inv @ hess - np.eye(h.size))) <= 1e-9
+    def test_squares_to_hessian(self, kind, rng):
+        for _ in range(30):
+            assert self.factor_error(kind, rng.uniform(-3.0, 3.0, size=(4, 3))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kind,h",
+        [
+            # yhat = 1 exactly in the first column: the factor is zero there.
+            (loss.BINARY_CROSS_ENTROPY, [[800.0, 0.5]]),
+            (loss.SOFTMAX_CROSS_ENTROPY, [[40.0, -3.0], [0.0, 30.0], [-5.0, 0.0]]),
+        ],
+        ids=["saturated_bce", "near_one_hot_softmax"],
+    )
+    def test_squares_to_hessian_at_extreme_outputs(self, kind, h):
+        assert self.factor_error(kind, np.array(h)) <= 1e-12
 
 
 class TestClassificationError:
