@@ -38,24 +38,19 @@ NG = "ng"
 
 
 @dataclass
-class GnBatchFactors:
+class GnBatchFactors(diff.BackpropFactors):
     """Backward factors of every (sample, Hessian-factor column) pair in a batch.
 
-    adjoints[l-1] has shape (m_l, B, m_L): slot [:, i, j] is the layer-l
-    adjoint of J_i^T C_i e_j. hessian_factors is (B, m_L, m_L) with the
+    layer_adjoints[l-1] has shape (m_l, B, m_L): slot [:, i, j] is the
+    layer-l adjoint of J_i^T C_i e_j, so dots_with(v) gives the core vector
+    C^T J v sample-major. hessian_factors is (B, m_L, m_L) with the
     per-sample loss-Hessian factors C_i (C_i C_i^T = H_i w.r.t. the output
-    pre-activation).
+    pre-activation); the cache is kept for the reverse sweep that maps a
+    core vector back to parameter space.
     """
 
-    shape: NetworkShape
-    spec: loss_mod.LossSpec
     cache: ForwardCache
-    adjoints: list[np.ndarray]
     hessian_factors: np.ndarray
-
-    @property
-    def nbatch(self) -> int:
-        return self.cache.ncols
 
 
 def gn_batch_factors(
@@ -75,7 +70,7 @@ def gn_batch_factors(
         np.stack([a[l] for a in per_seed], axis=2)
         for l in range(shape.num_layers)
     ]
-    return GnBatchFactors(shape, spec, cache, adjoints, c)
+    return GnBatchFactors(shape, adjoints, factors.layer_inputs, cache, c)
 
 
 def gn_block_gram(batch: GnBatchFactors) -> np.ndarray:
@@ -84,15 +79,13 @@ def gn_block_gram(batch: GnBatchFactors) -> np.ndarray:
     Block (i1, i2) is sum_l (v_i1 . v_i2 + 1) * A_i1^T A_i2 with the
     layer contributions accumulated in fixed layer order.
     """
-    nb = batch.nbatch
     m_out = batch.shape.output_size
-    size = nb * m_out
+    size = batch.ncols * m_out
     gram = np.zeros((size, size))
     ones = np.ones((m_out, m_out))
-    for l in range(1, batch.shape.num_layers + 1):
-        v = batch.cache.v(l - 1)
+    for a, v in zip(batch.layer_adjoints, batch.layer_inputs):
         vtil = v.T @ v + 1.0
-        a = batch.adjoints[l - 1].reshape(-1, size)
+        a = a.reshape(-1, size)
         gram += np.kron(vtil, ones) * (a.T @ a)
     return gram
 
@@ -112,14 +105,17 @@ def ng_gram(factors: diff.BackpropFactors) -> np.ndarray:
 
 @dataclass
 class GramSystem:
-    """Assembled core system plus the batch data needed to apply J^T later."""
+    """Assembled core system plus the factors of U, with B_t = U U^T / n2.
+
+    factors.dots_with(v) is U^T v for both methods: GnBatchFactors for
+    Gauss-Newton, the per-sample gradient factors for natural gradient.
+    """
 
     method: str
     core: np.ndarray
     lam: float
     n2: int
-    gn_factors: GnBatchFactors | None = None
-    ng_factors: diff.BackpropFactors | None = None
+    factors: diff.BackpropFactors
 
 
 def assemble_d(gram: np.ndarray, lam: float, n2: int) -> np.ndarray:
@@ -145,11 +141,11 @@ def build_gn_system(
 ) -> GramSystem:
     """Factor the batch, form the Gram matrix, and assemble the GN core."""
     batch = gn_batch_factors(shape, theta, cache, spec, counters)
-    core = assemble_d(gn_block_gram(batch), lam, batch.nbatch)
-    return GramSystem(GN, core, lam, batch.nbatch, gn_factors=batch)
+    core = assemble_d(gn_block_gram(batch), lam, batch.ncols)
+    return GramSystem(GN, core, lam, batch.ncols, batch)
 
 
 def build_ng_system(factors: diff.BackpropFactors, lam: float) -> GramSystem:
     """Assemble the natural-gradient core from per-sample gradient factors."""
     core = assemble_d(ng_gram(factors), lam, factors.ncols)
-    return GramSystem(NG, core, lam, factors.ncols, ng_factors=factors)
+    return GramSystem(NG, core, lam, factors.ncols, factors)

@@ -34,6 +34,8 @@ class BackpropFactors:
 
     layer_adjoints[l-1] is (m_l, B); layer_inputs[l-1] is (m_{l-1}, B) and
     aliases the forward cache. Column i holds the factors of sample i.
+    Adjoints may carry a trailing axis, (m_l, B, k), for k vectors per
+    sample that share its layer inputs; only dots_with accepts that form.
     """
 
     shape: NetworkShape
@@ -65,15 +67,22 @@ class BackpropFactors:
         return np.concatenate(parts)
 
     def dots_with(self, packed) -> np.ndarray:
-        """Per-sample dot products of the factored vectors with a packed vector."""
+        """Dot products of the factored vectors with a packed vector.
+
+        One entry per sample, or per (sample, trailing index) pair
+        flattened sample-major when the adjoints carry a trailing axis.
+        """
         packed = np.asarray(packed, dtype=np.float64)
-        out = np.zeros(self.ncols)
+        out = np.zeros(self.layer_adjoints[0].shape[1:])
         for (a, v), (w, b) in zip(
             zip(self.layer_adjoints, self.layer_inputs),
             unpack(self.shape, packed),
         ):
-            out += np.sum(a * (w @ v + b[:, None]), axis=0)
-        return out
+            z = w @ v + b[:, None]
+            if a.ndim == 3:
+                z = z[:, :, None]
+            out += np.sum(a * z, axis=0)
+        return out.reshape(-1)
 
     def cols(self, idx) -> "BackpropFactors":
         return BackpropFactors(
@@ -161,11 +170,14 @@ def jvp(
     """
     params = unpack(shape, theta)
     direction = unpack(shape, theta1)
-    v1 = np.zeros_like(cache.x)
+    v1 = None
     for l in range(1, shape.num_layers + 1):
         w, _ = params[l - 1]
         w1, b1 = direction[l - 1]
-        h1 = w1 @ cache.v(l - 1) + w @ v1 + b1[:, None]
+        h1 = w1 @ cache.v(l - 1)
+        if v1 is not None:  # the input tangent v1_0 is zero
+            h1 += w @ v1
+        h1 += b1[:, None]
         v1 = act_jac_apply(shape.activations[l - 1], cache.v(l), h1)
     if counters is not None:
         counters.jvp_products += cache.ncols

@@ -130,12 +130,13 @@ def init_theta(shape: NetworkShape, seed_or_rng=0) -> np.ndarray:
 
 
 def sigmoid(h: np.ndarray) -> np.ndarray:
-    out = np.empty_like(h)
-    pos = h >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-h[pos]))
-    eh = np.exp(h[~pos])
-    out[~pos] = eh / (1.0 + eh)
-    return out
+    """1 / (1 + e) for h >= 0 and e / (1 + e) below, with e = exp(-|h|) <= 1."""
+    e = np.abs(h)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(h >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def softmax(h: np.ndarray) -> np.ndarray:

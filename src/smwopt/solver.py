@@ -7,11 +7,14 @@ positive definite core solve:
 
     p = -(1/lam) * (g - U q / n2),   q = core^-1 (U^T g)
 
-Gauss-Newton has U^T g = C^T J g, stacking per-sample forward-mode
-products mapped through the loss-Hessian factors C_i (H_i = C_i C_i^T),
-and U q = J^T C q, one reverse-mode product per sample. Natural gradient
-has U^T g = per-sample gradient dot products. The CG routine solves the
-same system matrix-free to a relative residual tolerance.
+For both methods U^T v is a set of factored dot products with the
+backward factors the core was built from: per-sample gradients for
+natural gradient, and for Gauss-Newton the adjoints of J_i^T C_i e_j,
+where C_i is the loss-Hessian factor (H_i = C_i C_i^T). The model term
+p^T B_t p is ||U^T p||^2 / n2 the same way. Only U q differs: natural
+gradient sums its factors weighted by q, and Gauss-Newton runs one
+reverse-mode product J^T C q per sample. The CG routine solves the same
+system matrix-free to a relative residual tolerance.
 """
 
 from __future__ import annotations
@@ -55,44 +58,21 @@ class CgConfig:
             raise ConfigError("cg rel_residual_tol must be positive")
 
 
-def _to_core(c: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(m_L, B) columns u_i -> C_i^T u_i, stacked sample by sample."""
-    return (cols.T[:, None, :] @ c).reshape(-1)
-
-
-def _from_core(c: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Sample-major core vector q -> (m_L, B) columns C_i q_i."""
-    return (c @ q.reshape(len(c), -1, 1))[:, :, 0].T
-
-
-def quadratic_terms(
-    shape: NetworkShape,
-    theta,
-    system: curvature.GramSystem,
-    g: np.ndarray,
-    p: np.ndarray,
-    counters: OpCounters | None = None,
-) -> tuple[float, float]:
-    """g . p and p^T B_t p for the batch curvature the system was built on.
-
-    Gauss-Newton uses one forward-mode product per sample; natural
-    gradient reduces to the mean of squared gradient dot products.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise NumericError("direction contains non-finite entries")
-    grad_dot = float(g @ p)
-    if system.method == curvature.GN:
-        batch = system.gn_factors
-        jp = diff.jvp(shape, theta, batch.cache, p, counters)
-        hjp = loss_mod.hessian_apply(batch.spec, batch.cache, jp)
-        quad = float(np.mean(np.sum(jp * hjp, axis=0)))
-    else:
-        dots = system.ng_factors.dots_with(p)
-        quad = float(np.mean(dots**2))
+def _finite_model(grad_dot: float, quad: float) -> tuple[float, float]:
     if not (math.isfinite(grad_dot) and math.isfinite(quad)):
         raise NumericError(f"quadratic model is not finite: g.p={grad_dot}, pBp={quad}")
     return grad_dot, quad
+
+
+def quadratic_terms(
+    system: curvature.GramSystem, g: np.ndarray, p: np.ndarray
+) -> tuple[float, float]:
+    """g . p and p^T B_t p = ||U^T p||^2 / n2 for the system's batch."""
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all(np.isfinite(p)):
+        raise NumericError("direction contains non-finite entries")
+    dots = system.factors.dots_with(p)
+    return _finite_model(float(g @ p), float(np.sum(dots**2) / system.n2))
 
 
 def _core_solve(system: curvature.GramSystem, rhs: np.ndarray) -> np.ndarray:
@@ -107,22 +87,26 @@ def _core_solve(system: curvature.GramSystem, rhs: np.ndarray) -> np.ndarray:
         ) from err
 
 
+def _expand(shape, theta, system, w, counters) -> np.ndarray:
+    """U w, the one step whose kernel depends on the method.
+
+    Gauss-Newton maps the sample-major w to output columns C_i w_i and
+    runs one reverse sweep over them.
+    """
+    factors = system.factors
+    if system.method == curvature.GN:
+        c = factors.hessian_factors
+        cw = (c @ w.reshape(len(c), -1, 1))[:, :, 0].T
+        uw, _ = diff.vjp(shape, theta, factors.cache, cw, counters)
+        return uw
+    return factors.expand_sum(weights=w)
+
+
 def _apply_damped_inverse(shape, theta, system, v, counters):
     """(B_t + lam I)^-1 v through the Woodbury identity."""
-    lam, n2 = system.lam, system.n2
-    if system.method == curvature.GN:
-        batch = system.gn_factors
-        c = batch.hessian_factors
-        jv = diff.jvp(shape, theta, batch.cache, v, counters)
-        q = _core_solve(system, _to_core(c, jv))
-        correction, _ = diff.vjp(
-            shape, theta, batch.cache, _from_core(c, q), counters
-        )
-    else:
-        factors = system.ng_factors
-        q = _core_solve(system, factors.dots_with(v))
-        correction = factors.expand_sum(weights=q)
-    return (v - correction / n2) / lam
+    q = _core_solve(system, system.factors.dots_with(v))
+    correction = _expand(shape, theta, system, q, counters)
+    return (v - correction / system.n2) / system.lam
 
 
 def _gn_product(shape, theta, cache, spec, v, counters):
@@ -140,13 +124,9 @@ def apply_curvature(
     v: np.ndarray,
     counters: OpCounters | None = None,
 ) -> np.ndarray:
-    """Matrix-free product B_t v for the batch the system was built on."""
-    if system.method == curvature.GN:
-        batch = system.gn_factors
-        return _gn_product(shape, theta, batch.cache, batch.spec, v, counters)
-    factors = system.ng_factors
-    dots = factors.dots_with(v)
-    return factors.expand_sum(weights=dots) / system.n2
+    """Matrix-free product B_t v = U U^T v / n2 for the system's batch."""
+    dots = system.factors.dots_with(v)
+    return _expand(shape, theta, system, dots, counters) / system.n2
 
 
 # Below this damping level the division by lam in the Woodbury identity
@@ -175,7 +155,7 @@ def smw_direction(
             p = p + _apply_damped_inverse(
                 shape, theta, system, residual, counters
             )
-    grad_dot, quad = quadratic_terms(shape, theta, system, g, p, counters)
+    grad_dot, quad = quadratic_terms(system, g, p)
     return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)
 
 
@@ -193,7 +173,9 @@ def hf_cg_direction(
 
     Each product with B_t costs one forward-mode and one reverse-mode
     sweep over the batch. Iteration stops at max_iters or when the
-    residual drops below rel_residual_tol * ||g||.
+    residual drops below rel_residual_tol * ||g||. A curvature d . Ad
+    that is not finite and positive, or a non-finite model term, raises
+    NumericError.
     """
     g = np.asarray(g, dtype=np.float64)
 
@@ -209,7 +191,10 @@ def hf_cg_direction(
     rs = float(r @ r)
     for _ in range(cfg.max_iters):
         ad = matvec(d)
-        alpha = rs / float(d @ ad)
+        dad = float(d @ ad)
+        if not (math.isfinite(dad) and dad > 0.0):
+            raise NumericError(f"cg breakdown: d.Ad = {dad}")
+        alpha = rs / dad
         p = p + alpha * d
         r = r - alpha * ad
         if not np.all(np.isfinite(p)):
@@ -221,6 +206,5 @@ def hf_cg_direction(
         d = r + (rs_new / rs) * d
         rs = rs_new
     bp = matvec(p) - lam * p
-    return DirectionResult(
-        p=p, grad_dot=float(g @ p), quad_term=float(p @ bp)
-    )
+    grad_dot, quad = _finite_model(float(g @ p), float(p @ bp))
+    return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)

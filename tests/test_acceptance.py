@@ -363,9 +363,11 @@ def test_criterion_10_desk_scale_digit_trend(tmp_path):
             per_iter = np.diff(counts)
             assert counts[0] == 30 * 10 + 30
             assert np.all(per_iter == 30 * 10 + 30)
+            jvp_idx = header.index("jvp_products")
+            assert all(int(r[jvp_idx]) == 0 for r in rows)
         print(f"  {method}: full loss {initial_loss:.4f} -> {evals[0]:.4f} "
               f"-> {evals[1]:.4f}")
     elapsed = time.perf_counter() - start
     assert elapsed < 15 * 60
     report(10, f"all four methods reduce the full loss over two epochs; "
-               f"smw-gn reverse sweeps per iteration = 330; {elapsed:.0f}s")
+               f"smw-gn reverse sweeps per iteration = 330, jvps 0; {elapsed:.0f}s")

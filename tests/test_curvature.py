@@ -46,6 +46,21 @@ class TestGnBlockGram:
         fmat = factored_jacobian(shape, theta, cache, spec)
         assert np.max(np.abs(gram - fmat @ fmat.T)) < 1e-10
 
+    @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
+    def test_dots_with_matches_factored_jacobian(self, kind, rng):
+        """U^T v from the factors equals blockdiag(C)^T J v, with no jvp."""
+        shape, spec, theta = make_net(rng, kind, hidden=[4])
+        x = rng.normal(size=(shape.input_size, 3))
+        cache = network.forward(shape, theta, x)
+        batch = curvature.gn_batch_factors(shape, theta, cache, spec)
+        fmat = factored_jacobian(shape, theta, cache, spec)
+        for _ in range(5):
+            v = rng.normal(size=shape.num_params)
+            expected = fmat @ v
+            assert np.max(np.abs(batch.dots_with(v) - expected)) <= 1e-12 * (
+                1.0 + np.max(np.abs(expected))
+            )
+
     def test_symmetric_psd(self, rng):
         shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY)
         x = rng.normal(size=(shape.input_size, 4))

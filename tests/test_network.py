@@ -116,7 +116,25 @@ class TestForward:
         assert counters.forward_passes == 5
 
 
+def masked_sigmoid(h):
+    """The two-branch logistic function, written with boolean masks."""
+    out = np.empty_like(h)
+    pos = h >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-h[pos]))
+    eh = np.exp(h[~pos])
+    out[~pos] = eh / (1.0 + eh)
+    return out
+
+
 class TestActivations:
+    def test_sigmoid_matches_masked_form_bitwise(self, rng):
+        tiny = np.finfo(float).tiny
+        edges = np.array(
+            [0.0, -0.0, 800.0, -800.0, tiny, -tiny, 36.7, -36.7, 745.0, -745.0]
+        )
+        for h in (edges, rng.normal(scale=10.0, size=(50, 40))):
+            assert network.sigmoid(h).tobytes() == masked_sigmoid(h).tobytes()
+
     def test_softmax_sums_to_one_extreme(self):
         h = np.array([[1000.0], [0.0], [-1000.0]])
         v = network.softmax(h)

@@ -3,7 +3,7 @@ import pytest
 
 from smwopt import curvature, diff, linalg, loss, network, oracles, solver
 from smwopt.counters import OpCounters
-from smwopt.exceptions import ConfigError, ShapeError
+from smwopt.exceptions import ConfigError, NumericError, ShapeError
 from smwopt.oracles import make_net, random_targets
 
 
@@ -138,20 +138,32 @@ class TestSmwDirection:
             dense = b_mat + lam * np.eye(n)
             assert np.max(np.abs(dense @ ginv - np.eye(n))) < 1e-9
 
-    def test_gn_counter_budget(self, rng):
-        """One GN direction: n2*m_L factor sweeps, n2 correction sweeps, jvps."""
+    @staticmethod
+    def _gn_direction_counts(rng, lam):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
             rng, loss.SOFTMAX_CROSS_ENTROPY, curvature.GN, nb=4
         )
         counters = OpCounters()
         system = curvature.build_gn_system(
-            shape, theta, cache, spec, 1.0, counters
+            shape, theta, cache, spec, lam, counters
         )
         solver.smw_direction(shape, theta, system, g, counters)
-        nb, m_out = 4, shape.output_size
-        assert counters.vjp_products == nb * m_out + nb
-        assert counters.jvp_products == 2 * nb  # J g plus the quadratic term
         assert counters.forward_passes == counters.backward_passes == 0
+        return counters, 4, shape.output_size
+
+    def test_gn_counter_budget(self, rng):
+        """One GN direction: n2*m_L factor sweeps, n2 correction sweeps, no jvps."""
+        counters, nb, m_out = self._gn_direction_counts(rng, 1.0)
+        assert counters.vjp_products == nb * m_out + nb
+        assert counters.jvp_products == 0
+
+    def test_gn_counter_budget_with_refinement(self, rng):
+        """Each refinement round adds one B_t product and one correction sweep."""
+        counters, nb, m_out = self._gn_direction_counts(rng, 1e-10)
+        assert counters.vjp_products == (
+            nb * m_out + nb + 2 * solver.REFINE_ROUNDS * nb
+        )
+        assert counters.jvp_products == 0
 
 
 class TestDenseOracle:
@@ -231,6 +243,52 @@ class TestHfCg:
             )
             assert float(g @ res.p) < 0.0
 
+    @pytest.mark.parametrize(
+        "product",
+        [
+            pytest.param(lambda v: np.zeros_like(v), id="zero"),
+            pytest.param(lambda v: -v, id="negative"),
+            pytest.param(lambda v: np.full_like(v, np.nan), id="nan"),
+        ],
+    )
+    def test_curvature_breakdown_is_numeric_error(self, product, rng, monkeypatch):
+        shape, spec, theta, x, y, cache, g, gfactors = build_instance(
+            rng, loss.SQUARED_ERROR, curvature.GN
+        )
+        monkeypatch.setattr(
+            solver, "_gn_product", lambda *args: product(args[4])
+        )
+        # With lam = 0, d . Ad is the faked product's alone.
+        with pytest.raises(NumericError, match="cg breakdown"):
+            solver.hf_cg_direction(
+                shape, theta, cache, spec, 0.0, solver.CgConfig(), g
+            )
+
+    def test_non_finite_curvature_term_is_numeric_error(self, rng, monkeypatch):
+        shape, spec, theta, x, y, cache, g, gfactors = build_instance(
+            rng, loss.SQUARED_ERROR, curvature.GN
+        )
+        products = iter([np.zeros_like(g), np.full_like(g, np.inf)])
+        monkeypatch.setattr(solver, "_gn_product", lambda *args: next(products))
+        cfg = solver.CgConfig(max_iters=1)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match="quadratic model is not finite"
+        ):
+            solver.hf_cg_direction(shape, theta, cache, spec, 1.0, cfg, g)
+
+    def test_non_finite_gradient_term_is_numeric_error(self, rng, monkeypatch):
+        shape, spec, theta, x, y, cache, g, gfactors = build_instance(
+            rng, loss.SQUARED_ERROR, curvature.GN
+        )
+        g = np.zeros_like(g)
+        g[0] = 1e154
+        monkeypatch.setattr(solver, "_gn_product", lambda *args: np.zeros_like(g))
+        # p = -g / lam stays finite; g . p = -1e314 overflows.
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="g.p=-inf"):
+            solver.hf_cg_direction(
+                shape, theta, cache, spec, 1e-6, solver.CgConfig(), g
+            )
+
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
             solver.CgConfig(max_iters=0)
@@ -244,9 +302,7 @@ class TestQuadraticTerms:
             rng, loss.SQUARED_ERROR, curvature.GN
         )
         system = curvature.build_gn_system(shape, theta, cache, spec, 1.0)
-        grad_dot, quad = solver.quadratic_terms(
-            shape, theta, system, g, np.zeros_like(g)
-        )
+        grad_dot, quad = solver.quadratic_terms(system, g, np.zeros_like(g))
         assert grad_dot == quad == 0.0
 
     @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
@@ -256,7 +312,7 @@ class TestQuadraticTerms:
         )
         system = build_system(shape, theta, cache, spec, gfactors, 1.0, method)
         p = rng.normal(size=shape.num_params)
-        _, quad = solver.quadratic_terms(shape, theta, system, g, p)
+        _, quad = solver.quadratic_terms(system, g, p)
         b_mat, _ = oracles.build_curvature_matrix(shape, theta, x, y, spec, method)
         assert abs(quad - float(p @ b_mat @ p)) <= 1e-10 * (1.0 + abs(quad))
 
@@ -266,7 +322,7 @@ class TestQuadraticTerms:
         )
         system = curvature.build_ng_system(gfactors, 1.0)
         p = rng.normal(size=shape.num_params)
-        _, quad = solver.quadratic_terms(shape, theta, system, g, p)
+        _, quad = solver.quadratic_terms(system, g, p)
         dots = gfactors.dots_with(p)
         assert quad >= 0.0
         assert abs(quad - float(np.mean(dots**2))) < 1e-12 * (1.0 + quad)
