@@ -2,15 +2,16 @@
 
 Subpackages:
     linalg     validated symmetric positive definite solves
-    network    shapes, parameter packing, forward pass
-    loss       matching losses, output-Hessian closed forms and factors
+    network    shapes, parameter layout, forward pass
+    loss       matching losses, output-Hessian products and factors
     diff       gradients, jvp/vjp, factored dot products
+    counters   per-sample operation counts
     curvature  Gram matrices and the small core systems
     solver     Woodbury direction, CG baseline
     damping    reduction ratio and the adaptive damping rule
     optim      training loops and batch sampling
     data       CSV / IDX loading and standardization
-    oracles    brute-force references for the tests and --verify
+    oracles    brute-force references and the --verify self-checks
     cli        experiment harness
 """
 

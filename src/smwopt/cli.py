@@ -1,9 +1,10 @@
-"""Experiment harness: config parsing, training runs, metrics, self-checks.
+"""Experiment harness: config parsing, training runs, metrics.
 
 Configuration is a flat key=value text file; every key can also be set or
 overridden with a command-line flag. A run writes one metrics row per
 iteration to a CSV file whose schema is fixed (see METRICS_COLUMNS); all
-columns except wall_time_s reproduce exactly under a fixed seed.
+columns except wall_time_s reproduce exactly under a fixed seed. --verify
+runs the oracle self-checks of oracles.verify instead of training.
 """
 
 from __future__ import annotations
@@ -14,10 +15,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from . import curvature, data as data_mod, diff, loss as loss_mod
-from . import network, optim, oracles, solver
+from . import data as data_mod, loss as loss_mod, network, optim, oracles, solver
 from .exceptions import ConfigError, DataFormatError, NumericError
 
 METRICS_COLUMNS = [
@@ -249,156 +247,6 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-# --- self-verification ------------------------------------------------------
-
-
-def verify(seed: int = 0, grad_bias: float = 0.0) -> int:
-    """Run the oracle suites and print max error and pass/fail per check.
-
-    grad_bias is a self-test hook: a nonzero value is added to the first
-    computed gradient so the harness can be seen to flag failures.
-    """
-    rng = np.random.default_rng(seed)
-    checks: list[tuple[str, float, float]] = []
-
-    # Gradients against central finite differences.
-    worst = 0.0
-    for trial, kind in enumerate(loss_mod.LOSS_KINDS * 2):
-        shape, spec, theta = oracles.make_net(rng, kind)
-        x = rng.normal(size=shape.input_size)
-        y = oracles.random_targets(rng, kind, shape.output_size)[:, 0]
-        cache = network.forward(shape, theta, x)
-        g, _ = diff.gradient(shape, theta, cache, y, spec)
-        if trial == 0:
-            g = g + grad_bias
-        fd = oracles.fd_loss_gradient(shape, theta, x, y, spec)
-        worst = max(worst, float(np.max(np.abs(g - fd) / (1.0 + np.abs(fd)))))
-    checks.append(("gradient_vs_finite_differences", worst, 1e-5))
-
-    # Adjoint identity <J t1, x> == <t1, J^T x>.
-    worst = 0.0
-    for kind in loss_mod.LOSS_KINDS:
-        for _ in range(20):
-            shape, spec, theta = oracles.make_net(rng, kind)
-            x = rng.normal(size=shape.input_size)
-            cache = network.forward(shape, theta, x)
-            t1 = rng.normal(size=shape.num_params)
-            xo = rng.normal(size=shape.output_size)
-            lhs = float(diff.jvp(shape, theta, cache, t1) @ xo)
-            packed, _ = diff.vjp(shape, theta, cache, xo)
-            rhs = float(t1 @ packed)
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    checks.append(("adjoint_identity", worst, 1e-10))
-
-    # Loss Hessians against finite differences of the gradient, and their
-    # square factors against the closed forms.
-    worst = 0.0
-    ones_worst = 0.0
-    factor_worst = 0.0
-    for kind in loss_mod.LOSS_KINDS:
-        shape, spec, theta = oracles.make_net(rng, kind)
-        m_out = shape.output_size
-        x = rng.normal(size=shape.input_size)
-        y = oracles.random_targets(rng, kind, m_out)[:, 0]
-        cache = network.forward(shape, theta, x)
-        fd_h = oracles.fd_loss_hessian_h(spec, cache.h(shape.num_layers)[:, 0], y)
-        closed = loss_mod.loss_hessian_h(spec, cache)
-        worst = max(worst, float(np.max(np.abs(closed - fd_h))))
-        c = loss_mod.hessian_factor(spec, cache)[0]
-        factor_worst = max(factor_worst, float(np.max(np.abs(c @ c.T - closed))))
-        if kind == loss_mod.SOFTMAX_CROSS_ENTROPY:
-            ones_worst = max(
-                ones_worst, float(np.max(np.abs(closed @ np.ones(m_out))))
-            )
-    checks.append(("loss_hessian_vs_finite_differences", worst, 1e-5))
-    checks.append(("softmax_hessian_annihilates_ones", ones_worst, 1e-12))
-    checks.append(("loss_hessian_factor", factor_worst, 1e-12))
-
-    # Gram matrices against explicit Jacobians / expanded gradients.
-    worst_gn = 0.0
-    worst_ng = 0.0
-    for kind in loss_mod.LOSS_KINDS:
-        shape, spec, theta = oracles.make_net(rng, kind)
-        nb = 3
-        x = rng.normal(size=(shape.input_size, nb))
-        y = oracles.random_targets(rng, kind, shape.output_size, nb)
-        cache = network.forward(shape, theta, x)
-        batch = curvature.gn_batch_factors(shape, theta, cache, spec)
-        gram = curvature.gn_block_gram(batch)
-        fmat = oracles.factored_jacobian(shape, theta, cache, spec)
-        worst_gn = max(worst_gn, float(np.max(np.abs(gram - fmat @ fmat.T))))
-        _, gf = diff.gradient(shape, theta, cache, y, spec)
-        ngram = curvature.ng_gram(gf)
-        gmat = np.stack([gf.cols([i]).expand_sum() for i in range(nb)], axis=0)
-        worst_ng = max(worst_ng, float(np.max(np.abs(ngram - gmat @ gmat.T))))
-    checks.append(("gn_block_gram_vs_explicit_jacobian", worst_gn, 1e-10))
-    checks.append(("ng_gram_vs_expanded_gradients", worst_ng, 1e-10))
-
-    # Woodbury direction against the dense solve, plus the model-decrease bound.
-    worst_dir = 0.0
-    worst_res = 0.0
-    worst_margin = math.inf
-    margin_lines = []
-    for kind in loss_mod.LOSS_KINDS:
-        for method in (curvature.GN, curvature.NG):
-            for lam in (1e-3, 1.0, 1e3):
-                shape, spec, theta = oracles.make_net(rng, kind)
-                nb = 3
-                x = rng.normal(size=(shape.input_size, nb))
-                y = oracles.random_targets(rng, kind, shape.output_size, nb)
-                cache = network.forward(shape, theta, x)
-                g, gf = diff.gradient(shape, theta, cache, y, spec)
-                if method == curvature.GN:
-                    system = curvature.build_gn_system(
-                        shape, theta, cache, spec, lam
-                    )
-                else:
-                    system = curvature.build_ng_system(gf, lam)
-                res = solver.smw_direction(shape, theta, system, g)
-                oracle = oracles.dense_direction_oracle(
-                    shape, theta, x, y, spec, lam, method
-                )
-                scale = float(np.max(np.abs(oracle.p))) + 1e-30
-                worst_dir = max(
-                    worst_dir, float(np.max(np.abs(res.p - oracle.p))) / scale
-                )
-                b_mat, _ = oracles.build_curvature_matrix(
-                    shape, theta, x, y, spec, method
-                )
-                residual = b_mat @ res.p + lam * res.p + g
-                worst_res = max(
-                    worst_res,
-                    float(np.linalg.norm(residual))
-                    / (1.0 + float(np.linalg.norm(g))),
-                )
-                beta = float(np.max(np.linalg.eigvalsh(b_mat)))
-                tau = min(lam, 1e-3)
-                c1 = tau / (beta + tau)
-                decrease = -res.grad_dot - 0.5 * res.quad_term
-                margin = decrease - c1 * float(
-                    np.linalg.norm(g) * np.linalg.norm(res.p)
-                )
-                worst_margin = min(worst_margin, margin)
-                margin_lines.append(
-                    f"  margin[{method} {kind} lam={lam:g}] = {margin:.3e}"
-                )
-    checks.append(("smw_vs_dense_direction", worst_dir, 1e-9))
-    checks.append(("smw_residual", worst_res, 1e-8))
-    checks.append(
-        ("model_decrease_bound_margin", -min(worst_margin, 0.0), 1e-12)
-    )
-
-    failed = False
-    for name, err, tol in checks:
-        ok = err <= tol
-        failed = failed or not ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: max_error={err:.3e} tol={tol:.0e}")
-        if name == "model_decrease_bound_margin":
-            for line in margin_lines:
-                print(line)
-    return 1 if failed else 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smwopt",
@@ -419,7 +267,7 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k not in ("config", "verify")}
     try:
         if args.verify:
-            return verify(seed=build_config({}, overrides).seed)
+            return oracles.verify(seed=build_config({}, overrides).seed)
         file_values = parse_config_file(args.config) if args.config else {}
         return run(build_config(file_values, overrides))
     except (ConfigError, DataFormatError, OSError) as err:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +11,7 @@ from .exceptions import DataFormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+IDX_NUM_CLASSES = 10
 STD_FLOOR = 1e-8
 
 
@@ -21,7 +21,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -53,7 +52,7 @@ class Dataset:
             idx = np.random.default_rng(seed).choice(
                 self.num_samples, size=k, replace=False
             )
-        return Dataset(self.inputs[idx], self.targets[idx], self.name)
+        return Dataset(self.inputs[idx], self.targets[idx])
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -72,17 +71,14 @@ def load_csv(
     path,
     num_features: int,
     num_classes: int = 1,
-    label_column: int = -1,
     skip_header: bool = False,
-    name: str = "",
 ) -> Dataset:
-    """Numeric CSV with one sample per line: features plus a label column.
+    """Numeric CSV with one sample per line: features, then a label column.
 
     num_classes > 1 converts integer labels to one-hot rows; num_classes
     == 1 keeps the label column as a scalar target (binary or regression).
     """
     rows = []
-    path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if skip_header and lineno == 1:
@@ -103,31 +99,14 @@ def load_csv(
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     table = np.array(rows, dtype=np.float64)
-    label_column = label_column % table.shape[1]
-    labels = table[:, label_column]
-    features = np.delete(table, label_column, axis=1)
+    features, labels = table[:, :-1], table[:, -1]
     if num_classes > 1:
         if np.any(labels != np.rint(labels)):
             raise DataFormatError(f"{path}: class labels must be integers")
         targets = one_hot(labels, num_classes)
     else:
         targets = labels.reshape(-1, 1)
-    return Dataset(features, targets, name or path.name)
-
-
-def save_csv(path, dataset: Dataset) -> None:
-    """Write features plus a final label column; inverse of load_csv.
-
-    One-hot targets are collapsed back to integer class labels.
-    """
-    if dataset.targets.shape[1] > 1:
-        labels = np.argmax(dataset.targets, axis=1).astype(np.float64)
-    else:
-        labels = dataset.targets[:, 0]
-    table = np.hstack([dataset.inputs, labels.reshape(-1, 1)])
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in table:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return Dataset(features, targets)
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
@@ -137,11 +116,8 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return data
 
 
-def load_idx(
-    images_path, labels_path, num_classes: int = 10, name: str = ""
-) -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """MNIST-style IDX pair: big-endian u8 images scaled to [0, 1], one-hot labels."""
-    images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(
             ">iiii", _read_exact(fh, 16, images_path, "image header")
@@ -166,11 +142,8 @@ def load_idx(
             f"{labels_path}: {label_count} labels for {count} images"
         )
     labels = np.frombuffer(raw, dtype=np.uint8)
-    return Dataset(
-        pixels.astype(np.float64) / 255.0,
-        one_hot(labels, num_classes),
-        name or images_path.name,
-    )
+    images = pixels.astype(np.float64) / 255.0
+    return Dataset(images, one_hot(labels, IDX_NUM_CLASSES))
 
 
 @dataclass(frozen=True)
@@ -182,7 +155,7 @@ class Standardizer:
 
     def apply(self, dataset: Dataset) -> Dataset:
         feats = (dataset.inputs - self.mean[None, :]) / self.std[None, :]
-        return Dataset(feats, dataset.targets, dataset.name)
+        return Dataset(feats, dataset.targets)
 
 
 def fit_standardizer(train: Dataset) -> Standardizer:

@@ -55,17 +55,6 @@ class BackpropFactors:
             parts.append(np.sum(aw, axis=1))
         return np.concatenate(parts)
 
-    def expand_mean(self) -> np.ndarray:
-        return self.expand_sum() / self.ncols
-
-    def expand_sample(self, i: int = 0) -> np.ndarray:
-        """Packed vector of a single sample's factors."""
-        parts = []
-        for a, v in zip(self.layer_adjoints, self.layer_inputs):
-            parts.append(np.outer(a[:, i], v[:, i]).reshape(-1, order="F"))
-            parts.append(np.array(a[:, i]))
-        return np.concatenate(parts)
-
     def dots_with(self, packed) -> np.ndarray:
         """Dot products of the factored vectors with a packed vector.
 
@@ -90,24 +79,6 @@ class BackpropFactors:
             layer_adjoints=[a[:, idx] for a in self.layer_adjoints],
             layer_inputs=[v[:, idx] for v in self.layer_inputs],
         )
-
-
-def factored_dot(fa: BackpropFactors, fb: BackpropFactors) -> float:
-    """Dot product of two single-sample factored vectors.
-
-    Equals <expand(fa), expand(fb)> with the bias blocks contributing
-    through the +1 term.
-    """
-    if fa.shape != fb.shape:
-        raise ShapeError("factor sets come from different network shapes")
-    if fa.ncols != 1 or fb.ncols != 1:
-        raise ShapeError("factored_dot expects single-sample factor sets")
-    total = 0.0
-    for aa, va, ab, vb in zip(
-        fa.layer_adjoints, fa.layer_inputs, fb.layer_adjoints, fb.layer_inputs
-    ):
-        total += (va[:, 0] @ vb[:, 0] + 1.0) * (aa[:, 0] @ ab[:, 0])
-    return total
 
 
 def _layer_inputs(cache: ForwardCache) -> list[np.ndarray]:
@@ -139,21 +110,18 @@ def gradient(
 ) -> tuple[np.ndarray, BackpropFactors]:
     """Backward pass for the loss gradient.
 
-    Returns the packed gradient (the mean over the cache's sample columns,
-    so a single-sample cache yields that sample's gradient) together with
-    the per-sample factors for Gram reuse.
+    Returns the packed gradient, the mean over the cache's sample columns,
+    together with the per-sample factors for Gram reuse.
     """
     params = unpack(shape, theta)
     if cache.ncols == 0:
         raise ShapeError("empty cache")
     r = loss_mod.loss_grad_h(spec, cache, y)
-    if r.ndim == 1:
-        r = r.reshape(-1, 1)
     adjoints = _backward_adjoints(shape, params, cache, r)
     factors = BackpropFactors(shape, adjoints, _layer_inputs(cache))
     if counters is not None:
         counters.backward_passes += cache.ncols
-    return factors.expand_mean(), factors
+    return factors.expand_sum() / cache.ncols, factors
 
 
 def jvp(
@@ -181,7 +149,7 @@ def jvp(
         v1 = act_jac_apply(shape.activations[l - 1], cache.v(l), h1)
     if counters is not None:
         counters.jvp_products += cache.ncols
-    return v1[:, 0] if cache.single else v1
+    return v1
 
 
 def vjp(
@@ -194,14 +162,12 @@ def vjp(
 ) -> tuple[np.ndarray | None, BackpropFactors]:
     """Reverse-mode product J_i^T x_i for every sample column.
 
-    The packed result sums over columns (so a single-sample cache yields
-    J^T x exactly). With expand=False only the factors are computed and
-    the outer-product expansion is skipped.
+    x_out holds one output-space seed column per sample column. The packed
+    result sums J_i^T x_i over columns. With expand=False only the factors
+    are computed and the outer-product expansion is skipped.
     """
     params = unpack(shape, theta)
     x = np.asarray(x_out, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
     if x.shape != cache.output.shape:
         raise ShapeError(
             f"output seed shape {x.shape} does not match {cache.output.shape}"

@@ -10,7 +10,8 @@ Hessian w.r.t. h = h_L take simple closed forms:
 All values are nonnegative and every H is symmetric positive semidefinite,
 with a closed-form square factor H = C C^T (hessian_factor). Cross-entropy
 values are computed from pre-activations with softplus / log-sum-exp, never
-from clipped probabilities.
+from clipped probabilities. Training applies H (hessian_apply) or uses its
+factor and never materializes it; targets are (m_L, B) columns.
 """
 
 from __future__ import annotations
@@ -56,11 +57,10 @@ class LossSpec:
 def check_targets(spec: LossSpec, y) -> None:
     """Reject targets outside the loss's domain, once per data set.
 
-    y is one target vector or (m_L, B) target columns. Cross-entropy
-    targets lie in [0, 1], and softmax target columns sum to 1.
+    y is (m_L, B) target columns. Cross-entropy targets lie in [0, 1], and
+    softmax target columns sum to 1.
     """
     cols = np.asarray(y, dtype=np.float64)
-    cols = cols.reshape(-1, 1) if cols.ndim == 1 else cols
     if np.any(np.isnan(cols)):
         raise ConfigError("targets contain NaN")
     if spec.kind in (BINARY_CROSS_ENTROPY, SOFTMAX_CROSS_ENTROPY):
@@ -73,14 +73,11 @@ def check_targets(spec: LossSpec, y) -> None:
 
 def _targets(cache: ForwardCache, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
-    cols = y.reshape(-1, 1) if y.ndim == 1 else y
-    m_out = cache.output.shape[0]
-    if cols.ndim != 2 or cols.shape != (m_out, cache.ncols):
+    if y.shape != cache.output.shape:
         raise ShapeError(
-            f"targets of shape {y.shape} do not match outputs "
-            f"({m_out}, {cache.ncols})"
+            f"targets of shape {y.shape} do not match outputs {cache.output.shape}"
         )
-    return cols
+    return y
 
 
 def _softplus(h: np.ndarray) -> np.ndarray:
@@ -92,52 +89,23 @@ def _logsumexp_cols(h: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(h - m[None, :]), axis=0))
 
 
-def loss_value(spec: LossSpec, cache: ForwardCache, y):
-    """Per-sample loss; scalar for a 1-D target, per-column array otherwise."""
-    single = np.asarray(y).ndim == 1
+def loss_value(spec: LossSpec, cache: ForwardCache, y) -> np.ndarray:
+    """Per-sample losses, one per sample column."""
     t = _targets(cache, y)
     if spec.kind == SQUARED_ERROR:
-        vals = np.sum((cache.output - t) ** 2, axis=0)
-    elif spec.kind == BINARY_CROSS_ENTROPY:
-        h = cache.h(cache.shape.num_layers)
-        vals = np.sum(_softplus(h) - t * h, axis=0)
-    else:
-        h = cache.h(cache.shape.num_layers)
-        vals = _logsumexp_cols(h) - np.sum(t * h, axis=0)
-    return float(vals[0]) if single else vals
+        return np.sum((cache.output - t) ** 2, axis=0)
+    h = cache.h(cache.shape.num_layers)
+    if spec.kind == BINARY_CROSS_ENTROPY:
+        return np.sum(_softplus(h) - t * h, axis=0)
+    return _logsumexp_cols(h) - np.sum(t * h, axis=0)
 
 
-def loss_grad_h(spec: LossSpec, cache: ForwardCache, y):
-    """Gradient of the loss w.r.t. the output pre-activation h_L."""
-    single = np.asarray(y).ndim == 1
+def loss_grad_h(spec: LossSpec, cache: ForwardCache, y) -> np.ndarray:
+    """Gradient of the loss w.r.t. the output pre-activation h_L, per column."""
     t = _targets(cache, y)
     if spec.kind == SQUARED_ERROR:
-        g = 2.0 * (cache.output - t)
-    else:
-        g = cache.output - t
-    return g[:, 0] if single else g
-
-
-def loss_hessian_h(spec: LossSpec, cache: ForwardCache) -> np.ndarray:
-    """Closed-form Hessian(s) w.r.t. h_L.
-
-    Returns (m_L, m_L) for a single-sample cache, else (B, m_L, m_L).
-    Targets do not enter any of the three closed forms.
-    """
-    yhat = cache.output
-    m_out, b = yhat.shape
-    if spec.kind == SQUARED_ERROR:
-        hs = np.broadcast_to(2.0 * np.eye(m_out), (b, m_out, m_out)).copy()
-    elif spec.kind == BINARY_CROSS_ENTROPY:
-        hs = np.zeros((b, m_out, m_out))
-        diag = (yhat * (1.0 - yhat)).T
-        idx = np.arange(m_out)
-        hs[:, idx, idx] = diag
-    else:
-        hs = np.einsum("jb,jk->bjk", yhat, np.eye(m_out)) - np.einsum(
-            "jb,kb->bjk", yhat, yhat
-        )
-    return hs[0] if cache.single or b == 1 else hs
+        return 2.0 * (cache.output - t)
+    return cache.output - t
 
 
 def hessian_apply(spec: LossSpec, cache: ForwardCache, u: np.ndarray) -> np.ndarray:
@@ -176,24 +144,12 @@ def hessian_factor(spec: LossSpec, cache: ForwardCache) -> np.ndarray:
     return out
 
 
-def classification_error(yhat, y) -> int:
-    """1 iff the predicted class differs from the true class.
-
-    Multi-class predictions take the argmax (ties to the lowest index);
-    scalar binary predictions threshold at 0.5.
-    """
-    yhat = np.atleast_1d(np.asarray(yhat, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if yhat.shape != y.shape:
-        raise ShapeError(f"prediction shape {yhat.shape} != target shape {y.shape}")
-    if yhat.size == 1:
-        pred = 1 if yhat[0] > 0.5 else 0
-        return int(pred != int(round(y[0])))
-    return int(np.argmax(yhat) != np.argmax(y))
-
-
 def error_rate(outputs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean classification error over sample columns."""
+    """Mean classification error over sample columns.
+
+    Multi-class outputs predict their argmax (ties go to the lowest index);
+    a single output row predicts class 1 when it exceeds 0.5.
+    """
     if outputs.shape != targets.shape:
         raise ShapeError(
             f"output shape {outputs.shape} != target shape {targets.shape}"

@@ -1,11 +1,10 @@
-"""Fully-connected feed-forward networks: shapes, packing, forward pass.
+"""Fully-connected feed-forward networks: shapes, parameter layout, forward pass.
 
 Parameters live in one flat float64 vector theta laid out as
 (vec(W1), b1, ..., vec(WL), bL), where vec() stacks the columns of each
 weight matrix. Layer l maps v_{l-1} to v_l = act_l(W_l v_{l-1} + b_l).
 
-All kernels accept a single sample (1-D input) or a batch arranged as
-columns of a 2-D array; caches always store 2-D arrays internally.
+Samples are the columns of 2-D arrays; one sample is an (m, 1) column.
 """
 
 from __future__ import annotations
@@ -100,22 +99,6 @@ def unpack(shape: NetworkShape, theta) -> list[tuple[np.ndarray, np.ndarray]]:
     return params
 
 
-def pack(shape: NetworkShape, params) -> np.ndarray:
-    """Inverse of unpack: flatten per-layer (W, b) back into theta."""
-    parts = []
-    for (w, b), (_, _, m_out, m_in) in zip(params, shape.param_layout()):
-        w = np.asarray(w, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if w.shape != (m_out, m_in) or b.shape != (m_out,):
-            raise ShapeError(
-                f"layer block shapes {w.shape}/{b.shape} do not match "
-                f"({m_out}, {m_in})/({m_out},)"
-            )
-        parts.append(w.reshape(-1, order="F"))
-        parts.append(b)
-    return np.concatenate(parts)
-
-
 def init_theta(shape: NetworkShape, seed_or_rng=0) -> np.ndarray:
     """Weights i.i.d. uniform(-s, s) with s = 1/sqrt(fan_in); biases zero."""
     rng = np.random.default_rng(seed_or_rng) if not isinstance(
@@ -156,20 +139,6 @@ def apply_activation(kind: str, h: np.ndarray) -> np.ndarray:
     raise ShapeError(f"unknown activation kind: {kind!r}")
 
 
-def activation_jacobian(kind: str, h, v) -> np.ndarray:
-    """Materialized jacobian dv/dh for one sample; v must equal act(h)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError("activation_jacobian expects a single sample")
-    if kind == LINEAR:
-        return np.eye(v.size)
-    if kind == LOGISTIC:
-        return np.diag(v * (1.0 - v))
-    if kind == SOFTMAX:
-        return np.diag(v) - np.outer(v, v)
-    raise ShapeError(f"unknown activation kind: {kind!r}")
-
-
 def act_jac_apply(kind: str, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Apply dv/dh column-wise to u without materializing it.
 
@@ -189,15 +158,13 @@ def act_jac_apply(kind: str, v: np.ndarray, u: np.ndarray) -> np.ndarray:
 class ForwardCache:
     """Pre-activations and activations from one forward pass.
 
-    Arrays are (m_l, B) with samples as columns; `single` records whether
-    the original input was 1-D so callers can return per-sample shapes.
+    Arrays are (m_l, B) with samples as columns.
     """
 
     shape: NetworkShape
     x: np.ndarray
     preacts: list[np.ndarray] = field(default_factory=list)
     acts: list[np.ndarray] = field(default_factory=list)
-    single: bool = False
 
     @property
     def ncols(self) -> int:
@@ -221,21 +188,14 @@ class ForwardCache:
             x=self.x[:, idx],
             preacts=[h[:, idx] for h in self.preacts],
             acts=[v[:, idx] for v in self.acts],
-            single=False,
         )
 
 
-def _as_cols(x, m0: int) -> tuple[np.ndarray, bool]:
+def _as_cols(x, m0: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.size != m0:
-            raise ShapeError(f"input has length {x.size}, expected {m0}")
-        return x.reshape(-1, 1), True
-    if x.ndim == 2:
-        if x.shape[0] != m0:
-            raise ShapeError(f"input has {x.shape[0]} rows, expected {m0}")
-        return x, False
-    raise ShapeError(f"input must be 1- or 2-dimensional, got ndim={x.ndim}")
+    if x.ndim != 2 or x.shape[0] != m0:
+        raise ShapeError(f"input must be ({m0}, B) sample columns, got {x.shape}")
+    return x
 
 
 def forward(
@@ -246,8 +206,8 @@ def forward(
 ) -> ForwardCache:
     """Forward pass caching h_l and v_l for every layer."""
     params = unpack(shape, theta)
-    cols, single = _as_cols(x, shape.input_size)
-    cache = ForwardCache(shape=shape, x=cols, single=single)
+    cols = _as_cols(x, shape.input_size)
+    cache = ForwardCache(shape=shape, x=cols)
     v = cols
     for l, ((w, b), kind) in enumerate(zip(params, shape.activations), start=1):
         h = w @ v + b[:, None]

@@ -315,13 +315,6 @@ class Trainer:
         """Mean loss over the whole training set at the current theta."""
         return self._dataset_loss(self.x, self.y)
 
-    def full_gradient(self) -> np.ndarray:
-        cache = forward(self.shape, self.theta, self.x, self.counters)
-        g, _ = diff.gradient(
-            self.shape, self.theta, cache, self.y, self.spec, self.counters
-        )
-        return g
-
     def test_error(self) -> float:
         if self.test_x is None:
             return math.nan

@@ -2,19 +2,70 @@
 
 Each oracle recomputes a quantity the fast path produces, by a route that
 shares as little with it as possible: central finite differences, unit-seed
-Jacobian rows, and dense materialized solves. They serve the test suite and
-`smwopt --verify`; nothing on the training path imports this module.
+Jacobian rows, materialized Jacobians and Hessians, and dense solves. They
+serve the test suite and `smwopt --verify`, which runs verify below; nothing
+on the training path imports this module.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from . import curvature, diff, linalg, loss as loss_mod, network
+from . import curvature, diff, linalg, loss as loss_mod, network, solver
 from .exceptions import ShapeError
-from .solver import DirectionResult
 
 DENSE_ORACLE_MAX_PARAMS = 5000
+
+
+def pack(shape, params) -> np.ndarray:
+    """Inverse of network.unpack: flatten per-layer (W, b) back into theta."""
+    parts = []
+    for (w, b), (_, _, m_out, m_in) in zip(params, shape.param_layout()):
+        w = np.asarray(w, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if w.shape != (m_out, m_in) or b.shape != (m_out,):
+            raise ShapeError(
+                f"layer block shapes {w.shape}/{b.shape} do not match "
+                f"({m_out}, {m_in})/({m_out},)"
+            )
+        parts.append(w.reshape(-1, order="F"))
+        parts.append(b)
+    return np.concatenate(parts)
+
+
+def activation_jacobian(kind: str, h, v) -> np.ndarray:
+    """Materialized jacobian dv/dh for one sample; v must equal act(h)."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ShapeError("activation_jacobian expects a single sample")
+    if kind == network.LINEAR:
+        return np.eye(v.size)
+    if kind == network.LOGISTIC:
+        return np.diag(v * (1.0 - v))
+    if kind == network.SOFTMAX:
+        return np.diag(v) - np.outer(v, v)
+    raise ShapeError(f"unknown activation kind: {kind!r}")
+
+
+def loss_hessian_h(spec, cache) -> np.ndarray:
+    """Closed-form loss Hessians w.r.t. h_L, shape (B, m_L, m_L).
+
+    Targets do not enter any of the three closed forms.
+    """
+    yhat = cache.output
+    m_out, b = yhat.shape
+    if spec.kind == loss_mod.SQUARED_ERROR:
+        return np.broadcast_to(2.0 * np.eye(m_out), (b, m_out, m_out)).copy()
+    if spec.kind == loss_mod.BINARY_CROSS_ENTROPY:
+        hs = np.zeros((b, m_out, m_out))
+        idx = np.arange(m_out)
+        hs[:, idx, idx] = (yhat * (1.0 - yhat)).T
+        return hs
+    return np.einsum("jb,jk->bjk", yhat, np.eye(m_out)) - np.einsum(
+        "jb,kb->bjk", yhat, yhat
+    )
 
 
 def make_net(rng, kind, hidden=None, m_in=None, m_out=None):
@@ -46,36 +97,37 @@ def random_targets(rng, kind, m_out, nbatch=1):
 
 
 def fd_loss_gradient(shape, theta, x, y, spec, step=1e-6):
-    """Central finite differences of the per-sample loss over every coordinate."""
+    """Central finite differences of the mean loss over every coordinate."""
+    def f(point):
+        cache = network.forward(shape, point, x)
+        return np.mean(loss_mod.loss_value(spec, cache, y))
+
     grad = np.zeros_like(theta)
     for k in range(theta.size):
         up, down = theta.copy(), theta.copy()
         up[k] += step
         down[k] -= step
-        f_up = loss_mod.loss_value(spec, network.forward(shape, up, x), y)
-        f_down = loss_mod.loss_value(spec, network.forward(shape, down, x), y)
-        grad[k] = (f_up - f_down) / (2.0 * step)
+        grad[k] = (f(up) - f(down)) / (2.0 * step)
     return grad
 
 
 def output_cache(kind, h):
-    """Single-layer cache with a controlled output pre-activation."""
+    """Single-layer cache whose output pre-activation is the (m, B) array h."""
     h = np.asarray(h, dtype=float)
-    single = h.ndim == 1
-    cols = h.reshape(-1, 1) if single else h
-    m = cols.shape[0]
     act = loss_mod.MATCHING_ACTIVATION[kind]
     return network.ForwardCache(
-        shape=network.NetworkShape((m, m), (act,)),
-        x=np.zeros_like(cols),
-        preacts=[cols],
-        acts=[network.apply_activation(act, cols)],
-        single=single,
+        shape=network.NetworkShape((h.shape[0],) * 2, (act,)),
+        x=np.zeros_like(h),
+        preacts=[h],
+        acts=[network.apply_activation(act, h)],
     )
 
 
 def fd_loss_hessian_h(spec, h, y, step=1e-6):
-    """Central finite differences of the output gradient at pre-activation h."""
+    """Central finite differences of the output gradient at one sample's h.
+
+    h and y are (m_L, 1) columns; the result is the (m_L, m_L) Hessian.
+    """
     h = np.asarray(h, dtype=float)
     fd = np.zeros((h.size, h.size))
     for k in range(h.size):
@@ -85,7 +137,7 @@ def fd_loss_hessian_h(spec, h, y, step=1e-6):
         fd[:, k] = (
             loss_mod.loss_grad_h(spec, output_cache(spec.kind, hp), y)
             - loss_mod.loss_grad_h(spec, output_cache(spec.kind, hm), y)
-        ) / (2 * step)
+        )[:, 0] / (2 * step)
     return fd
 
 
@@ -143,7 +195,7 @@ def build_curvature_matrix(
         for i in range(nb):
             ci = cache.cols([i])
             ji = explicit_jacobian(shape, theta, ci)
-            hi = loss_mod.loss_hessian_h(spec, ci)
+            hi = loss_hessian_h(spec, ci)[0]
             b_mat += ji.T @ hi @ ji
     b_mat /= nb
     return b_mat, g
@@ -151,11 +203,155 @@ def build_curvature_matrix(
 
 def dense_direction_oracle(
     shape, theta, x, y, spec, lam: float, method: str = curvature.GN
-) -> DirectionResult:
+) -> solver.DirectionResult:
     """Solve (B_t + lam I) p = -g with B_t materialized."""
     b_mat, g = build_curvature_matrix(shape, theta, x, y, spec, method)
     a = b_mat + lam * np.eye(shape.num_params)
     p = linalg.solve_spd(a, -g)
-    return DirectionResult(
+    return solver.DirectionResult(
         p=p, grad_dot=float(g @ p), quad_term=float(p @ b_mat @ p)
     )
+
+
+def verify(seed: int = 0) -> int:
+    """Run the oracle suites and print max error and pass/fail per check.
+
+    This is `smwopt --verify`; it returns the exit code, 1 if any check fails.
+    """
+    rng = np.random.default_rng(seed)
+    checks: list[tuple[str, float, float]] = []
+
+    # Gradients against central finite differences.
+    worst = 0.0
+    for kind in loss_mod.LOSS_KINDS * 2:
+        shape, spec, theta = make_net(rng, kind)
+        x = rng.normal(size=(shape.input_size, 1))
+        y = random_targets(rng, kind, shape.output_size)
+        cache = network.forward(shape, theta, x)
+        g, _ = diff.gradient(shape, theta, cache, y, spec)
+        fd = fd_loss_gradient(shape, theta, x, y, spec)
+        worst = max(worst, float(np.max(np.abs(g - fd) / (1.0 + np.abs(fd)))))
+    checks.append(("gradient_vs_finite_differences", worst, 1e-5))
+
+    # Adjoint identity <J t1, x> == <t1, J^T x>.
+    worst = 0.0
+    for kind in loss_mod.LOSS_KINDS:
+        for _ in range(20):
+            shape, spec, theta = make_net(rng, kind)
+            x = rng.normal(size=(shape.input_size, 1))
+            cache = network.forward(shape, theta, x)
+            t1 = rng.normal(size=shape.num_params)
+            xo = rng.normal(size=(shape.output_size, 1))
+            lhs = float(diff.jvp(shape, theta, cache, t1)[:, 0] @ xo[:, 0])
+            packed, _ = diff.vjp(shape, theta, cache, xo)
+            rhs = float(t1 @ packed)
+            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    checks.append(("adjoint_identity", worst, 1e-10))
+
+    # Loss Hessians against finite differences of the gradient, and their
+    # square factors against the closed forms.
+    worst = 0.0
+    ones_worst = 0.0
+    factor_worst = 0.0
+    for kind in loss_mod.LOSS_KINDS:
+        shape, spec, theta = make_net(rng, kind)
+        m_out = shape.output_size
+        x = rng.normal(size=(shape.input_size, 1))
+        y = random_targets(rng, kind, m_out)
+        cache = network.forward(shape, theta, x)
+        fd_h = fd_loss_hessian_h(spec, cache.h(shape.num_layers), y)
+        closed = loss_hessian_h(spec, cache)[0]
+        worst = max(worst, float(np.max(np.abs(closed - fd_h))))
+        c = loss_mod.hessian_factor(spec, cache)[0]
+        factor_worst = max(factor_worst, float(np.max(np.abs(c @ c.T - closed))))
+        if kind == loss_mod.SOFTMAX_CROSS_ENTROPY:
+            ones_worst = max(
+                ones_worst, float(np.max(np.abs(closed @ np.ones(m_out))))
+            )
+    checks.append(("loss_hessian_vs_finite_differences", worst, 1e-5))
+    checks.append(("softmax_hessian_annihilates_ones", ones_worst, 1e-12))
+    checks.append(("loss_hessian_factor", factor_worst, 1e-12))
+
+    # Gram matrices against explicit Jacobians / expanded gradients.
+    worst_gn = 0.0
+    worst_ng = 0.0
+    for kind in loss_mod.LOSS_KINDS:
+        shape, spec, theta = make_net(rng, kind)
+        nb = 3
+        x = rng.normal(size=(shape.input_size, nb))
+        y = random_targets(rng, kind, shape.output_size, nb)
+        cache = network.forward(shape, theta, x)
+        batch = curvature.gn_batch_factors(shape, theta, cache, spec)
+        gram = curvature.gn_block_gram(batch)
+        fmat = factored_jacobian(shape, theta, cache, spec)
+        worst_gn = max(worst_gn, float(np.max(np.abs(gram - fmat @ fmat.T))))
+        _, gf = diff.gradient(shape, theta, cache, y, spec)
+        ngram = curvature.ng_gram(gf)
+        gmat = np.stack([gf.cols([i]).expand_sum() for i in range(nb)], axis=0)
+        worst_ng = max(worst_ng, float(np.max(np.abs(ngram - gmat @ gmat.T))))
+    checks.append(("gn_block_gram_vs_explicit_jacobian", worst_gn, 1e-10))
+    checks.append(("ng_gram_vs_expanded_gradients", worst_ng, 1e-10))
+
+    # Woodbury direction against the dense solve, plus the model-decrease bound.
+    worst_dir = 0.0
+    worst_res = 0.0
+    worst_margin = math.inf
+    margin_lines = []
+    for kind in loss_mod.LOSS_KINDS:
+        for method in (curvature.GN, curvature.NG):
+            for lam in (1e-3, 1.0, 1e3):
+                shape, spec, theta = make_net(rng, kind)
+                nb = 3
+                x = rng.normal(size=(shape.input_size, nb))
+                y = random_targets(rng, kind, shape.output_size, nb)
+                cache = network.forward(shape, theta, x)
+                g, gf = diff.gradient(shape, theta, cache, y, spec)
+                if method == curvature.GN:
+                    system = curvature.build_gn_system(
+                        shape, theta, cache, spec, lam
+                    )
+                else:
+                    system = curvature.build_ng_system(gf, lam)
+                res = solver.smw_direction(shape, theta, system, g)
+                oracle = dense_direction_oracle(
+                    shape, theta, x, y, spec, lam, method
+                )
+                scale = float(np.max(np.abs(oracle.p))) + 1e-30
+                worst_dir = max(
+                    worst_dir, float(np.max(np.abs(res.p - oracle.p))) / scale
+                )
+                b_mat, _ = build_curvature_matrix(
+                    shape, theta, x, y, spec, method
+                )
+                residual = b_mat @ res.p + lam * res.p + g
+                worst_res = max(
+                    worst_res,
+                    float(np.linalg.norm(residual))
+                    / (1.0 + float(np.linalg.norm(g))),
+                )
+                beta = float(np.max(np.linalg.eigvalsh(b_mat)))
+                tau = min(lam, 1e-3)
+                c1 = tau / (beta + tau)
+                decrease = -res.grad_dot - 0.5 * res.quad_term
+                margin = decrease - c1 * float(
+                    np.linalg.norm(g) * np.linalg.norm(res.p)
+                )
+                worst_margin = min(worst_margin, margin)
+                margin_lines.append(
+                    f"  margin[{method} {kind} lam={lam:g}] = {margin:.3e}"
+                )
+    checks.append(("smw_vs_dense_direction", worst_dir, 1e-9))
+    checks.append(("smw_residual", worst_res, 1e-8))
+    checks.append(
+        ("model_decrease_bound_margin", -min(worst_margin, 0.0), 1e-12)
+    )
+
+    failed = False
+    for name, err, tol in checks:
+        ok = err <= tol
+        failed = failed or not ok
+        print(f"{'PASS' if ok else 'FAIL'} {name}: max_error={err:.3e} tol={tol:.0e}")
+        if name == "model_decrease_bound_margin":
+            for line in margin_lines:
+                print(line)
+    return 1 if failed else 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smwopt import network
+from smwopt import data, network
 from smwopt.oracles import fd_loss_gradient, make_net, random_targets  # noqa: F401
 
 
@@ -32,9 +32,24 @@ def scalar_forward(sizes, acts, params, x):
 
 def fd_output_jacobian_product(shape, theta, x, direction, step=1e-6):
     """Central finite differences of yhat along a parameter direction."""
-    up = network.forward(shape, theta + step * direction, x).output[:, 0]
-    down = network.forward(shape, theta - step * direction, x).output[:, 0]
+    up = network.forward(shape, theta + step * direction, x).output
+    down = network.forward(shape, theta - step * direction, x).output
     return (up - down) / (2.0 * step)
+
+
+def save_csv(path, dataset: data.Dataset) -> None:
+    """Write features plus a final label column; inverse of data.load_csv.
+
+    One-hot targets are collapsed back to integer class labels.
+    """
+    if dataset.targets.shape[1] > 1:
+        labels = np.argmax(dataset.targets, axis=1).astype(np.float64)
+    else:
+        labels = dataset.targets[:, 0]
+    table = np.hstack([dataset.inputs, labels.reshape(-1, 1)])
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in table:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def explicit_inverse(a):

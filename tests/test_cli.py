@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smwopt import cli, data
+from smwopt import cli, data, diff, oracles
 from smwopt.exceptions import ConfigError
+from tests.conftest import save_csv
 
 
 def write_blob_csv(path, rng, n=40, m0=3, classes=2):
@@ -17,7 +18,7 @@ def write_blob_csv(path, rng, n=40, m0=3, classes=2):
     labels = rng.integers(0, classes, size=n)
     x[labels == 1] += 2.0
     ds = data.Dataset(x, data.one_hot(labels, classes))
-    data.save_csv(path, ds)
+    save_csv(path, ds)
     return path
 
 
@@ -162,7 +163,7 @@ class TestMain:
         csv_path = tmp_path / "train.csv"
         labels = rng.integers(0, 3, size=(20, 1)).astype(float)
         labels[:3, 0] = [0.0, 1.0, 2.0]
-        data.save_csv(csv_path, data.Dataset(rng.normal(size=(20, 2)), labels))
+        save_csv(csv_path, data.Dataset(rng.normal(size=(20, 2)), labels))
         argv = [
             "--train-csv", str(csv_path), "--csv-features", "2",
             "--loss", "binary_cross_entropy", "--layers", "2,3,1",
@@ -178,7 +179,7 @@ class TestMain:
         csv_path = tmp_path / "train.csv"
         x = rng.normal(size=(8, 2))
         y = 1e150 * np.ones((8, 1))
-        data.save_csv(csv_path, data.Dataset(x, y))
+        save_csv(csv_path, data.Dataset(x, y))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             f"train_csv={csv_path}\ncsv_features=2\ncsv_classes=1\n"
@@ -211,7 +212,7 @@ class TestMain:
         # on an uncaught ValueError.
         csv_path = tmp_path / "train.csv"
         x = 1e3 * rng.normal(size=(40, 5))
-        data.save_csv(
+        save_csv(
             csv_path, data.Dataset(x, data.one_hot(rng.integers(0, 3, size=40), 3))
         )
         cfg = tmp_path / "run.cfg"
@@ -261,15 +262,54 @@ def test_only_cli_imports_oracles():
     assert importers == ["cli.py"]
 
 
+def test_every_definition_outside_oracles_is_used_outside_oracles():
+    """Training modules hold no test-only code: each top-level function and
+    class, and each non-dunder method, defined outside oracles.py is named
+    (as a Name, an Attribute or an import alias) somewhere outside oracles.py.
+    """
+    package = Path(cli.__file__).parent
+    defined, referenced = [], set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    f"{path.stem}.{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unused = [name for name in defined if name.rsplit(".", 1)[1] not in referenced]
+    assert unused == [], f"defined but used only by oracles or tests: {unused}"
+
+
 class TestVerify:
     def test_passes_by_default(self, capsys):
-        assert cli.verify(seed=0) == 0
+        assert oracles.verify(seed=0) == 0
         out = capsys.readouterr().out
         assert "PASS gradient_vs_finite_differences" in out
         assert "FAIL" not in out
 
-    def test_injected_error_fails(self, capsys):
-        assert cli.verify(seed=0, grad_bias=1e-3) == 1
+    def test_injected_error_fails(self, capsys, monkeypatch):
+        gradient = diff.gradient
+
+        def biased(*args, **kwargs):
+            g, factors = gradient(*args, **kwargs)
+            return g + 1e-3, factors
+
+        monkeypatch.setattr(diff, "gradient", biased)
+        assert oracles.verify(seed=0) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_main_verify_flag(self, capsys):

@@ -8,6 +8,7 @@ from smwopt.oracles import (
     dense_direction_oracle,
     factored_jacobian,
     make_net,
+    pack,
     random_targets,
 )
 
@@ -16,20 +17,20 @@ class TestGnBlockGram:
     def test_single_linear_sample(self, rng):
         shape = network.NetworkShape((3, 2), ("linear",))
         theta = network.init_theta(shape, rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(3, 1))
         cache = network.forward(shape, theta, x)
         batch = curvature.gn_batch_factors(
             shape, theta, cache, loss.LossSpec(loss.SQUARED_ERROR)
         )
         gram = curvature.gn_block_gram(batch)
         # H = 2 I, so the factor is sqrt(2) I and the Gram doubles.
-        expected = 2.0 * (float(x @ x) + 1.0) * np.eye(2)
+        expected = 2.0 * (float(x[:, 0] @ x[:, 0]) + 1.0) * np.eye(2)
         assert np.max(np.abs(gram - expected)) < 1e-12
 
     def test_zero_input_leaves_bias_column(self, rng):
         shape = network.NetworkShape((3, 2), ("linear",))
         theta = network.init_theta(shape, rng)
-        cache = network.forward(shape, theta, np.zeros(3))
+        cache = network.forward(shape, theta, np.zeros((3, 1)))
         batch = curvature.gn_batch_factors(
             shape, theta, cache, loss.LossSpec(loss.SQUARED_ERROR)
         )
@@ -86,8 +87,8 @@ class TestGnBlockGram:
 class TestNgGram:
     def test_single_sample_norm(self, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
-        x = rng.normal(size=shape.input_size)
-        y = random_targets(rng, spec.kind, shape.output_size)[:, 0]
+        x = rng.normal(size=(shape.input_size, 1))
+        y = random_targets(rng, spec.kind, shape.output_size)
         cache = network.forward(shape, theta, x)
         g, factors = diff.gradient(shape, theta, cache, y, spec)
         gram = curvature.ng_gram(factors)
@@ -116,7 +117,7 @@ class TestNgGram:
         cache = network.forward(shape, theta, x)
         _, factors = diff.gradient(shape, theta, cache, y, spec)
         gram = curvature.ng_gram(factors)
-        gmat = np.stack([factors.expand_sample(i) for i in range(4)], axis=0)
+        gmat = np.stack([factors.cols([i]).expand_sum() for i in range(4)], axis=0)
         scale = 1.0 + np.max(np.abs(gmat @ gmat.T))
         assert np.max(np.abs(gram - gmat @ gmat.T)) <= 1e-12 * scale
 
@@ -158,7 +159,7 @@ class TestAssemble:
 
     def test_saturated_bce_sample_adds_only_damping(self):
         shape = network.NetworkShape((2, 1), ("logistic",))
-        theta = network.pack(shape, [(np.array([[1.0, -1.0]]), np.zeros(1))])
+        theta = pack(shape, [(np.array([[1.0, -1.0]]), np.zeros(1))])
         x = np.array([[800.0, 0.3], [0.0, -0.2]])
         y = np.zeros((1, 2))
         cache = network.forward(shape, theta, x)

@@ -5,6 +5,7 @@ import pytest
 
 from smwopt import data
 from smwopt.exceptions import DataFormatError
+from tests.conftest import save_csv
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -62,19 +63,12 @@ class TestCsv:
         ds = data.load_csv(path, num_features=2, num_classes=1, skip_header=True)
         assert ds.num_samples == 1
 
-    def test_label_in_first_column(self, tmp_path):
-        path = tmp_path / "toy.csv"
-        path.write_text("1,5.0,6.0\n0,7.0,8.0\n")
-        ds = data.load_csv(path, num_features=2, num_classes=2, label_column=0)
-        assert np.array_equal(ds.inputs, [[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(ds.targets, [[0.0, 1.0], [1.0, 0.0]])
-
     def test_save_load_round_trip(self, tmp_path, rng):
         inputs = rng.normal(size=(5, 3))
         labels = rng.integers(0, 4, size=5)
         ds = data.Dataset(inputs, data.one_hot(labels, 4))
         path = tmp_path / "rt.csv"
-        data.save_csv(path, ds)
+        save_csv(path, ds)
         back = data.load_csv(path, num_features=3, num_classes=4)
         assert np.array_equal(back.inputs, ds.inputs)
         assert np.array_equal(back.targets, ds.targets)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smwopt import diff, loss, network
+from smwopt import curvature, diff, loss, network
 from smwopt.counters import OpCounters
-from smwopt.exceptions import ShapeError
+from smwopt.oracles import activation_jacobian, pack
 from tests.conftest import (
     fd_loss_gradient,
     fd_output_jacobian_product,
@@ -18,9 +18,9 @@ class TestGradient:
     def test_zero_at_perfect_fit(self, rng):
         shape = network.NetworkShape((3, 2), ("linear",))
         theta = network.init_theta(shape, rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(3, 1))
         cache = network.forward(shape, theta, x)
-        y = cache.output[:, 0]
+        y = cache.output
         g, _ = diff.gradient(
             shape, theta, cache, y, loss.LossSpec(loss.SQUARED_ERROR)
         )
@@ -30,21 +30,21 @@ class TestGradient:
         shape = network.NetworkShape((3, 2), ("linear",))
         theta = network.init_theta(shape, rng)
         (w, b), = network.unpack(shape, theta)
-        x = rng.normal(size=3)
-        y = rng.normal(size=2)
+        x = rng.normal(size=(3, 1))
+        y = rng.normal(size=(2, 1))
         cache = network.forward(shape, theta, x)
         g, _ = diff.gradient(
             shape, theta, cache, y, loss.LossSpec(loss.SQUARED_ERROR)
         )
-        r = w @ x + b - y
-        expected = network.pack(shape, [(2.0 * np.outer(r, x), 2.0 * r)])
+        r = w @ x[:, 0] + b - y[:, 0]
+        expected = pack(shape, [(2.0 * np.outer(r, x), 2.0 * r)])
         assert np.max(np.abs(g - expected)) < 1e-14
 
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
     def test_matches_finite_differences(self, kind, rng):
         shape, spec, theta = make_net(rng, kind, hidden=[5, 4], m_in=3)
-        x = rng.normal(size=3)
-        y = random_targets(rng, kind, shape.output_size)[:, 0]
+        x = rng.normal(size=(3, 1))
+        y = random_targets(rng, kind, shape.output_size)
         cache = network.forward(shape, theta, x)
         g, _ = diff.gradient(shape, theta, cache, y, spec)
         fd = fd_loss_gradient(shape, theta, x, y, spec)
@@ -58,19 +58,19 @@ class TestGradient:
         g, _ = diff.gradient(shape, theta, cache, y, spec)
         singles = []
         for i in range(5):
-            ci = network.forward(shape, theta, x[:, i])
-            gi, _ = diff.gradient(shape, theta, ci, y[:, i], spec)
+            ci = network.forward(shape, theta, x[:, [i]])
+            gi, _ = diff.gradient(shape, theta, ci, y[:, [i]], spec)
             singles.append(gi)
         assert np.max(np.abs(g - np.mean(singles, axis=0))) < 1e-14
 
     def test_counter_one_forward_one_backward(self, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
         counters = OpCounters()
-        x = rng.normal(size=shape.input_size)
+        x = rng.normal(size=(shape.input_size, 1))
         cache = network.forward(shape, theta, x, counters)
         diff.gradient(
             shape, theta, cache,
-            random_targets(rng, spec.kind, shape.output_size)[:, 0],
+            random_targets(rng, spec.kind, shape.output_size),
             spec, counters,
         )
         assert counters.forward_passes == 1
@@ -81,25 +81,25 @@ class TestGradient:
 class TestJvp:
     def test_zero_direction(self, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
-        cache = network.forward(shape, theta, rng.normal(size=shape.input_size))
+        cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 1)))
         out = diff.jvp(shape, theta, cache, np.zeros(shape.num_params))
-        assert np.array_equal(out, np.zeros(shape.output_size))
+        assert np.array_equal(out, np.zeros((shape.output_size, 1)))
 
     def test_linear_layer(self, rng):
         shape = network.NetworkShape((3, 2), ("linear",))
         theta = network.init_theta(shape, rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(3, 1))
         cache = network.forward(shape, theta, x)
         w1 = rng.normal(size=(2, 3))
         b1 = rng.normal(size=2)
-        direction = network.pack(shape, [(w1, b1)])
+        direction = pack(shape, [(w1, b1)])
         out = diff.jvp(shape, theta, cache, direction)
-        assert np.max(np.abs(out - (w1 @ x + b1))) < 1e-14
+        assert np.max(np.abs(out[:, 0] - (w1 @ x[:, 0] + b1))) < 1e-14
 
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
     def test_matches_finite_differences(self, kind, rng):
         shape, spec, theta = make_net(rng, kind)
-        x = rng.normal(size=shape.input_size)
+        x = rng.normal(size=(shape.input_size, 1))
         cache = network.forward(shape, theta, x)
         direction = rng.normal(size=shape.num_params)
         out = diff.jvp(shape, theta, cache, direction)
@@ -110,18 +110,18 @@ class TestJvp:
 class TestVjp:
     def test_zero_seed(self, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
-        cache = network.forward(shape, theta, rng.normal(size=shape.input_size))
-        packed, _ = diff.vjp(shape, theta, cache, np.zeros(shape.output_size))
+        cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 1)))
+        packed, _ = diff.vjp(shape, theta, cache, np.zeros((shape.output_size, 1)))
         assert np.array_equal(packed, np.zeros(shape.num_params))
 
     def test_linear_unit_seed(self, rng):
         shape = network.NetworkShape((3, 2), ("linear",))
         theta = network.init_theta(shape, rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(3, 1))
         cache = network.forward(shape, theta, x)
-        packed, _ = diff.vjp(shape, theta, cache, np.array([1.0, 0.0]))
+        packed, _ = diff.vjp(shape, theta, cache, np.array([[1.0], [0.0]]))
         (w_block, b_block), = network.unpack(shape, packed)
-        assert np.max(np.abs(w_block[0] - x)) < 1e-15
+        assert np.max(np.abs(w_block[0] - x[:, 0])) < 1e-15
         assert np.array_equal(w_block[1], np.zeros(3))
         assert np.array_equal(b_block, [1.0, 0.0])
 
@@ -129,19 +129,19 @@ class TestVjp:
     def test_adjoint_identity(self, kind, rng):
         for _ in range(34):
             shape, spec, theta = make_net(rng, kind)
-            x = rng.normal(size=shape.input_size)
+            x = rng.normal(size=(shape.input_size, 1))
             cache = network.forward(shape, theta, x)
             t1 = rng.normal(size=shape.num_params)
-            xo = rng.normal(size=shape.output_size)
-            lhs = float(diff.jvp(shape, theta, cache, t1) @ xo)
+            xo = rng.normal(size=(shape.output_size, 1))
+            lhs = float(diff.jvp(shape, theta, cache, t1)[:, 0] @ xo[:, 0])
             packed, _ = diff.vjp(shape, theta, cache, xo)
             rhs = float(t1 @ packed)
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
     def test_factors_only_mode(self, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
-        cache = network.forward(shape, theta, rng.normal(size=shape.input_size))
-        xo = rng.normal(size=shape.output_size)
+        cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 1)))
+        xo = rng.normal(size=(shape.output_size, 1))
         packed, factors = diff.vjp(shape, theta, cache, xo)
         none_packed, factors2 = diff.vjp(shape, theta, cache, xo, expand=False)
         assert none_packed is None
@@ -155,8 +155,8 @@ class TestVjp:
         packed, _ = diff.vjp(shape, theta, cache, seeds)
         total = np.zeros(shape.num_params)
         for i in range(4):
-            ci = network.forward(shape, theta, x[:, i])
-            pi, _ = diff.vjp(shape, theta, ci, seeds[:, i])
+            ci = network.forward(shape, theta, x[:, [i]])
+            pi, _ = diff.vjp(shape, theta, ci, seeds[:, [i]])
             total += pi
         assert np.max(np.abs(packed - total)) < 1e-12
 
@@ -164,11 +164,11 @@ class TestVjp:
         """Chain-rule consistency through the output activation."""
         for kind in (loss.SQUARED_ERROR, loss.BINARY_CROSS_ENTROPY):
             shape, spec, theta = make_net(rng, kind)
-            x = rng.normal(size=shape.input_size)
-            y = random_targets(rng, kind, shape.output_size)[:, 0]
+            x = rng.normal(size=(shape.input_size, 1))
+            y = random_targets(rng, kind, shape.output_size)
             cache = network.forward(shape, theta, x)
             g, _ = diff.gradient(shape, theta, cache, y, spec)
-            yhat = cache.output[:, 0]
+            yhat = cache.output
             if kind == loss.SQUARED_ERROR:
                 seed = 2.0 * (yhat - y)
             else:
@@ -176,14 +176,14 @@ class TestVjp:
             packed, _ = diff.vjp(shape, theta, cache, seed)
             assert np.max(np.abs(g - packed)) < 1e-14
         shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY)
-        x = rng.normal(size=shape.input_size)
-        y = random_targets(rng, spec.kind, shape.output_size)[:, 0]
+        x = rng.normal(size=(shape.input_size, 1))
+        y = random_targets(rng, spec.kind, shape.output_size)
         cache = network.forward(shape, theta, x)
         g, _ = diff.gradient(shape, theta, cache, y, spec)
         yhat = cache.output[:, 0]
-        jac = network.activation_jacobian("softmax", None, yhat)
-        seed = np.linalg.lstsq(jac, yhat - y, rcond=None)[0]
-        packed, _ = diff.vjp(shape, theta, cache, seed)
+        jac = activation_jacobian("softmax", None, yhat)
+        seed = np.linalg.lstsq(jac, yhat - y[:, 0], rcond=None)[0]
+        packed, _ = diff.vjp(shape, theta, cache, seed[:, None])
         assert np.max(np.abs(g - packed)) < 1e-10
 
     def test_counters(self, rng):
@@ -198,55 +198,53 @@ class TestVjp:
 
 
 class TestFactoredDot:
+    """The factored identity <J_a^T x_a, J_b^T x_b> = sum_l (v_a.v_b + 1)(a_a.a_b),
+    read off the off-diagonal entry of curvature.ng_gram over two columns."""
+
     def _factor_pair(self, rng, kind=loss.SQUARED_ERROR):
         shape, spec, theta = make_net(rng, kind, hidden=[4, 3])
-        xa = rng.normal(size=shape.input_size)
-        xb = rng.normal(size=shape.input_size)
-        ca = network.forward(shape, theta, xa)
-        cb = network.forward(shape, theta, xb)
-        _, fa = diff.vjp(shape, theta, ca, rng.normal(size=shape.output_size))
-        _, fb = diff.vjp(shape, theta, cb, rng.normal(size=shape.output_size))
-        return fa, fb
+        x = rng.normal(size=(2, shape.input_size)).T
+        cache = network.forward(shape, theta, x)
+        seeds = rng.normal(size=(2, shape.output_size)).T
+        _, factors = diff.vjp(shape, theta, cache, seeds)
+        return factors
 
     def test_zero_side(self, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
-        cache = network.forward(shape, theta, rng.normal(size=shape.input_size))
-        _, fa = diff.vjp(shape, theta, cache, np.zeros(shape.output_size))
-        _, fb = diff.vjp(shape, theta, cache, rng.normal(size=shape.output_size))
-        assert diff.factored_dot(fa, fb) == 0.0
+        x = rng.normal(size=(shape.input_size, 1))
+        cache = network.forward(shape, theta, np.hstack([x, x]))
+        m_out = shape.output_size
+        seeds = np.hstack([np.zeros((m_out, 1)), rng.normal(size=(m_out, 1))])
+        _, factors = diff.vjp(shape, theta, cache, seeds)
+        assert curvature.ng_gram(factors)[0, 1] == 0.0
 
     def test_self_dot_nonnegative(self, rng):
-        fa, _ = self._factor_pair(rng)
-        assert diff.factored_dot(fa, fa) >= 0.0
+        factors = self._factor_pair(rng)
+        assert curvature.ng_gram(factors)[0, 0] >= 0.0
 
     def test_matches_expansion(self, rng):
         for _ in range(20):
-            fa, fb = self._factor_pair(rng)
-            expected = float(fa.expand_sum() @ fb.expand_sum())
-            got = diff.factored_dot(fa, fb)
+            factors = self._factor_pair(rng)
+            ea, eb = factors.cols([0]).expand_sum(), factors.cols([1]).expand_sum()
+            expected = float(ea @ eb)
+            got = curvature.ng_gram(factors)[0, 1]
             assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
 
     def test_plus_one_accounts_for_bias(self, rng):
-        """Dropping the +1 reproduces the weights-only dot product."""
-        fa, fb = self._factor_pair(rng)
+        """The +1 adds the bias-block dot product; dropping it leaves the weights'."""
+        factors = self._factor_pair(rng)
         weights_only = 0.0
-        for aa, va, ab, vb in zip(
-            fa.layer_adjoints, fa.layer_inputs, fb.layer_adjoints, fb.layer_inputs
-        ):
-            weights_only += float((va[:, 0] @ vb[:, 0]) * (aa[:, 0] @ ab[:, 0]))
-        ea, eb = fa.expand_sum(), fb.expand_sum()
-        for f, e in ((fa, ea), (fb, eb)):
-            for _, bsl, _, _ in f.shape.param_layout():
-                e[bsl] = 0.0
+        for a, v in zip(factors.layer_adjoints, factors.layer_inputs):
+            weights_only += float((v[:, 0] @ v[:, 1]) * (a[:, 0] @ a[:, 1]))
+        ea, eb = factors.cols([0]).expand_sum(), factors.cols([1]).expand_sum()
+        biases = [bsl for _, bsl, _, _ in factors.shape.param_layout()]
+        bias_dot = sum(float(ea[bsl] @ eb[bsl]) for bsl in biases)
+        got = curvature.ng_gram(factors)[0, 1]
+        assert abs(got - weights_only - bias_dot) <= 1e-12 * (1.0 + abs(got))
+        for bsl in biases:
+            ea[bsl] = 0.0
+            eb[bsl] = 0.0
         assert abs(weights_only - float(ea @ eb)) <= 1e-12 * (1.0 + abs(weights_only))
-
-    def test_shape_mismatch(self, rng):
-        fa, _ = self._factor_pair(rng)
-        shape2, spec2, theta2 = make_net(rng, loss.SQUARED_ERROR, hidden=[2], m_in=2, m_out=2)
-        c2 = network.forward(shape2, theta2, rng.normal(size=2))
-        _, fb = diff.vjp(shape2, theta2, c2, rng.normal(size=2))
-        with pytest.raises(ShapeError):
-            diff.factored_dot(fa, fb)
 
     def test_dots_with_matches_expansion(self, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
@@ -258,7 +256,7 @@ class TestFactoredDot:
         packed = rng.normal(size=shape.num_params)
         dots = factors.dots_with(packed)
         for i in range(4):
-            expected = float(factors.expand_sample(i) @ packed)
+            expected = float(factors.cols([i]).expand_sum() @ packed)
             assert abs(dots[i] - expected) <= 1e-12 * (1.0 + abs(expected))
 
 
@@ -269,16 +267,16 @@ def test_mixed_hidden_activations(rng):
     )
     spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY)
     theta = network.init_theta(shape, rng)
-    x = rng.normal(size=4)
-    y = random_targets(rng, spec.kind, 2)[:, 0]
+    x = rng.normal(size=(4, 1))
+    y = random_targets(rng, spec.kind, 2)
     cache = network.forward(shape, theta, x)
     g, _ = diff.gradient(shape, theta, cache, y, spec)
     fd = fd_loss_gradient(shape, theta, x, y, spec)
     assert np.max(np.abs(g - fd) / (1.0 + np.abs(fd))) < 1e-6
     for _ in range(20):
         t1 = rng.normal(size=shape.num_params)
-        xo = rng.normal(size=2)
-        lhs = float(diff.jvp(shape, theta, cache, t1) @ xo)
+        xo = rng.normal(size=(2, 1))
+        lhs = float(diff.jvp(shape, theta, cache, t1)[:, 0] @ xo[:, 0])
         packed, _ = diff.vjp(shape, theta, cache, xo)
         assert abs(lhs - float(t1 @ packed)) <= 1e-10 * (1.0 + abs(lhs))
 
@@ -289,10 +287,10 @@ def test_adjoint_identity_property(seed):
     rng = np.random.default_rng(seed)
     kind = loss.LOSS_KINDS[seed % 3]
     shape, spec, theta = make_net(rng, kind)
-    x = rng.normal(size=shape.input_size)
+    x = rng.normal(size=(shape.input_size, 1))
     cache = network.forward(shape, theta, x)
     t1 = rng.normal(size=shape.num_params)
-    xo = rng.normal(size=shape.output_size)
-    lhs = float(diff.jvp(shape, theta, cache, t1) @ xo)
+    xo = rng.normal(size=(shape.output_size, 1))
+    lhs = float(diff.jvp(shape, theta, cache, t1)[:, 0] @ xo[:, 0])
     packed, _ = diff.vjp(shape, theta, cache, xo)
     assert abs(lhs - float(t1 @ packed)) <= 1e-10 * (1.0 + abs(lhs))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from smwopt import network
 from smwopt.counters import OpCounters
 from smwopt.exceptions import NumericError, ShapeError
+from smwopt.oracles import activation_jacobian, pack
 from tests.conftest import scalar_forward
 
 
@@ -24,7 +25,7 @@ class TestShapeAndPacking:
     def test_pack_unpack_round_trip(self, seed):
         shape = network.NetworkShape((3, 5, 2), ("logistic", "linear"))
         theta = np.random.default_rng(seed).normal(size=shape.num_params)
-        packed = network.pack(shape, network.unpack(shape, theta))
+        packed = pack(shape, network.unpack(shape, theta))
         assert np.array_equal(packed, theta)
 
     def test_mnist_parameter_count(self):
@@ -54,27 +55,27 @@ class TestShapeAndPacking:
 class TestForward:
     def test_identity_linear(self):
         shape = network.NetworkShape((2, 2), ("linear",))
-        theta = network.pack(shape, [(np.eye(2), np.zeros(2))])
-        cache = network.forward(shape, theta, np.array([1.0, 2.0]))
+        theta = pack(shape, [(np.eye(2), np.zeros(2))])
+        cache = network.forward(shape, theta, np.array([[1.0], [2.0]]))
         assert np.array_equal(cache.output[:, 0], [1.0, 2.0])
 
     def test_logistic_at_zero(self, rng):
         shape = network.NetworkShape((3, 2), ("logistic",))
         theta = np.zeros(shape.num_params)
-        cache = network.forward(shape, theta, rng.normal(size=3))
+        cache = network.forward(shape, theta, rng.normal(size=(3, 1)))
         assert np.array_equal(cache.output[:, 0], [0.5, 0.5])
 
     def test_against_scalar_loop(self, rng):
         shape = network.NetworkShape((3, 4, 2), ("logistic", "softmax"))
         theta = network.init_theta(shape, rng)
-        x = rng.normal(size=3)
+        x = rng.normal(size=(3, 1))
         cache = network.forward(shape, theta, x)
         params = [
             ([list(row) for row in w], list(b))
             for w, b in network.unpack(shape, theta)
         ]
         expected = scalar_forward(
-            shape.layer_sizes, shape.activations, params, list(x)
+            shape.layer_sizes, shape.activations, params, list(x[:, 0])
         )
         assert np.max(np.abs(cache.output[:, 0] - expected)) < 1e-14
 
@@ -84,7 +85,7 @@ class TestForward:
         x = rng.normal(size=(3, 4))
         batch = network.forward(shape, theta, x)
         for i in range(4):
-            single = network.forward(shape, theta, x[:, i])
+            single = network.forward(shape, theta, x[:, [i]])
             assert np.max(np.abs(batch.output[:, i] - single.output[:, 0])) < 1e-14
 
     def test_deterministic(self, rng):
@@ -100,14 +101,14 @@ class TestForward:
     def test_input_length_mismatch(self, rng):
         shape = network.NetworkShape((3, 2), ("linear",))
         with pytest.raises(ShapeError):
-            network.forward(shape, np.zeros(shape.num_params), np.zeros(4))
+            network.forward(shape, np.zeros(shape.num_params), np.zeros((4, 1)))
 
     def test_nonfinite_names_layer(self):
         shape = network.NetworkShape((2, 2, 2), ("linear", "linear"))
         theta = np.zeros(shape.num_params)
         theta[0] = np.inf
         with pytest.raises(NumericError, match="layer 1"):
-            network.forward(shape, theta, np.ones(2))
+            network.forward(shape, theta, np.ones((2, 1)))
 
     def test_forward_counter(self, rng):
         shape = network.NetworkShape((3, 2), ("linear",))
@@ -144,20 +145,20 @@ class TestActivations:
     def test_jacobian_linear(self, rng):
         h = rng.normal(size=4)
         assert np.array_equal(
-            network.activation_jacobian("linear", h, h), np.eye(4)
+            activation_jacobian("linear", h, h), np.eye(4)
         )
 
     def test_jacobian_logistic_at_half(self):
         v = 0.5 * np.ones(3)
         assert np.array_equal(
-            network.activation_jacobian("logistic", np.zeros(3), v),
+            activation_jacobian("logistic", np.zeros(3), v),
             0.25 * np.eye(3),
         )
 
     def test_jacobian_softmax_uniform(self):
         v = np.array([0.5, 0.5])
         expected = np.array([[0.25, -0.25], [-0.25, 0.25]])
-        out = network.activation_jacobian("softmax", np.zeros(2), v)
+        out = activation_jacobian("softmax", np.zeros(2), v)
         assert np.max(np.abs(out - expected)) < 1e-15
 
     @pytest.mark.parametrize("kind", network.ACTIVATION_KINDS)
@@ -166,7 +167,7 @@ class TestActivations:
         for _ in range(10):
             h = rng.uniform(-5.0, 5.0, size=4)
             v = network.apply_activation(kind, h.reshape(-1, 1))[:, 0]
-            jac = network.activation_jacobian(kind, h, v)
+            jac = activation_jacobian(kind, h, v)
             fd = np.zeros((4, 4))
             for k in range(4):
                 hp, hm = h.copy(), h.copy()
@@ -185,5 +186,5 @@ class TestActivations:
         u = rng.normal(size=(4, 3))
         applied = network.act_jac_apply(kind, v, u)
         for i in range(3):
-            jac = network.activation_jacobian(kind, h[:, i], v[:, i])
+            jac = activation_jacobian(kind, h[:, i], v[:, i])
             assert np.max(np.abs(applied[:, i] - jac @ u[:, i])) < 1e-14

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smwopt import curvature, loss, network, optim, solver
+from smwopt import curvature, loss, network, optim, oracles, solver
 from smwopt.exceptions import ConfigError
 
 
@@ -216,7 +216,7 @@ class TestSmwStep:
         shape, spec, x, y = linear_regression_data(rng, n=8)
         design = np.hstack([x, np.ones((8, 1))])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        theta_star = network.pack(shape, [(coef[:3].T, coef[3])])
+        theta_star = oracles.pack(shape, [(coef[:3].T, coef[3])])
         config = optim.OptimizerConfig(
             method=optim.SMW_GN, n1=8, n2=8, alpha=1.0, lambda_lm=0.0, tau=1e-10
         )

@@ -41,7 +41,7 @@ class TestSmwDirection:
     def test_zero_jacobian_degenerates_to_scaled_gradient(self, rng):
         # A saturated logistic output zeroes the activation jacobian, hence J.
         shape = network.NetworkShape((2, 1), ("logistic",))
-        theta = network.pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
+        theta = oracles.pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
         cache = network.forward(shape, theta, np.ones((2, 3)))
         spec = loss.LossSpec(loss.BINARY_CROSS_ENTROPY)
         y = np.zeros((1, 3))
@@ -196,7 +196,7 @@ class TestDenseOracle:
 class TestHfCg:
     def test_zero_jacobian_one_iteration(self, rng):
         shape = network.NetworkShape((2, 1), ("logistic",))
-        theta = network.pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
+        theta = oracles.pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
         cache = network.forward(shape, theta, np.ones((2, 3)))
         spec = loss.LossSpec(loss.BINARY_CROSS_ENTROPY)
         y = np.zeros((1, 3))
