@@ -48,12 +48,15 @@ class BackpropFactors:
 
     def expand_sum(self, weights=None) -> np.ndarray:
         """Packed sum over samples of the factored vectors, optionally weighted."""
-        parts = []
-        for a, v in zip(self.layer_adjoints, self.layer_inputs):
+        out = np.empty(self.shape.num_params)
+        for a, v, (wsl, bsl, m_out, m_in) in zip(
+            self.layer_adjoints, self.layer_inputs, self.shape.param_layout()
+        ):
             aw = a if weights is None else a * np.asarray(weights)[None, :]
-            parts.append((aw @ v.T).reshape(-1, order="F"))
-            parts.append(np.sum(aw, axis=1))
-        return np.concatenate(parts)
+            # The column-major weight block is the transpose, row-major.
+            out[wsl].reshape(m_in, m_out)[...] = (aw @ v.T).T
+            np.sum(aw, axis=1, out=out[bsl])
+        return out
 
     def dots_with(self, packed) -> np.ndarray:
         """Dot products of the factored vectors with a packed vector.

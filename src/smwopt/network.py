@@ -148,7 +148,14 @@ def act_jac_apply(kind: str, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     if kind == LINEAR:
         return np.array(u, copy=True)
     if kind == LOGISTIC:
-        return v * (1.0 - v) * u
+        r = 1.0 - v
+        r *= v
+        # In place only where r * u would come out C-ordered anyway: the
+        # result's memory layout steers the BLAS calls that consume it.
+        if r.shape == u.shape and r.flags.c_contiguous and u.flags.c_contiguous:
+            r *= u
+            return r
+        return r * u
     if kind == SOFTMAX:
         return v * u - v * np.sum(v * u, axis=0, keepdims=True)
     raise ShapeError(f"unknown activation kind: {kind!r}")
@@ -210,7 +217,8 @@ def forward(
     cache = ForwardCache(shape=shape, x=cols)
     v = cols
     for l, ((w, b), kind) in enumerate(zip(params, shape.activations), start=1):
-        h = w @ v + b[:, None]
+        h = w @ v
+        h += b[:, None]
         if not np.all(np.isfinite(h)):
             raise NumericError(f"non-finite pre-activation at layer {l}")
         v = apply_activation(kind, h)

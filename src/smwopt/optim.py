@@ -7,7 +7,11 @@ the unscaled trial point theta + p, updates the damping state, and
 applies theta + alpha * p. In semi-stochastic mode the gradient and
 objective use the full data set, alpha is 1, and the step is applied only
 when rho clears the acceptance threshold eta (which makes the sequence of
-objective values non-increasing).
+objective values non-increasing). The next iterate is then either the
+trial point or the unchanged theta, so each semi-stochastic iteration
+makes one full-set forward pass, the trial forward, and reuses it (or
+this iteration's own forward after a rejection) as the forward pass of
+the next iteration.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from . import curvature, damping as damping_mod, diff, loss as loss_mod, solver
 from .counters import OpCounters
 from .exceptions import ConfigError
-from .network import NetworkShape, forward, init_theta
+from .network import ForwardCache, NetworkShape, forward, init_theta
 
 SGD = "sgd"
 HF = "hf"
@@ -130,7 +134,14 @@ class Trainer:
     """Owns the parameter vector, damping state, counters, and batch stream.
 
     inputs is (N, m0) and targets (N, m_L) with samples as rows; they are
-    stored transposed so batches slice out as column blocks.
+    stored transposed so batches slice out as column blocks. The inputs
+    are kept column-major (a view of a row-major caller array), the layout
+    of every gathered batch, so the unsliced full set rounds like a batch
+    in the BLAS products.
+
+    The trainer only ever rebinds self.theta and never writes into it, and
+    neither may callers: a semi-stochastic step reuses the forward cache of
+    the current iterate while self.theta is the array it was computed at.
     """
 
     def __init__(
@@ -140,7 +151,6 @@ class Trainer:
         inputs: np.ndarray,
         targets: np.ndarray,
         config: OptimizerConfig,
-        theta0: np.ndarray | None = None,
         test_inputs: np.ndarray | None = None,
         test_targets: np.ndarray | None = None,
     ):
@@ -154,7 +164,7 @@ class Trainer:
             )
         self.shape = shape
         self.spec = spec
-        self.x = np.ascontiguousarray(inputs.T)
+        self.x = np.asfortranarray(inputs.T)
         self.y = np.ascontiguousarray(targets.T)
         self.n_samples = inputs.shape[0]
         n1 = config.n1
@@ -167,11 +177,10 @@ class Trainer:
             raise ConfigError(f"n1={n1} exceeds data set size {self.n_samples}")
         self.config = config
         seed_init, seed_batch = np.random.SeedSequence(config.seed).spawn(2)
-        self.theta = (
-            init_theta(shape, np.random.default_rng(seed_init))
-            if theta0 is None
-            else np.array(theta0, dtype=np.float64, copy=True)
-        )
+        self.theta = init_theta(shape, np.random.default_rng(seed_init))
+        # (theta, full-set forward cache at theta) of the current
+        # semi-stochastic iterate; valid while self.theta is that array.
+        self._iterate: tuple[np.ndarray, ForwardCache] | None = None
         self.sampler = EpochSampler(
             np.random.default_rng(seed_batch), self.n_samples, n1, config.n2
         )
@@ -203,18 +212,15 @@ class Trainer:
         # Curvature sample positions within the gradient batch: S2 is a
         # prefix of S1.
         positions = np.arange(s2.size)
-        accept_threshold = None
         if self.config.semi_stochastic:
             # Evaluate the full-set objective in fixed index order so
             # rejected steps reproduce f(theta) bit for bit; the curvature
             # sub-batch keeps the random draw.
-            s1 = np.arange(self.n_samples)
-            positions = s2
-            accept_threshold = self.config.eta
+            s1, positions = slice(None), s2
         try:
             if self.config.method == SGD:
                 return self.step_sgd(s1)
-            return self._second_order_step(s1, positions, accept_threshold)
+            return self._second_order_step(s1, positions)
         except (ArithmeticError, FloatingPointError) as err:
             raise TrainingError(self.t, err) from err
 
@@ -251,12 +257,17 @@ class Trainer:
             )
         return solver.smw_direction(self.shape, self.theta, system, g, self.counters)
 
-    def _second_order_step(
-        self, s1, positions, accept_threshold: float | None
-    ) -> IterationRecord:
-        """Curvature step; applied only when rho clears accept_threshold."""
+    def _second_order_step(self, s1, positions) -> IterationRecord:
+        """Curvature step; semi-stochastic steps are applied only when rho >= eta.
+
+        In semi-stochastic mode s1 is slice(None), and the forward cache of
+        the iterate the step ends at is kept for the next step.
+        """
         x1, y1 = self.x[:, s1], self.y[:, s1]
-        cache1 = forward(self.shape, self.theta, x1, self.counters)
+        if self._iterate is not None and self._iterate[0] is self.theta:
+            cache1 = self._iterate[1]
+        else:
+            cache1 = forward(self.shape, self.theta, x1, self.counters)
         f_before = self._mean_loss(cache1, y1)
         g, gfactors = diff.gradient(
             self.shape, self.theta, cache1, y1, self.spec, self.counters
@@ -271,9 +282,14 @@ class Trainer:
             f_before, f_after, result.grad_dot, result.quad_term
         )
         self.damping = damping_mod.update_lambda(self.damping, report.rho)
-        accepted = accept_threshold is None or report.rho >= accept_threshold
+        semi = self.config.semi_stochastic
+        accepted = not semi or report.rho >= self.config.eta
         if accepted:
             self.theta = self.theta + self.config.alpha * result.p
+        if semi:
+            # alpha is 1 and theta + 1.0 * p == theta + p bit for bit, so
+            # an accepted step lands exactly on the trial point.
+            self._iterate = (self.theta, trial_cache if accepted else cache1)
         return self._record(
             batch_loss=f_before,
             rho=report.rho,
@@ -281,7 +297,7 @@ class Trainer:
             grad_norm=float(np.linalg.norm(g)),
             step_norm=result.step_norm,
             accepted=accepted,
-            batch_size=s1.size,
+            batch_size=x1.shape[1],
         )
 
     def _record(
@@ -307,7 +323,10 @@ class Trainer:
         total = 0.0
         for start in range(0, x.shape[1], EVAL_CHUNK):
             sl = slice(start, min(start + EVAL_CHUNK, x.shape[1]))
-            cache = forward(self.shape, self.theta, x[:, sl], self.counters)
+            # Row-major chunks, like the test set: the layout of a BLAS
+            # operand can move the last bits of the loss.
+            chunk = np.ascontiguousarray(x[:, sl])
+            cache = forward(self.shape, self.theta, chunk, self.counters)
             total += float(np.sum(loss_mod.loss_value(self.spec, cache, y[:, sl])))
         return total / x.shape[1]
 

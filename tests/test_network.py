@@ -182,9 +182,30 @@ class TestActivations:
     @pytest.mark.parametrize("kind", network.ACTIVATION_KINDS)
     def test_apply_matches_materialized(self, kind, rng):
         h = rng.normal(size=(4, 3))
-        v = network.apply_activation(kind, h)
         u = rng.normal(size=(4, 3))
-        applied = network.act_jac_apply(kind, v, u)
-        for i in range(3):
-            jac = activation_jacobian(kind, h[:, i], v[:, i])
-            assert np.max(np.abs(applied[:, i] - jac @ u[:, i])) < 1e-14
+        u_in = u.copy()
+        for order in ("C", "F"):  # a gathered batch is column-major
+            v = np.asarray(network.apply_activation(kind, h), order=order)
+            v_in = v.copy()
+            applied = network.act_jac_apply(kind, v, u)
+            assert np.array_equal(v, v_in) and np.array_equal(u, u_in)
+            for i in range(3):
+                jac = activation_jacobian(kind, h[:, i], v[:, i])
+                assert np.max(np.abs(applied[:, i] - jac @ u[:, i])) < 1e-14
+
+    def test_logistic_apply_keeps_product_layout(self, rng):
+        """Bits and memory layout of v * (1 - v) * u for every operand layout.
+
+        The layout of an adjoint decides how later BLAS products round.
+        """
+        h = rng.normal(size=(5, 4))
+        u = rng.normal(size=(5, 4))
+        for v_order in "CF":
+            for u_order in "CF":
+                v = np.asarray(network.sigmoid(h), order=v_order)
+                uo = np.asarray(u, order=u_order)
+                expected = v * (1.0 - v) * uo
+                got = network.act_jac_apply(network.LOGISTIC, v, uo)
+                assert np.array_equal(got, expected)
+                assert got.flags.c_contiguous == expected.flags.c_contiguous
+                assert got.flags.f_contiguous == expected.flags.f_contiguous

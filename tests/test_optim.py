@@ -108,7 +108,8 @@ class TestSgd:
         cache = network.forward(shape, theta0, x.T)
         fitted = cache.output.T.copy()
         config = optim.OptimizerConfig(method=optim.SGD, n1=4, n2=1, alpha=0.5)
-        trainer = optim.Trainer(shape, spec, x, fitted, config, theta0=theta0)
+        trainer = optim.Trainer(shape, spec, x, fitted, config)
+        trainer.theta = theta0
         trainer.step()
         assert np.array_equal(trainer.theta, theta0)
 
@@ -116,8 +117,9 @@ class TestSgd:
         shape, spec, x, y = linear_regression_data(rng, n=4)
         theta0 = network.init_theta(shape, rng)
         config = optim.OptimizerConfig(method=optim.SGD, n1=4, n2=1, alpha=0.1, seed=9)
-        trainer = optim.Trainer(shape, spec, x, y, config, theta0=theta0)
-        probe = optim.Trainer(shape, spec, x, y, config, theta0=theta0)
+        trainer = optim.Trainer(shape, spec, x, y, config)
+        trainer.theta = theta0
+        probe = optim.Trainer(shape, spec, x, y, config)
         s1, _ = probe.sampler.sample_batches()
         cache = network.forward(shape, theta0, x[s1].T)
         from smwopt import diff
@@ -136,7 +138,8 @@ class TestSgd:
         config = optim.OptimizerConfig(
             method=optim.SGD, n1=30, n2=1, alpha=alpha, seed=0
         )
-        trainer = optim.Trainer(shape, spec, x, y, config, theta0=theta0)
+        trainer = optim.Trainer(shape, spec, x, y, config)
+        trainer.theta = theta0
         for _ in range(10):
             trainer.step()
 
@@ -205,7 +208,8 @@ class TestSmwStep:
         config = optim.OptimizerConfig(
             method=optim.SMW_GN, n1=4, n2=2, alpha=1.0, lambda_lm=1.0
         )
-        trainer = optim.Trainer(shape, spec, x, fitted, config, theta0=theta0)
+        trainer = optim.Trainer(shape, spec, x, fitted, config)
+        trainer.theta = theta0
         rec = trainer.step()
         assert np.array_equal(trainer.theta, theta0)
         assert rec.rho == -math.inf
@@ -315,19 +319,19 @@ class TestSmwStep:
     def test_numeric_failure_reports_iteration(self, rng):
         shape, spec, x, y = linear_regression_data(rng, n=4)
         config = optim.OptimizerConfig(method=optim.SMW_GN, n1=4, n2=2)
-        trainer = optim.Trainer(
-            shape, spec, x, y, config,
-            theta0=np.full(shape.num_params, np.inf),
-        )
+        trainer = optim.Trainer(shape, spec, x, y, config)
+        trainer.theta = np.full(shape.num_params, np.inf)
         with pytest.raises(optim.TrainingError, match="iteration 0"):
             trainer.step()
 
 
 class TestSemiStochastic:
-    def make_trainer(self, seed=0, n2=10, lambda_lm=1.0, theta_scale=1.0):
+    def make_trainer(
+        self, seed=0, n2=10, lambda_lm=1.0, theta_scale=1.0, method=optim.SMW_GN
+    ):
         rng = np.random.default_rng(seed)
         config = optim.OptimizerConfig(
-            method=optim.SMW_GN,
+            method=method,
             n1=100,
             n2=n2,
             alpha=1.0,
@@ -385,6 +389,44 @@ class TestSemiStochastic:
         losses = [rec.batch_loss for rec in trainer.run(80, eval_interval=0)]
         diffs = np.diff(np.array(losses))
         assert np.all(diffs <= 1e-12)
+
+    @pytest.mark.parametrize("method", [optim.HF, optim.SMW_GN, optim.SMW_NG])
+    def test_reused_forward_matches_recomputed(self, method):
+        """Reusing the iterate's forward changes nothing but forward_passes."""
+        kwargs = dict(seed=2, lambda_lm=1e-3, theta_scale=3.0, method=method)
+        reusing, recomputing = self.make_trainer(**kwargs), self.make_trainer(**kwargs)
+        n = reusing.n_samples
+        accepted = set()
+        passes = recomputing.counters.forward_passes
+        for _ in range(30):
+            recomputing.theta = recomputing.theta.copy()
+            a, b = reusing.step(), recomputing.step()
+            # A fresh theta array forces both forwards again.
+            assert b.counters.forward_passes - passes == 2 * n
+            passes = b.counters.forward_passes
+            a.wall_time = b.wall_time = 0.0
+            a.counters.forward_passes = b.counters.forward_passes = 0
+            assert a == b
+            accepted.add(a.accepted)
+        assert accepted == {True, False}
+
+    def test_forward_passes_count_one_full_set_per_iteration(self):
+        trainer = self.make_trainer(seed=2, lambda_lm=1e-3, theta_scale=3.0)
+        n = trainer.n_samples
+        counts = [0] + [trainer.step().counters.forward_passes for _ in range(6)]
+        assert np.diff(counts).tolist() == [2 * n] + [n] * 5
+        trainer.theta = trainer.theta.copy()
+        assert trainer.step().counters.forward_passes - counts[-1] == 2 * n
+
+    def test_rebound_theta_is_not_served_the_old_forward(self):
+        trainer = self.make_trainer(seed=1)
+        for _ in range(3):
+            trainer.step()
+        stale = trainer.full_loss()
+        trainer.theta = 0.5 * trainer.theta
+        expected = trainer.full_loss()
+        assert expected != pytest.approx(stale, rel=1e-6)
+        assert trainer.step().batch_loss == pytest.approx(expected, rel=1e-12)
 
 
 class TestRunLoop:
