@@ -2,7 +2,7 @@
 
 For a curvature batch of B samples the full-parameter matrix is never
 formed. Instead the solve works through one small symmetric positive
-definite core matrix,
+definite core matrix, Cholesky-factored once when its system is built,
 
     core = lam * I + gram / B,
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import diff, linalg, loss as loss_mod
 from .counters import OpCounters
-from .exceptions import ShapeError
+from .exceptions import NotSpdError, ShapeError
 from .network import ForwardCache, NetworkShape
 
 GN = "gn"
@@ -109,13 +109,21 @@ class GramSystem:
 
     factors.dots_with(v) is U^T v for both methods: GnBatchFactors for
     Gauss-Newton, the per-sample gradient factors for natural gradient.
+    core_factor is the lower Cholesky factor of core, computed once here
+    and reused by every core solve of the direction.
     """
 
     method: str
     core: np.ndarray
+    core_factor: np.ndarray
     lam: float
     n2: int
     factors: diff.BackpropFactors
+
+    def solve_core(self, rhs: np.ndarray) -> np.ndarray:
+        """core^-1 rhs by two triangular solves with the kept factor."""
+        lower = self.core_factor
+        return linalg.solve_upper(lower.T, linalg.solve_lower(lower, rhs))
 
 
 def assemble_d(gram: np.ndarray, lam: float, n2: int) -> np.ndarray:
@@ -131,6 +139,21 @@ def assemble_d(gram: np.ndarray, lam: float, n2: int) -> np.ndarray:
     return core
 
 
+def _factored_system(method, gram, lam, factors) -> GramSystem:
+    """Assemble the core over the factors' samples and factor it once."""
+    n2 = factors.ncols
+    core = assemble_d(gram, lam, n2)
+    try:
+        lower = linalg.cholesky(core)
+    except NotSpdError as err:
+        diag = np.diag(core)
+        raise ArithmeticError(
+            f"core factorization failed at lambda={lam:.6e} "
+            f"(diag range [{diag.min():.3e}, {diag.max():.3e}]): {err}"
+        ) from err
+    return GramSystem(method, core, lower, lam, n2, factors)
+
+
 def build_gn_system(
     shape: NetworkShape,
     theta,
@@ -139,13 +162,11 @@ def build_gn_system(
     lam: float,
     counters: OpCounters | None = None,
 ) -> GramSystem:
-    """Factor the batch, form the Gram matrix, and assemble the GN core."""
+    """Factor the batch, form the Gram matrix, and factor the GN core."""
     batch = gn_batch_factors(shape, theta, cache, spec, counters)
-    core = assemble_d(gn_block_gram(batch), lam, batch.ncols)
-    return GramSystem(GN, core, lam, batch.ncols, batch)
+    return _factored_system(GN, gn_block_gram(batch), lam, batch)
 
 
 def build_ng_system(factors: diff.BackpropFactors, lam: float) -> GramSystem:
-    """Assemble the natural-gradient core from per-sample gradient factors."""
-    core = assemble_d(ng_gram(factors), lam, factors.ncols)
-    return GramSystem(NG, core, lam, factors.ncols, factors)
+    """Assemble and factor the natural-gradient core from per-sample gradient factors."""
+    return _factored_system(NG, ng_gram(factors), lam, factors)

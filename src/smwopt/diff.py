@@ -53,8 +53,9 @@ class BackpropFactors:
             self.layer_adjoints, self.layer_inputs, self.shape.param_layout()
         ):
             aw = a if weights is None else a * np.asarray(weights)[None, :]
-            # The column-major weight block is the transpose, row-major.
-            out[wsl].reshape(m_in, m_out)[...] = (aw @ v.T).T
+            # The column-major (m_out, m_in) weight block is v aw^T read
+            # row-major, so the product is written straight into it.
+            np.matmul(v, aw.T, out=out[wsl].reshape(m_in, m_out))
             np.sum(aw, axis=1, out=out[bsl])
         return out
 
@@ -124,7 +125,9 @@ def gradient(
     factors = BackpropFactors(shape, adjoints, _layer_inputs(cache))
     if counters is not None:
         counters.backward_passes += cache.ncols
-    return factors.expand_sum() / cache.ncols, factors
+    packed = factors.expand_sum()
+    packed /= cache.ncols
+    return packed, factors
 
 
 def jvp(

@@ -1,10 +1,15 @@
-"""Minimal dense linear algebra: validated symmetric positive definite solves.
+"""Minimal dense linear algebra: a validated Cholesky factor and its solves.
 
-All routines operate on float64 numpy arrays; non-finite operands raise
-NumericError. Factorizations and solves are LAPACK calls through
-np.linalg, so repeated calls on identical inputs give bit-identical
-results. A Cholesky failure still reports the offending pivot: it is
-located only on the failure path, by bisecting over leading blocks.
+All routines operate on float64 numpy arrays. cholesky validates its
+operand (non-finite entries raise NumericError, asymmetry ShapeError)
+and is LAPACK's through np.linalg; a failure still reports the offending
+pivot, located only on the failure path by bisecting over leading blocks.
+A symmetric positive definite system a x = rhs is solved with the factor
+L = cholesky(a) as solve_upper(L.T, solve_lower(L, rhs)). numpy exposes
+no triangular solve, so both solves recurse on 2 x 2 block partitions
+(Golub & Van Loan, sec. 3.1) and call np.linalg.solve only on diagonal
+blocks of at most LEAF_ROWS rows. Every step is deterministic, so
+repeated calls on identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import numpy as np
 from .exceptions import NotSpdError, NumericError, ShapeError
 
 SYMMETRY_TOL = 1e-10
+LEAF_ROWS = 48
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -30,19 +36,6 @@ def _as_square(a) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix must be square, got {a.shape}")
     return a
-
-
-def _check_system(a, rhs) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a square matrix and a 1- or 2-dimensional right-hand side."""
-    a = _as_square(a)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.ndim not in (1, 2):
-        raise ShapeError(f"rhs must be 1- or 2-dimensional, got ndim={rhs.ndim}")
-    if rhs.shape[0] != a.shape[0]:
-        raise ShapeError(f"rhs has {rhs.shape[0]} rows, expected {a.shape[0]}")
-    if not np.all(np.isfinite(rhs)):
-        raise NumericError("rhs contains non-finite entries")
-    return a, rhs
 
 
 def _is_spd(a: np.ndarray) -> bool:
@@ -70,7 +63,7 @@ def _first_bad_pivot(a: np.ndarray) -> NotSpdError:
     j = good
     pivot = a[j, j]
     if j:
-        row = np.linalg.solve(np.linalg.cholesky(a[:j, :j]), a[j, :j])
+        row = solve_lower(np.linalg.cholesky(a[:j, :j]), a[j, :j])
         pivot -= row @ row
     return NotSpdError(j, float(pivot))
 
@@ -93,13 +86,30 @@ def cholesky(a) -> np.ndarray:
         raise _first_bad_pivot(a) from None
 
 
-def solve_spd(a, rhs) -> np.ndarray:
-    """Solve a @ x = rhs for symmetric positive definite a.
+def solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with lower @ x = rhs for a nonsingular lower-triangular matrix.
 
-    cholesky validates symmetry and definiteness; the solve itself is
-    LAPACK's LU, since numpy exposes no triangular solve.
+    rhs is 1- or 2-dimensional. The leading half is solved first, and the
+    trailing half after one matrix product removes the leading unknowns.
     """
-    a, rhs = _check_system(a, rhs)
-    cholesky(a)
-    return np.linalg.solve(a, rhs)
+    n = len(lower)
+    if n <= LEAF_ROWS:
+        return np.linalg.solve(lower, rhs)
+    k = n // 2
+    head = solve_lower(lower[:k, :k], rhs[:k])
+    tail = solve_lower(lower[k:, k:], rhs[k:] - lower[k:, :k] @ head)
+    return np.concatenate((head, tail))
 
+
+def solve_upper(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with upper @ x = rhs for a nonsingular upper-triangular matrix.
+
+    The mirror of solve_lower: the trailing half is solved first.
+    """
+    n = len(upper)
+    if n <= LEAF_ROWS:
+        return np.linalg.solve(upper, rhs)
+    k = n // 2
+    tail = solve_upper(upper[k:, k:], rhs[k:])
+    head = solve_upper(upper[:k, :k], rhs[:k] - upper[:k, k:] @ tail)
+    return np.concatenate((head, tail))

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import curvature, diff, linalg, loss as loss_mod, network, solver
+from . import curvature, diff, loss as loss_mod, network, solver
 from .exceptions import ShapeError
 
 DENSE_ORACLE_MAX_PARAMS = 5000
@@ -207,7 +207,7 @@ def dense_direction_oracle(
     """Solve (B_t + lam I) p = -g with B_t materialized."""
     b_mat, g = build_curvature_matrix(shape, theta, x, y, spec, method)
     a = b_mat + lam * np.eye(shape.num_params)
-    p = linalg.solve_spd(a, -g)
+    p = np.linalg.solve(a, -g)
     return solver.DirectionResult(
         p=p, grad_dot=float(g @ p), quad_term=float(p @ b_mat @ p)
     )

@@ -5,7 +5,13 @@ G_t = B_t + lam * I, the update direction solves G_t p = -g. Writing
 B_t = U U^T / n2, the Woodbury route reduces this to one small symmetric
 positive definite core solve:
 
-    p = -(1/lam) * (g - U q / n2),   q = core^-1 (U^T g)
+    p = -(1/lam) * (g - U q),   q = core^-1 (U^T g) / n2
+
+The core is Cholesky-factored once when its GramSystem is built; every
+core solve of the direction, refinement included, is two triangular
+solves with that factor. The 1/n2 scale is applied to the short core
+vector q, and the step is formed in place in the fresh array that U q
+was expanded into; g and the system's factors are only read.
 
 For both methods U^T v is a set of factored dot products with the
 backward factors the core was built from: per-sample gradients for
@@ -24,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvature, diff, linalg, loss as loss_mod
+from . import curvature, diff, loss as loss_mod
 from .counters import OpCounters
-from .exceptions import ConfigError, NotSpdError, NumericError
+from .exceptions import ConfigError, NumericError
 from .network import ForwardCache, NetworkShape
 
 @dataclass
@@ -75,18 +81,6 @@ def quadratic_terms(
     return _finite_model(float(g @ p), float(np.sum(dots**2) / system.n2))
 
 
-def _core_solve(system: curvature.GramSystem, rhs: np.ndarray) -> np.ndarray:
-    """core^-1 rhs through the symmetric positive definite solve."""
-    try:
-        return linalg.solve_spd(system.core, rhs)
-    except NotSpdError as err:
-        diag = np.diag(system.core)
-        raise ArithmeticError(
-            f"core factorization failed at lambda={system.lam:.6e} "
-            f"(diag range [{diag.min():.3e}, {diag.max():.3e}]): {err}"
-        ) from err
-
-
 def _expand(shape, theta, system, w, counters) -> np.ndarray:
     """U w, the one step whose kernel depends on the method.
 
@@ -103,10 +97,13 @@ def _expand(shape, theta, system, w, counters) -> np.ndarray:
 
 
 def _apply_damped_inverse(shape, theta, system, v, counters):
-    """(B_t + lam I)^-1 v through the Woodbury identity."""
-    q = _core_solve(system, system.factors.dots_with(v))
-    correction = _expand(shape, theta, system, q, counters)
-    return (v - correction / system.n2) / system.lam
+    """(B_t + lam I)^-1 v through the Woodbury identity, in a fresh array."""
+    q = system.solve_core(system.factors.dots_with(v))
+    q /= system.n2
+    out = _expand(shape, theta, system, q, counters)
+    np.subtract(v, out, out=out)
+    out /= system.lam
+    return out
 
 
 def _gn_product(shape, theta, cache, spec, v, counters):
@@ -114,7 +111,8 @@ def _gn_product(shape, theta, cache, spec, v, counters):
     jv = diff.jvp(shape, theta, cache, v, counters)
     hjv = loss_mod.hessian_apply(spec, cache, jv)
     bv, _ = diff.vjp(shape, theta, cache, hjv, counters)
-    return bv / cache.ncols
+    bv /= cache.ncols
+    return bv
 
 
 def apply_curvature(
@@ -126,7 +124,8 @@ def apply_curvature(
 ) -> np.ndarray:
     """Matrix-free product B_t v = U U^T v / n2 for the system's batch."""
     dots = system.factors.dots_with(v)
-    return _expand(shape, theta, system, dots, counters) / system.n2
+    dots /= system.n2
+    return _expand(shape, theta, system, dots, counters)
 
 
 # Below this damping level the division by lam in the Woodbury identity
@@ -146,15 +145,14 @@ def smw_direction(
     """Exact damped-curvature direction through the small core solve."""
     g = np.asarray(g, dtype=np.float64)
     lam = system.lam
-    p = -_apply_damped_inverse(shape, theta, system, g, counters)
+    p = _apply_damped_inverse(shape, theta, system, g, counters)
+    np.negative(p, out=p)
     if lam < REFINE_LAMBDA:
         for _ in range(REFINE_ROUNDS):
             residual = -g - (
                 apply_curvature(shape, theta, system, p, counters) + lam * p
             )
-            p = p + _apply_damped_inverse(
-                shape, theta, system, residual, counters
-            )
+            p += _apply_damped_inverse(shape, theta, system, residual, counters)
     grad_dot, quad = quadratic_terms(system, g, p)
     return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)
 
@@ -186,7 +184,8 @@ def hf_cg_direction(
     p = np.zeros_like(g)
     if gnorm == 0.0:
         return DirectionResult(p=p, grad_dot=0.0, quad_term=0.0)
-    r = -g.copy()
+    # p, r and d are owned here and updated in place.
+    r = -g
     d = r.copy()
     rs = float(r @ r)
     for _ in range(cfg.max_iters):
@@ -195,15 +194,17 @@ def hf_cg_direction(
         if not (math.isfinite(dad) and dad > 0.0):
             raise NumericError(f"cg breakdown: d.Ad = {dad}")
         alpha = rs / dad
-        p = p + alpha * d
-        r = r - alpha * ad
+        p += alpha * d
+        ad *= alpha
+        r -= ad
         if not np.all(np.isfinite(p)):
             raise NumericError("cg iterate became non-finite")
         rs_new = float(r @ r)
         if np.sqrt(rs_new) <= cfg.rel_residual_tol * gnorm:
             rs = rs_new
             break
-        d = r + (rs_new / rs) * d
+        d *= rs_new / rs
+        d += r
         rs = rs_new
     bp = matvec(p) - lam * p
     grad_dot, quad = _finite_model(float(g @ p), float(p @ bp))

@@ -197,6 +197,45 @@ class TestVjp:
         assert counters.vjp_products == 3
 
 
+class TestExpandSum:
+    """BackpropFactors.expand_sum against explicit per-sample outer products,
+    on the column layouts training hands it."""
+
+    @staticmethod
+    def _outer_products(factors, weights):
+        params = []
+        for a, v in zip(factors.layer_adjoints, factors.layer_inputs):
+            w = sum(weights[i] * np.outer(a[:, i], v[:, i]) for i in range(a.shape[1]))
+            b = sum(weights[i] * a[:, i] for i in range(a.shape[1]))
+            params.append((w, b))
+        return pack(factors.shape, params)
+
+    @pytest.mark.parametrize(
+        "idx,layout",
+        [(slice(1, None, 2), "strided"), (np.array([5, 0, 3, 2]), "F")],
+        ids=["strided_view", "column_major_gather"],
+    )
+    @pytest.mark.parametrize("weighted", [False, True], ids=["sum", "weights"])
+    def test_matches_outer_products(self, idx, layout, weighted, rng):
+        shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=[5, 4])
+        cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 7)))
+        seeds = rng.normal(size=(shape.output_size, 7))
+        sub = cache.cols(idx)
+        _, from_sub_cache = diff.vjp(shape, theta, sub, seeds[:, idx], expand=False)
+        _, full = diff.vjp(shape, theta, cache, seeds, expand=False)
+        for factors in (from_sub_cache, full.cols(idx)):
+            v = factors.layer_inputs[1]
+            if layout == "F":
+                assert v.flags.f_contiguous and not v.flags.c_contiguous
+            else:
+                assert not (v.flags.c_contiguous or v.flags.f_contiguous)
+            nb = factors.ncols
+            weights = rng.normal(size=nb) if weighted else np.ones(nb)
+            got = factors.expand_sum(weights=weights if weighted else None)
+            expected = self._outer_products(factors, weights)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 class TestFactoredDot:
     """The factored identity <J_a^T x_a, J_b^T x_b> = sum_l (v_a.v_b + 1)(a_a.a_b),
     read off the off-diagonal entry of curvature.ng_gram over two columns."""

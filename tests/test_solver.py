@@ -93,26 +93,57 @@ class TestSmwDirection:
             assert res.quad_term >= -1e-10
 
     @pytest.mark.parametrize(
-        "kind,expected", [(kind, ["solve_spd", "cholesky"]) for kind in loss.LOSS_KINDS]
+        "kind,expected", [(kind, ["cholesky"]) for kind in loss.LOSS_KINDS]
     )
     def test_one_core_factorization(self, kind, expected, rng, monkeypatch):
-        """A GN direction factors its core once and no loss Hessian."""
+        """A GN direction factors its core once and no loss Hessian.
+
+        The core is solved only through the factor: no LAPACK solve sees a
+        matrix wider than a triangular leaf, so no LU of the core is made,
+        also below REFINE_LAMBDA where refinement solves the core again.
+        """
         shape, spec, theta = make_net(rng, kind, hidden=[4], m_out=10)
         nb = 30
         x = rng.normal(size=(shape.input_size, nb))
         y = random_targets(rng, kind, shape.output_size, nb)
         cache = network.forward(shape, theta, x)
         g, _ = diff.gradient(shape, theta, cache, y, spec)
-        calls = []
-        for name in ("solve_spd", "cholesky"):
-            def spy(*args, _name=name, _fn=getattr(linalg, name)):
-                calls.append(_name)
-                return _fn(*args)
+        cholesky, dense_solve = linalg.cholesky, np.linalg.solve
+        for lam in (1.0, 1e-10):
+            calls, solved = [], []
 
-            monkeypatch.setattr(linalg, name, spy)
-        system = curvature.build_gn_system(shape, theta, cache, spec, 1.0)
-        solver.smw_direction(shape, theta, system, g)
-        assert calls == expected
+            def spy_cholesky(a):
+                calls.append("cholesky")
+                return cholesky(a)
+
+            def spy_solve(a, b):
+                solved.append(len(a))
+                return dense_solve(a, b)
+
+            monkeypatch.setattr(linalg, "cholesky", spy_cholesky)
+            monkeypatch.setattr(np.linalg, "solve", spy_solve)
+            system = curvature.build_gn_system(shape, theta, cache, spec, lam)
+            solver.smw_direction(shape, theta, system, g)
+            monkeypatch.undo()
+            assert calls == expected
+            assert system.core.shape == (nb * shape.output_size,) * 2
+            assert solved and max(solved) <= linalg.LEAF_ROWS
+
+    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    def test_inputs_unchanged(self, method, rng):
+        """In-place kernels write only to buffers the direction owns."""
+        shape, spec, theta, x, y, cache, g, gfactors = build_instance(
+            rng, loss.SOFTMAX_CROSS_ENTROPY, method, nb=5
+        )
+        arrays = [theta, g, cache.x, *cache.preacts, *cache.acts]
+        arrays += gfactors.layer_adjoints
+        before = [a.tobytes() for a in arrays]
+        for lam in (1.0, 1e-10):
+            system = build_system(shape, theta, cache, spec, gfactors, lam, method)
+            core = system.core.tobytes()
+            solver.smw_direction(shape, theta, system, g)
+            assert system.core.tobytes() == core
+            assert [a.tobytes() for a in arrays] == before
 
     def test_woodbury_inverse_reconstruction(self, rng):
         """lam I + B applied densely inverts the reconstructed inverse."""
