@@ -16,7 +16,7 @@ Gauss-Newton Gram blocks come from the factored identity
     (C_i1^T J_i1 J_i2^T C_i2)_{j1 j2} = sum_l (v_i1^(l-1) . v_i2^(l-1) + 1)
                                                * (a_i1^(l,j1) . a_i2^(l,j2)),
 where a_i^(l,j) is the layer-l adjoint of the reverse sweep seeded with
-column j of C_i, so the cost is B*m_L backward factor computations plus
+column j of C_i, so the cost is one reverse sweep over B*m_L columns plus
 layer-sized matrix products, independent of the parameter count. No loss
 Hessian is inverted, so singular (softmax) and saturated (logistic)
 Hessians need no special case.
@@ -60,33 +60,35 @@ def gn_batch_factors(
     spec: loss_mod.LossSpec,
     counters: OpCounters | None = None,
 ) -> GnBatchFactors:
-    """Backward factors for the m_L Hessian-factor columns of every sample."""
+    """Backward factors for the m_L Hessian-factor columns of every sample.
+
+    One reverse sweep over all B*m_L columns: the seed for (i, j) is
+    column j of C_i, and the sweep's adjoints come out (m_l, B, m_L).
+    """
     c = loss_mod.hessian_factor(spec, cache)
-    per_seed = []
-    for j in range(shape.output_size):
-        _, factors = diff.vjp(shape, theta, cache, c[:, :, j].T, counters, expand=False)
-        per_seed.append(factors.layer_adjoints)
-    adjoints = [
-        np.stack([a[l] for a in per_seed], axis=2)
-        for l in range(shape.num_layers)
-    ]
-    return GnBatchFactors(shape, adjoints, factors.layer_inputs, cache, c)
+    seeds = c.transpose(1, 0, 2)
+    _, factors = diff.vjp(shape, theta, cache, seeds, counters, expand=False)
+    return GnBatchFactors(
+        shape, factors.layer_adjoints, factors.layer_inputs, cache, c
+    )
 
 
 def gn_block_gram(batch: GnBatchFactors) -> np.ndarray:
     """Block matrix of C_i1^T J_i1 J_i2^T C_i2 products, shape (B*m_L, B*m_L).
 
-    Block (i1, i2) is sum_l (v_i1 . v_i2 + 1) * A_i1^T A_i2 with the
-    layer contributions accumulated in fixed layer order.
+    Block (i1, i2) is sum_l (v_i1 . v_i2 + 1) * A_i1^T A_i2: each layer's
+    A^T A is scaled block by block in place and the layer contributions
+    are accumulated in fixed layer order.
     """
-    m_out = batch.shape.output_size
-    size = batch.ncols * m_out
+    nb, m_out = batch.ncols, batch.shape.output_size
+    size = nb * m_out
     gram = np.zeros((size, size))
-    ones = np.ones((m_out, m_out))
     for a, v in zip(batch.layer_adjoints, batch.layer_inputs):
-        vtil = v.T @ v + 1.0
         a = a.reshape(-1, size)
-        gram += np.kron(vtil, ones) * (a.T @ a)
+        layer = a.T @ a
+        blocks = layer.reshape(nb, m_out, nb, m_out)
+        blocks *= (v.T @ v + 1.0)[:, None, :, None]
+        gram += layer
     return gram
 
 

@@ -46,9 +46,13 @@ class BackpropFactors:
     def ncols(self) -> int:
         return self.layer_adjoints[0].shape[1]
 
-    def expand_sum(self, weights=None) -> np.ndarray:
-        """Packed sum over samples of the factored vectors, optionally weighted."""
-        out = np.empty(self.shape.num_params)
+    def expand_sum(self, weights=None, out=None) -> np.ndarray:
+        """Packed sum over samples of the factored vectors, optionally weighted.
+
+        Written into out, a parameter-length buffer, when given.
+        """
+        if out is None:
+            out = np.empty(self.shape.num_params)
         for a, v, (wsl, bsl, m_out, m_in) in zip(
             self.layer_adjoints, self.layer_inputs, self.shape.param_layout()
         ):
@@ -92,16 +96,26 @@ def _layer_inputs(cache: ForwardCache) -> list[np.ndarray]:
 def _backward_adjoints(
     shape: NetworkShape, params, cache: ForwardCache, seed: np.ndarray
 ) -> list[np.ndarray]:
-    """Run the adjoint recursion from an h_L-space seed down to layer 1."""
+    """Run the adjoint recursion from an h_L-space seed down to layer 1.
+
+    A seed with a trailing axis, (m_L, B, k), is swept as B*k columns in
+    one matrix product per layer; every adjoint keeps that layout.
+    """
     nl = shape.num_layers
     adjoints: list[np.ndarray] = [None] * nl
     adjoints[nl - 1] = seed
     a = seed
     for l in range(nl - 1, 0, -1):
         w_next = params[l][0]
-        a = act_jac_apply(shape.activations[l - 1], cache.v(l), w_next.T @ a)
+        u = (w_next.T @ a.reshape(len(a), -1)).reshape(-1, *a.shape[1:])
+        a = act_jac_apply(shape.activations[l - 1], _trailing(cache.v(l), a), u)
         adjoints[l - 1] = a
     return adjoints
+
+
+def _trailing(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Layer values v, given the trailing axis of like so they broadcast."""
+    return v[:, :, None] if like.ndim == 3 else v
 
 
 def gradient(
@@ -165,24 +179,31 @@ def vjp(
     x_out,
     counters: OpCounters | None = None,
     expand: bool = True,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, BackpropFactors]:
     """Reverse-mode product J_i^T x_i for every sample column.
 
-    x_out holds one output-space seed column per sample column. The packed
-    result sums J_i^T x_i over columns. With expand=False only the factors
-    are computed and the outer-product expansion is skipped.
+    x_out holds one output-space seed column per sample column, (m_L, B).
+    The packed result sums J_i^T x_i over columns and is written into out
+    when given. With expand=False only the factors are computed and the
+    outer-product expansion is skipped; only then may x_out carry k seeds
+    per sample, (m_L, B, k), which one backward sweep over B*k columns
+    turns into factors with adjoints of shape (m_l, B, k). Counters advance
+    by the number of seed columns.
     """
     params = unpack(shape, theta)
     x = np.asarray(x_out, dtype=np.float64)
-    if x.shape != cache.output.shape:
+    if x.shape[:2] != cache.output.shape or x.ndim > 3:
         raise ShapeError(
             f"output seed shape {x.shape} does not match {cache.output.shape}"
         )
+    if x.ndim == 3 and expand:
+        raise ShapeError("a seed with a trailing axis needs expand=False")
     nl = shape.num_layers
-    seed = act_jac_apply(shape.activations[nl - 1], cache.v(nl), x)
+    seed = act_jac_apply(shape.activations[nl - 1], _trailing(cache.v(nl), x), x)
     adjoints = _backward_adjoints(shape, params, cache, seed)
     factors = BackpropFactors(shape, adjoints, _layer_inputs(cache))
     if counters is not None:
-        counters.vjp_products += cache.ncols
-    packed = factors.expand_sum() if expand else None
+        counters.vjp_products += seed[0].size
+    packed = factors.expand_sum(out=out) if expand else None
     return packed, factors

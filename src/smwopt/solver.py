@@ -16,11 +16,13 @@ was expanded into; g and the system's factors are only read.
 For both methods U^T v is a set of factored dot products with the
 backward factors the core was built from: per-sample gradients for
 natural gradient, and for Gauss-Newton the adjoints of J_i^T C_i e_j,
-where C_i is the loss-Hessian factor (H_i = C_i C_i^T). The model term
-p^T B_t p is ||U^T p||^2 / n2 the same way. Only U q differs: natural
-gradient sums its factors weighted by q, and Gauss-Newton runs one
-reverse-mode product J^T C q per sample. The CG routine solves the same
-system matrix-free to a relative residual tolerance.
+where C_i is the loss-Hessian factor (H_i = C_i C_i^T). U^T g is the
+only such sweep of an unrefined direction: its model term p^T B_t p =
+||U^T p||^2 / n2 is n2 ||q||^2, because U^T p = -n2 q. Only U q differs
+between the methods: natural gradient sums its factors weighted by q,
+and Gauss-Newton runs one reverse-mode product J^T C q per sample. The
+CG routine solves the same system matrix-free to a relative residual
+tolerance, in buffers it owns.
 """
 
 from __future__ import annotations
@@ -70,13 +72,17 @@ def _finite_model(grad_dot: float, quad: float) -> tuple[float, float]:
     return grad_dot, quad
 
 
+def _check_finite(p: np.ndarray) -> None:
+    if not np.all(np.isfinite(p)):
+        raise NumericError("direction contains non-finite entries")
+
+
 def quadratic_terms(
     system: curvature.GramSystem, g: np.ndarray, p: np.ndarray
 ) -> tuple[float, float]:
     """g . p and p^T B_t p = ||U^T p||^2 / n2 for the system's batch."""
     p = np.asarray(p, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise NumericError("direction contains non-finite entries")
+    _check_finite(p)
     dots = system.factors.dots_with(p)
     return _finite_model(float(g @ p), float(np.sum(dots**2) / system.n2))
 
@@ -96,21 +102,27 @@ def _expand(shape, theta, system, w, counters) -> np.ndarray:
     return factors.expand_sum(weights=w)
 
 
-def _apply_damped_inverse(shape, theta, system, v, counters):
-    """(B_t + lam I)^-1 v through the Woodbury identity, in a fresh array."""
+def _negated_damped_inverse(shape, theta, system, v, counters):
+    """-(B_t + lam I)^-1 v = (U q - v) / lam through the Woodbury identity.
+
+    Returns the result, in a fresh array, and the core vector q.
+    """
     q = system.solve_core(system.factors.dots_with(v))
     q /= system.n2
     out = _expand(shape, theta, system, q, counters)
-    np.subtract(v, out, out=out)
+    out -= v
     out /= system.lam
-    return out
+    return out, q
 
 
-def _gn_product(shape, theta, cache, spec, v, counters):
-    """Gauss-Newton product J^T H J v / B over the B samples of the cache."""
+def _gn_product(shape, theta, cache, spec, v, counters, out=None):
+    """Gauss-Newton product J^T H J v / B over the B samples of the cache.
+
+    Written into out, a parameter-length buffer, when given.
+    """
     jv = diff.jvp(shape, theta, cache, v, counters)
     hjv = loss_mod.hessian_apply(spec, cache, jv)
-    bv, _ = diff.vjp(shape, theta, cache, hjv, counters)
+    bv, _ = diff.vjp(shape, theta, cache, hjv, counters, out=out)
     bv /= cache.ncols
     return bv
 
@@ -142,17 +154,26 @@ def smw_direction(
     g: np.ndarray,
     counters: OpCounters | None = None,
 ) -> DirectionResult:
-    """Exact damped-curvature direction through the small core solve."""
+    """Exact damped-curvature direction through the small core solve.
+
+    Without refinement the model term comes from the core vector: with
+    p = (U q - g) / lam and core q = U^T g / n2, U^T p = -n2 q, so
+    p^T B_t p = n2 ||q||^2 and no further sweep over p is needed. After
+    refinement p no longer has that form and U^T p is measured.
+    """
     g = np.asarray(g, dtype=np.float64)
     lam = system.lam
-    p = _apply_damped_inverse(shape, theta, system, g, counters)
-    np.negative(p, out=p)
-    if lam < REFINE_LAMBDA:
-        for _ in range(REFINE_ROUNDS):
-            residual = -g - (
-                apply_curvature(shape, theta, system, p, counters) + lam * p
-            )
-            p += _apply_damped_inverse(shape, theta, system, residual, counters)
+    p, q = _negated_damped_inverse(shape, theta, system, g, counters)
+    if lam >= REFINE_LAMBDA:
+        _check_finite(p)
+        grad_dot, quad = _finite_model(float(g @ p), system.n2 * float(q @ q))
+        return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)
+    for _ in range(REFINE_ROUNDS):
+        residual = -g - (
+            apply_curvature(shape, theta, system, p, counters) + lam * p
+        )
+        step, _ = _negated_damped_inverse(shape, theta, system, residual, counters)
+        p -= step
     grad_dot, quad = quadratic_terms(system, g, p)
     return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)
 
@@ -176,28 +197,31 @@ def hf_cg_direction(
     NumericError.
     """
     g = np.asarray(g, dtype=np.float64)
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return lam * v + _gn_product(shape, theta, cache, spec, v, counters)
-
     gnorm = float(np.linalg.norm(g))
     p = np.zeros_like(g)
     if gnorm == 0.0:
         return DirectionResult(p=p, grad_dot=0.0, quad_term=0.0)
-    # p, r and d are owned here and updated in place.
+    # Every parameter-length array of the loop is owned here and updated
+    # in place; scratch holds lam * d and then alpha * d.
     r = -g
     d = r.copy()
+    ad = np.empty_like(g)
+    scratch = np.empty_like(g)
+    finite = np.empty(g.shape, dtype=bool)
     rs = float(r @ r)
     for _ in range(cfg.max_iters):
-        ad = matvec(d)
+        ad = _gn_product(shape, theta, cache, spec, d, counters, ad)
+        np.multiply(d, lam, out=scratch)
+        ad += scratch
         dad = float(d @ ad)
         if not (math.isfinite(dad) and dad > 0.0):
             raise NumericError(f"cg breakdown: d.Ad = {dad}")
         alpha = rs / dad
-        p += alpha * d
+        np.multiply(d, alpha, out=scratch)
+        p += scratch
         ad *= alpha
         r -= ad
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p, out=finite).all():
             raise NumericError("cg iterate became non-finite")
         rs_new = float(r @ r)
         if np.sqrt(rs_new) <= cfg.rel_residual_tol * gnorm:
@@ -206,6 +230,6 @@ def hf_cg_direction(
         d *= rs_new / rs
         d += r
         rs = rs_new
-    bp = matvec(p) - lam * p
+    bp = _gn_product(shape, theta, cache, spec, p, counters, ad)
     grad_dot, quad = _finite_model(float(g @ p), float(p @ bp))
     return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from smwopt import curvature, diff, loss, network
 from smwopt.counters import OpCounters
+from smwopt.exceptions import ShapeError
 from smwopt.oracles import activation_jacobian, pack
 from tests.conftest import (
     fd_loss_gradient,
@@ -195,6 +196,42 @@ class TestVjp:
         diff.vjp(shape, theta, cache, np.zeros((shape.output_size, 3)), counters)
         assert counters.jvp_products == 3
         assert counters.vjp_products == 3
+
+    @pytest.mark.parametrize(
+        "out_act", (network.LINEAR, network.LOGISTIC, network.SOFTMAX)
+    )
+    def test_trailing_axis_matches_per_column_sweeps(self, out_act, rng):
+        """A (m_L, B, k) seed sweeps B*k columns at once: slot [:, :, j] of
+        every adjoint is the sweep of seed j alone, and B*k products count."""
+        shape = network.NetworkShape(
+            (4, 5, 3, 3), (network.LINEAR, network.LOGISTIC, out_act)
+        )
+        theta = network.init_theta(shape, rng)
+        nb, k = 5, 4
+        cache = network.forward(shape, theta, rng.normal(size=(4, nb)))
+        seeds = rng.normal(size=(3, nb, k))
+        counters = OpCounters()
+        packed, factors = diff.vjp(
+            shape, theta, cache, seeds, counters, expand=False
+        )
+        assert packed is None
+        assert counters.vjp_products == nb * k
+        for j in range(k):
+            _, single = diff.vjp(shape, theta, cache, seeds[:, :, j], expand=False)
+            for a, ref in zip(factors.layer_adjoints, single.layer_adjoints):
+                assert a.shape == (len(ref), nb, k)
+                assert np.max(np.abs(a[:, :, j] - ref)) <= 1e-15 * np.max(
+                    np.abs(ref)
+                )
+
+    def test_trailing_axis_needs_factors_only(self, rng):
+        shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
+        cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 2)))
+        seeds = rng.normal(size=(shape.output_size, 2, 3))
+        with pytest.raises(ShapeError):
+            diff.vjp(shape, theta, cache, seeds)
+        with pytest.raises(ShapeError):
+            diff.vjp(shape, theta, cache, seeds[:, :1], expand=False)
 
 
 class TestExpandSum:

@@ -145,6 +145,43 @@ class TestSmwDirection:
             assert system.core.tobytes() == core
             assert [a.tobytes() for a in arrays] == before
 
+    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    def test_one_dot_sweep_per_direction(self, method, rng, monkeypatch):
+        """Without refinement U^T p is not measured: U^T g is the only sweep."""
+        shape, spec, theta, x, y, cache, g, gfactors = build_instance(
+            rng, loss.SOFTMAX_CROSS_ENTROPY, method
+        )
+        dots_with = diff.BackpropFactors.dots_with
+        sweeps = []
+
+        def spy(factors, packed):
+            sweeps.append(len(packed))
+            return dots_with(factors, packed)
+
+        monkeypatch.setattr(diff.BackpropFactors, "dots_with", spy)
+        for lam in (1e-3, 1.0, 1e3):
+            system = build_system(shape, theta, cache, spec, gfactors, lam, method)
+            sweeps.clear()
+            solver.smw_direction(shape, theta, system, g)
+            assert sweeps == [shape.num_params]
+
+    @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
+    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    def test_model_term_from_core_vector(self, kind, method, rng):
+        """n2 ||q||^2 equals the measured ||U^T p||^2 / n2."""
+        for _ in range(3):
+            shape, spec, theta, x, y, cache, g, gfactors = build_instance(
+                rng, kind, method, hidden=[8, 7]
+            )
+            for lam in (1.0, 1e3):
+                system = build_system(
+                    shape, theta, cache, spec, gfactors, lam, method
+                )
+                res = solver.smw_direction(shape, theta, system, g)
+                grad_dot, quad = solver.quadratic_terms(system, g, res.p)
+                assert res.grad_dot == grad_dot
+                assert abs(res.quad_term - quad) <= 1e-12 * abs(quad)
+
     def test_woodbury_inverse_reconstruction(self, rng):
         """lam I + B applied densely inverts the reconstructed inverse."""
         for kind, method in (
@@ -319,6 +356,23 @@ class TestHfCg:
             solver.hf_cg_direction(
                 shape, theta, cache, spec, 1e-6, solver.CgConfig(), g
             )
+
+    def test_fresh_direction_per_call(self, rng):
+        """Each call returns its own p; a later call leaves it and g alone."""
+        shape, spec, theta, x, y, cache, g, gfactors = build_instance(
+            rng, loss.SOFTMAX_CROSS_ENTROPY, curvature.GN
+        )
+        g_before = g.tobytes()
+        first = solver.hf_cg_direction(
+            shape, theta, cache, spec, 0.1, solver.CgConfig(), g
+        )
+        p_before = first.p.tobytes()
+        second = solver.hf_cg_direction(
+            shape, theta, cache, spec, 0.1, solver.CgConfig(), g
+        )
+        assert not np.shares_memory(first.p, second.p)
+        assert first.p.tobytes() == p_before
+        assert g.tobytes() == g_before
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
