@@ -30,7 +30,7 @@ import numpy as np
 
 from . import diff, linalg, loss as loss_mod
 from .counters import OpCounters
-from .exceptions import NotSpdError, ShapeError
+from .exceptions import NotSpdError, NumericError, ShapeError
 from .network import ForwardCache, NetworkShape
 
 GN = "gn"
@@ -149,7 +149,7 @@ def _factored_system(method, gram, lam, factors) -> GramSystem:
         lower = linalg.cholesky(core)
     except NotSpdError as err:
         diag = np.diag(core)
-        raise ArithmeticError(
+        raise NumericError(
             f"core factorization failed at lambda={lam:.6e} "
             f"(diag range [{diag.min():.3e}, {diag.max():.3e}]): {err}"
         ) from err

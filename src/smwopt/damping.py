@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NumericError
 
 DEGENERATE_DECREASE = 1e-12
 
@@ -16,7 +16,8 @@ class DampingState:
 
     tau > 0 keeps the damped curvature matrix strictly positive definite;
     lambda_lm is multiplied by boost after poor steps and by drop after
-    good ones. Defaults follow the usual experiment settings.
+    good ones. Defaults follow the usual experiment settings; the optimizer
+    and run configurations take theirs from here.
     """
 
     lambda_lm: float = 1.0
@@ -59,12 +60,13 @@ def compute_rho(
     The model decrease is -grad_dot - quad_term / 2. A decrease below
     DEGENERATE_DECREASE flags the step as degenerate with rho = -inf,
     which the update rule treats as a failed step. A non-finite trial
-    value f_after is a failed step too (rho = -inf), not an error.
+    value f_after is a failed step too (rho = -inf); any other non-finite
+    input raises NumericError.
     """
     for name, v in (("f_before", f_before), ("grad_dot", grad_dot),
                     ("quad_term", quad_term)):
         if not math.isfinite(v):
-            raise ValueError(f"{name} is not finite: {v}")
+            raise NumericError(f"{name} is not finite: {v}")
     model_decrease = -grad_dot - 0.5 * quad_term
     if model_decrease < DEGENERATE_DECREASE:
         return RhoReport(f_before, f_after, model_decrease, -math.inf, True)

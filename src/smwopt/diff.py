@@ -1,11 +1,16 @@
 """Backpropagation kernels: gradients, Jacobian products, factored dots.
 
-The output Jacobian of sample i is J_i = d yhat_i / d theta. Reverse-mode
-products J_i^T x come out Kronecker-factored: the weight block of layer l
-is the outer product a_l v_{l-1}^T of a backward adjoint vector with the
-layer input, and the bias block is a_l itself. BackpropFactors keeps
-those per-layer vectors so Gram matrices and dot products can be formed
-without ever materializing length-n vectors:
+The output Jacobian of sample i is J_i = d yhat_i / d theta = A_i J_h,i,
+where A_i is the output activation's Jacobian and J_h,i = d h_L / d theta.
+The loss Hessians are taken w.r.t. h_L, so for both cross-entropy losses
+the Gauss-Newton and hf curvature built from these kernels is
+J_h^T A H A J_h, not the matching-loss J_h^T H J_h (ROADMAP item 1).
+
+Reverse-mode products J_i^T x come out Kronecker-factored: the weight
+block of layer l is the outer product a_l v_{l-1}^T of a backward adjoint
+vector with the layer input, and the bias block is a_l itself.
+BackpropFactors keeps those per-layer vectors so Gram matrices and dot
+products can be formed without ever materializing length-n vectors:
 
     <expand(fa), expand(fb)> = sum_l (va_l . vb_l + 1) * (aa_l . ab_l)
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; numeric failures are NumericErrors."""
 
 
 class ShapeError(ValueError):
@@ -6,10 +6,10 @@ class ShapeError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computation produced non-finite values."""
+    """A computation produced non-finite values or could not be carried out."""
 
 
-class NotSpdError(ArithmeticError):
+class NotSpdError(NumericError):
     """Cholesky factorization hit a non-positive pivot."""
 
     def __init__(self, pivot_index: int, pivot_value: float):
@@ -19,6 +19,14 @@ class NotSpdError(ArithmeticError):
             f"matrix is not positive definite: pivot {pivot_index} "
             f"has value {pivot_value:.6e}"
         )
+
+
+class TrainingError(NumericError):
+    """Numeric or factorization failure inside the training loop."""
+
+    def __init__(self, iteration: int, cause: Exception):
+        self.iteration = iteration
+        super().__init__(f"iteration {iteration}: {cause}")
 
 
 class ConfigError(ValueError):

@@ -8,10 +8,10 @@ Hessian w.r.t. h = h_L take simple closed forms:
     softmax_cross_entropy (softmax):  grad yhat - y, H = diag(yhat) - yhat yhat^T
 
 All values are nonnegative and every H is symmetric positive semidefinite,
-with a closed-form square factor H = C C^T (hessian_factor). Cross-entropy
-values are computed from pre-activations with softplus / log-sum-exp, never
-from clipped probabilities. Training applies H (hessian_apply) or uses its
-factor and never materializes it; targets are (m_L, B) columns.
+with a closed-form square factor H = C C^T (hessian_factor), the one place
+the Hessians are encoded: hessian_apply multiplies by C C^T. Cross-entropy
+values use softplus / log-sum-exp of the pre-activations, never clipped
+probabilities. Targets are (m_L, B) columns.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def loss_value(spec: LossSpec, cache: ForwardCache, y) -> np.ndarray:
     t = _targets(cache, y)
     if spec.kind == SQUARED_ERROR:
         return np.sum((cache.output - t) ** 2, axis=0)
-    h = cache.h(cache.shape.num_layers)
+    h = cache.output_preact
     if spec.kind == BINARY_CROSS_ENTROPY:
         return np.sum(_softplus(h) - t * h, axis=0)
     return _logsumexp_cols(h) - np.sum(t * h, axis=0)
@@ -109,15 +109,14 @@ def loss_grad_h(spec: LossSpec, cache: ForwardCache, y) -> np.ndarray:
 
 
 def hessian_apply(spec: LossSpec, cache: ForwardCache, u: np.ndarray) -> np.ndarray:
-    """Column-wise product H_i @ u_i without materializing any H_i."""
+    """Column-wise products H_i u_i = C_i (C_i^T u_i) with the square factors."""
     yhat = cache.output
     if u.shape != yhat.shape:
         raise ShapeError(f"operand shape {u.shape} does not match {yhat.shape}")
-    if spec.kind == SQUARED_ERROR:
-        return 2.0 * u
-    if spec.kind == BINARY_CROSS_ENTROPY:
-        return yhat * (1.0 - yhat) * u
-    return network.act_jac_apply(network.SOFTMAX, yhat, u)
+    c = hessian_factor(spec, cache)
+    ctu = np.swapaxes(c, 1, 2) @ u.T[:, :, None]
+    # Row-major, like every other output-space seed the sweeps read.
+    return (c @ ctu)[:, :, 0].T.copy()
 
 
 def hessian_factor(spec: LossSpec, cache: ForwardCache) -> np.ndarray:

@@ -9,7 +9,7 @@ Samples are the columns of 2-D arrays; one sample is an (m, 1) column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,15 +163,15 @@ def act_jac_apply(kind: str, v: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
-    """Pre-activations and activations from one forward pass.
+    """Activations from one forward pass and the output pre-activation h_L.
 
     Arrays are (m_l, B) with samples as columns.
     """
 
     shape: NetworkShape
     x: np.ndarray
-    preacts: list[np.ndarray] = field(default_factory=list)
-    acts: list[np.ndarray] = field(default_factory=list)
+    acts: list[np.ndarray]
+    output_preact: np.ndarray
 
     @property
     def ncols(self) -> int:
@@ -185,16 +185,13 @@ class ForwardCache:
         """Layer output v_l; v_0 is the network input."""
         return self.x if l == 0 else self.acts[l - 1]
 
-    def h(self, l: int) -> np.ndarray:
-        return self.preacts[l - 1]
-
     def cols(self, idx) -> "ForwardCache":
         """View of a subset of sample columns (shares storage)."""
         return ForwardCache(
             shape=self.shape,
             x=self.x[:, idx],
-            preacts=[h[:, idx] for h in self.preacts],
             acts=[v[:, idx] for v in self.acts],
+            output_preact=self.output_preact[:, idx],
         )
 
 
@@ -211,10 +208,10 @@ def forward(
     x,
     counters: OpCounters | None = None,
 ) -> ForwardCache:
-    """Forward pass caching h_l and v_l for every layer."""
+    """Forward pass caching v_l for every layer and the output's h_L."""
     params = unpack(shape, theta)
     cols = _as_cols(x, shape.input_size)
-    cache = ForwardCache(shape=shape, x=cols)
+    acts = []
     v = cols
     for l, ((w, b), kind) in enumerate(zip(params, shape.activations), start=1):
         h = w @ v
@@ -222,8 +219,7 @@ def forward(
         if not np.all(np.isfinite(h)):
             raise NumericError(f"non-finite pre-activation at layer {l}")
         v = apply_activation(kind, h)
-        cache.preacts.append(h)
-        cache.acts.append(v)
+        acts.append(v)
     if counters is not None:
-        counters.forward_passes += cache.ncols
-    return cache
+        counters.forward_passes += cols.shape[1]
+    return ForwardCache(shape=shape, x=cols, acts=acts, output_preact=h)

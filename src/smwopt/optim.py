@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import curvature, damping as damping_mod, diff, loss as loss_mod, solver
 from .counters import OpCounters
-from .exceptions import ConfigError
+from .exceptions import ConfigError, TrainingError
 from .network import ForwardCache, NetworkShape, forward, init_theta
 
 SGD = "sgd"
@@ -36,25 +36,17 @@ METHODS = (SGD, HF, SMW_GN, SMW_NG)
 EVAL_CHUNK = 4096
 
 
-class TrainingError(RuntimeError):
-    """Numeric or factorization failure inside the training loop."""
-
-    def __init__(self, iteration: int, cause: Exception):
-        self.iteration = iteration
-        super().__init__(f"iteration {iteration}: {cause}")
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     method: str = SMW_GN
     n1: int = 60
     n2: int = 30
     alpha: float = 0.1
-    lambda_lm: float = 1.0
-    tau: float = 0.001
-    boost: float = 1.01
-    drop: float = 0.99
-    epsilon: float = 0.25
+    lambda_lm: float = damping_mod.DampingState.lambda_lm
+    tau: float = damping_mod.DampingState.tau
+    boost: float = damping_mod.DampingState.boost
+    drop: float = damping_mod.DampingState.drop
+    epsilon: float = damping_mod.DampingState.epsilon
     semi_stochastic: bool = False
     eta: float = 0.1
     cg: solver.CgConfig = field(default_factory=solver.CgConfig)
@@ -76,13 +68,8 @@ class OptimizerConfig:
                 raise ConfigError("semi-stochastic mode requires 0 < eta < epsilon")
 
     def damping_state(self) -> damping_mod.DampingState:
-        return damping_mod.DampingState(
-            lambda_lm=self.lambda_lm,
-            tau=self.tau,
-            boost=self.boost,
-            drop=self.drop,
-            epsilon=self.epsilon,
-        )
+        names = (f.name for f in fields(damping_mod.DampingState))
+        return damping_mod.DampingState(**{n: getattr(self, n) for n in names})
 
 
 @dataclass
@@ -173,8 +160,6 @@ class Trainer:
                 f"semi-stochastic mode requires n1 == N ({self.n_samples}), "
                 f"got {n1}"
             )
-        if n1 > self.n_samples:
-            raise ConfigError(f"n1={n1} exceeds data set size {self.n_samples}")
         self.config = config
         seed_init, seed_batch = np.random.SeedSequence(config.seed).spawn(2)
         self.theta = init_theta(shape, np.random.default_rng(seed_init))
@@ -221,7 +206,7 @@ class Trainer:
             if self.config.method == SGD:
                 return self.step_sgd(s1)
             return self._second_order_step(s1, positions)
-        except (ArithmeticError, FloatingPointError) as err:
+        except ArithmeticError as err:
             raise TrainingError(self.t, err) from err
 
     def step_sgd(self, s1: np.ndarray) -> IterationRecord:
@@ -300,51 +285,44 @@ class Trainer:
             batch_size=x1.shape[1],
         )
 
-    def _record(
-        self, batch_loss, rho, lam, grad_norm, step_norm, accepted, batch_size
-    ) -> IterationRecord:
+    def _record(self, batch_size, **outcome) -> IterationRecord:
         self.samples_seen += int(batch_size)
         rec = IterationRecord(
             iteration=self.t,
             epoch_frac=self.samples_seen / self.n_samples,
-            batch_loss=batch_loss,
-            rho=rho,
-            lam=lam,
-            grad_norm=grad_norm,
-            step_norm=step_norm,
-            accepted=accepted,
             wall_time=time.perf_counter() - self._clock_start,
             counters=self.counters.snapshot(),
+            **outcome,
         )
         self.t += 1
         return rec
 
-    def _dataset_loss(self, x: np.ndarray, y: np.ndarray) -> float:
+    def _chunked_mean(self, x: np.ndarray, y: np.ndarray, chunk_sum) -> float:
+        """Column mean of chunk_sum(cache, y) over EVAL_CHUNK-column forwards."""
         total = 0.0
         for start in range(0, x.shape[1], EVAL_CHUNK):
-            sl = slice(start, min(start + EVAL_CHUNK, x.shape[1]))
-            # Row-major chunks, like the test set: the layout of a BLAS
-            # operand can move the last bits of the loss.
+            sl = slice(start, start + EVAL_CHUNK)
+            # Row-major chunks: the layout of a BLAS operand can move the
+            # last bits of the result.
             chunk = np.ascontiguousarray(x[:, sl])
             cache = forward(self.shape, self.theta, chunk, self.counters)
-            total += float(np.sum(loss_mod.loss_value(self.spec, cache, y[:, sl])))
+            total += chunk_sum(cache, y[:, sl])
         return total / x.shape[1]
 
     def full_loss(self) -> float:
         """Mean loss over the whole training set at the current theta."""
-        return self._dataset_loss(self.x, self.y)
+        return self._chunked_mean(
+            self.x, self.y,
+            lambda cache, y: float(np.sum(loss_mod.loss_value(self.spec, cache, y))),
+        )
 
     def test_error(self) -> float:
         if self.test_x is None:
             return math.nan
-        errors = 0.0
-        for start in range(0, self.test_x.shape[1], EVAL_CHUNK):
-            sl = slice(start, min(start + EVAL_CHUNK, self.test_x.shape[1]))
-            cache = forward(self.shape, self.theta, self.test_x[:, sl], self.counters)
-            errors += loss_mod.error_rate(
-                cache.output, self.test_y[:, sl]
-            ) * (sl.stop - sl.start)
-        return errors / self.test_x.shape[1]
+        return self._chunked_mean(
+            self.test_x, self.test_y,
+            lambda cache, y: loss_mod.error_rate(cache.output, y) * cache.ncols,
+        )
 
     def run(
         self,

@@ -96,19 +96,38 @@ def random_targets(rng, kind, m_out, nbatch=1):
     return t
 
 
+def central_differences(f, point, step) -> np.ndarray:
+    """(f(point + step e_k) - f(point - step e_k)) / (2 step), stacked on a
+    trailing axis over the coordinates k of point."""
+    cols = []
+    for k in range(point.size):
+        up, down = point.copy(), point.copy()
+        up.flat[k] += step
+        down.flat[k] -= step
+        cols.append((f(up) - f(down)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
 def fd_loss_gradient(shape, theta, x, y, spec, step=1e-6):
     """Central finite differences of the mean loss over every coordinate."""
     def f(point):
         cache = network.forward(shape, point, x)
         return np.mean(loss_mod.loss_value(spec, cache, y))
 
-    grad = np.zeros_like(theta)
-    for k in range(theta.size):
-        up, down = theta.copy(), theta.copy()
-        up[k] += step
-        down[k] -= step
-        grad[k] = (f(up) - f(down)) / (2.0 * step)
-    return grad
+    return central_differences(f, theta, step)
+
+
+def fd_loss_hessian_theta(shape, theta, x, y, spec, step=1e-5):
+    """Hessian of the mean loss in theta, by central differences of diff.gradient.
+
+    On a one-layer network h_L is linear in theta, so this is exactly the
+    matching-loss Gauss-Newton matrix J_h^T H J_h. No vjp is involved.
+    """
+    def grad(point):
+        cache = network.forward(shape, point, x)
+        return diff.gradient(shape, point, cache, y, spec)[0]
+
+    return central_differences(grad, theta, step)
 
 
 def output_cache(kind, h):
@@ -118,8 +137,8 @@ def output_cache(kind, h):
     return network.ForwardCache(
         shape=network.NetworkShape((h.shape[0],) * 2, (act,)),
         x=np.zeros_like(h),
-        preacts=[h],
         acts=[network.apply_activation(act, h)],
+        output_preact=h,
     )
 
 
@@ -128,17 +147,10 @@ def fd_loss_hessian_h(spec, h, y, step=1e-6):
 
     h and y are (m_L, 1) columns; the result is the (m_L, m_L) Hessian.
     """
-    h = np.asarray(h, dtype=float)
-    fd = np.zeros((h.size, h.size))
-    for k in range(h.size):
-        hp, hm = h.copy(), h.copy()
-        hp[k] += step
-        hm[k] -= step
-        fd[:, k] = (
-            loss_mod.loss_grad_h(spec, output_cache(spec.kind, hp), y)
-            - loss_mod.loss_grad_h(spec, output_cache(spec.kind, hm), y)
-        )[:, 0] / (2 * step)
-    return fd
+    def grad(point):
+        return loss_mod.loss_grad_h(spec, output_cache(spec.kind, point), y)[:, 0]
+
+    return central_differences(grad, np.asarray(h, dtype=float), step)
 
 
 def explicit_jacobian(shape, theta, cache_single):
@@ -153,24 +165,16 @@ def explicit_jacobian(shape, theta, cache_single):
     return np.stack(rows, axis=0)
 
 
-def stacked_jacobian(shape, theta, cache):
-    """Per-sample Jacobians of a batch cache stacked sample by sample."""
-    return np.vstack(
-        [explicit_jacobian(shape, theta, cache.cols([i])) for i in range(cache.ncols)]
-    )
-
-
 def factored_jacobian(shape, theta, cache, spec):
     """blockdiag(C_i)^T J: each sample's Jacobian rows mixed by its Hessian factor.
 
     Its Gram matrix is the Gauss-Newton core's blockdiag(C)^T J J^T blockdiag(C).
     """
-    m_out = shape.output_size
-    jmat = stacked_jacobian(shape, theta, cache)
     c = loss_mod.hessian_factor(spec, cache)
-    return np.vstack(
-        [c[i].T @ jmat[i * m_out : (i + 1) * m_out] for i in range(cache.ncols)]
-    )
+    return np.vstack([
+        c[i].T @ explicit_jacobian(shape, theta, cache.cols([i]))
+        for i in range(cache.ncols)
+    ])
 
 
 def build_curvature_matrix(
@@ -259,7 +263,7 @@ def verify(seed: int = 0) -> int:
         x = rng.normal(size=(shape.input_size, 1))
         y = random_targets(rng, kind, m_out)
         cache = network.forward(shape, theta, x)
-        fd_h = fd_loss_hessian_h(spec, cache.h(shape.num_layers), y)
+        fd_h = fd_loss_hessian_h(spec, cache.output_preact, y)
         closed = loss_hessian_h(spec, cache)[0]
         worst = max(worst, float(np.max(np.abs(closed - fd_h))))
         c = loss_mod.hessian_factor(spec, cache)[0]

@@ -72,17 +72,10 @@ def _finite_model(grad_dot: float, quad: float) -> tuple[float, float]:
     return grad_dot, quad
 
 
-def _check_finite(p: np.ndarray) -> None:
-    if not np.all(np.isfinite(p)):
-        raise NumericError("direction contains non-finite entries")
-
-
 def quadratic_terms(
     system: curvature.GramSystem, g: np.ndarray, p: np.ndarray
 ) -> tuple[float, float]:
     """g . p and p^T B_t p = ||U^T p||^2 / n2 for the system's batch."""
-    p = np.asarray(p, dtype=np.float64)
-    _check_finite(p)
     dots = system.factors.dots_with(p)
     return _finite_model(float(g @ p), float(np.sum(dots**2) / system.n2))
 
@@ -165,7 +158,6 @@ def smw_direction(
     lam = system.lam
     p, q = _negated_damped_inverse(shape, theta, system, g, counters)
     if lam >= REFINE_LAMBDA:
-        _check_finite(p)
         grad_dot, quad = _finite_model(float(g @ p), system.n2 * float(q @ q))
         return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)
     for _ in range(REFINE_ROUNDS):
@@ -207,7 +199,6 @@ def hf_cg_direction(
     d = r.copy()
     ad = np.empty_like(g)
     scratch = np.empty_like(g)
-    finite = np.empty(g.shape, dtype=bool)
     rs = float(r @ r)
     for _ in range(cfg.max_iters):
         ad = _gn_product(shape, theta, cache, spec, d, counters, ad)
@@ -221,8 +212,6 @@ def hf_cg_direction(
         p += scratch
         ad *= alpha
         r -= ad
-        if not np.isfinite(p, out=finite).all():
-            raise NumericError("cg iterate became non-finite")
         rs_new = float(r @ r)
         if np.sqrt(rs_new) <= cfg.rel_residual_tol * gnorm:
             rs = rs_new

@@ -91,7 +91,11 @@ class TestRun:
         config = cli.build_config(base_config(tmp_path, rng, epochs=0), {})
         assert cli.run(config) == 0
         header, rows = read_metrics(tmp_path / "metrics.csv")
-        assert header == cli.METRICS_COLUMNS
+        assert header == cli.METRICS_COLUMNS == [
+            "iter", "epoch_frac", "batch_loss", "full_loss", "test_error",
+            "lambda", "rho", "grad_norm", "step_norm", "wall_time_s",
+            "forward_passes", "backward_passes", "jvp_products", "vjp_products",
+        ]
         assert rows == []
 
     def test_deterministic_except_wall_time(self, tmp_path, rng):

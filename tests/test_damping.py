@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smwopt import damping
-from smwopt.exceptions import ConfigError
+from smwopt.exceptions import ConfigError, NumericError
 
 
 class TestComputeRho:
@@ -43,7 +43,7 @@ class TestComputeRho:
         assert report.rho == -math.inf
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             damping.compute_rho(math.nan, 1.0, -1.0, 0.5)
 
     @pytest.mark.parametrize("f_after", [math.inf, math.nan])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from smwopt import curvature, loss, network, optim, oracles, solver
-from smwopt.exceptions import ConfigError
+from smwopt.exceptions import ConfigError, NumericError
 
 
 def linear_regression_data(rng, n=8, m0=3, m_out=2):
@@ -321,8 +321,9 @@ class TestSmwStep:
         config = optim.OptimizerConfig(method=optim.SMW_GN, n1=4, n2=2)
         trainer = optim.Trainer(shape, spec, x, y, config)
         trainer.theta = np.full(shape.num_params, np.inf)
-        with pytest.raises(optim.TrainingError, match="iteration 0"):
+        with pytest.raises(optim.TrainingError, match="iteration 0") as err:
             trainer.step()
+        assert isinstance(err.value, NumericError)
 
 
 class TestSemiStochastic:

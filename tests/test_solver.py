@@ -135,7 +135,7 @@ class TestSmwDirection:
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
             rng, loss.SOFTMAX_CROSS_ENTROPY, method, nb=5
         )
-        arrays = [theta, g, cache.x, *cache.preacts, *cache.acts]
+        arrays = [theta, g, cache.x, cache.output_preact, *cache.acts]
         arrays += gfactors.layer_adjoints
         before = [a.tobytes() for a in arrays]
         for lam in (1.0, 1e-10):
