@@ -108,12 +108,18 @@ def loss_grad_h(spec: LossSpec, cache: ForwardCache, y) -> np.ndarray:
     return cache.output - t
 
 
-def hessian_apply(spec: LossSpec, cache: ForwardCache, u: np.ndarray) -> np.ndarray:
-    """Column-wise products H_i u_i = C_i (C_i^T u_i) with the square factors."""
+def hessian_apply(
+    spec: LossSpec, cache: ForwardCache, u: np.ndarray, factors=None
+) -> np.ndarray:
+    """Column-wise products H_i u_i = C_i (C_i^T u_i) with the square factors.
+
+    factors is hessian_factor(spec, cache), for a caller that applies the
+    same Hessians many times; it is computed here when not given.
+    """
     yhat = cache.output
     if u.shape != yhat.shape:
         raise ShapeError(f"operand shape {u.shape} does not match {yhat.shape}")
-    c = hessian_factor(spec, cache)
+    c = hessian_factor(spec, cache) if factors is None else factors
     ctu = np.swapaxes(c, 1, 2) @ u.T[:, :, None]
     # Row-major, like every other output-space seed the sweeps read.
     return (c @ ctu)[:, :, 0].T.copy()

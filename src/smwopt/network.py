@@ -113,11 +113,15 @@ def init_theta(shape: NetworkShape, seed_or_rng=0) -> np.ndarray:
 
 
 def sigmoid(h: np.ndarray) -> np.ndarray:
-    """1 / (1 + e) for h >= 0 and e / (1 + e) below, with e = exp(-|h|) <= 1."""
+    """1 / (1 + e) for h >= 0 and e / (1 + e) below, with e = exp(-|h|) <= 1.
+
+    Because e <= 1, the numerator max(e, h >= 0) is 1 for h >= 0 and e
+    below, exactly.
+    """
     e = np.abs(h)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(h >= 0, 1.0, e)
+    out = np.maximum(e, h >= 0)
     e += 1.0
     return np.divide(out, e, out=out)
 

@@ -235,7 +235,7 @@ class Trainer:
             if self.config.method == HF:
                 return solver.hf_cg_direction(
                     self.shape, self.theta, cache2, self.spec, lam,
-                    self.config.cg, g, self.counters,
+                    self.config.cg, g, self.counters, inputs=cache1.x,
                 )
             system = curvature.build_gn_system(
                 self.shape, self.theta, cache2, self.spec, lam, self.counters

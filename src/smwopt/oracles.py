@@ -96,6 +96,22 @@ def random_targets(rng, kind, m_out, nbatch=1):
     return t
 
 
+def wider_batch_instance(rng, kind, m_in):
+    """Gradient over a 4-column batch S1 and curvature over its prefix S2.
+
+    The last S1 column repeats the first, so the inputs are rank-deficient.
+    Returns shape, spec, theta, the S1 cache, its gradient g, and S2's
+    inputs and targets.
+    """
+    shape, spec, theta = make_net(rng, kind, m_in=m_in)
+    x1 = rng.normal(size=(m_in, 4))
+    x1[:, 3] = x1[:, 0]
+    y1 = random_targets(rng, kind, shape.output_size, 4)
+    cache1 = network.forward(shape, theta, x1)
+    g, _ = diff.gradient(shape, theta, cache1, y1, spec)
+    return shape, spec, theta, cache1, g, x1[:, :2], y1[:, :2]
+
+
 def central_differences(f, point, step) -> np.ndarray:
     """(f(point + step e_k) - f(point - step e_k)) / (2 step), stacked on a
     trailing axis over the coordinates k of point."""
@@ -206,10 +222,15 @@ def build_curvature_matrix(
 
 
 def dense_direction_oracle(
-    shape, theta, x, y, spec, lam: float, method: str = curvature.GN
+    shape, theta, x, y, spec, lam: float, method: str = curvature.GN, g=None
 ) -> solver.DirectionResult:
-    """Solve (B_t + lam I) p = -g with B_t materialized."""
-    b_mat, g = build_curvature_matrix(shape, theta, x, y, spec, method)
+    """Solve (B_t + lam I) p = -g with B_t materialized over the batch x.
+
+    g defaults to the batch's own gradient; pass one taken over a wider
+    batch to solve as a trainer does with S2 a subset of S1.
+    """
+    b_mat, g_batch = build_curvature_matrix(shape, theta, x, y, spec, method)
+    g = g_batch if g is None else g
     a = b_mat + lam * np.eye(shape.num_params)
     p = np.linalg.solve(a, -g)
     return solver.DirectionResult(
@@ -349,6 +370,32 @@ def verify(seed: int = 0) -> int:
     checks.append(
         ("model_decrease_bound_margin", -min(worst_margin, 0.0), 1e-12)
     )
+
+    # Hessian-free CG at a tight tolerance against the dense solve. The
+    # gradient comes from a batch S1 wider than the curvature batch S2,
+    # with a repeated column and fewer columns than inputs, so CG runs in
+    # the span of S1's inputs.
+    worst_hf = 0.0
+    for kind in loss_mod.LOSS_KINDS:
+        for lam in (1e-3, 1.0, 1e3):
+            shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
+                rng, kind, m_in=6
+            )
+            tight = solver.CgConfig(
+                max_iters=shape.num_params, rel_residual_tol=1e-15
+            )
+            res = solver.hf_cg_direction(
+                shape, theta, cache1.cols([0, 1]), spec, lam, tight, g,
+                inputs=cache1.x,
+            )
+            oracle = dense_direction_oracle(
+                shape, theta, x2, y2, spec, lam, g=g
+            )
+            scale = float(np.max(np.abs(oracle.p))) + 1e-30
+            worst_hf = max(
+                worst_hf, float(np.max(np.abs(res.p - oracle.p))) / scale
+            )
+    checks.append(("hf_cg_vs_dense_direction", worst_hf, 1e-9))
 
     failed = False
     for name, err, tol in checks:

@@ -127,6 +127,12 @@ def masked_sigmoid(h):
     return out
 
 
+def where_sigmoid(h):
+    """The logistic function with its numerator selected by np.where."""
+    e = np.exp(-np.abs(h))
+    return np.where(h >= 0, 1.0, e) / (1.0 + e)
+
+
 class TestActivations:
     def test_sigmoid_matches_masked_form_bitwise(self, rng):
         tiny = np.finfo(float).tiny
@@ -135,6 +141,11 @@ class TestActivations:
         )
         for h in (edges, rng.normal(scale=10.0, size=(50, 40))):
             assert network.sigmoid(h).tobytes() == masked_sigmoid(h).tobytes()
+
+    def test_sigmoid_matches_where_form_bitwise(self, rng):
+        edges = np.array([0.0, -0.0, 40.0, -40.0, 800.0, -800.0])
+        for h in (edges, rng.normal(scale=10.0, size=(50, 40))):
+            assert network.sigmoid(h).tobytes() == where_sigmoid(h).tobytes()
 
     def test_softmax_sums_to_one_extreme(self):
         h = np.array([[1000.0], [0.0], [-1000.0]])

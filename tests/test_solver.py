@@ -4,7 +4,7 @@ import pytest
 from smwopt import curvature, diff, linalg, loss, network, oracles, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import ConfigError, NumericError, ShapeError
-from smwopt.oracles import make_net, random_targets
+from smwopt.oracles import make_net, random_targets, wider_batch_instance
 
 
 def build_instance(rng, kind, method, nb=4, hidden=None):
@@ -262,6 +262,66 @@ class TestDenseOracle:
 
 
 class TestHfCg:
+    @pytest.mark.parametrize("m_in", (6, 3), ids=("input_basis", "identity"))
+    @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
+    def test_wider_gradient_batch_matches_dense(self, kind, m_in, rng, monkeypatch):
+        """S2 a strict subset of S1: CG runs in S1's input span when n1 < m0,
+        on theta's own coordinates otherwise, and solves the dense system."""
+        shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(rng, kind, m_in)
+        lengths, qr_calls = [], []
+        product, qr = solver._gn_product, np.linalg.qr
+
+        def spy_product(*args):
+            lengths.append(args[4].size)
+            return product(*args)
+
+        def spy_qr(*args, **kwargs):
+            qr_calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_gn_product", spy_product)
+        monkeypatch.setattr(np.linalg, "qr", spy_qr)
+        lam = 0.5
+        cfg = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15)
+        res = solver.hf_cg_direction(
+            shape, theta, cache1.cols([0, 1]), spec, lam, cfg, g, inputs=cache1.x
+        )
+        n1 = min(m_in, 4)
+        reduced = shape.num_params - (m_in - n1) * shape.layer_sizes[1]
+        assert set(lengths) == {reduced}
+        assert qr_calls == ([(m_in, 4)] if m_in > 4 else [])
+        oracle = oracles.dense_direction_oracle(shape, theta, x2, y2, spec, lam, g=g)
+        scale = 1.0 + np.max(np.abs(oracle.p))
+        assert np.max(np.abs(res.p - oracle.p)) <= 1e-12 * scale
+        assert res.grad_dot == pytest.approx(oracle.grad_dot, rel=1e-12)
+        assert res.quad_term == pytest.approx(oracle.quad_term, rel=1e-12)
+
+    def test_products_run_in_the_input_basis_on_wide_inputs(self, rng, monkeypatch):
+        """A 784-input net and a 60-column gradient batch: every CG vector
+        holds 60 first-layer input coordinates, and p comes back full length."""
+        shape = network.NetworkShape((784, 8, 10), (network.LOGISTIC, network.SOFTMAX))
+        spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY)
+        theta = network.init_theta(shape, rng)
+        x1 = rng.uniform(size=(784, 60))
+        y1 = random_targets(rng, spec.kind, 10, 60)
+        cache1 = network.forward(shape, theta, x1)
+        g, _ = diff.gradient(shape, theta, cache1, y1, spec)
+        lengths = []
+        product = solver._gn_product
+
+        def spy(*args):
+            lengths.append(args[4].size)
+            return product(*args)
+
+        monkeypatch.setattr(solver, "_gn_product", spy)
+        res = solver.hf_cg_direction(
+            shape, theta, cache1.cols(np.arange(30)), spec, 1.0,
+            solver.CgConfig(), g, inputs=cache1.x,
+        )
+        assert lengths and set(lengths) == {60 * 8 + 8 + 8 * 10 + 10}
+        assert res.p.shape == g.shape
+        assert float(g @ res.p) < 0.0
+
     def test_zero_jacobian_one_iteration(self, rng):
         shape = network.NetworkShape((2, 1), ("logistic",))
         theta = oracles.pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
@@ -336,8 +396,12 @@ class TestHfCg:
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
             rng, loss.SQUARED_ERROR, curvature.GN
         )
-        products = iter([np.zeros_like(g), np.full_like(g, np.inf)])
-        monkeypatch.setattr(solver, "_gn_product", lambda *args: next(products))
+        # The faked products take the length of the CG vector, args[4],
+        # which is shorter than g when CG runs in the input basis.
+        fills = iter([0.0, np.inf])
+        monkeypatch.setattr(
+            solver, "_gn_product", lambda *args: np.full_like(args[4], next(fills))
+        )
         cfg = solver.CgConfig(max_iters=1)
         with np.errstate(invalid="ignore"), pytest.raises(
             NumericError, match="quadratic model is not finite"
@@ -348,9 +412,11 @@ class TestHfCg:
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
             rng, loss.SQUARED_ERROR, curvature.GN
         )
-        g = np.zeros_like(g)
-        g[0] = 1e154
-        monkeypatch.setattr(solver, "_gn_product", lambda *args: np.zeros_like(g))
+        # A gradient of the batch, so it lies in the span CG runs in.
+        g *= 1e154 / np.linalg.norm(g)
+        monkeypatch.setattr(
+            solver, "_gn_product", lambda *args: np.zeros_like(args[4])
+        )
         # p = -g / lam stays finite; g . p = -1e314 overflows.
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="g.p=-inf"):
             solver.hf_cg_direction(
