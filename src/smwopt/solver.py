@@ -25,9 +25,10 @@ and Gauss-Newton runs one reverse-mode product J^T C q per sample.
 The CG routine solves the Gauss-Newton system matrix-free to a relative
 residual tolerance, in buffers it owns. The same Kronecker-factored form
 bounds where its iterates live: their first-layer weight blocks are sums
-of outer products with the gradient batch's inputs, so CG runs in an
-orthonormal basis of the inputs' span (hf_cg_direction), on 35,510
-coordinates instead of 397,510 at 784-500-10 with n1 = 60.
+of outer products with the gradient batch's inputs, so for a batch with
+at most a tenth as many columns as inputs CG runs in an orthonormal
+basis of the inputs' span (hf_cg_direction), on 35,510 coordinates
+instead of 397,510 at 784-500-10 with n1 = 60.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvature, diff, loss as loss_mod
+from . import curvature, diff, loss as loss_mod, network
 from .counters import OpCounters
-from .exceptions import ConfigError, NumericError
+from .exceptions import ConfigError, NumericError, ShapeError
 from .network import ForwardCache, NetworkShape
 
 @dataclass
@@ -176,17 +177,36 @@ def smw_direction(
     return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)
 
 
-def _map_first_block(basis, v, m1):
-    """v with its first-layer weight block W replaced by W basis^T, fresh.
+# CG runs in the input basis only when m0 >= 10 n1. Its fixed cost, the
+# QR of the (m0, n1) inputs, grows as m0 n1^2 while the saving per CG
+# iteration shrinks as (m0 - n1) m1 n2. Timed at 784-500-10 with n2 = 30
+# and 2 BLAS threads, a direction breaks even near n1 = 70 at one CG
+# iteration, n1 = 130 at three and n1 = 300 at ten; at n1 = 700 it is
+# 1.3-4x slower than CG on theta's coordinates.
+INPUT_BASIS_MIN_RATIO = 10
+# A g outside the inputs' span loses norm under W -> W Q; this bound
+# catches a perpendicular part of relative size 1.4e-4 and up.
+SPAN_NORM_RTOL = 1e-8
 
-    The column-major (m1, m0) block read row-major is W^T, so the new
-    block is written as basis W^T; the other blocks are copied.
+
+def _map_first_weights(shape, v, new_shape, right=None):
+    """v in new_shape's layout with first-layer weights W right, fresh.
+
+    right=None gives zero first-layer weights; every other block is
+    copied.
     """
-    rows, cols = basis.shape
-    k = cols * m1
-    out = np.empty(v.size - k + rows * m1)
-    np.matmul(basis, v[:k].reshape(cols, m1), out=out[: rows * m1].reshape(rows, m1))
-    out[rows * m1 :] = v[k:]
+    out = np.empty(new_shape.num_params)
+    old, new = network.unpack(shape, v), network.unpack(new_shape, out)
+    if right is None:
+        new[0][0][...] = 0.0
+    else:
+        # As (W right)^T = right^T W^T: the transposed views are the
+        # contiguous ones.
+        np.matmul(right.T, old[0][0].T, out=new[0][0].T)
+    new[0][1][...] = old[0][1]
+    for (w_old, b_old), (w_new, b_new) in zip(old[1:], new[1:]):
+        w_new[...] = w_old
+        b_new[...] = b_old
     return out
 
 
@@ -204,15 +224,15 @@ def hf_cg_direction(
     """Conjugate-gradient solve of (B_t + lam I) p = -g, matrix-free.
 
     inputs are the (m0, n1) input columns of the batch g was taken over,
-    which includes the cache's samples; they default to the cache's own,
-    and g must lie in their span as every gradient over them does. Every
-    first-layer weight block of g and of J^T u over those samples is
-    sum_i a_i x_i^T, so with an orthonormal basis Q of the inputs' span,
-    W -> W Q is an isometry onto coordinates that hold every CG vector.
-    When n1 < m0 CG runs there, on a network whose first layer takes the
-    inputs Q^T x, and takes the same steps in exact arithmetic; p is
-    mapped back at the end. Otherwise Q would be the identity and CG runs
-    on theta's own coordinates.
+    which includes the cache's samples; they default to the cache's own.
+    Every first-layer weight block of g and of J^T u over those samples
+    is sum_i a_i x_i^T, so with an orthonormal basis Q of the inputs'
+    span, W -> W Q is an isometry onto coordinates that hold every CG
+    vector. When m0 >= 10 n1 (INPUT_BASIS_MIN_RATIO) CG runs there,
+    on a network whose first layer takes the inputs Q^T x, and takes the
+    same steps in exact arithmetic; p is mapped back at the end. A g
+    outside the span, such as a gradient over a wider batch than inputs,
+    raises ShapeError. Otherwise CG runs on theta's own coordinates.
 
     Each product with B_t costs one forward-mode and one reverse-mode
     sweep over the batch; the loss-Hessian factors are formed once.
@@ -229,12 +249,17 @@ def hf_cg_direction(
         inputs = cache.x
     m0, n1 = inputs.shape
     basis = None
-    if n1 < m0:
+    if INPUT_BASIS_MIN_RATIO * n1 <= m0:
         basis, _ = np.linalg.qr(inputs)
-        m1 = shape.layer_sizes[1]
+        full_shape = shape
         shape = NetworkShape((n1, *shape.layer_sizes[1:]), shape.activations)
-        theta = _map_first_block(basis.T, theta, m1)
-        g = _map_first_block(basis.T, g, m1)
+        # The products never read the first-layer weights: jvp's input
+        # tangent is zero and no adjoint goes below layer 1.
+        theta = _map_first_weights(full_shape, theta, shape)
+        g = _map_first_weights(full_shape, g, shape, basis)
+        # W -> W Q keeps the norm exactly when W lies in the span.
+        if abs(float(np.linalg.norm(g)) - gnorm) > SPAN_NORM_RTOL * gnorm:
+            raise ShapeError("g does not lie in the span of the inputs")
         cache = ForwardCache(
             shape, basis.T @ cache.x, cache.acts, cache.output_preact
         )
@@ -268,5 +293,5 @@ def hf_cg_direction(
     bp = _gn_product(shape, theta, cache, spec, p, factors, counters, ad)
     grad_dot, quad = _finite_model(float(g @ p), float(p @ bp))
     if basis is not None:
-        p = _map_first_block(basis, p, m1)
+        p = _map_first_weights(shape, p, full_shape, basis.T)
     return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)

@@ -262,11 +262,14 @@ class TestDenseOracle:
 
 
 class TestHfCg:
-    @pytest.mark.parametrize("m_in", (6, 3), ids=("input_basis", "identity"))
+    @pytest.mark.parametrize(
+        "m_in", (40, 6, 3), ids=("input_basis", "few_inputs", "identity")
+    )
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
     def test_wider_gradient_batch_matches_dense(self, kind, m_in, rng, monkeypatch):
-        """S2 a strict subset of S1: CG runs in S1's input span when n1 < m0,
-        on theta's own coordinates otherwise, and solves the dense system."""
+        """S2 a strict subset of S1: CG runs in S1's input span when
+        m0 >= 10 n1, on theta's own coordinates otherwise, and solves the
+        dense system."""
         shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(rng, kind, m_in)
         lengths, qr_calls = [], []
         product, qr = solver._gn_product, np.linalg.qr
@@ -286,15 +289,26 @@ class TestHfCg:
         res = solver.hf_cg_direction(
             shape, theta, cache1.cols([0, 1]), spec, lam, cfg, g, inputs=cache1.x
         )
-        n1 = min(m_in, 4)
+        n1 = 4 if m_in >= 40 else m_in
         reduced = shape.num_params - (m_in - n1) * shape.layer_sizes[1]
         assert set(lengths) == {reduced}
-        assert qr_calls == ([(m_in, 4)] if m_in > 4 else [])
+        assert qr_calls == ([(m_in, 4)] if m_in >= 40 else [])
         oracle = oracles.dense_direction_oracle(shape, theta, x2, y2, spec, lam, g=g)
         scale = 1.0 + np.max(np.abs(oracle.p))
         assert np.max(np.abs(res.p - oracle.p)) <= 1e-12 * scale
         assert res.grad_dot == pytest.approx(oracle.grad_dot, rel=1e-12)
         assert res.quad_term == pytest.approx(oracle.quad_term, rel=1e-12)
+
+    def test_gradient_outside_the_input_span_is_shape_error(self, rng):
+        """g over S1 with only S2's inputs: the basis would drop part of g."""
+        shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
+            rng, loss.SQUARED_ERROR, 40
+        )
+        with pytest.raises(ShapeError, match="span"):
+            solver.hf_cg_direction(
+                shape, theta, cache1.cols([0, 1]), spec, 0.5,
+                solver.CgConfig(), g,
+            )
 
     def test_products_run_in_the_input_basis_on_wide_inputs(self, rng, monkeypatch):
         """A 784-input net and a 60-column gradient batch: every CG vector
