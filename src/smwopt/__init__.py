@@ -1,7 +1,7 @@
 """Woodbury-based second-order training for feed-forward networks.
 
 Subpackages:
-    linalg     validated Cholesky factor, blocked triangular solves
+    linalg     Cholesky factor, blocked triangular solves
     network    shapes, parameter layout, forward pass
     loss       matching losses, output-Hessian products and factors
     diff       gradients, jvp/vjp, factored dot products

@@ -163,10 +163,11 @@ def build_model(
         spec.check_matches(shape)
     except ValueError as err:
         raise ConfigError(f"model: {err}") from err
-    if sizes[0] != train.inputs.shape[1] or sizes[-1] != train.targets.shape[1]:
+    features, outputs = train.inputs.shape[1], train.targets.shape[1]
+    if (shape.input_size, shape.output_size) != (features, outputs):
         raise ConfigError(
-            f"layers {sizes} do not match data with {train.inputs.shape[1]} "
-            f"features and {train.targets.shape[1]} target columns"
+            f"layers {sizes} do not match data with {features} "
+            f"features and {outputs} target columns"
         )
     return shape, spec
 

@@ -6,20 +6,23 @@ definite core matrix, Cholesky-factored once when its system is built,
 
     core = lam * I + gram / B,
 
-for both methods:
+with gram = U^T U for B_t = U U^T / B, built by one kernel, gn_block_gram,
+from k factor columns per sample:
 
-    Gauss-Newton (size B*m_L): gram = blocks C_i1^T J_i1 J_i2^T C_i2, where
-        C_i is the loss-Hessian factor with C_i C_i^T = H_i
-    Natural gradient (size B): gram_ij = grad_i . grad_j
+    Gauss-Newton (k = m_L, size B*m_L): blocks C_i1^T J_i1 J_i2^T C_i2,
+        where C_i is the loss-Hessian factor with C_i C_i^T = H_i
+    Natural gradient (k = 1, size B): grad_i . grad_j, the same form with
+        each sample's loss gradient as its one-column factor
 
-Gauss-Newton Gram blocks come from the factored identity
+The blocks come from the factored identity
     (C_i1^T J_i1 J_i2^T C_i2)_{j1 j2} = sum_l (v_i1^(l-1) . v_i2^(l-1) + 1)
                                                * (a_i1^(l,j1) . a_i2^(l,j2)),
 where a_i^(l,j) is the layer-l adjoint of the reverse sweep seeded with
-column j of C_i, so the cost is one reverse sweep over B*m_L columns plus
-layer-sized matrix products, independent of the parameter count. No loss
-Hessian is inverted, so singular (softmax) and saturated (logistic)
-Hessians need no special case.
+column j of C_i, so the cost is one reverse sweep over B*k columns plus
+layer-sized matrix products, independent of the parameter count. Each
+layer term scales A^T A by V^T V, both symmetric bit for bit, so the core
+is exactly symmetric by construction. No loss Hessian is inverted, so
+singular (softmax) and saturated (logistic) Hessians need no special case.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import diff, linalg, loss as loss_mod
 from .counters import OpCounters
-from .exceptions import NotSpdError, NumericError, ShapeError
+from .exceptions import NumericError
 from .network import ForwardCache, NetworkShape
 
 GN = "gn"
@@ -73,35 +76,24 @@ def gn_batch_factors(
     )
 
 
-def gn_block_gram(batch: GnBatchFactors) -> np.ndarray:
-    """Block matrix of C_i1^T J_i1 J_i2^T C_i2 products, shape (B*m_L, B*m_L).
+def gn_block_gram(factors: diff.BackpropFactors) -> np.ndarray:
+    """Gram matrix U^T U of the factored vectors, k per sample: (B*k, B*k).
 
-    Block (i1, i2) is sum_l (v_i1 . v_i2 + 1) * A_i1^T A_i2: each layer's
-    A^T A is scaled block by block in place and the layer contributions
-    are accumulated in fixed layer order.
-    """
-    nb, m_out = batch.ncols, batch.shape.output_size
-    size = nb * m_out
-    gram = np.zeros((size, size))
-    for a, v in zip(batch.layer_adjoints, batch.layer_inputs):
-        a = a.reshape(-1, size)
-        layer = a.T @ a
-        blocks = layer.reshape(nb, m_out, nb, m_out)
-        blocks *= (v.T @ v + 1.0)[:, None, :, None]
-        gram += layer
-    return gram
-
-
-def ng_gram(factors: diff.BackpropFactors) -> np.ndarray:
-    """Gram matrix of per-sample gradients, entry (i, j) = grad_i . grad_j.
-
-    Uses the layer-wise factored identity; the +1 term carries the bias
-    blocks so the entries match expanded-gradient dot products exactly.
+    k is m_L for Gauss-Newton factors, whose adjoints are (m_l, B, m_L),
+    and 1 for per-sample gradients, (m_l, B): the empirical Fisher is the
+    Gauss-Newton form with each sample's loss gradient as its one-column
+    factor. Block (i1, i2) is sum_l (v_i1 . v_i2 + 1) * A_i1^T A_i2; each
+    layer's A^T A is scaled block by block in place, layers in fixed order.
     """
     nb = factors.ncols
-    gram = np.zeros((nb, nb))
+    size = factors.layer_adjoints[0][0].size
+    gram = np.zeros((size, size))
     for a, v in zip(factors.layer_adjoints, factors.layer_inputs):
-        gram += (a.T @ a) * (v.T @ v + 1.0)
+        a = a.reshape(-1, size)
+        layer = a.T @ a
+        blocks = layer.reshape(nb, size // nb, nb, size // nb)
+        blocks *= (v.T @ v + 1.0)[:, None, :, None]
+        gram += layer
     return gram
 
 
@@ -130,14 +122,8 @@ class GramSystem:
 
 def assemble_d(gram: np.ndarray, lam: float, n2: int) -> np.ndarray:
     """Core matrix lam * I + gram / n2 over a batch of n2 samples."""
-    if lam <= 0.0:
-        raise ShapeError(f"damping must be positive, got {lam}")
-    gram = linalg.as_matrix(gram, "gram")
-    size = gram.shape[0]
-    if gram.shape != (size, size) or size % n2:
-        raise ShapeError(f"gram shape {gram.shape} does not fit n2={n2}")
     core = gram / n2
-    core[np.diag_indices(size)] += lam
+    core[np.diag_indices(len(core))] += lam
     return core
 
 
@@ -147,7 +133,7 @@ def _factored_system(method, gram, lam, factors) -> GramSystem:
     core = assemble_d(gram, lam, n2)
     try:
         lower = linalg.cholesky(core)
-    except NotSpdError as err:
+    except NumericError as err:
         diag = np.diag(core)
         raise NumericError(
             f"core factorization failed at lambda={lam:.6e} "
@@ -171,4 +157,4 @@ def build_gn_system(
 
 def build_ng_system(factors: diff.BackpropFactors, lam: float) -> GramSystem:
     """Assemble and factor the natural-gradient core from per-sample gradient factors."""
-    return _factored_system(NG, ng_gram(factors), lam, factors)
+    return _factored_system(NG, gn_block_gram(factors), lam, factors)

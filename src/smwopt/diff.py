@@ -58,14 +58,14 @@ class BackpropFactors:
         """
         if out is None:
             out = np.empty(self.shape.num_params)
-        for a, v, (wsl, bsl, m_out, m_in) in zip(
-            self.layer_adjoints, self.layer_inputs, self.shape.param_layout()
+        for a, v, (w, b) in zip(
+            self.layer_adjoints, self.layer_inputs, unpack(self.shape, out)
         ):
             aw = a if weights is None else a * np.asarray(weights)[None, :]
-            # The column-major (m_out, m_in) weight block is v aw^T read
-            # row-major, so the product is written straight into it.
-            np.matmul(v, aw.T, out=out[wsl].reshape(m_in, m_out))
-            np.sum(aw, axis=1, out=out[bsl])
+            # As (aw v^T)^T = v aw^T: the weight views are column-major,
+            # so their transposes are the contiguous ones.
+            np.matmul(v, aw.T, out=w.T)
+            np.sum(aw, axis=1, out=b)
         return out
 
     def dots_with(self, packed) -> np.ndarray:

@@ -9,18 +9,6 @@ class NumericError(ArithmeticError):
     """A computation produced non-finite values or could not be carried out."""
 
 
-class NotSpdError(NumericError):
-    """Cholesky factorization hit a non-positive pivot."""
-
-    def __init__(self, pivot_index: int, pivot_value: float):
-        self.pivot_index = pivot_index
-        self.pivot_value = pivot_value
-        super().__init__(
-            f"matrix is not positive definite: pivot {pivot_index} "
-            f"has value {pivot_value:.6e}"
-        )
-
-
 class TrainingError(NumericError):
     """Numeric or factorization failure inside the training loop."""
 

@@ -112,18 +112,21 @@ def init_theta(shape: NetworkShape, seed_or_rng=0) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def sigmoid(h: np.ndarray) -> np.ndarray:
+def sigmoid(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + e) for h >= 0 and e / (1 + e) below, with e = exp(-|h|) <= 1.
 
     Because e <= 1, the numerator max(e, h >= 0) is 1 for h >= 0 and e
-    below, exactly.
+    below, exactly. e, and then the result, live in out, a fresh array by
+    default; out=h overwrites h with the same bits, as the sign mask is
+    taken first.
     """
-    e = np.abs(h)
+    positive = h >= 0
+    e = np.abs(h, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, h >= 0)
+    numerator = np.maximum(e, positive)
     e += 1.0
-    return np.divide(out, e, out=out)
+    return np.divide(numerator, e, out=e)
 
 
 def softmax(h: np.ndarray) -> np.ndarray:
@@ -222,7 +225,12 @@ def forward(
         h += b[:, None]
         if not np.all(np.isfinite(h)):
             raise NumericError(f"non-finite pre-activation at layer {l}")
-        v = apply_activation(kind, h)
+        if kind == LOGISTIC and l < shape.num_layers:
+            # Only the output pre-activation is kept, so a hidden one
+            # is overwritten by its activation.
+            v = sigmoid(h, out=h)
+        else:
+            v = apply_activation(kind, h)
         acts.append(v)
     if counters is not None:
         counters.forward_passes += cols.shape[1]

@@ -259,6 +259,9 @@ class Trainer:
         )
         lam_used = self.damping.lam
         result = self._direction(positions, cache1, g, gfactors)
+        # The full-batch factors are dead now; freed, they no longer sit
+        # beside the trial forward's arrays at the step's peak.
+        del gfactors
         trial_cache = forward(
             self.shape, self.theta + result.p, x1, self.counters
         )

@@ -125,7 +125,7 @@ def test_criterion_04_gram_oracles():
         fmat = factored_jacobian(shape, theta, cache, spec)
         worst_gn = max(worst_gn, float(np.max(np.abs(gram - fmat @ fmat.T))))
         _, gf = diff.gradient(shape, theta, cache, y, spec)
-        ngram = curvature.ng_gram(gf)
+        ngram = curvature.gn_block_gram(gf)
         gmat = np.stack([gf.cols([i]).expand_sum() for i in range(nb)], axis=0)
         worst_ng = max(worst_ng, float(np.max(np.abs(ngram - gmat @ gmat.T))))
         assert worst_gn <= 1e-10 and worst_ng <= 1e-10

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smwopt import cli, data, diff, oracles
+from smwopt import cli, data, diff, oracles, solver
 from smwopt.exceptions import ConfigError
 from tests.conftest import save_csv
 
@@ -315,6 +315,13 @@ class TestVerify:
         monkeypatch.setattr(diff, "gradient", biased)
         assert oracles.verify(seed=0) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_solve_without_refinement_fails(self, capsys, monkeypatch):
+        """Every other Woodbury check runs at lambda >= 1e-3, above
+        REFINE_LAMBDA; the small-lambda residual check catches the rest."""
+        monkeypatch.setattr(solver, "REFINE_ROUNDS", 0)
+        assert oracles.verify(seed=0) == 1
+        assert "FAIL smw_residual_small_lambda" in capsys.readouterr().out
 
     def test_main_verify_flag(self, capsys):
         assert cli.main(["--verify"]) == 0

@@ -3,7 +3,7 @@ import pytest
 
 from smwopt import curvature, diff, linalg, loss, network, solver
 from smwopt.counters import OpCounters
-from smwopt.exceptions import NotSpdError, NumericError
+from smwopt.exceptions import NumericError
 from smwopt.oracles import (
     build_curvature_matrix,
     dense_direction_oracle,
@@ -93,7 +93,7 @@ class TestNgGram:
         y = random_targets(rng, spec.kind, shape.output_size)
         cache = network.forward(shape, theta, x)
         g, factors = diff.gradient(shape, theta, cache, y, spec)
-        gram = curvature.ng_gram(factors)
+        gram = curvature.gn_block_gram(factors)
         assert gram.shape == (1, 1)
         assert abs(gram[0, 0] - float(g @ g)) <= 1e-12 * (1.0 + float(g @ g))
 
@@ -107,7 +107,7 @@ class TestNgGram:
         _, factors = diff.gradient(
             shape, theta, cache, np.stack([y, y], axis=1), spec
         )
-        gram = curvature.ng_gram(factors)
+        gram = curvature.gn_block_gram(factors)
         assert np.max(np.abs(gram - gram[0, 0])) < 1e-12
         assert abs(np.linalg.eigvalsh(gram)[0]) < 1e-10 * gram[0, 0]
 
@@ -118,10 +118,35 @@ class TestNgGram:
         y = random_targets(rng, kind, shape.output_size, 4)
         cache = network.forward(shape, theta, x)
         _, factors = diff.gradient(shape, theta, cache, y, spec)
-        gram = curvature.ng_gram(factors)
+        gram = curvature.gn_block_gram(factors)
         gmat = np.stack([factors.cols([i]).expand_sum() for i in range(4)], axis=0)
         scale = 1.0 + np.max(np.abs(gmat @ gmat.T))
         assert np.max(np.abs(gram - gmat @ gmat.T)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", loss.LOSS_KINDS)
+@pytest.mark.parametrize(
+    "sizes,n2",
+    [((5, 4, 3), 2), ((20, 15, 7, 4), 7), ((784, 500, 10), 30)],
+    ids=["small", "deep", "desk"],
+)
+def test_cores_are_exactly_symmetric(kind, sizes, n2, rng):
+    """Both cores are symmetric bit for bit, which linalg.cholesky relies on
+    unchecked. The batches are formed as a trainer forms them: the gradient
+    over n1 = 2 n2 columns and the curvature over its first n2."""
+    shape, spec, theta = make_net(
+        rng, kind, hidden=list(sizes[1:-1]), m_in=sizes[0], m_out=sizes[-1]
+    )
+    x = rng.uniform(size=(sizes[0], 2 * n2))
+    y = random_targets(rng, kind, sizes[-1], 2 * n2)
+    cache = network.forward(shape, theta, x)
+    _, factors = diff.gradient(shape, theta, cache, y, spec)
+    positions = np.arange(n2)
+    for system in (
+        curvature.build_gn_system(shape, theta, cache.cols(positions), spec, 1e-3),
+        curvature.build_ng_system(factors.cols(positions), 1e-3),
+    ):
+        assert np.array_equal(system.core, system.core.T)
 
 
 class TestAssemble:
@@ -130,20 +155,38 @@ class TestAssemble:
         assert np.array_equal(core, 2.5 * np.eye(3))
 
     def test_non_finite_gram_is_numeric_error(self):
+        core = curvature.assemble_d(np.full((2, 2), np.nan), 1.0, 2)
         with pytest.raises(NumericError):
-            curvature.assemble_d(np.full((2, 2), np.nan), 1.0, 2)
+            linalg.cholesky(core)
 
     def test_core_factorization_failure_is_numeric_error(self, rng, monkeypatch):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
         cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 2)))
 
+        cause = NumericError("cholesky failed")
+
         def failing_cholesky(a):
-            raise NotSpdError(0, -1.0)
+            raise cause
 
         monkeypatch.setattr(linalg, "cholesky", failing_cholesky)
         with pytest.raises(NumericError, match="core factorization failed") as err:
             curvature.build_gn_system(shape, theta, cache, spec, 1.0)
-        assert isinstance(err.value.__cause__, NotSpdError)
+        assert err.value.__cause__ is cause
+
+    @pytest.mark.parametrize("method", [curvature.GN, curvature.NG])
+    def test_indefinite_core_reports_lambda_and_diagonal(self, method, rng):
+        """A core that is not SPD, here from a negative lambda, is one
+        NumericError naming lambda and the core's diagonal range."""
+        shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
+        x = rng.normal(size=(shape.input_size, 2))
+        y = random_targets(rng, spec.kind, shape.output_size, 2)
+        cache = network.forward(shape, theta, x)
+        with pytest.raises(NumericError, match=r"lambda=-1\.0+e\+03 \(diag range \["):
+            if method == curvature.GN:
+                curvature.build_gn_system(shape, theta, cache, spec, -1e3)
+            else:
+                _, factors = diff.gradient(shape, theta, cache, y, spec)
+                curvature.build_ng_system(factors, -1e3)
 
     def test_gn_squared_error_blocks(self, rng):
         n2, m_out = 2, 2

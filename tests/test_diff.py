@@ -275,7 +275,7 @@ class TestExpandSum:
 
 class TestFactoredDot:
     """The factored identity <J_a^T x_a, J_b^T x_b> = sum_l (v_a.v_b + 1)(a_a.a_b),
-    read off the off-diagonal entry of curvature.ng_gram over two columns."""
+    read off the off-diagonal entry of curvature.gn_block_gram over two columns."""
 
     def _factor_pair(self, rng, kind=loss.SQUARED_ERROR):
         shape, spec, theta = make_net(rng, kind, hidden=[4, 3])
@@ -292,18 +292,18 @@ class TestFactoredDot:
         m_out = shape.output_size
         seeds = np.hstack([np.zeros((m_out, 1)), rng.normal(size=(m_out, 1))])
         _, factors = diff.vjp(shape, theta, cache, seeds)
-        assert curvature.ng_gram(factors)[0, 1] == 0.0
+        assert curvature.gn_block_gram(factors)[0, 1] == 0.0
 
     def test_self_dot_nonnegative(self, rng):
         factors = self._factor_pair(rng)
-        assert curvature.ng_gram(factors)[0, 0] >= 0.0
+        assert curvature.gn_block_gram(factors)[0, 0] >= 0.0
 
     def test_matches_expansion(self, rng):
         for _ in range(20):
             factors = self._factor_pair(rng)
             ea, eb = factors.cols([0]).expand_sum(), factors.cols([1]).expand_sum()
             expected = float(ea @ eb)
-            got = curvature.ng_gram(factors)[0, 1]
+            got = curvature.gn_block_gram(factors)[0, 1]
             assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
 
     def test_plus_one_accounts_for_bias(self, rng):
@@ -315,7 +315,7 @@ class TestFactoredDot:
         ea, eb = factors.cols([0]).expand_sum(), factors.cols([1]).expand_sum()
         biases = [bsl for _, bsl, _, _ in factors.shape.param_layout()]
         bias_dot = sum(float(ea[bsl] @ eb[bsl]) for bsl in biases)
-        got = curvature.ng_gram(factors)[0, 1]
+        got = curvature.gn_block_gram(factors)[0, 1]
         assert abs(got - weights_only - bias_dot) <= 1e-12 * (1.0 + abs(got))
         for bsl in biases:
             ea[bsl] = 0.0

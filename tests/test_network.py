@@ -147,6 +147,26 @@ class TestActivations:
         for h in (edges, rng.normal(scale=10.0, size=(50, 40))):
             assert network.sigmoid(h).tobytes() == where_sigmoid(h).tobytes()
 
+    def test_sigmoid_in_place_matches_fresh_bitwise(self, rng):
+        """out=h overwrites h with the bits a fresh sigmoid(h) returns, as
+        forward does for every hidden logistic layer."""
+        edges = np.array([0.0, -0.0, 800.0, -800.0, 36.7, -36.7, 745.0, -745.0])
+        for h in (edges, rng.normal(scale=10.0, size=(50, 40))):
+            expected = network.sigmoid(h)
+            buf = h.copy()
+            got = network.sigmoid(buf, out=buf)
+            assert got is buf
+            assert got.tobytes() == expected.tobytes()
+        shape = network.NetworkShape((6, 5, 4, 3), ("logistic",) * 3)
+        theta = network.init_theta(shape, rng)
+        x = rng.normal(scale=3.0, size=(6, 7))
+        cache = network.forward(shape, theta, x)
+        for l, (w, b) in enumerate(network.unpack(shape, theta), start=1):
+            h = w @ cache.v(l - 1)
+            h += b[:, None]
+            assert cache.v(l).tobytes() == network.sigmoid(h).tobytes()
+        assert cache.output_preact.tobytes() == h.tobytes()
+
     def test_softmax_sums_to_one_extreme(self):
         h = np.array([[1000.0], [0.0], [-1000.0]])
         v = network.softmax(h)
