@@ -4,10 +4,10 @@ Subpackages:
     linalg     Cholesky factor, blocked triangular solves
     network    shapes, parameter layout, forward pass
     loss       matching losses, output-Hessian products and factors
-    diff       gradients, jvp/vjp, factored dot products
+    diff       gradients, jvp/vjp w.r.t. h_L, factored dot products
     counters   per-sample operation counts
     curvature  Gram matrices and the small core systems
-    solver     Woodbury direction, CG baseline
+    solver     Woodbury direction, CG baseline in an input-span basis
     damping    reduction ratio and the adaptive damping rule
     optim      training loops and batch sampling
     data       CSV / IDX loading and standardization

@@ -1,10 +1,10 @@
 """Backpropagation kernels: gradients, Jacobian products, factored dots.
 
-The output Jacobian of sample i is J_i = d yhat_i / d theta = A_i J_h,i,
-where A_i is the output activation's Jacobian and J_h,i = d h_L / d theta.
-The loss Hessians are taken w.r.t. h_L, so for both cross-entropy losses
-the Gauss-Newton and hf curvature built from these kernels is
-J_h^T A H A J_h, not the matching-loss J_h^T H J_h (ROADMAP item 1).
+Every kernel works in the space of the output pre-activation h_L, where
+the loss defines its gradient, Hessian and square factor: the Jacobian of
+sample i is J_i = d h_L,i / d theta. So the Gauss-Newton and hf curvature
+built from these kernels is the matching-loss J^T H J (Schraudolph 2002),
+and the gradient is the reverse-mode product with the loss gradient in h_L.
 
 Reverse-mode products J_i^T x come out Kronecker-factored: the weight
 block of layer l is the outer product a_l v_{l-1}^T of a backward adjoint
@@ -113,14 +113,10 @@ def _backward_adjoints(
     for l in range(nl - 1, 0, -1):
         w_next = params[l][0]
         u = (w_next.T @ a.reshape(len(a), -1)).reshape(-1, *a.shape[1:])
-        a = act_jac_apply(shape.activations[l - 1], _trailing(cache.v(l), a), u)
+        v = cache.v(l) if a.ndim == 2 else cache.v(l)[:, :, None]
+        a = act_jac_apply(shape.activations[l - 1], v, u)
         adjoints[l - 1] = a
     return adjoints
-
-
-def _trailing(v: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Layer values v, given the trailing axis of like so they broadcast."""
-    return v[:, :, None] if like.ndim == 3 else v
 
 
 def gradient(
@@ -131,20 +127,18 @@ def gradient(
     spec: loss_mod.LossSpec,
     counters: OpCounters | None = None,
 ) -> tuple[np.ndarray, BackpropFactors]:
-    """Backward pass for the loss gradient.
+    """Backward pass for the loss gradient: vjp of the loss gradient in h_L.
 
     Returns the packed gradient, the mean over the cache's sample columns,
-    together with the per-sample factors for Gram reuse.
+    together with the per-sample factors for Gram reuse. It counts as one
+    backward pass per column, not as vjp products.
     """
-    params = unpack(shape, theta)
     if cache.ncols == 0:
         raise ShapeError("empty cache")
     r = loss_mod.loss_grad_h(spec, cache, y)
-    adjoints = _backward_adjoints(shape, params, cache, r)
-    factors = BackpropFactors(shape, adjoints, _layer_inputs(cache))
+    packed, factors = vjp(shape, theta, cache, r)
     if counters is not None:
         counters.backward_passes += cache.ncols
-    packed = factors.expand_sum()
     packed /= cache.ncols
     return packed, factors
 
@@ -159,22 +153,22 @@ def jvp(
     """Forward-mode product J_i theta1 for every sample column.
 
     Propagates the directional perturbation through the layer recursion
-    h1_l = W1_l v_{l-1} + W_l v1_{l-1} + b1_l.
+    h1_l = W1_l v_{l-1} + W_l v1_{l-1} + b1_l and returns the last h1_L.
     """
     params = unpack(shape, theta)
     direction = unpack(shape, theta1)
-    v1 = None
     for l in range(1, shape.num_layers + 1):
         w, _ = params[l - 1]
         w1, b1 = direction[l - 1]
         h1 = w1 @ cache.v(l - 1)
-        if v1 is not None:  # the input tangent v1_0 is zero
+        if l > 1:  # the input tangent v1_0 is zero
             h1 += w @ v1
         h1 += b1[:, None]
-        v1 = act_jac_apply(shape.activations[l - 1], cache.v(l), h1)
+        if l < shape.num_layers:
+            v1 = act_jac_apply(shape.activations[l - 1], cache.v(l), h1)
     if counters is not None:
         counters.jvp_products += cache.ncols
-    return v1
+    return h1
 
 
 def vjp(
@@ -188,7 +182,7 @@ def vjp(
 ) -> tuple[np.ndarray | None, BackpropFactors]:
     """Reverse-mode product J_i^T x_i for every sample column.
 
-    x_out holds one output-space seed column per sample column, (m_L, B).
+    x_out holds one h_L-space seed column per sample column, (m_L, B).
     The packed result sums J_i^T x_i over columns and is written into out
     when given. With expand=False only the factors are computed and the
     outer-product expansion is skipped; only then may x_out carry k seeds
@@ -204,11 +198,9 @@ def vjp(
         )
     if x.ndim == 3 and expand:
         raise ShapeError("a seed with a trailing axis needs expand=False")
-    nl = shape.num_layers
-    seed = act_jac_apply(shape.activations[nl - 1], _trailing(cache.v(nl), x), x)
-    adjoints = _backward_adjoints(shape, params, cache, seed)
+    adjoints = _backward_adjoints(shape, params, cache, x)
     factors = BackpropFactors(shape, adjoints, _layer_inputs(cache))
     if counters is not None:
-        counters.vjp_products += seed[0].size
+        counters.vjp_products += x[0].size
     packed = factors.expand_sum(out=out) if expand else None
     return packed, factors

@@ -147,10 +147,10 @@ def apply_activation(kind: str, h: np.ndarray) -> np.ndarray:
 
 
 def act_jac_apply(kind: str, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply dv/dh column-wise to u without materializing it.
+    """Apply a hidden layer's dv/dh column-wise to u without materializing it.
 
-    All three jacobians are symmetric, so this serves both the forward
-    (J u) and adjoint (J^T u) directions.
+    Both hidden jacobians are diagonal, so this serves J u and J^T u alike.
+    The backprop kernels work in h_L, so the output-only softmax has none.
     """
     if kind == LINEAR:
         return np.array(u, copy=True)
@@ -163,9 +163,7 @@ def act_jac_apply(kind: str, v: np.ndarray, u: np.ndarray) -> np.ndarray:
             r *= u
             return r
         return r * u
-    if kind == SOFTMAX:
-        return v * u - v * np.sum(v * u, axis=0, keepdims=True)
-    raise ShapeError(f"unknown activation kind: {kind!r}")
+    raise ShapeError(f"no hidden-layer jacobian for activation kind {kind!r}")
 
 
 @dataclass

@@ -96,16 +96,19 @@ def random_targets(rng, kind, m_out, nbatch=1):
     return t
 
 
-def wider_batch_instance(rng, kind, m_in):
+def wider_batch_instance(rng, kind, m_in, eps=0.0):
     """Gradient over a 4-column batch S1 and curvature over its prefix S2.
 
-    The last S1 column repeats the first, so the inputs are rank-deficient.
+    The last S1 column repeats the first, so the inputs are rank-deficient;
+    a nonzero eps adds eps times a normal draw to it, so they are nearly so.
     Returns shape, spec, theta, the S1 cache, its gradient g, and S2's
     inputs and targets.
     """
     shape, spec, theta = make_net(rng, kind, m_in=m_in)
     x1 = rng.normal(size=(m_in, 4))
     x1[:, 3] = x1[:, 0]
+    if eps:
+        x1[:, 3] += eps * rng.normal(size=m_in)
     y1 = random_targets(rng, kind, shape.output_size, 4)
     cache1 = network.forward(shape, theta, x1)
     g, _ = diff.gradient(shape, theta, cache1, y1, spec)
@@ -137,7 +140,9 @@ def fd_loss_hessian_theta(shape, theta, x, y, spec, step=1e-5):
     """Hessian of the mean loss in theta, by central differences of diff.gradient.
 
     On a one-layer network h_L is linear in theta, so this is exactly the
-    matching-loss Gauss-Newton matrix J_h^T H J_h. No vjp is involved.
+    matching-loss Gauss-Newton matrix J_h^T H J_h. The only kernel involved
+    is the gradient, which fd_loss_gradient checks against the loss itself;
+    no curvature product is.
     """
     def grad(point):
         cache = network.forward(shape, point, x)
@@ -411,6 +416,22 @@ def verify(seed: int = 0) -> int:
         for method in (curvature.GN, curvature.NG):
             worst_res = max(worst_res, _smw_case(rng, kind, method, 1e-10)[-1])
     checks.append(("smw_residual_small_lambda", worst_res, 1e-8))
+
+    # On a one-layer net h_L is linear in theta, so the matching-loss
+    # Gauss-Newton matrix is the loss Hessian in theta. Central differences
+    # of the gradient, which the first check pins to the loss, measure it
+    # without the Jacobian products that every other curvature check shares
+    # with the fast path.
+    worst = 0.0
+    for kind in loss_mod.LOSS_KINDS:
+        shape, spec, _ = make_net(rng, kind, hidden=[])
+        theta = 3.0 * network.init_theta(shape, rng)
+        x = rng.normal(size=(shape.input_size, 2))
+        y = random_targets(rng, kind, shape.output_size, 2)
+        b_mat, _ = build_curvature_matrix(shape, theta, x, y, spec, curvature.GN)
+        hessian = fd_loss_hessian_theta(shape, theta, x, y, spec)
+        worst = max(worst, float(np.max(np.abs(b_mat - hessian))))
+    checks.append(("gn_matrix_vs_theta_hessian", worst, 1e-8))
 
     failed = False
     for name, err, tol in checks:

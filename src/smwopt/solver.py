@@ -27,8 +27,10 @@ residual tolerance, in buffers it owns. The same Kronecker-factored form
 bounds where its iterates live: their first-layer weight blocks are sums
 of outer products with the gradient batch's inputs, so for a batch with
 at most a tenth as many columns as inputs CG runs in an orthonormal
-basis of the inputs' span (hf_cg_direction), on 35,510 coordinates
-instead of 397,510 at 784-500-10 with n1 = 60.
+basis of the inputs' span (input_basis, hf_cg_direction), on 35,510
+coordinates instead of 397,510 at 784-500-10 with n1 = 60. Every
+product is the matching-loss J^T H J with J = d h_L / d theta, as the
+kernels of diff work in h_L.
 """
 
 from __future__ import annotations
@@ -178,15 +180,44 @@ def smw_direction(
 
 
 # CG runs in the input basis only when m0 >= 10 n1. Its fixed cost, the
-# QR of the (m0, n1) inputs, grows as m0 n1^2 while the saving per CG
-# iteration shrinks as (m0 - n1) m1 n2. Timed at 784-500-10 with n2 = 30
-# and 2 BLAS threads, a direction breaks even near n1 = 70 at one CG
-# iteration, n1 = 130 at three and n1 = 300 at ten; at n1 = 700 it is
-# 1.3-4x slower than CG on theta's coordinates.
+# basis of the (m0, n1) inputs, grows as m0 n1^2 while the saving per CG
+# iteration shrinks as (m0 - n1) m1 n2. The ratio was timed with a
+# Householder QR basis at 784-500-10 with n2 = 30 and 2 BLAS threads: a
+# direction broke even near n1 = 70 at one CG iteration, n1 = 130 at three
+# and n1 = 300 at ten. The SVQB basis below, check included, costs about
+# half of that QR at n1 = 60-120, so the ratio is conservative.
 INPUT_BASIS_MIN_RATIO = 10
 # A g outside the inputs' span loses norm under W -> W Q; this bound
 # catches a perpendicular part of relative size 1.4e-4 and up.
 SPAN_NORM_RTOL = 1e-8
+# SVQB drops the directions with eigenvalue s <= BASIS_DROP_RTOL * s_max
+# of X^T X, that is singular values below 3.2e-7 sigma_max. A basis that
+# leaves more than BASIS_RESIDUAL_RTOL ||X||_F of X outside its span
+# dropped a direction X needs, and Householder QR replaces it.
+BASIS_DROP_RTOL = 1e-13
+BASIS_RESIDUAL_RTOL = 1e-13
+
+
+def input_basis(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of the columns of x, (m0, rank).
+
+    Two SVQB passes (Stathopoulos & Wu 2002), each x <- x V_k s_k^-1/2
+    from the eigenpairs of x^T x it keeps; the second restores the
+    orthogonality the first loses to x's conditioning, as in CholeskyQR2.
+    An exactly repeated column is dropped, so the width is the rank. When
+    a dropped direction carried part of x, as for nearly repeated
+    columns, the basis falls back to Householder QR, of width n1.
+    """
+    q = x
+    for _ in range(2):
+        s, v = np.linalg.eigh(q.T @ q)
+        keep = s > BASIS_DROP_RTOL * s[-1]
+        if not keep.any():  # x is zero
+            return np.linalg.qr(x)[0]
+        q = q @ (v[:, keep] / np.sqrt(s[keep]))
+    if np.linalg.norm(x - q @ (q.T @ x)) > BASIS_RESIDUAL_RTOL * np.linalg.norm(x):
+        q, _ = np.linalg.qr(x)
+    return q
 
 
 def _map_first_weights(shape, v, new_shape, right=None):
@@ -227,12 +258,13 @@ def hf_cg_direction(
     which includes the cache's samples; they default to the cache's own.
     Every first-layer weight block of g and of J^T u over those samples
     is sum_i a_i x_i^T, so with an orthonormal basis Q of the inputs'
-    span, W -> W Q is an isometry onto coordinates that hold every CG
-    vector. When m0 >= 10 n1 (INPUT_BASIS_MIN_RATIO) CG runs there,
-    on a network whose first layer takes the inputs Q^T x, and takes the
-    same steps in exact arithmetic; p is mapped back at the end. A g
-    outside the span, such as a gradient over a wider batch than inputs,
-    raises ShapeError. Otherwise CG runs on theta's own coordinates.
+    span (input_basis), W -> W Q is an isometry onto coordinates that
+    hold every CG vector. When m0 >= 10 n1 (INPUT_BASIS_MIN_RATIO) CG
+    runs there, on a network whose first layer takes the inputs Q^T x,
+    and takes the same steps in exact arithmetic; p is mapped back at the
+    end. A g outside the span, such as a gradient over a wider batch than
+    inputs, raises ShapeError. Otherwise CG runs on theta's own
+    coordinates.
 
     Each product with B_t costs one forward-mode and one reverse-mode
     sweep over the batch; the loss-Hessian factors are formed once.
@@ -250,9 +282,11 @@ def hf_cg_direction(
     m0, n1 = inputs.shape
     basis = None
     if INPUT_BASIS_MIN_RATIO * n1 <= m0:
-        basis, _ = np.linalg.qr(inputs)
+        basis = input_basis(inputs)
         full_shape = shape
-        shape = NetworkShape((n1, *shape.layer_sizes[1:]), shape.activations)
+        shape = NetworkShape(
+            basis.shape[1:] + shape.layer_sizes[1:], shape.activations
+        )
         # The products never read the first-layer weights: jvp's input
         # tangent is zero and no adjoint goes below layer 1.
         theta = _map_first_weights(full_shape, theta, shape)

@@ -30,10 +30,10 @@ def scalar_forward(sizes, acts, params, x):
     return v
 
 
-def fd_output_jacobian_product(shape, theta, x, direction, step=1e-6):
-    """Central finite differences of yhat along a parameter direction."""
-    up = network.forward(shape, theta + step * direction, x).output
-    down = network.forward(shape, theta - step * direction, x).output
+def fd_preact_jacobian_product(shape, theta, x, direction, step=1e-6):
+    """Central finite differences of h_L along a parameter direction."""
+    up = network.forward(shape, theta + step * direction, x).output_preact
+    down = network.forward(shape, theta - step * direction, x).output_preact
     return (up - down) / (2.0 * step)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smwopt import cli, data, diff, oracles, solver
+from smwopt import cli, data, diff, network, oracles, solver
 from smwopt.exceptions import ConfigError
 from tests.conftest import save_csv
 
@@ -304,6 +304,54 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS gradient_vs_finite_differences" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("seed", (1, 2, 3, 4))
+    def test_passes_over_seeds(self, seed, capsys):
+        assert oracles.verify(seed=seed) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kernels", ("vjp", "jvp_and_vjp"))
+    def test_output_activation_jacobian_in_kernels_fails(
+        self, kernels, capsys, monkeypatch
+    ):
+        """Kernels that apply the output activation's Jacobian A pair the
+        h_L-space loss Hessian with J = A J_h, as they did before the kernels
+        moved to h_L. The gradient stays exact, and with jvp mutated too the
+        adjoint identity holds, so only the theta-space check, which reads
+        nothing but the gradient, sees the curvature J_h^T A H A J_h."""
+        gradient, jvp, vjp = diff.gradient, diff.jvp, diff.vjp
+
+        def output_jacobian(shape, cache, u):
+            v = cache.output if u.ndim == 2 else cache.output[:, :, None]
+            kind = shape.activations[-1]
+            if kind == network.LOGISTIC:
+                return v * (1.0 - v) * u
+            if kind == network.SOFTMAX:
+                return v * u - v * np.sum(v * u, axis=0, keepdims=True)
+            return u
+
+        def vjp_mutant(shape, theta, cache, x_out, *args, **kwargs):
+            seed = output_jacobian(shape, cache, np.asarray(x_out, dtype=float))
+            return vjp(shape, theta, cache, seed, *args, **kwargs)
+
+        def jvp_mutant(shape, theta, cache, *args, **kwargs):
+            h1 = jvp(shape, theta, cache, *args, **kwargs)
+            return output_jacobian(shape, cache, h1)
+
+        def exact_gradient(*args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(diff, "vjp", vjp)
+                return gradient(*args, **kwargs)
+
+        monkeypatch.setattr(diff, "vjp", vjp_mutant)
+        monkeypatch.setattr(diff, "gradient", exact_gradient)
+        if kernels == "jvp_and_vjp":
+            monkeypatch.setattr(diff, "jvp", jvp_mutant)
+        assert oracles.verify(seed=0) == 1
+        out = capsys.readouterr().out
+        assert "FAIL gn_matrix_vs_theta_hessian" in out
+        if kernels == "jvp_and_vjp":
+            assert out.count("FAIL") == 1
 
     def test_injected_error_fails(self, capsys, monkeypatch):
         gradient = diff.gradient

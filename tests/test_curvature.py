@@ -236,17 +236,12 @@ class TestAssemble:
         assert np.max(np.abs(res.p - oracle.p)) <= 1e-9 * scale
 
 
-# Both cross-entropy GN matrices are J_h^T A H A J_h today, with A the
-# output activation's Jacobian; fixing that flips these cases.
-CROSS_ENTROPY_CURVATURE = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-
-
 @pytest.mark.parametrize(
     "kind,m_out",
     [
         (loss.SQUARED_ERROR, 3),
-        pytest.param(loss.BINARY_CROSS_ENTROPY, 1, marks=CROSS_ENTROPY_CURVATURE),
-        pytest.param(loss.SOFTMAX_CROSS_ENTROPY, 3, marks=CROSS_ENTROPY_CURVATURE),
+        (loss.BINARY_CROSS_ENTROPY, 1),
+        (loss.SOFTMAX_CROSS_ENTROPY, 3),
     ],
 )
 def test_gn_matrix_is_theta_hessian_of_one_layer_net(kind, m_out):

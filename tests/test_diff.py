@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from smwopt import curvature, diff, loss, network
 from smwopt.counters import OpCounters
 from smwopt.exceptions import ShapeError
-from smwopt.oracles import activation_jacobian, pack
+from smwopt.oracles import pack
 from tests.conftest import (
     fd_loss_gradient,
-    fd_output_jacobian_product,
+    fd_preact_jacobian_product,
     make_net,
     random_targets,
 )
@@ -104,7 +104,7 @@ class TestJvp:
         cache = network.forward(shape, theta, x)
         direction = rng.normal(size=shape.num_params)
         out = diff.jvp(shape, theta, cache, direction)
-        fd = fd_output_jacobian_product(shape, theta, x, direction)
+        fd = fd_preact_jacobian_product(shape, theta, x, direction)
         assert np.max(np.abs(out - fd) / (1.0 + np.abs(fd))) < 1e-6
 
 
@@ -162,30 +162,16 @@ class TestVjp:
         assert np.max(np.abs(packed - total)) < 1e-12
 
     def test_gradient_equals_vjp_of_output_gradient(self, rng):
-        """Chain-rule consistency through the output activation."""
-        for kind in (loss.SQUARED_ERROR, loss.BINARY_CROSS_ENTROPY):
+        """The gradient is the mean vjp of the loss gradient in h_L, bit for bit."""
+        for kind in loss.LOSS_KINDS:
             shape, spec, theta = make_net(rng, kind)
-            x = rng.normal(size=(shape.input_size, 1))
-            y = random_targets(rng, kind, shape.output_size)
+            x = rng.normal(size=(shape.input_size, 3))
+            y = random_targets(rng, kind, shape.output_size, 3)
             cache = network.forward(shape, theta, x)
             g, _ = diff.gradient(shape, theta, cache, y, spec)
-            yhat = cache.output
-            if kind == loss.SQUARED_ERROR:
-                seed = 2.0 * (yhat - y)
-            else:
-                seed = (yhat - y) / (yhat * (1.0 - yhat))
-            packed, _ = diff.vjp(shape, theta, cache, seed)
-            assert np.max(np.abs(g - packed)) < 1e-14
-        shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY)
-        x = rng.normal(size=(shape.input_size, 1))
-        y = random_targets(rng, spec.kind, shape.output_size)
-        cache = network.forward(shape, theta, x)
-        g, _ = diff.gradient(shape, theta, cache, y, spec)
-        yhat = cache.output[:, 0]
-        jac = activation_jacobian("softmax", None, yhat)
-        seed = np.linalg.lstsq(jac, yhat - y[:, 0], rcond=None)[0]
-        packed, _ = diff.vjp(shape, theta, cache, seed[:, None])
-        assert np.max(np.abs(g - packed)) < 1e-10
+            r = loss.loss_grad_h(spec, cache, y)
+            packed, _ = diff.vjp(shape, theta, cache, r)
+            assert np.array_equal(g, packed / 3)
 
     def test_counters(self, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)

@@ -210,7 +210,7 @@ class TestActivations:
                 ) / (2 * step)
             assert np.max(np.abs(jac - fd)) < 1e-7
 
-    @pytest.mark.parametrize("kind", network.ACTIVATION_KINDS)
+    @pytest.mark.parametrize("kind", (network.LINEAR, network.LOGISTIC))
     def test_apply_matches_materialized(self, kind, rng):
         h = rng.normal(size=(4, 3))
         u = rng.normal(size=(4, 3))

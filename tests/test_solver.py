@@ -261,6 +261,36 @@ class TestDenseOracle:
             )
 
 
+def _hf_against_dense(instance, monkeypatch):
+    """hf at a tight tolerance on a wider_batch_instance, checked against the
+    dense solve; returns the CG vector lengths and np.linalg.qr's operands."""
+    shape, spec, theta, cache1, g, x2, y2 = instance
+    lengths, qr_calls = [], []
+    product, qr = solver._gn_product, np.linalg.qr
+
+    def spy_product(*args):
+        lengths.append(args[4].size)
+        return product(*args)
+
+    def spy_qr(*args, **kwargs):
+        qr_calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_gn_product", spy_product)
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    lam = 0.5
+    cfg = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15)
+    res = solver.hf_cg_direction(
+        shape, theta, cache1.cols([0, 1]), spec, lam, cfg, g, inputs=cache1.x
+    )
+    oracle = oracles.dense_direction_oracle(shape, theta, x2, y2, spec, lam, g=g)
+    scale = 1.0 + np.max(np.abs(oracle.p))
+    assert np.max(np.abs(res.p - oracle.p)) <= 1e-12 * scale
+    assert res.grad_dot == pytest.approx(oracle.grad_dot, rel=1e-12)
+    assert res.quad_term == pytest.approx(oracle.quad_term, rel=1e-12)
+    return lengths, qr_calls
+
+
 class TestHfCg:
     @pytest.mark.parametrize(
         "m_in", (40, 6, 3), ids=("input_basis", "few_inputs", "identity")
@@ -269,35 +299,32 @@ class TestHfCg:
     def test_wider_gradient_batch_matches_dense(self, kind, m_in, rng, monkeypatch):
         """S2 a strict subset of S1: CG runs in S1's input span when
         m0 >= 10 n1, on theta's own coordinates otherwise, and solves the
-        dense system."""
-        shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(rng, kind, m_in)
-        lengths, qr_calls = [], []
-        product, qr = solver._gn_product, np.linalg.qr
-
-        def spy_product(*args):
-            lengths.append(args[4].size)
-            return product(*args)
-
-        def spy_qr(*args, **kwargs):
-            qr_calls.append(args[0].shape)
-            return qr(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_gn_product", spy_product)
-        monkeypatch.setattr(np.linalg, "qr", spy_qr)
-        lam = 0.5
-        cfg = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15)
-        res = solver.hf_cg_direction(
-            shape, theta, cache1.cols([0, 1]), spec, lam, cfg, g, inputs=cache1.x
-        )
-        n1 = 4 if m_in >= 40 else m_in
-        reduced = shape.num_params - (m_in - n1) * shape.layer_sizes[1]
+        dense system. The repeated input column leaves a basis of the
+        inputs' rank, 3, with no QR."""
+        instance = wider_batch_instance(rng, kind, m_in)
+        shape = instance[0]
+        lengths, qr_calls = _hf_against_dense(instance, monkeypatch)
+        width = 3 if m_in >= 40 else m_in
+        reduced = shape.num_params - (m_in - width) * shape.layer_sizes[1]
         assert set(lengths) == {reduced}
-        assert qr_calls == ([(m_in, 4)] if m_in >= 40 else [])
-        oracle = oracles.dense_direction_oracle(shape, theta, x2, y2, spec, lam, g=g)
-        scale = 1.0 + np.max(np.abs(oracle.p))
-        assert np.max(np.abs(res.p - oracle.p)) <= 1e-12 * scale
-        assert res.grad_dot == pytest.approx(oracle.grad_dot, rel=1e-12)
-        assert res.quad_term == pytest.approx(oracle.quad_term, rel=1e-12)
+        assert qr_calls == []
+
+    @pytest.mark.parametrize("eps", (1e-12, 1e-9, 1e-7, 1e-5, 1e-3))
+    @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
+    def test_nearly_repeated_inputs_match_dense(self, kind, eps, rng, monkeypatch):
+        """A near-duplicate input column: where SVQB drops its direction
+        (eps <= 1e-7) the basis would miss part of the inputs, so Householder
+        QR replaces it; above that SVQB keeps all four directions."""
+        instance = wider_batch_instance(rng, kind, 40, eps=eps)
+        shape = instance[0]
+        lengths, qr_calls = _hf_against_dense(instance, monkeypatch)
+        assert set(lengths) == {shape.num_params - 36 * shape.layer_sizes[1]}
+        assert qr_calls == ([(40, 4)] if eps <= 1e-7 else [])
+
+    def test_zero_inputs_fall_back_to_qr(self):
+        basis = solver.input_basis(np.zeros((40, 4)))
+        assert basis.shape == (40, 4)
+        assert np.max(np.abs(basis.T @ basis - np.eye(4))) < 1e-15
 
     def test_gradient_outside_the_input_span_is_shape_error(self, rng):
         """g over S1 with only S2's inputs: the basis would drop part of g."""
