@@ -16,6 +16,14 @@ products can be formed without ever materializing length-n vectors:
 
 where the +1 accounts exactly for the bias blocks.
 
+The same identity keeps a vector in factor space: FactoredVector holds
+one adjoint column per sample of a batch (a SampleSpan, its layer inputs
+V_l and their Grams V_l^T V_l + 1), and its inner products, norms and dots
+with the backward factors of any prefix of the batch's samples are
+products of those n x n Grams with the adjoints. The stochastic Woodbury
+step keeps g and p in that form and writes a parameter-length vector only
+for theta + alpha p.
+
 All kernels accept batched caches (samples as columns) and perform the
 per-sample recursions simultaneously; counters advance by the number of
 columns processed.
@@ -23,6 +31,7 @@ columns processed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,18 +78,22 @@ class BackpropFactors:
         return out
 
     def dots_with(self, packed) -> np.ndarray:
-        """Dot products of the factored vectors with a packed vector.
+        """Dot products of the factored vectors with a parameter vector.
 
         One entry per sample, or per (sample, trailing index) pair
         flattened sample-major when the adjoints carry a trailing axis.
+        The vector is packed, or a FactoredVector over a span whose first
+        columns are these samples.
         """
-        packed = np.asarray(packed, dtype=np.float64)
+        if isinstance(packed, FactoredVector):
+            preacts = packed.preacts(self.ncols)
+        else:
+            params = unpack(self.shape, np.asarray(packed, dtype=np.float64))
+            preacts = (
+                w @ v + b[:, None] for (w, b), v in zip(params, self.layer_inputs)
+            )
         out = np.zeros(self.layer_adjoints[0].shape[1:])
-        for (a, v), (w, b) in zip(
-            zip(self.layer_adjoints, self.layer_inputs),
-            unpack(self.shape, packed),
-        ):
-            z = w @ v + b[:, None]
+        for a, z in zip(self.layer_adjoints, preacts):
             if a.ndim == 3:
                 z = z[:, :, None]
             out += np.sum(a * z, axis=0)
@@ -96,6 +109,129 @@ class BackpropFactors:
 
 def _layer_inputs(cache: ForwardCache) -> list[np.ndarray]:
     return [cache.v(l - 1) for l in range(1, cache.shape.num_layers + 1)]
+
+
+@dataclass
+class SampleSpan:
+    """A batch's layer inputs and their Grams: the frame of FactoredVector.
+
+    layer_inputs[l-1] is V_{l-1}, (m_{l-1}, n), and grams[l-1] is
+    V_{l-1}^T V_{l-1} + 1, (n, n); the +1 pairs the bias blocks.
+    """
+
+    shape: NetworkShape
+    layer_inputs: list[np.ndarray]
+    grams: list[np.ndarray]
+
+    @classmethod
+    def of(cls, cache: ForwardCache) -> "SampleSpan":
+        inputs = _layer_inputs(cache)
+        return cls(cache.shape, inputs, [v.T @ v + 1.0 for v in inputs])
+
+    @property
+    def ncols(self) -> int:
+        return self.grams[0].shape[0]
+
+    def embed(self, factors: BackpropFactors, weights=None) -> "FactoredVector":
+        """The sum of factors' vectors, optionally weighted, over this span.
+
+        factors' samples must be the span's first columns (the curvature
+        batch is a prefix of the gradient batch); the other columns of the
+        fresh adjoints are zero.
+        """
+        adjoints = []
+        for a in factors.layer_adjoints:
+            full = np.zeros((a.shape[0], self.ncols))
+            full[:, : a.shape[1]] = a if weights is None else a * weights
+            adjoints.append(full)
+        return FactoredVector(self, adjoints)
+
+
+class FactoredVector:
+    """The parameter vector sum_i expand(a_i v_i^T, a_i) over a span's samples.
+
+    adjoints[l-1] is (m_l, n), one column a_i per sample, paired with the
+    span's layer inputs v_i. Linear combinations act on the adjoints;
+    inner products use the factored identity with the span's Grams, so
+    nothing parameter-length is formed. Adding it to a packed vector
+    (packed + x) is the one expansion, into a fresh array. In-place
+    operators write into the adjoints, which a vector owns.
+    """
+
+    # numpy's operators on a packed left operand defer to __radd__.
+    __array_ufunc__ = None
+
+    def __init__(self, span: SampleSpan, adjoints: list[np.ndarray]):
+        self.span = span
+        self.adjoints = adjoints
+
+    def _map(self, fn) -> "FactoredVector":
+        return FactoredVector(self.span, [fn(a) for a in self.adjoints])
+
+    def _zip(self, other, fn) -> "FactoredVector":
+        return FactoredVector(
+            self.span, [fn(a, b) for a, b in zip(self.adjoints, other.adjoints)]
+        )
+
+    def __neg__(self):
+        return self._map(np.negative)
+
+    def __add__(self, other):
+        return self._zip(other, np.add)
+
+    def __sub__(self, other):
+        return self._zip(other, np.subtract)
+
+    def __mul__(self, scalar):
+        return self._map(lambda a: a * scalar)
+
+    __rmul__ = __mul__
+
+    def __isub__(self, other):
+        for a, b in zip(self.adjoints, other.adjoints):
+            a -= b
+        return self
+
+    def __itruediv__(self, scalar):
+        for a in self.adjoints:
+            a /= scalar
+        return self
+
+    def __matmul__(self, other) -> float:
+        """Inner product: sum_l sum_ik grams_l[i, k] (a_i . b_k)."""
+        return float(sum(
+            np.vdot(a.T @ b, k)
+            for a, b, k in zip(self.adjoints, other.adjoints, self.span.grams)
+        ))
+
+    def __radd__(self, packed) -> np.ndarray:
+        out = self.expand()
+        out += packed
+        return out
+
+    def norm(self) -> float:
+        """Euclidean norm; a Gram-rounded square below zero reads as 0."""
+        return math.sqrt(max(self @ self, 0.0))
+
+    def preacts(self, nb: int) -> list[np.ndarray]:
+        """W_l v_i + b_l of this vector's blocks at the span's first nb samples.
+
+        Per layer A_l (V_{l-1}^T v_i + 1), an (m_l, nb) array.
+        """
+        return [a @ k[:, :nb] for a, k in zip(self.adjoints, self.span.grams)]
+
+    def expand(self) -> np.ndarray:
+        span = self.span
+        return BackpropFactors(
+            span.shape, self.adjoints, span.layer_inputs
+        ).expand_sum()
+
+
+def norm(x) -> float:
+    """Euclidean norm of a parameter vector, packed or factored."""
+    if isinstance(x, FactoredVector):
+        return x.norm()
+    return float(np.linalg.norm(x))
 
 
 def _backward_adjoints(
@@ -126,21 +262,25 @@ def gradient(
     y,
     spec: loss_mod.LossSpec,
     counters: OpCounters | None = None,
-) -> tuple[np.ndarray, BackpropFactors]:
+    factored: bool = False,
+) -> tuple[np.ndarray | FactoredVector, BackpropFactors]:
     """Backward pass for the loss gradient: vjp of the loss gradient in h_L.
 
-    Returns the packed gradient, the mean over the cache's sample columns,
+    Returns the gradient, the mean over the cache's sample columns, packed
+    or, with factored=True, as a FactoredVector over the cache's samples,
     together with the per-sample factors for Gram reuse. It counts as one
     backward pass per column, not as vjp products.
     """
     if cache.ncols == 0:
         raise ShapeError("empty cache")
     r = loss_mod.loss_grad_h(spec, cache, y)
-    packed, factors = vjp(shape, theta, cache, r)
+    g, factors = vjp(shape, theta, cache, r, expand=not factored)
     if counters is not None:
         counters.backward_passes += cache.ncols
-    packed /= cache.ncols
-    return packed, factors
+    if factored:
+        g = SampleSpan.of(cache).embed(factors)
+    g /= cache.ncols
+    return g, factors
 
 
 def jvp(

@@ -1,5 +1,9 @@
 """Fully-connected feed-forward networks: shapes, parameter layout, forward pass.
 
+forward_low_rank is the forward pass at theta + p for a step p kept as
+per-sample adjoints over the samples of a cached forward (the stochastic
+Woodbury step's trial point), with no parameter-length vector.
+
 Parameters live in one flat float64 vector theta laid out as
 (vec(W1), b1, ..., vec(WL), bL), where vec() stacks the columns of each
 weight matrix. Layer l maps v_{l-1} to v_l = act_l(W_l v_{l-1} + b_l).
@@ -170,13 +174,15 @@ def act_jac_apply(kind: str, v: np.ndarray, u: np.ndarray) -> np.ndarray:
 class ForwardCache:
     """Activations from one forward pass and the output pre-activation h_L.
 
-    Arrays are (m_l, B) with samples as columns.
+    Arrays are (m_l, B) with samples as columns. first_preact is h_1 when
+    the forward kept it for forward_low_rank, else None.
     """
 
     shape: NetworkShape
     x: np.ndarray
     acts: list[np.ndarray]
     output_preact: np.ndarray
+    first_preact: np.ndarray | None = None
 
     @property
     def ncols(self) -> int:
@@ -197,6 +203,9 @@ class ForwardCache:
             x=self.x[:, idx],
             acts=[v[:, idx] for v in self.acts],
             output_preact=self.output_preact[:, idx],
+            first_preact=(
+                None if self.first_preact is None else self.first_preact[:, idx]
+            ),
         )
 
 
@@ -207,29 +216,86 @@ def _as_cols(x, m0: int) -> np.ndarray:
     return x
 
 
+def _activate(shape: NetworkShape, l: int, h: np.ndarray, keep_h=False):
+    """Layer l's output from its pre-activation h, which must be finite.
+
+    Only the output pre-activation is kept by default, so a hidden
+    logistic one is overwritten by its activation unless keep_h.
+    """
+    if not np.all(np.isfinite(h)):
+        raise NumericError(f"non-finite pre-activation at layer {l}")
+    kind = shape.activations[l - 1]
+    if kind == LOGISTIC and l < shape.num_layers and not keep_h:
+        return sigmoid(h, out=h)
+    return apply_activation(kind, h)
+
+
 def forward(
     shape: NetworkShape,
     theta,
     x,
     counters: OpCounters | None = None,
+    keep_first_preact: bool = False,
 ) -> ForwardCache:
-    """Forward pass caching v_l for every layer and the output's h_L."""
+    """Forward pass caching v_l for every layer and the output's h_L.
+
+    With keep_first_preact the cache also keeps h_1, for forward_low_rank.
+    """
     params = unpack(shape, theta)
     cols = _as_cols(x, shape.input_size)
     acts = []
     v = cols
-    for l, ((w, b), kind) in enumerate(zip(params, shape.activations), start=1):
+    for l, (w, b) in enumerate(params, start=1):
         h = w @ v
         h += b[:, None]
-        if not np.all(np.isfinite(h)):
-            raise NumericError(f"non-finite pre-activation at layer {l}")
-        if kind == LOGISTIC and l < shape.num_layers:
-            # Only the output pre-activation is kept, so a hidden one
-            # is overwritten by its activation.
-            v = sigmoid(h, out=h)
-        else:
-            v = apply_activation(kind, h)
+        if l == 1:
+            first = h
+        v = _activate(shape, l, h, keep_first_preact and l == 1)
         acts.append(v)
     if counters is not None:
         counters.forward_passes += cols.shape[1]
-    return ForwardCache(shape=shape, x=cols, acts=acts, output_preact=h)
+    return ForwardCache(
+        shape=shape, x=cols, acts=acts, output_preact=h,
+        first_preact=first if keep_first_preact else None,
+    )
+
+
+def forward_low_rank(
+    shape: NetworkShape,
+    theta,
+    cache: ForwardCache,
+    adjoints: list[np.ndarray],
+    first_gram: np.ndarray,
+    counters: OpCounters | None = None,
+) -> ForwardCache:
+    """Forward pass over the cache's samples at theta + p, with p low rank.
+
+    p's layer-l blocks are A_l V_{l-1}^T and A_l 1, for the (m_l, B)
+    adjoints A_l and the cache's layer inputs V_{l-1} at theta, so the
+    pre-activations at theta + p are
+
+        h'_1 = H_1 + A_1 (V_0^T V_0 + 1)
+        h'_l = W_l v'_{l-1} + b_l + A_l (V_{l-1}^T v'_{l-1} + 1),  l > 1,
+
+    with H_1 the cache's first_preact (forward with keep_first_preact) and
+    first_gram = V_0^T V_0 + 1. The first layer costs m_1 B^2 instead of
+    m_1 m_0 B, and no parameter-length vector is formed. It counts as a
+    forward pass per column and raises as forward does.
+    """
+    params = unpack(shape, theta)
+    acts = []
+    for l, ((w, b), a) in enumerate(zip(params, adjoints), start=1):
+        if l == 1:
+            h = a @ first_gram
+            h += cache.first_preact
+        else:
+            c = cache.v(l - 1).T @ v
+            c += 1.0
+            h = w @ v
+            h += b[:, None]
+            h += a @ c
+        v = _activate(shape, l, h)
+        acts.append(v)
+    if counters is not None:
+        counters.forward_passes += cache.ncols
+    return ForwardCache(shape=shape, x=cache.x, acts=acts, output_preact=h)

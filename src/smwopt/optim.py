@@ -12,6 +12,13 @@ trial point or the unchanged theta, so each semi-stochastic iteration
 makes one full-set forward pass, the trial forward, and reuses it (or
 this iteration's own forward after a rejection) as the forward pass of
 the next iteration.
+
+In stochastic mode, where S2 is a prefix of S1, smw-gn and smw-ng keep g
+and p in factor space (diff.FactoredVector over S1): the direction is
+solver.factored_direction, the trial forward is network.forward_low_rank
+from the layer-1 pre-activation the step's own forward kept, and
+theta + alpha * p is the step's one parameter-length write. hf and the
+semi-stochastic step, whose S1 is the whole data set, stay packed.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from . import curvature, damping as damping_mod, diff, loss as loss_mod, solver
 from .counters import OpCounters
 from .exceptions import ConfigError, TrainingError
-from .network import ForwardCache, NetworkShape, forward, init_theta
+from .network import ForwardCache, NetworkShape, forward, forward_low_rank, init_theta
 
 SGD = "sgd"
 HF = "hf"
@@ -240,7 +247,20 @@ class Trainer:
             system = curvature.build_gn_system(
                 self.shape, self.theta, cache2, self.spec, lam, self.counters
             )
+        if isinstance(g, diff.FactoredVector):
+            return solver.factored_direction(
+                self.shape, self.theta, system, g, self.counters
+            )
         return solver.smw_direction(self.shape, self.theta, system, g, self.counters)
+
+    def _trial_forward(self, cache1, x1, p) -> ForwardCache:
+        """Forward over S1 at the unscaled trial point theta + p."""
+        if isinstance(p, diff.FactoredVector):
+            return forward_low_rank(
+                self.shape, self.theta, cache1, p.adjoints, p.span.grams[0],
+                self.counters,
+            )
+        return forward(self.shape, self.theta + p, x1, self.counters)
 
     def _second_order_step(self, s1, positions) -> IterationRecord:
         """Curvature step; semi-stochastic steps are applied only when rho >= eta.
@@ -249,30 +269,33 @@ class Trainer:
         the iterate the step ends at is kept for the next step.
         """
         x1, y1 = self.x[:, s1], self.y[:, s1]
-        if self._iterate is not None and self._iterate[0] is self.theta:
-            cache1 = self._iterate[1]
-        else:
-            cache1 = forward(self.shape, self.theta, x1, self.counters)
+        semi = self.config.semi_stochastic
+        factored = not semi and self.config.method != HF
+        cache1 = self._iterate_cache()
+        if cache1 is None:
+            cache1 = forward(
+                self.shape, self.theta, x1, self.counters,
+                keep_first_preact=factored,
+            )
         f_before = self._mean_loss(cache1, y1)
         g, gfactors = diff.gradient(
-            self.shape, self.theta, cache1, y1, self.spec, self.counters
+            self.shape, self.theta, cache1, y1, self.spec, self.counters,
+            factored=factored,
         )
         lam_used = self.damping.lam
         result = self._direction(positions, cache1, g, gfactors)
         # The full-batch factors are dead now; freed, they no longer sit
         # beside the trial forward's arrays at the step's peak.
         del gfactors
-        trial_cache = forward(
-            self.shape, self.theta + result.p, x1, self.counters
-        )
+        trial_cache = self._trial_forward(cache1, x1, result.p)
         f_after = self._mean_loss(trial_cache, y1)
         report = damping_mod.compute_rho(
             f_before, f_after, result.grad_dot, result.quad_term
         )
         self.damping = damping_mod.update_lambda(self.damping, report.rho)
-        semi = self.config.semi_stochastic
         accepted = not semi or report.rho >= self.config.eta
         if accepted:
+            # A factored p expands once, into theta + alpha * p.
             self.theta = self.theta + self.config.alpha * result.p
         if semi:
             # alpha is 1 and theta + 1.0 * p == theta + p bit for bit, so
@@ -282,7 +305,7 @@ class Trainer:
             batch_loss=f_before,
             rho=report.rho,
             lam=lam_used,
-            grad_norm=float(np.linalg.norm(g)),
+            grad_norm=diff.norm(g),
             step_norm=result.step_norm,
             accepted=accepted,
             batch_size=x1.shape[1],
@@ -312,8 +335,21 @@ class Trainer:
             total += chunk_sum(cache, y[:, sl])
         return total / x.shape[1]
 
+    def _iterate_cache(self) -> ForwardCache | None:
+        """The full-set forward of the current semi-stochastic iterate, if held."""
+        if self._iterate is not None and self._iterate[0] is self.theta:
+            return self._iterate[1]
+        return None
+
     def full_loss(self) -> float:
-        """Mean loss over the whole training set at the current theta."""
+        """Mean loss over the whole training set at the current theta.
+
+        A semi-stochastic trainer reads it from the full-set forward it
+        holds for its current iterate, with no forward pass.
+        """
+        cache = self._iterate_cache()
+        if cache is not None:
+            return self._mean_loss(cache, self.y)
         return self._chunked_mean(
             self.x, self.y,
             lambda cache, y: float(np.sum(loss_mod.loss_value(self.spec, cache, y))),

@@ -96,13 +96,14 @@ def random_targets(rng, kind, m_out, nbatch=1):
     return t
 
 
-def wider_batch_instance(rng, kind, m_in, eps=0.0):
+def wider_batch_instance(rng, kind, m_in, eps=0.0, factored=False):
     """Gradient over a 4-column batch S1 and curvature over its prefix S2.
 
     The last S1 column repeats the first, so the inputs are rank-deficient;
     a nonzero eps adds eps times a normal draw to it, so they are nearly so.
     Returns shape, spec, theta, the S1 cache, its gradient g, and S2's
-    inputs and targets.
+    inputs and targets. If factored, g is the diff.FactoredVector of the
+    gradient's per-sample factors over S1, and the cache keeps h_1.
     """
     shape, spec, theta = make_net(rng, kind, m_in=m_in)
     x1 = rng.normal(size=(m_in, 4))
@@ -110,9 +111,34 @@ def wider_batch_instance(rng, kind, m_in, eps=0.0):
     if eps:
         x1[:, 3] += eps * rng.normal(size=m_in)
     y1 = random_targets(rng, kind, shape.output_size, 4)
-    cache1 = network.forward(shape, theta, x1)
-    g, _ = diff.gradient(shape, theta, cache1, y1, spec)
+    cache1 = network.forward(shape, theta, x1, keep_first_preact=factored)
+    g, factors = diff.gradient(shape, theta, cache1, y1, spec)
+    if factored:
+        g = diff.SampleSpan.of(cache1).embed(factors)
+        g /= 4
     return shape, spec, theta, cache1, g, x1[:, :2], y1[:, :2]
+
+
+def factored_case(rng, kind, method, lam):
+    """The trainer's factored direction on a wider_batch_instance.
+
+    Returns shape, theta, the S1 cache, the factored g and direction, and
+    dense_direction_oracle's solve over S2 with the expanded g.
+    """
+    shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
+        rng, kind, m_in=5, factored=True
+    )
+    cache2 = cache1.cols([0, 1])
+    if method == curvature.GN:
+        system = curvature.build_gn_system(shape, theta, cache2, spec, lam)
+    else:
+        _, gf = diff.gradient(shape, theta, cache2, y2, spec)
+        system = curvature.build_ng_system(gf, lam)
+    res = solver.factored_direction(shape, theta, system, g)
+    oracle = dense_direction_oracle(
+        shape, theta, x2, y2, spec, lam, method, g=g.expand()
+    )
+    return shape, theta, cache1, g, res, oracle
 
 
 def central_differences(f, point, step) -> np.ndarray:
@@ -432,6 +458,34 @@ def verify(seed: int = 0) -> int:
         hessian = fd_loss_hessian_theta(shape, theta, x, y, spec)
         worst = max(worst, float(np.max(np.abs(b_mat - hessian))))
     checks.append(("gn_matrix_vs_theta_hessian", worst, 1e-8))
+
+    # The stochastic trainer's step in factor space: g and p as adjoints
+    # over a gradient batch S1 wider than the curvature batch S2, and the
+    # low-rank trial forward at theta + p, against the dense solve and a
+    # forward at the expanded point.
+    worst_dir = 0.0
+    worst_trial = 0.0
+    for kind in loss_mod.LOSS_KINDS:
+        for method in (curvature.GN, curvature.NG):
+            for lam in (1e-3, 1.0, 1e3):
+                shape, theta, cache1, _, res, oracle = factored_case(
+                    rng, kind, method, lam
+                )
+                scale = float(np.max(np.abs(oracle.p))) + 1e-30
+                worst_dir = max(worst_dir, float(
+                    np.max(np.abs(res.p.expand() - oracle.p))
+                ) / scale)
+                trial = network.forward_low_rank(
+                    shape, theta, cache1, res.p.adjoints, res.p.span.grams[0]
+                ).output_preact
+                dense = network.forward(
+                    shape, theta + res.p.expand(), cache1.x
+                ).output_preact
+                worst_trial = max(worst_trial, float(
+                    np.max(np.abs(trial - dense)) / (1.0 + np.max(np.abs(dense)))
+                ))
+    checks.append(("factored_vs_dense_direction", worst_dir, 1e-9))
+    checks.append(("low_rank_trial_forward", worst_trial, 1e-9))
 
     failed = False
     for name, err, tol in checks:

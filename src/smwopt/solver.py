@@ -22,6 +22,15 @@ only such sweep of an unrefined direction: its model term p^T B_t p =
 between the methods: natural gradient sums its factors weighted by q,
 and Gauss-Newton runs one reverse-mode product J^T C q per sample.
 
+The algebra is written once for either form of g and p: packed
+(smw_direction), or a diff.FactoredVector over the gradient batch S1
+(factored_direction), whose curvature batch S2 is a prefix of S1. In
+factor space U^T g, g . p and the norms are products of S1's n1 x n1
+input Grams with per-layer adjoints, U q is the adjoints of the same
+reverse sweep, unexpanded, and p is the adjoints (A_Uq - A_g / n1) / lam
+on S1's columns, refinement included; no parameter-length vector is
+formed.
+
 The CG routine solves the Gauss-Newton system matrix-free to a relative
 residual tolerance, in buffers it owns. The same Kronecker-factored form
 bounds where its iterates live: their first-layer weight blocks are sums
@@ -49,17 +58,18 @@ from .network import ForwardCache, NetworkShape
 class DirectionResult:
     """Step direction with its quadratic-model ingredients.
 
+    p is packed, or a diff.FactoredVector from factored_direction.
     grad_dot = g . p and quad_term = p^T B_t p; the model decrease is
     -grad_dot - quad_term / 2.
     """
 
-    p: np.ndarray
+    p: np.ndarray | diff.FactoredVector
     grad_dot: float
     quad_term: float
 
     @property
     def step_norm(self) -> float:
-        return float(np.linalg.norm(self.p))
+        return diff.norm(self.p)
 
 
 @dataclass(frozen=True)
@@ -88,29 +98,32 @@ def quadratic_terms(
     return _finite_model(float(g @ p), float(np.sum(dots**2) / system.n2))
 
 
-def _expand(shape, theta, system, w, counters) -> np.ndarray:
-    """U w, the one step whose kernel depends on the method.
+def _expand(shape, theta, system, w, like, counters):
+    """U w in the form of like, packed or factored over like's span.
 
-    Gauss-Newton maps the sample-major w to output columns C_i w_i and
-    runs one reverse sweep over them.
+    Natural gradient weights its factors by w. Gauss-Newton maps the
+    sample-major w to output columns C_i w_i and runs one reverse sweep
+    over them.
     """
     factors = system.factors
     if system.method == curvature.GN:
         c = factors.hessian_factors
         cw = (c @ w.reshape(len(c), -1, 1))[:, :, 0].T
-        uw, _ = diff.vjp(shape, theta, factors.cache, cw, counters)
-        return uw
+        _, factors = diff.vjp(shape, theta, factors.cache, cw, counters, expand=False)
+        w = None
+    if isinstance(like, diff.FactoredVector):
+        return like.span.embed(factors, weights=w)
     return factors.expand_sum(weights=w)
 
 
 def _negated_damped_inverse(shape, theta, system, v, counters):
     """-(B_t + lam I)^-1 v = (U q - v) / lam through the Woodbury identity.
 
-    Returns the result, in a fresh array, and the core vector q.
+    Returns the result, fresh and in v's form, and the core vector q.
     """
     q = system.solve_core(system.factors.dots_with(v))
     q /= system.n2
-    out = _expand(shape, theta, system, q, counters)
+    out = _expand(shape, theta, system, q, v, counters)
     out -= v
     out /= system.lam
     return out, q
@@ -136,10 +149,10 @@ def apply_curvature(
     v: np.ndarray,
     counters: OpCounters | None = None,
 ) -> np.ndarray:
-    """Matrix-free product B_t v = U U^T v / n2 for the system's batch."""
+    """Matrix-free product B_t v = U U^T v / n2, in v's form."""
     dots = system.factors.dots_with(v)
     dots /= system.n2
-    return _expand(shape, theta, system, dots, counters)
+    return _expand(shape, theta, system, dots, v, counters)
 
 
 # Below this damping level the division by lam in the Woodbury identity
@@ -158,12 +171,34 @@ def smw_direction(
 ) -> DirectionResult:
     """Exact damped-curvature direction through the small core solve.
 
-    Without refinement the model term comes from the core vector: with
-    p = (U q - g) / lam and core q = U^T g / n2, U^T p = -n2 q, so
-    p^T B_t p = n2 ||q||^2 and no further sweep over p is needed. After
-    refinement p no longer has that form and U^T p is measured.
+    g and p are packed parameter vectors. Without refinement the model
+    term comes from the core vector: with p = (U q - g) / lam and core
+    q = U^T g / n2, U^T p = -n2 q, so p^T B_t p = n2 ||q||^2 and no
+    further sweep over p is needed. After refinement p no longer has that
+    form and U^T p is measured.
     """
-    g = np.asarray(g, dtype=np.float64)
+    return _woodbury_direction(
+        shape, theta, system, np.asarray(g, dtype=np.float64), counters
+    )
+
+
+def factored_direction(
+    shape: NetworkShape,
+    theta,
+    system: curvature.GramSystem,
+    g: diff.FactoredVector,
+    counters: OpCounters | None = None,
+) -> DirectionResult:
+    """smw_direction with g and p factored over the gradient batch S1.
+
+    The system's samples must be S1's first columns. The same operations
+    and sweeps as the packed solve, so the same counts; p is a
+    diff.FactoredVector.
+    """
+    return _woodbury_direction(shape, theta, system, g, counters)
+
+
+def _woodbury_direction(shape, theta, system, g, counters) -> DirectionResult:
     lam = system.lam
     p, q = _negated_damped_inverse(shape, theta, system, g, counters)
     if lam >= REFINE_LAMBDA:

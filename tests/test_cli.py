@@ -303,6 +303,8 @@ class TestVerify:
         assert oracles.verify(seed=0) == 0
         out = capsys.readouterr().out
         assert "PASS gradient_vs_finite_differences" in out
+        assert "PASS factored_vs_dense_direction" in out
+        assert "PASS low_rank_trial_forward" in out
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("seed", (1, 2, 3, 4))
@@ -370,6 +372,42 @@ class TestVerify:
         monkeypatch.setattr(solver, "REFINE_ROUNDS", 0)
         assert oracles.verify(seed=0) == 1
         assert "FAIL smw_residual_small_lambda" in capsys.readouterr().out
+
+    def test_grams_without_bias_term_fail(self, capsys, monkeypatch):
+        """S1 input Grams without the +1 that pairs the bias blocks: every
+        factored inner product, U^T g and the low-rank trial forward go
+        wrong, and only the factored checks read them."""
+        span_of = diff.SampleSpan.of.__func__
+
+        def no_bias(cls, cache):
+            span = span_of(cls, cache)
+            return cls(span.shape, span.layer_inputs, [k - 1.0 for k in span.grams])
+
+        monkeypatch.setattr(diff.SampleSpan, "of", classmethod(no_bias))
+        assert oracles.verify(seed=0) == 1
+        out = capsys.readouterr().out
+        assert "FAIL factored_vs_dense_direction" in out
+        assert "FAIL low_rank_trial_forward" in out
+        assert out.count("FAIL") == 2
+
+    def test_curvature_adjoints_one_column_off_fail(self, capsys, monkeypatch):
+        """U q's S2 adjoints placed on S1 columns 1..n2 instead of the
+        prefix 0..n2-1 that S2 is."""
+
+        def shifted(span, factors, weights=None):
+            adjoints = []
+            for a in factors.layer_adjoints:
+                full = np.zeros((a.shape[0], span.ncols))
+                off = int(a.shape[1] < span.ncols)
+                full[:, off : a.shape[1] + off] = a if weights is None else a * weights
+                adjoints.append(full)
+            return diff.FactoredVector(span, adjoints)
+
+        monkeypatch.setattr(diff.SampleSpan, "embed", shifted)
+        assert oracles.verify(seed=0) == 1
+        out = capsys.readouterr().out
+        assert "FAIL factored_vs_dense_direction" in out
+        assert out.count("FAIL") == 1
 
     def test_main_verify_flag(self, capsys):
         assert cli.main(["--verify"]) == 0

@@ -322,6 +322,108 @@ class TestFactoredDot:
             assert abs(dots[i] - expected) <= 1e-12 * (1.0 + abs(expected))
 
 
+class TestFactoredVector:
+    """Vectors kept as adjoints over a batch's samples against their expansions."""
+
+    def _pair(self, rng, n=5):
+        shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=[5, 4])
+        cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, n)))
+        span = diff.SampleSpan.of(cache)
+        x, y = (
+            diff.FactoredVector(
+                span, [rng.normal(size=(m, n)) for m in shape.layer_sizes[1:]]
+            )
+            for _ in range(2)
+        )
+        return shape, theta, cache, span, x, y
+
+    def test_inner_products_and_norm_match_expansion(self, rng):
+        _, _, _, _, x, y = self._pair(rng)
+        ex, ey = x.expand(), y.expand()
+        assert x @ y == pytest.approx(float(ex @ ey), rel=1e-12)
+        assert x.norm() == pytest.approx(float(np.linalg.norm(ex)), rel=1e-12)
+        assert diff.norm(x) == x.norm()
+        assert diff.norm(ex) == float(np.linalg.norm(ex))
+
+    def test_linear_combinations_match_expansion(self, rng):
+        _, _, _, _, x, y = self._pair(rng)
+        ex, ey = x.expand(), y.expand()
+        scale = 1.0 + np.max(np.abs(ex)) + np.max(np.abs(ey))
+        for got, expected in (
+            (-x, -ex), (x + y, ex + ey), (x - y, ex - ey), (2.5 * x, 2.5 * ex),
+            (x * 2.5, 2.5 * ex),
+        ):
+            assert isinstance(got, diff.FactoredVector)
+            assert np.max(np.abs(got.expand() - expected)) <= 1e-14 * scale
+        z = x - y  # owns its adjoints
+        z -= y
+        z /= 4.0
+        assert np.max(np.abs(z.expand() - (ex - 2 * ey) / 4.0)) <= 1e-14 * scale
+        assert np.max(np.abs(x.expand() - ex)) == 0.0
+
+    def test_added_to_packed_is_one_fresh_expansion(self, rng):
+        _, _, _, _, x, _ = self._pair(rng)
+        theta = rng.normal(size=x.expand().size)
+        before = theta.copy()
+        out = theta + x
+        assert isinstance(out, np.ndarray) and out is not theta
+        assert np.array_equal(theta, before)
+        assert np.array_equal(out, x.expand() + theta)
+
+    def test_dots_with_matches_packed(self, rng):
+        """A curvature batch that is a prefix of the span reads U^T x from
+        the span's Grams, with one and with m_L vectors per sample."""
+        shape, theta, cache, _, x, _ = self._pair(rng)
+        prefix = cache.cols(slice(0, 3))
+        seeds = rng.normal(size=(shape.output_size, 3, shape.output_size))
+        _, gn = diff.vjp(shape, theta, prefix, seeds, expand=False)
+        _, ng = diff.vjp(shape, theta, prefix, seeds[:, :, 0], expand=False)
+        packed = x.expand()
+        for factors in (gn, ng):
+            expected = factors.dots_with(packed)
+            got = factors.dots_with(x)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * (
+                1.0 + np.max(np.abs(expected))
+            )
+
+    def test_embed_pads_a_prefix_and_weights_it(self, rng):
+        shape, theta, cache, span, _, _ = self._pair(rng)
+        seeds = rng.normal(size=(shape.output_size, 3))
+        _, factors = diff.vjp(shape, theta, cache.cols(slice(0, 3)), seeds)
+        w = rng.normal(size=3)
+        x = span.embed(factors, weights=w)
+        for a, full in zip(factors.layer_adjoints, x.adjoints):
+            assert np.array_equal(full[:, :3], a * w)
+            assert not full[:, 3:].any()
+        expected = factors.expand_sum(weights=w)
+        assert np.max(np.abs(x.expand() - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_rounding_negative_square_reads_zero_norm(self, rng):
+        """Grams are positive semidefinite only up to rounding; a square
+        that rounds below zero is a zero norm, not a sqrt error."""
+        shape = network.NetworkShape((1, 1), ("linear",))
+        gram = np.array([[1.0, 1.0 + 2.0**-52], [1.0 + 2.0**-52, 1.0]])
+        span = diff.SampleSpan(shape, [np.ones((1, 2))], [gram])
+        x = diff.FactoredVector(span, [np.array([[1.0, -1.0]])])
+        assert x @ x < 0.0
+        assert x.norm() == 0.0
+
+    @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
+    def test_factored_gradient_expands_to_packed(self, kind, rng):
+        shape, spec, theta = make_net(rng, kind, hidden=[5, 4])
+        x = rng.normal(size=(shape.input_size, 6))
+        y = random_targets(rng, kind, shape.output_size, 6)
+        cache = network.forward(shape, theta, x)
+        counters = OpCounters()
+        g, factors = diff.gradient(shape, theta, cache, y, spec, counters, factored=True)
+        packed, _ = diff.gradient(shape, theta, cache, y, spec)
+        assert isinstance(g, diff.FactoredVector)
+        assert np.max(np.abs(g.expand() - packed)) <= 1e-15 * np.max(np.abs(packed))
+        assert counters == OpCounters(backward_passes=6)
+        for a, full in zip(factors.layer_adjoints, g.adjoints):
+            assert np.array_equal(full, a / 6)
+
+
 def test_mixed_hidden_activations(rng):
     """Linear and logistic hidden layers together: gradient and adjoint hold."""
     shape = network.NetworkShape(

@@ -117,6 +117,67 @@ class TestForward:
         assert counters.forward_passes == 5
 
 
+class TestForwardLowRank:
+    """The trial forward at theta + p for p factored over the cache's samples."""
+
+    def _instance(self, rng, hidden, n=6, scale=1.0):
+        sizes = (5, *hidden, 3)
+        shape = network.NetworkShape(
+            sizes, ("logistic",) * len(hidden) + ("softmax",)
+        )
+        theta = network.init_theta(shape, rng)
+        x = rng.normal(size=(5, n))
+        cache = network.forward(shape, theta, x, keep_first_preact=True)
+        adjoints = [scale * rng.normal(size=(m, n)) for m in sizes[1:]]
+        gram = x.T @ x + 1.0
+        return shape, theta, x, cache, adjoints, gram
+
+    @staticmethod
+    def _expand(shape, cache, adjoints):
+        params = []
+        for l, a in enumerate(adjoints, start=1):
+            params.append((a @ cache.v(l - 1).T, a.sum(axis=1)))
+        return pack(shape, params)
+
+    @pytest.mark.parametrize("hidden", [(4, 6), (4, 6, 3)], ids=["2_hidden", "3_hidden"])
+    def test_matches_dense_forward_at_expanded_point(self, hidden, rng):
+        shape, theta, x, cache, adjoints, gram = self._instance(rng, hidden)
+        p = self._expand(shape, cache, adjoints)
+        dense = network.forward(shape, theta + p, x)
+        counters = OpCounters()
+        low = network.forward_low_rank(shape, theta, cache, adjoints, gram, counters)
+        for got, expected in zip(
+            [*low.acts, low.output_preact], [*dense.acts, dense.output_preact]
+        ):
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert counters.forward_passes == x.shape[1]
+        assert low.x is cache.x
+
+    def test_zero_step_reproduces_the_forward(self, rng):
+        shape, theta, x, cache, adjoints, gram = self._instance(rng, (4, 6))
+        zero = [np.zeros_like(a) for a in adjoints]
+        low = network.forward_low_rank(shape, theta, cache, zero, gram)
+        assert np.array_equal(low.output_preact, cache.output_preact)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("layer", [1, 2, 3])
+    def test_non_finite_trial_preactivation_is_numeric_error(self, layer, rng):
+        shape, theta, x, cache, adjoints, gram = self._instance(rng, (4, 6))
+        adjoints[layer - 1][0, 0] = np.inf
+        with pytest.raises(NumericError, match=f"layer {layer}"):
+            network.forward_low_rank(shape, theta, cache, adjoints, gram)
+
+    def test_kept_first_preact_leaves_the_forward_unchanged(self, rng):
+        shape, theta, x, cache, _, _ = self._instance(rng, (4, 6))
+        plain = network.forward(shape, theta, x)
+        assert plain.first_preact is None
+        for kept, fresh in zip(cache.acts, plain.acts):
+            assert np.array_equal(kept, fresh)
+        w, b = network.unpack(shape, theta)[0]
+        assert np.array_equal(cache.first_preact, w @ x + b[:, None])
+        assert np.array_equal(cache.cols([1, 3]).first_preact, cache.first_preact[:, [1, 3]])
+
+
 def masked_sigmoid(h):
     """The two-branch logistic function, written with boolean masks."""
     out = np.empty_like(h)

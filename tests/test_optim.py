@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from smwopt import curvature, loss, network, optim, oracles, solver
+from smwopt import curvature, diff, loss, network, optim, oracles, solver
+from smwopt.counters import OpCounters
 from smwopt.exceptions import ConfigError, NumericError
 
 
@@ -326,6 +327,82 @@ class TestSmwStep:
         assert isinstance(err.value, NumericError)
 
 
+class TestFactoredStep:
+    """The stochastic smw-gn / smw-ng step keeps g and p factored over S1."""
+
+    @staticmethod
+    def _trainer(method, lambda_lm=1.0, tau=1e-3):
+        rng = np.random.default_rng(7)
+        config = optim.OptimizerConfig(
+            method=method, n1=12, n2=5, alpha=0.5, lambda_lm=lambda_lm, tau=tau,
+            seed=11,
+        )
+        return make_binary_trainer(rng, config, hidden=(6, 4), n=60)
+
+    @pytest.mark.parametrize("method", [optim.SMW_GN, optim.SMW_NG])
+    def test_matches_the_packed_step(self, method, monkeypatch):
+        factored = self._trainer(method)
+        records = [factored.step() for _ in range(12)]
+        assert isinstance(factored.theta, np.ndarray)
+        gradient = diff.gradient
+
+        def packed_gradient(*args, factored=False, **kwargs):
+            return gradient(*args, **kwargs)
+
+        monkeypatch.setattr(diff, "gradient", packed_gradient)
+        packed = self._trainer(method)
+        for rec in records:
+            ref = packed.step()
+            assert rec.counters == ref.counters
+            for name in ("batch_loss", "rho", "lam", "grad_norm", "step_norm"):
+                assert getattr(rec, name) == pytest.approx(getattr(ref, name), rel=1e-10)
+        scale = np.max(np.abs(packed.theta))
+        assert np.max(np.abs(factored.theta - packed.theta)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("method", [optim.SMW_GN, optim.SMW_NG])
+    @pytest.mark.parametrize("lambda_lm,tau", [(1.0, 1e-3), (0.0, 1e-8)])
+    def test_per_iteration_counters(self, method, lambda_lm, tau):
+        trainer = self._trainer(method, lambda_lm, tau)
+        n1, n2, m_out = 12, 5, 1
+        before = OpCounters()
+        for _ in range(5):
+            rec = trainer.step()
+            delta = {
+                name: getattr(rec.counters, name) - getattr(before, name)
+                for name in ("forward_passes", "backward_passes", "jvp_products",
+                             "vjp_products")
+            }
+            before = rec.counters
+            vjp = 0
+            if method == optim.SMW_GN:
+                vjp = n2 * m_out + n2
+                if rec.lam < solver.REFINE_LAMBDA:
+                    vjp += 2 * solver.REFINE_ROUNDS * n2
+            assert delta == dict(
+                forward_passes=2 * n1, backward_passes=n1, jvp_products=0,
+                vjp_products=vjp,
+            )
+
+    def test_factored_forms_reach_the_solver_and_trial_forward(self, monkeypatch):
+        trainer = self._trainer(optim.SMW_GN)
+        calls = []
+        factored, low_rank = solver.factored_direction, network.forward_low_rank
+
+        def spy_direction(*args, **kwargs):
+            calls.append("direction")
+            return factored(*args, **kwargs)
+
+        def spy_trial(*args, **kwargs):
+            calls.append("trial")
+            return low_rank(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "factored_direction", spy_direction)
+        monkeypatch.setattr(optim, "forward_low_rank", spy_trial)
+        monkeypatch.setattr(solver, "smw_direction", None)
+        trainer.step()
+        assert calls == ["direction", "trial"]
+
+
 class TestSemiStochastic:
     def make_trainer(
         self, seed=0, n2=10, lambda_lm=1.0, theta_scale=1.0, method=optim.SMW_GN
@@ -418,6 +495,31 @@ class TestSemiStochastic:
         assert np.diff(counts).tolist() == [2 * n] + [n] * 5
         trainer.theta = trainer.theta.copy()
         assert trainer.step().counters.forward_passes - counts[-1] == 2 * n
+
+    def test_full_loss_reads_the_held_forward(self):
+        """No forward pass, and the value a fresh row-major forward gives."""
+        trainer = self.make_trainer(seed=2, lambda_lm=1e-3, theta_scale=3.0)
+        for _ in range(4):
+            trainer.step()
+            passes = trainer.counters.forward_passes
+            held = trainer.full_loss()
+            assert trainer.counters.forward_passes == passes
+            recomputed = trainer._chunked_mean(
+                trainer.x, trainer.y,
+                lambda cache, y: float(np.sum(loss.loss_value(trainer.spec, cache, y))),
+            )
+            assert held == pytest.approx(recomputed, rel=1e-15, abs=0.0)
+        trainer.theta = trainer.theta.copy()
+        trainer.full_loss()
+        assert trainer.counters.forward_passes == passes + 2 * trainer.n_samples
+
+    def test_evaluation_rows_add_no_forward_pass(self):
+        trainer = self.make_trainer(seed=2, lambda_lm=1e-3, theta_scale=3.0)
+        n = trainer.n_samples
+        records = trainer.run(6, eval_interval=2)
+        assert [r.full_loss is not None for r in records] == [False, True] * 3
+        counts = [0] + [r.counters.forward_passes for r in records]
+        assert np.diff(counts).tolist() == [2 * n] + [n] * 5
 
     def test_rebound_theta_is_not_served_the_old_forward(self):
         trainer = self.make_trainer(seed=1)

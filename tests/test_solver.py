@@ -234,6 +234,83 @@ class TestSmwDirection:
         assert counters.jvp_products == 0
 
 
+class TestFactoredDirection:
+    """The stochastic trainer's direction, with g and p kept as adjoints over
+    a gradient batch S1 of 4 samples whose prefix S2 of 2 is the curvature
+    batch, against the dense solve over S2 with S1's gradient."""
+
+    @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
+    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    def test_matches_dense_oracle(self, kind, method, rng):
+        for lam in (1e-3, 1.0, 1e3):
+            *_, res, oracle = oracles.factored_case(rng, kind, method, lam)
+            assert isinstance(res.p, diff.FactoredVector)
+            p = oracle.p
+            assert np.max(np.abs(res.p.expand() - p)) <= 1e-9 * np.max(np.abs(p))
+            assert res.grad_dot == pytest.approx(oracle.grad_dot, rel=1e-9)
+            assert res.quad_term == pytest.approx(oracle.quad_term, rel=1e-9)
+            assert res.step_norm == pytest.approx(oracle.step_norm, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
+    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    def test_refined_residual_at_tiny_lambda(self, kind, method, rng):
+        """The residual contract of smw_residual_small_lambda, on g over the
+        curvature batch itself. With S1 wider, g has a part outside B_t's
+        range and ||p|| ~ ||g|| / lam ~ 1e8, so the rounding of any
+        expansion of p alone moves the dense residual to ~1e-6, the packed
+        solve's included; S1-wider directions are compared at lam >= 1e-3."""
+        lam = 1e-10
+        for _ in range(3):
+            shape, spec, theta, x, y, cache, _, gfactors = build_instance(
+                rng, kind, method, nb=3
+            )
+            g, _ = diff.gradient(shape, theta, cache, y, spec, factored=True)
+            system = build_system(shape, theta, cache, spec, gfactors, lam, method)
+            res = solver.factored_direction(shape, theta, system, g)
+            b_mat, dense_g = oracles.build_curvature_matrix(
+                shape, theta, x, y, spec, method
+            )
+            p = res.p.expand()
+            residual = b_mat @ p + lam * p + dense_g
+            assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(dense_g))
+            assert res.quad_term == pytest.approx(float(p @ b_mat @ p), rel=1e-9)
+
+    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    def test_zero_gradient_gives_zero_direction(self, method, rng):
+        shape, spec, theta = make_net(rng, loss.SQUARED_ERROR, hidden=[4])
+        x = rng.normal(size=(shape.input_size, 4))
+        cache = network.forward(shape, theta, x)
+        y = cache.output.copy()
+        g, gfactors = diff.gradient(shape, theta, cache, y, spec, factored=True)
+        system = build_system(
+            shape, theta, cache.cols([0, 1]), spec, gfactors.cols([0, 1]), 0.5, method
+        )
+        res = solver.factored_direction(shape, theta, system, g)
+        assert all(not a.any() for a in res.p.adjoints)
+        assert res.grad_dot == res.quad_term == res.step_norm == 0.0
+
+    @pytest.mark.parametrize("lam", (1.0, 1e-8))
+    def test_same_counts_as_the_packed_solve(self, lam, rng):
+        shape, spec, theta, x, y, cache, g, _ = build_instance(
+            rng, loss.SOFTMAX_CROSS_ENTROPY, curvature.GN
+        )
+        factored, _ = diff.gradient(shape, theta, cache, y, spec, factored=True)
+        system = curvature.build_gn_system(
+            shape, theta, cache.cols([0, 1]), spec, lam
+        )
+        counts, directions = [], []
+        for direction, grad in (
+            (solver.smw_direction, g), (solver.factored_direction, factored)
+        ):
+            counters = OpCounters()
+            directions.append(direction(shape, theta, system, grad, counters).p)
+            counts.append(counters)
+        refine = 2 * solver.REFINE_ROUNDS if lam < solver.REFINE_LAMBDA else 0
+        assert counts[0] == counts[1] == OpCounters(vjp_products=2 * (1 + refine))
+        packed, got = directions[0], directions[1].expand()
+        assert np.max(np.abs(got - packed)) <= 1e-12 * np.max(np.abs(packed))
+
+
 class TestDenseOracle:
     def test_large_damping_limit(self, rng):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
