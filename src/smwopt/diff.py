@@ -21,8 +21,9 @@ one adjoint column per sample of a batch (a SampleSpan, its layer inputs
 V_l and their Grams V_l^T V_l + 1), and its inner products, norms and dots
 with the backward factors of any prefix of the batch's samples are
 products of those n x n Grams with the adjoints. The stochastic Woodbury
-step keeps g and p in that form and writes a parameter-length vector only
-for theta + alpha p.
+and Hessian-free steps keep g, p and every vector of their solves in that
+form, jvp takes such a tangent through its layer pre-activations, and a
+parameter-length vector is written only for theta + alpha p.
 
 All kernels accept batched caches (samples as columns) and perform the
 per-sample recursions simultaneously; counters advance by the number of
@@ -60,13 +61,9 @@ class BackpropFactors:
     def ncols(self) -> int:
         return self.layer_adjoints[0].shape[1]
 
-    def expand_sum(self, weights=None, out=None) -> np.ndarray:
-        """Packed sum over samples of the factored vectors, optionally weighted.
-
-        Written into out, a parameter-length buffer, when given.
-        """
-        if out is None:
-            out = np.empty(self.shape.num_params)
+    def expand_sum(self, weights=None) -> np.ndarray:
+        """Packed sum over samples of the factored vectors, optionally weighted."""
+        out = np.empty(self.shape.num_params)
         for a, v, (w, b) in zip(
             self.layer_adjoints, self.layer_inputs, unpack(self.shape, out)
         ):
@@ -187,15 +184,28 @@ class FactoredVector:
 
     __rmul__ = __mul__
 
+    def __iadd__(self, other):
+        for a, b in zip(self.adjoints, other.adjoints):
+            a += b
+        return self
+
     def __isub__(self, other):
         for a, b in zip(self.adjoints, other.adjoints):
             a -= b
+        return self
+
+    def __imul__(self, scalar):
+        for a in self.adjoints:
+            a *= scalar
         return self
 
     def __itruediv__(self, scalar):
         for a in self.adjoints:
             a /= scalar
         return self
+
+    def copy(self) -> "FactoredVector":
+        return self._map(np.copy)
 
     def __matmul__(self, other) -> float:
         """Inner product: sum_l sum_ik grams_l[i, k] (a_i . b_k)."""
@@ -219,6 +229,10 @@ class FactoredVector:
         Per layer A_l (V_{l-1}^T v_i + 1), an (m_l, nb) array.
         """
         return [a @ k[:, :nb] for a, k in zip(self.adjoints, self.span.grams)]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The expansion, so numpy functions read the packed vector."""
+        return np.asarray(self.expand(), dtype=dtype)
 
     def expand(self) -> np.ndarray:
         span = self.span
@@ -294,16 +308,22 @@ def jvp(
 
     Propagates the directional perturbation through the layer recursion
     h1_l = W1_l v_{l-1} + W_l v1_{l-1} + b1_l and returns the last h1_L.
+    theta1 is packed, or a FactoredVector over a span whose first columns
+    are the cache's samples; then W1_l v_{l-1} + b1_l are its preacts.
     """
     params = unpack(shape, theta)
-    direction = unpack(shape, theta1)
-    for l in range(1, shape.num_layers + 1):
-        w, _ = params[l - 1]
-        w1, b1 = direction[l - 1]
-        h1 = w1 @ cache.v(l - 1)
+    if isinstance(theta1, FactoredVector):
+        terms = [(z, None) for z in theta1.preacts(cache.ncols)]
+    else:
+        terms = [
+            (w1 @ cache.v(l), b1[:, None])
+            for l, (w1, b1) in enumerate(unpack(shape, theta1))
+        ]
+    for l, ((w, _), (h1, b1)) in enumerate(zip(params, terms), start=1):
         if l > 1:  # the input tangent v1_0 is zero
             h1 += w @ v1
-        h1 += b1[:, None]
+        if b1 is not None:
+            h1 += b1
         if l < shape.num_layers:
             v1 = act_jac_apply(shape.activations[l - 1], cache.v(l), h1)
     if counters is not None:
@@ -318,17 +338,15 @@ def vjp(
     x_out,
     counters: OpCounters | None = None,
     expand: bool = True,
-    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, BackpropFactors]:
     """Reverse-mode product J_i^T x_i for every sample column.
 
     x_out holds one h_L-space seed column per sample column, (m_L, B).
-    The packed result sums J_i^T x_i over columns and is written into out
-    when given. With expand=False only the factors are computed and the
-    outer-product expansion is skipped; only then may x_out carry k seeds
-    per sample, (m_L, B, k), which one backward sweep over B*k columns
-    turns into factors with adjoints of shape (m_l, B, k). Counters advance
-    by the number of seed columns.
+    The packed result sums J_i^T x_i over columns. With expand=False only
+    the factors are computed and the outer-product expansion is skipped;
+    only then may x_out carry k seeds per sample, (m_L, B, k), which one
+    backward sweep over B*k columns turns into factors with adjoints of
+    shape (m_l, B, k). Counters advance by the number of seed columns.
     """
     params = unpack(shape, theta)
     x = np.asarray(x_out, dtype=np.float64)
@@ -342,5 +360,5 @@ def vjp(
     factors = BackpropFactors(shape, adjoints, _layer_inputs(cache))
     if counters is not None:
         counters.vjp_products += x[0].size
-    packed = factors.expand_sum(out=out) if expand else None
+    packed = factors.expand_sum() if expand else None
     return packed, factors

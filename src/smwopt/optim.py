@@ -13,12 +13,13 @@ makes one full-set forward pass, the trial forward, and reuses it (or
 this iteration's own forward after a rejection) as the forward pass of
 the next iteration.
 
-In stochastic mode, where S2 is a prefix of S1, smw-gn and smw-ng keep g
-and p in factor space (diff.FactoredVector over S1): the direction is
-solver.factored_direction, the trial forward is network.forward_low_rank
-from the layer-1 pre-activation the step's own forward kept, and
-theta + alpha * p is the step's one parameter-length write. hf and the
-semi-stochastic step, whose S1 is the whole data set, stay packed.
+In stochastic mode, where S2 is a prefix of S1, every curvature method
+keeps g and p in factor space (diff.FactoredVector over S1): the direction
+is solver.factored_direction or, for hf, solver.hf_cg_direction on the
+factored g, the trial forward is network.forward_low_rank from the
+layer-1 pre-activation the step's own forward kept, and theta + alpha * p
+is the step's one parameter-length write. The semi-stochastic step, whose
+S1 is the whole data set, stays packed.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ class Trainer:
             if self.config.method == HF:
                 return solver.hf_cg_direction(
                     self.shape, self.theta, cache2, self.spec, lam,
-                    self.config.cg, g, self.counters, inputs=cache1.x,
+                    self.config.cg, g, self.counters,
                 )
             system = curvature.build_gn_system(
                 self.shape, self.theta, cache2, self.spec, lam, self.counters
@@ -270,7 +271,7 @@ class Trainer:
         """
         x1, y1 = self.x[:, s1], self.y[:, s1]
         semi = self.config.semi_stochastic
-        factored = not semi and self.config.method != HF
+        factored = not semi
         cache1 = self._iterate_cache()
         if cache1 is None:
             cache1 = forward(

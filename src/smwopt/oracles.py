@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import curvature, diff, loss as loss_mod, network, solver
-from .exceptions import ShapeError
+from .exceptions import NumericError, ShapeError
 
 DENSE_ORACLE_MAX_PARAMS = 5000
 
@@ -289,6 +289,25 @@ def _smw_case(rng, kind, method, lam):
     return shape, spec, theta, x, y, g, res, b_mat, res_err
 
 
+def _hf_case(rng, kind, lam, factored):
+    """hf at a tight tolerance on a wider_batch_instance with 40 inputs:
+    the largest error of its direction against the dense solve's, relative
+    to the latter's largest entry; infinite when CG breaks down."""
+    shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
+        rng, kind, m_in=40, factored=factored
+    )
+    tight = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15)
+    try:
+        res = solver.hf_cg_direction(
+            shape, theta, cache1.cols([0, 1]), spec, lam, tight, g
+        )
+    except NumericError:
+        return math.inf
+    oracle = dense_direction_oracle(shape, theta, x2, y2, spec, lam, g=np.asarray(g))
+    scale = float(np.max(np.abs(oracle.p))) + 1e-30
+    return float(np.max(np.abs(np.asarray(res.p) - oracle.p))) / scale
+
+
 def verify(seed: int = 0) -> int:
     """Run the oracle suites and print max error and pass/fail per check.
 
@@ -404,34 +423,14 @@ def verify(seed: int = 0) -> int:
         ("model_decrease_bound_margin", -min(worst_margin, 0.0), 1e-12)
     )
 
-    # Hessian-free CG at a tight tolerance against the dense solve. The
-    # gradient comes from a batch S1 wider than the curvature batch S2,
-    # with a repeated column and a tenth as many columns as inputs, so CG
-    # runs in the span of S1's inputs.
+    # Hessian-free CG at a tight tolerance against the dense solve, on
+    # theta's coordinates. The gradient comes from a batch S1 wider than
+    # the curvature batch S2, with a repeated column and a tenth as many
+    # columns as inputs.
     worst_hf = 0.0
     for kind in loss_mod.LOSS_KINDS:
         for lam in (1e-3, 1.0, 1e3):
-            shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
-                rng, kind, m_in=40
-            )
-            tight = solver.CgConfig(
-                max_iters=shape.num_params, rel_residual_tol=1e-15
-            )
-            try:
-                res = solver.hf_cg_direction(
-                    shape, theta, cache1.cols([0, 1]), spec, lam, tight, g,
-                    inputs=cache1.x,
-                )
-            except ShapeError:  # g outside the inputs' span
-                worst_hf = math.inf
-                continue
-            oracle = dense_direction_oracle(
-                shape, theta, x2, y2, spec, lam, g=g
-            )
-            scale = float(np.max(np.abs(oracle.p))) + 1e-30
-            worst_hf = max(
-                worst_hf, float(np.max(np.abs(res.p - oracle.p))) / scale
-            )
+            worst_hf = max(worst_hf, _hf_case(rng, kind, lam, factored=False))
     checks.append(("hf_cg_vs_dense_direction", worst_hf, 1e-9))
 
     # Below solver.REFINE_LAMBDA only iterative refinement keeps the Woodbury
@@ -486,6 +485,14 @@ def verify(seed: int = 0) -> int:
                 ))
     checks.append(("factored_vs_dense_direction", worst_dir, 1e-9))
     checks.append(("low_rank_trial_forward", worst_trial, 1e-9))
+
+    # The stochastic trainer's hf step: the same CG with g and every CG
+    # vector factored over S1.
+    worst_hf = 0.0
+    for kind in loss_mod.LOSS_KINDS:
+        for lam in (1e-3, 1.0, 1e3):
+            worst_hf = max(worst_hf, _hf_case(rng, kind, lam, factored=True))
+    checks.append(("hf_factored_vs_dense_direction", worst_hf, 1e-9))
 
     failed = False
     for name, err, tol in checks:

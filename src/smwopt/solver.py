@@ -32,14 +32,14 @@ on S1's columns, refinement included; no parameter-length vector is
 formed.
 
 The CG routine solves the Gauss-Newton system matrix-free to a relative
-residual tolerance, in buffers it owns. The same Kronecker-factored form
-bounds where its iterates live: their first-layer weight blocks are sums
-of outer products with the gradient batch's inputs, so for a batch with
-at most a tenth as many columns as inputs CG runs in an orthonormal
-basis of the inputs' span (input_basis, hf_cg_direction), on 35,510
-coordinates instead of 397,510 at 784-500-10 with n1 = 60. Every
-product is the matching-loss J^T H J with J = d h_L / d theta, as the
-kernels of diff work in h_L.
+residual tolerance, one jvp and one vjp over the curvature batch per
+product, each the matching-loss J^T H J with J = d h_L / d theta, as the
+kernels of diff work in h_L. Its loop, too, is written once for either
+form of g: every CG vector is a sum of per-sample J_i^T x_i over S1, so
+with g factored over S1 the products take their tangents from the
+vectors' layer pre-activations and embed their adjoints on S1's columns,
+the inner products come from S1's Grams, and p comes back factored. No
+curvature Gram is formed in either form.
 """
 
 from __future__ import annotations
@@ -49,16 +49,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvature, diff, loss as loss_mod, network
+from . import curvature, diff, loss as loss_mod
 from .counters import OpCounters
-from .exceptions import ConfigError, NumericError, ShapeError
+from .exceptions import ConfigError, NumericError
 from .network import ForwardCache, NetworkShape
 
 @dataclass
 class DirectionResult:
     """Step direction with its quadratic-model ingredients.
 
-    p is packed, or a diff.FactoredVector from factored_direction.
+    p is in the form of g: packed, or a diff.FactoredVector.
     grad_dot = g . p and quad_term = p^T B_t p; the model decrease is
     -grad_dot - quad_term / 2.
     """
@@ -111,9 +111,14 @@ def _expand(shape, theta, system, w, like, counters):
         cw = (c @ w.reshape(len(c), -1, 1))[:, :, 0].T
         _, factors = diff.vjp(shape, theta, factors.cache, cw, counters, expand=False)
         w = None
+    return _sum_like(factors, like, w)
+
+
+def _sum_like(factors, like, weights=None):
+    """The weighted sum of factors' vectors in the form of like."""
     if isinstance(like, diff.FactoredVector):
-        return like.span.embed(factors, weights=w)
-    return factors.expand_sum(weights=w)
+        return like.span.embed(factors, weights=weights)
+    return factors.expand_sum(weights=weights)
 
 
 def _negated_damped_inverse(shape, theta, system, v, counters):
@@ -129,15 +134,16 @@ def _negated_damped_inverse(shape, theta, system, v, counters):
     return out, q
 
 
-def _gn_product(shape, theta, cache, spec, v, factors, counters, out=None):
-    """Gauss-Newton product J^T H J v / B over the B samples of the cache.
+def _gn_product(shape, theta, cache, spec, v, factors, counters):
+    """Gauss-Newton product J^T H J v / B over the B samples of the cache,
+    fresh and in v's form.
 
-    factors are the samples' loss-Hessian factors. Written into out, a
-    parameter-length buffer, when given.
+    factors are the samples' loss-Hessian factors.
     """
     jv = diff.jvp(shape, theta, cache, v, counters)
     hjv = loss_mod.hessian_apply(spec, cache, jv, factors)
-    bv, _ = diff.vjp(shape, theta, cache, hjv, counters, out=out)
+    _, bfactors = diff.vjp(shape, theta, cache, hjv, counters, expand=False)
+    bv = _sum_like(bfactors, v)
     bv /= cache.ncols
     return bv
 
@@ -214,68 +220,6 @@ def _woodbury_direction(shape, theta, system, g, counters) -> DirectionResult:
     return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)
 
 
-# CG runs in the input basis only when m0 >= 10 n1. Its fixed cost, the
-# basis of the (m0, n1) inputs, grows as m0 n1^2 while the saving per CG
-# iteration shrinks as (m0 - n1) m1 n2. The ratio was timed with a
-# Householder QR basis at 784-500-10 with n2 = 30 and 2 BLAS threads: a
-# direction broke even near n1 = 70 at one CG iteration, n1 = 130 at three
-# and n1 = 300 at ten. The SVQB basis below, check included, costs about
-# half of that QR at n1 = 60-120, so the ratio is conservative.
-INPUT_BASIS_MIN_RATIO = 10
-# A g outside the inputs' span loses norm under W -> W Q; this bound
-# catches a perpendicular part of relative size 1.4e-4 and up.
-SPAN_NORM_RTOL = 1e-8
-# SVQB drops the directions with eigenvalue s <= BASIS_DROP_RTOL * s_max
-# of X^T X, that is singular values below 3.2e-7 sigma_max. A basis that
-# leaves more than BASIS_RESIDUAL_RTOL ||X||_F of X outside its span
-# dropped a direction X needs, and Householder QR replaces it.
-BASIS_DROP_RTOL = 1e-13
-BASIS_RESIDUAL_RTOL = 1e-13
-
-
-def input_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of the columns of x, (m0, rank).
-
-    Two SVQB passes (Stathopoulos & Wu 2002), each x <- x V_k s_k^-1/2
-    from the eigenpairs of x^T x it keeps; the second restores the
-    orthogonality the first loses to x's conditioning, as in CholeskyQR2.
-    An exactly repeated column is dropped, so the width is the rank. When
-    a dropped direction carried part of x, as for nearly repeated
-    columns, the basis falls back to Householder QR, of width n1.
-    """
-    q = x
-    for _ in range(2):
-        s, v = np.linalg.eigh(q.T @ q)
-        keep = s > BASIS_DROP_RTOL * s[-1]
-        if not keep.any():  # x is zero
-            return np.linalg.qr(x)[0]
-        q = q @ (v[:, keep] / np.sqrt(s[keep]))
-    if np.linalg.norm(x - q @ (q.T @ x)) > BASIS_RESIDUAL_RTOL * np.linalg.norm(x):
-        q, _ = np.linalg.qr(x)
-    return q
-
-
-def _map_first_weights(shape, v, new_shape, right=None):
-    """v in new_shape's layout with first-layer weights W right, fresh.
-
-    right=None gives zero first-layer weights; every other block is
-    copied.
-    """
-    out = np.empty(new_shape.num_params)
-    old, new = network.unpack(shape, v), network.unpack(new_shape, out)
-    if right is None:
-        new[0][0][...] = 0.0
-    else:
-        # As (W right)^T = right^T W^T: the transposed views are the
-        # contiguous ones.
-        np.matmul(right.T, old[0][0].T, out=new[0][0].T)
-    new[0][1][...] = old[0][1]
-    for (w_old, b_old), (w_new, b_new) in zip(old[1:], new[1:]):
-        w_new[...] = w_old
-        b_new[...] = b_old
-    return out
-
-
 def hf_cg_direction(
     shape: NetworkShape,
     theta,
@@ -283,84 +227,46 @@ def hf_cg_direction(
     spec: loss_mod.LossSpec,
     lam: float,
     cfg: CgConfig,
-    g: np.ndarray,
+    g: np.ndarray | diff.FactoredVector,
     counters: OpCounters | None = None,
-    inputs: np.ndarray | None = None,
 ) -> DirectionResult:
     """Conjugate-gradient solve of (B_t + lam I) p = -g, matrix-free.
 
-    inputs are the (m0, n1) input columns of the batch g was taken over,
-    which includes the cache's samples; they default to the cache's own.
-    Every first-layer weight block of g and of J^T u over those samples
-    is sum_i a_i x_i^T, so with an orthonormal basis Q of the inputs'
-    span (input_basis), W -> W Q is an isometry onto coordinates that
-    hold every CG vector. When m0 >= 10 n1 (INPUT_BASIS_MIN_RATIO) CG
-    runs there, on a network whose first layer takes the inputs Q^T x,
-    and takes the same steps in exact arithmetic; p is mapped back at the
-    end. A g outside the span, such as a gradient over a wider batch than
-    inputs, raises ShapeError. Otherwise CG runs on theta's own
-    coordinates.
-
+    g is packed, or a diff.FactoredVector over a gradient batch whose first
+    columns are the cache's samples; every CG vector and p are in g's form.
     Each product with B_t costs one forward-mode and one reverse-mode
-    sweep over the batch; the loss-Hessian factors are formed once.
-    Iteration stops at max_iters or when the residual drops below
+    sweep over the cache's samples; the loss-Hessian factors are formed
+    once. Iteration stops at max_iters or when the residual drops below
     rel_residual_tol * ||g||. A curvature d . Ad that is not finite and
     positive, or a non-finite model term, raises NumericError.
     """
-    g = np.asarray(g, dtype=np.float64)
-    gnorm = float(np.linalg.norm(g))
+    if not isinstance(g, diff.FactoredVector):
+        g = np.asarray(g, dtype=np.float64)
+    gnorm = diff.norm(g)
+    p = g * 0.0  # zero, in g's form
     if gnorm == 0.0:
-        return DirectionResult(p=np.zeros_like(g), grad_dot=0.0, quad_term=0.0)
+        return DirectionResult(p=p, grad_dot=0.0, quad_term=0.0)
     factors = loss_mod.hessian_factor(spec, cache)
-    if inputs is None:
-        inputs = cache.x
-    m0, n1 = inputs.shape
-    basis = None
-    if INPUT_BASIS_MIN_RATIO * n1 <= m0:
-        basis = input_basis(inputs)
-        full_shape = shape
-        shape = NetworkShape(
-            basis.shape[1:] + shape.layer_sizes[1:], shape.activations
-        )
-        # The products never read the first-layer weights: jvp's input
-        # tangent is zero and no adjoint goes below layer 1.
-        theta = _map_first_weights(full_shape, theta, shape)
-        g = _map_first_weights(full_shape, g, shape, basis)
-        # W -> W Q keeps the norm exactly when W lies in the span.
-        if abs(float(np.linalg.norm(g)) - gnorm) > SPAN_NORM_RTOL * gnorm:
-            raise ShapeError("g does not lie in the span of the inputs")
-        cache = ForwardCache(
-            shape, basis.T @ cache.x, cache.acts, cache.output_preact
-        )
-    # Every vector of the loop is owned here and updated in place;
-    # scratch holds lam * d and then alpha * d.
-    p = np.zeros_like(g)
+    # Every vector of the loop is owned here and updated in place.
     r = -g
     d = r.copy()
-    ad = np.empty_like(g)
-    scratch = np.empty_like(g)
     rs = float(r @ r)
     for _ in range(cfg.max_iters):
-        ad = _gn_product(shape, theta, cache, spec, d, factors, counters, ad)
-        np.multiply(d, lam, out=scratch)
-        ad += scratch
+        ad = _gn_product(shape, theta, cache, spec, d, factors, counters)
+        ad += d * lam
         dad = float(d @ ad)
         if not (math.isfinite(dad) and dad > 0.0):
             raise NumericError(f"cg breakdown: d.Ad = {dad}")
         alpha = rs / dad
-        np.multiply(d, alpha, out=scratch)
-        p += scratch
+        p += d * alpha
         ad *= alpha
         r -= ad
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= cfg.rel_residual_tol * gnorm:
-            rs = rs_new
+        rs_new = float(r @ r)  # from Grams, it can round below zero
+        if math.sqrt(max(rs_new, 0.0)) <= cfg.rel_residual_tol * gnorm:
             break
         d *= rs_new / rs
         d += r
         rs = rs_new
-    bp = _gn_product(shape, theta, cache, spec, p, factors, counters, ad)
+    bp = _gn_product(shape, theta, cache, spec, p, factors, counters)
     grad_dot, quad = _finite_model(float(g @ p), float(p @ bp))
-    if basis is not None:
-        p = _map_first_weights(shape, p, full_shape, basis.T)
     return DirectionResult(p=p, grad_dot=grad_dot, quad_term=quad)

@@ -305,6 +305,7 @@ class TestVerify:
         assert "PASS gradient_vs_finite_differences" in out
         assert "PASS factored_vs_dense_direction" in out
         assert "PASS low_rank_trial_forward" in out
+        assert "PASS hf_factored_vs_dense_direction" in out
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("seed", (1, 2, 3, 4))
@@ -375,8 +376,9 @@ class TestVerify:
 
     def test_grams_without_bias_term_fail(self, capsys, monkeypatch):
         """S1 input Grams without the +1 that pairs the bias blocks: every
-        factored inner product, U^T g and the low-rank trial forward go
-        wrong, and only the factored checks read them."""
+        factored inner product, U^T g, the factored jvp tangents and the
+        low-rank trial forward go wrong, and only the factored checks read
+        them."""
         span_of = diff.SampleSpan.of.__func__
 
         def no_bias(cls, cache):
@@ -388,11 +390,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL factored_vs_dense_direction" in out
         assert "FAIL low_rank_trial_forward" in out
-        assert out.count("FAIL") == 2
+        assert "FAIL hf_factored_vs_dense_direction" in out
+        assert out.count("FAIL") == 3
 
     def test_curvature_adjoints_one_column_off_fail(self, capsys, monkeypatch):
-        """U q's S2 adjoints placed on S1 columns 1..n2 instead of the
-        prefix 0..n2-1 that S2 is."""
+        """U q's and hf's curvature-product S2 adjoints placed on S1 columns
+        1..n2 instead of the prefix 0..n2-1 that S2 is."""
 
         def shifted(span, factors, weights=None):
             adjoints = []
@@ -407,7 +410,8 @@ class TestVerify:
         assert oracles.verify(seed=0) == 1
         out = capsys.readouterr().out
         assert "FAIL factored_vs_dense_direction" in out
-        assert out.count("FAIL") == 1
+        assert "FAIL hf_factored_vs_dense_direction" in out
+        assert out.count("FAIL") == 2
 
     def test_main_verify_flag(self, capsys):
         assert cli.main(["--verify"]) == 0

@@ -107,6 +107,21 @@ class TestJvp:
         fd = fd_preact_jacobian_product(shape, theta, x, direction)
         assert np.max(np.abs(out - fd) / (1.0 + np.abs(fd))) < 1e-6
 
+    def test_packed_tangent_sums_in_layer_order(self, rng):
+        """h1_l = (W1_l v_{l-1} + W_l v1_{l-1}) + b1_l, bit for bit."""
+        shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=[5, 4])
+        cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 3)))
+        t1 = rng.normal(size=shape.num_params)
+        params, direction = network.unpack(shape, theta), network.unpack(shape, t1)
+        for l, ((w, _), (w1, b1)) in enumerate(zip(params, direction), start=1):
+            h1 = w1 @ cache.v(l - 1)
+            if l > 1:
+                h1 += w @ v1
+            h1 += b1[:, None]
+            if l < shape.num_layers:
+                v1 = network.act_jac_apply(shape.activations[l - 1], cache.v(l), h1)
+        assert np.array_equal(diff.jvp(shape, theta, cache, t1), h1)
+
 
 class TestVjp:
     def test_zero_seed(self, rng):
@@ -325,8 +340,8 @@ class TestFactoredDot:
 class TestFactoredVector:
     """Vectors kept as adjoints over a batch's samples against their expansions."""
 
-    def _pair(self, rng, n=5):
-        shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=[5, 4])
+    def _pair(self, rng, n=5, hidden=(5, 4)):
+        shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=hidden)
         cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, n)))
         span = diff.SampleSpan.of(cache)
         x, y = (
@@ -360,6 +375,38 @@ class TestFactoredVector:
         z /= 4.0
         assert np.max(np.abs(z.expand() - (ex - 2 * ey) / 4.0)) <= 1e-14 * scale
         assert np.max(np.abs(x.expand() - ex)) == 0.0
+
+    def test_in_place_operators_and_copy(self, rng):
+        _, _, _, _, x, y = self._pair(rng)
+        ex, ey = x.expand(), y.expand()
+        scale = 1.0 + np.max(np.abs(ex)) + np.max(np.abs(ey))
+        z = x.copy()
+        z += y
+        z *= 2.5
+        assert np.max(np.abs(z.expand() - 2.5 * (ex + ey))) <= 1e-14 * scale
+        assert np.array_equal(x.expand(), ex)
+        assert all(not np.shares_memory(a, b) for a, b in zip(x.adjoints, z.adjoints))
+
+    def test_array_is_the_expansion(self, rng):
+        """numpy functions read a factored vector as its expansion."""
+        _, _, _, _, x, _ = self._pair(rng)
+        ex = x.expand()
+        assert np.array_equal(np.asarray(x), ex)
+        assert np.linalg.norm(x) == np.linalg.norm(ex)
+
+    @pytest.mark.parametrize("hidden", ([5, 4], [5, 4, 3]), ids=("two", "three"))
+    def test_jvp_of_a_factored_tangent_matches_its_expansion(self, hidden, rng):
+        """At a prefix of the span's samples, J theta1 from the tangent's
+        layer pre-activations."""
+        shape, theta, cache, _, x, _ = self._pair(rng, hidden=hidden)
+        prefix = cache.cols(slice(0, 3))
+        counters = OpCounters()
+        got = diff.jvp(shape, theta, prefix, x, counters)
+        expected = diff.jvp(shape, theta, prefix, x.expand())
+        assert np.max(np.abs(got - expected)) <= 1e-12 * (
+            1.0 + np.max(np.abs(expected))
+        )
+        assert counters == OpCounters(jvp_products=3)
 
     def test_added_to_packed_is_one_fresh_expansion(self, rng):
         _, _, _, _, x, _ = self._pair(rng)

@@ -328,7 +328,7 @@ class TestSmwStep:
 
 
 class TestFactoredStep:
-    """The stochastic smw-gn / smw-ng step keeps g and p factored over S1."""
+    """The stochastic curvature step keeps g and p factored over S1."""
 
     @staticmethod
     def _trainer(method, lambda_lm=1.0, tau=1e-3):
@@ -339,7 +339,7 @@ class TestFactoredStep:
         )
         return make_binary_trainer(rng, config, hidden=(6, 4), n=60)
 
-    @pytest.mark.parametrize("method", [optim.SMW_GN, optim.SMW_NG])
+    @pytest.mark.parametrize("method", [optim.SMW_GN, optim.SMW_NG, optim.HF])
     def test_matches_the_packed_step(self, method, monkeypatch):
         factored = self._trainer(method)
         records = [factored.step() for _ in range(12)]
@@ -382,6 +382,21 @@ class TestFactoredStep:
                 forward_passes=2 * n1, backward_passes=n1, jvp_products=0,
                 vjp_products=vjp,
             )
+
+    @pytest.mark.parametrize("method", [optim.SMW_GN, optim.SMW_NG, optim.HF])
+    def test_one_parameter_length_write(self, method, monkeypatch):
+        """theta + alpha p is the step's only expansion."""
+        trainer = self._trainer(method)
+        calls = []
+        expand_sum = diff.BackpropFactors.expand_sum
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return expand_sum(*args, **kwargs)
+
+        monkeypatch.setattr(diff.BackpropFactors, "expand_sum", spy)
+        trainer.step()
+        assert len(calls) == 1
 
     def test_factored_forms_reach_the_solver_and_trial_forward(self, monkeypatch):
         trainer = self._trainer(optim.SMW_GN)

@@ -340,32 +340,33 @@ class TestDenseOracle:
 
 def _hf_against_dense(instance, monkeypatch):
     """hf at a tight tolerance on a wider_batch_instance, checked against the
-    dense solve; returns the CG vector lengths and np.linalg.qr's operands."""
+    dense solve; returns the CG vectors the products were applied to."""
     shape, spec, theta, cache1, g, x2, y2 = instance
-    lengths, qr_calls = [], []
-    product, qr = solver._gn_product, np.linalg.qr
+    vectors = []
+    product = solver._gn_product
 
     def spy_product(*args):
-        lengths.append(args[4].size)
+        vectors.append(args[4])
         return product(*args)
 
-    def spy_qr(*args, **kwargs):
-        qr_calls.append(args[0].shape)
-        return qr(*args, **kwargs)
-
     monkeypatch.setattr(solver, "_gn_product", spy_product)
-    monkeypatch.setattr(np.linalg, "qr", spy_qr)
     lam = 0.5
     cfg = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15)
-    res = solver.hf_cg_direction(
-        shape, theta, cache1.cols([0, 1]), spec, lam, cfg, g, inputs=cache1.x
+    res = solver.hf_cg_direction(shape, theta, cache1.cols([0, 1]), spec, lam, cfg, g)
+    oracle = oracles.dense_direction_oracle(
+        shape, theta, x2, y2, spec, lam, g=np.asarray(g)
     )
-    oracle = oracles.dense_direction_oracle(shape, theta, x2, y2, spec, lam, g=g)
     scale = 1.0 + np.max(np.abs(oracle.p))
-    assert np.max(np.abs(res.p - oracle.p)) <= 1e-12 * scale
+    assert np.max(np.abs(np.asarray(res.p) - oracle.p)) <= 1e-12 * scale
     assert res.grad_dot == pytest.approx(oracle.grad_dot, rel=1e-12)
     assert res.quad_term == pytest.approx(oracle.quad_term, rel=1e-12)
-    return lengths, qr_calls
+    return vectors
+
+
+def _in_span_of(vectors, g):
+    return all(
+        isinstance(v, diff.FactoredVector) and v.span is g.span for v in vectors
+    )
 
 
 class TestHfCg:
@@ -374,71 +375,91 @@ class TestHfCg:
     )
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
     def test_wider_gradient_batch_matches_dense(self, kind, m_in, rng, monkeypatch):
-        """S2 a strict subset of S1: CG runs in S1's input span when
-        m0 >= 10 n1, on theta's own coordinates otherwise, and solves the
-        dense system. The repeated input column leaves a basis of the
-        inputs' rank, 3, with no QR."""
-        instance = wider_batch_instance(rng, kind, m_in)
-        shape = instance[0]
-        lengths, qr_calls = _hf_against_dense(instance, monkeypatch)
-        width = 3 if m_in >= 40 else m_in
-        reduced = shape.num_params - (m_in - width) * shape.layer_sizes[1]
-        assert set(lengths) == {reduced}
-        assert qr_calls == []
+        """S2 a strict subset of S1, whose four inputs repeat one and span
+        three of m_in dimensions: CG on a packed g and on g factored over
+        S1 both solve the dense system, each in g's form."""
+        factored = wider_batch_instance(rng, kind, m_in, factored=True)
+        shape, g = factored[0], factored[4]
+        assert _in_span_of(_hf_against_dense(factored, monkeypatch), g)
+        packed = factored[:4] + (g.expand(),) + factored[5:]
+        vectors = _hf_against_dense(packed, monkeypatch)
+        assert {v.shape for v in vectors} == {(shape.num_params,)}
 
     @pytest.mark.parametrize("eps", (1e-12, 1e-9, 1e-7, 1e-5, 1e-3))
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
     def test_nearly_repeated_inputs_match_dense(self, kind, eps, rng, monkeypatch):
-        """A near-duplicate input column: where SVQB drops its direction
-        (eps <= 1e-7) the basis would miss part of the inputs, so Householder
-        QR replaces it; above that SVQB keeps all four directions."""
-        instance = wider_batch_instance(rng, kind, 40, eps=eps)
-        shape = instance[0]
-        lengths, qr_calls = _hf_against_dense(instance, monkeypatch)
-        assert set(lengths) == {shape.num_params - 36 * shape.layer_sizes[1]}
-        assert qr_calls == ([(40, 4)] if eps <= 1e-7 else [])
+        """A near-duplicate S1 input column leaves S1's Grams near singular;
+        the factored inner products still solve the dense system."""
+        instance = wider_batch_instance(rng, kind, 40, eps=eps, factored=True)
+        assert _in_span_of(_hf_against_dense(instance, monkeypatch), instance[4])
 
-    def test_zero_inputs_fall_back_to_qr(self):
-        basis = solver.input_basis(np.zeros((40, 4)))
-        assert basis.shape == (40, 4)
-        assert np.max(np.abs(basis.T @ basis - np.eye(4))) < 1e-15
-
-    def test_gradient_outside_the_input_span_is_shape_error(self, rng):
-        """g over S1 with only S2's inputs: the basis would drop part of g."""
-        shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
-            rng, loss.SQUARED_ERROR, 40
+    @pytest.mark.parametrize("factored", (False, True), ids=("packed", "factored"))
+    def test_zero_gradient_gives_zero_direction(self, factored, rng, monkeypatch):
+        """A zero g returns a zero p in g's form and runs no product."""
+        shape, spec, theta, cache1, g, _, _ = wider_batch_instance(
+            rng, loss.SOFTMAX_CROSS_ENTROPY, 40, factored=factored
         )
-        with pytest.raises(ShapeError, match="span"):
+        g = g * 0.0
+        monkeypatch.setattr(solver, "_gn_product", None)
+        res = solver.hf_cg_direction(
+            shape, theta, cache1.cols([0, 1]), spec, 0.5, solver.CgConfig(), g
+        )
+        assert type(res.p) is type(g)
+        assert not np.asarray(res.p).any()
+        assert (res.grad_dot, res.quad_term) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "product",
+        [
+            pytest.param(lambda v: v * 0.0, id="zero"),
+            pytest.param(lambda v: -v, id="negative"),
+            pytest.param(lambda v: v * np.nan, id="nan"),
+        ],
+    )
+    def test_factored_curvature_breakdown_is_numeric_error(
+        self, product, rng, monkeypatch
+    ):
+        shape, spec, theta, cache1, g, _, _ = wider_batch_instance(
+            rng, loss.SQUARED_ERROR, 40, factored=True
+        )
+        monkeypatch.setattr(
+            solver, "_gn_product", lambda *args: product(args[4])
+        )
+        # With lam = 0, d . Ad is the faked product's alone.
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match="cg breakdown"
+        ):
             solver.hf_cg_direction(
-                shape, theta, cache1.cols([0, 1]), spec, 0.5,
-                solver.CgConfig(), g,
+                shape, theta, cache1.cols([0, 1]), spec, 0.0, solver.CgConfig(), g
             )
 
-    def test_products_run_in_the_input_basis_on_wide_inputs(self, rng, monkeypatch):
+    def test_cg_vectors_are_factored_over_the_gradient_batch(self, rng, monkeypatch):
         """A 784-input net and a 60-column gradient batch: every CG vector
-        holds 60 first-layer input coordinates, and p comes back full length."""
+        holds one adjoint column per S1 sample, nothing is expanded to
+        parameter length, and p comes back factored over S1."""
         shape = network.NetworkShape((784, 8, 10), (network.LOGISTIC, network.SOFTMAX))
         spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY)
         theta = network.init_theta(shape, rng)
         x1 = rng.uniform(size=(784, 60))
         y1 = random_targets(rng, spec.kind, 10, 60)
         cache1 = network.forward(shape, theta, x1)
-        g, _ = diff.gradient(shape, theta, cache1, y1, spec)
-        lengths = []
+        g, _ = diff.gradient(shape, theta, cache1, y1, spec, factored=True)
+        vectors = []
         product = solver._gn_product
 
         def spy(*args):
-            lengths.append(args[4].size)
+            vectors.append(args[4])
             return product(*args)
 
         monkeypatch.setattr(solver, "_gn_product", spy)
+        monkeypatch.setattr(diff.BackpropFactors, "expand_sum", None)
         res = solver.hf_cg_direction(
             shape, theta, cache1.cols(np.arange(30)), spec, 1.0,
-            solver.CgConfig(), g, inputs=cache1.x,
+            solver.CgConfig(), g,
         )
-        assert lengths and set(lengths) == {60 * 8 + 8 + 8 * 10 + 10}
-        assert res.p.shape == g.shape
-        assert float(g @ res.p) < 0.0
+        assert vectors and _in_span_of(vectors + [res.p], g)
+        assert {a.shape for v in vectors for a in v.adjoints} == {(8, 60), (10, 60)}
+        assert res.grad_dot == float(g @ res.p) < 0.0
 
     def test_zero_jacobian_one_iteration(self, rng):
         shape = network.NetworkShape((2, 1), ("logistic",))
@@ -514,8 +535,6 @@ class TestHfCg:
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
             rng, loss.SQUARED_ERROR, curvature.GN
         )
-        # The faked products take the length of the CG vector, args[4],
-        # which is shorter than g when CG runs in the input basis.
         fills = iter([0.0, np.inf])
         monkeypatch.setattr(
             solver, "_gn_product", lambda *args: np.full_like(args[4], next(fills))
@@ -530,7 +549,6 @@ class TestHfCg:
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
             rng, loss.SQUARED_ERROR, curvature.GN
         )
-        # A gradient of the batch, so it lies in the span CG runs in.
         g *= 1e154 / np.linalg.norm(g)
         monkeypatch.setattr(
             solver, "_gn_product", lambda *args: np.zeros_like(args[4])
