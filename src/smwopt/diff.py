@@ -21,9 +21,16 @@ one adjoint column per sample of a batch (a SampleSpan, its layer inputs
 V_l and their Grams V_l^T V_l + 1), and its inner products, norms and dots
 with the backward factors of any prefix of the batch's samples are
 products of those n x n Grams with the adjoints. The stochastic Woodbury
-and Hessian-free steps keep g, p and every vector of their solves in that
-form, jvp takes such a tangent through its layer pre-activations, and a
-parameter-length vector is written only for theta + alpha p.
+step keeps g, p and every vector of its solve in that form, jvp takes
+such a tangent through its layer pre-activations, and a parameter-length
+vector is written only for theta + alpha p.
+
+Hessian-free CG adds only curvature-batch adjoints to g, and that batch
+S2 is a prefix of S1, so its vectors are PrefixVectors: a multiple beta
+of a factored g plus adjoints on S2's n2 columns. Their inner products
+and jvp tangents read S1's Grams only through the blocks a PrefixFrame
+takes once per direction, at n2^2 cost per layer entry instead of n1^2.
+Placing S2's adjoints among S1's columns is SampleSpan.embed's alone.
 
 All kernels accept batched caches (samples as columns) and perform the
 per-sample recursions simultaneously; counters advance by the number of
@@ -40,7 +47,7 @@ import numpy as np
 from . import loss as loss_mod
 from .counters import OpCounters
 from .exceptions import ShapeError
-from .network import ForwardCache, NetworkShape, act_jac_apply, unpack
+from .network import ForwardCache, NetworkShape, unpack
 
 
 @dataclass
@@ -144,31 +151,27 @@ class SampleSpan:
         return FactoredVector(self, adjoints)
 
 
-class FactoredVector:
-    """The parameter vector sum_i expand(a_i v_i^T, a_i) over a span's samples.
+class _PartwiseVector:
+    """Linear combinations of a vector held as a list of arrays, its parts.
 
-    adjoints[l-1] is (m_l, n), one column a_i per sample, paired with the
-    span's layer inputs v_i. Linear combinations act on the adjoints;
-    inner products use the factored identity with the span's Grams, so
-    nothing parameter-length is formed. Adding it to a packed vector
-    (packed + x) is the one expansion, into a fresh array. In-place
-    operators write into the adjoints, which a vector owns.
+    Each operation acts part by part. In-place operators write into the
+    parts, which a vector owns.
     """
 
-    # numpy's operators on a packed left operand defer to __radd__.
+    # numpy's operators on a packed left operand defer to the reflected ones.
     __array_ufunc__ = None
 
-    def __init__(self, span: SampleSpan, adjoints: list[np.ndarray]):
-        self.span = span
-        self.adjoints = adjoints
+    def _parts(self) -> list[np.ndarray]:
+        raise NotImplementedError
 
-    def _map(self, fn) -> "FactoredVector":
-        return FactoredVector(self.span, [fn(a) for a in self.adjoints])
+    def _with(self, parts: list[np.ndarray]):
+        raise NotImplementedError
 
-    def _zip(self, other, fn) -> "FactoredVector":
-        return FactoredVector(
-            self.span, [fn(a, b) for a, b in zip(self.adjoints, other.adjoints)]
-        )
+    def _map(self, fn):
+        return self._with([fn(a) for a in self._parts()])
+
+    def _zip(self, other, fn):
+        return self._with([fn(a, b) for a, b in zip(self._parts(), other._parts())])
 
     def __neg__(self):
         return self._map(np.negative)
@@ -185,27 +188,52 @@ class FactoredVector:
     __rmul__ = __mul__
 
     def __iadd__(self, other):
-        for a, b in zip(self.adjoints, other.adjoints):
+        for a, b in zip(self._parts(), other._parts()):
             a += b
         return self
 
     def __isub__(self, other):
-        for a, b in zip(self.adjoints, other.adjoints):
+        for a, b in zip(self._parts(), other._parts()):
             a -= b
         return self
 
     def __imul__(self, scalar):
-        for a in self.adjoints:
+        for a in self._parts():
             a *= scalar
         return self
 
     def __itruediv__(self, scalar):
-        for a in self.adjoints:
+        for a in self._parts():
             a /= scalar
         return self
 
-    def copy(self) -> "FactoredVector":
+    def copy(self):
         return self._map(np.copy)
+
+    def norm(self) -> float:
+        """Euclidean norm; a Gram-rounded square below zero reads as 0."""
+        return math.sqrt(max(self @ self, 0.0))
+
+
+class FactoredVector(_PartwiseVector):
+    """The parameter vector sum_i expand(a_i v_i^T, a_i) over a span's samples.
+
+    adjoints[l-1] is (m_l, n), one column a_i per sample, paired with the
+    span's layer inputs v_i. Linear combinations act on the adjoints;
+    inner products use the factored identity with the span's Grams, so
+    nothing parameter-length is formed. Adding it to a packed vector
+    (packed + x) is the one expansion, into a fresh array.
+    """
+
+    def __init__(self, span: SampleSpan, adjoints: list[np.ndarray]):
+        self.span = span
+        self.adjoints = adjoints
+
+    def _parts(self):
+        return self.adjoints
+
+    def _with(self, parts):
+        return FactoredVector(self.span, parts)
 
     def __matmul__(self, other) -> float:
         """Inner product: sum_l sum_ik grams_l[i, k] (a_i . b_k)."""
@@ -218,10 +246,6 @@ class FactoredVector:
         out = self.expand()
         out += packed
         return out
-
-    def norm(self) -> float:
-        """Euclidean norm; a Gram-rounded square below zero reads as 0."""
-        return math.sqrt(max(self @ self, 0.0))
 
     def preacts(self, nb: int) -> list[np.ndarray]:
         """W_l v_i + b_l of this vector's blocks at the span's first nb samples.
@@ -241,9 +265,116 @@ class FactoredVector:
         ).expand_sum()
 
 
+def _prefix_factors(span: SampleSpan, adjoints) -> BackpropFactors:
+    """Factors with the given adjoints on the span's first columns."""
+    nb = adjoints[0].shape[1]
+    return BackpropFactors(
+        span.shape, adjoints, [v[:, :nb] for v in span.layer_inputs]
+    )
+
+
+@dataclass
+class PrefixFrame:
+    """A factored g over S1 seen from the span's first n2 samples, S2.
+
+    The frame of PrefixVector. With K_l S1's Grams and G_l g's adjoints
+    outside S2: grams[l-1] = K_l[:n2, :n2], cross[l-1] = G_l K_l[n2:, :n2]
+    and tail_sq = sum_l vdot(G_l, G_l K_l[n2:, n2:]). rest is g with its S2
+    columns zero, placed by the span's embed like every S2 adjoint.
+    """
+
+    g: FactoredVector
+    rest: FactoredVector
+    grams: list[np.ndarray]
+    cross: list[np.ndarray]
+    tail_sq: float
+
+    @classmethod
+    def of(cls, g: FactoredVector, n2: int) -> "PrefixFrame":
+        span = g.span
+        head = [a[:, :n2] for a in g.adjoints]
+        tails = [a[:, n2:] for a in g.adjoints]
+        return cls(
+            g=g,
+            rest=g - span.embed(_prefix_factors(span, head)),
+            grams=[k[:n2, :n2] for k in span.grams],
+            cross=[t @ k[n2:, :n2] for t, k in zip(tails, span.grams)],
+            tail_sq=float(sum(
+                np.vdot(t, t @ k[n2:, n2:]) for t, k in zip(tails, span.grams)
+            )),
+        )
+
+    @property
+    def n2(self) -> int:
+        return self.grams[0].shape[0]
+
+    @property
+    def gradient(self) -> "PrefixVector":
+        """g itself: coefficient 1 and g's S2 adjoints."""
+        head = [np.ascontiguousarray(a[:, : self.n2]) for a in self.g.adjoints]
+        return PrefixVector(self, head, np.ones(1))
+
+    def embed(self, factors: BackpropFactors) -> "PrefixVector":
+        """The sum of S2's factored vectors, whose adjoints it takes over."""
+        return PrefixVector(self, list(factors.layer_adjoints), np.zeros(1))
+
+
+class PrefixVector(_PartwiseVector):
+    """A vector of span{g} plus S2's factor space, over a frame's S1.
+
+    Every vector of hf's conjugate gradients lies there, as the range of
+    the curvature touches only S2's columns. adjoints[l-1] is X_l,
+    (m_l, n2), the vector's adjoints on S2's columns, beta g's included;
+    its adjoints on S1's other columns are beta g's. beta is the one entry
+    of coef, a part beside the adjoints. Inner products and jvp tangents
+    cost n2^2 per layer entry, not n1^2.
+    """
+
+    def __init__(self, frame: PrefixFrame, adjoints: list[np.ndarray], coef):
+        self.frame = frame
+        self.adjoints = adjoints
+        self.coef = coef
+
+    @property
+    def beta(self) -> float:
+        return float(self.coef[0])
+
+    def _parts(self):
+        return [*self.adjoints, self.coef]
+
+    def _with(self, parts):
+        return PrefixVector(self.frame, parts[:-1], parts[-1])
+
+    def __matmul__(self, other) -> float:
+        """Inner product: sum_l [vdot(X_x, X_y K11) + b_y vdot(X_x, P)
+        + b_x vdot(X_y, P)] + b_x b_y q, with X_y K11 formed fresh."""
+        frame, bx, by = self.frame, self.beta, other.beta
+        total = bx * by * frame.tail_sq
+        for x, y, k, c in zip(self.adjoints, other.adjoints, frame.grams, frame.cross):
+            total += np.vdot(x, y @ k) + by * np.vdot(x, c) + bx * np.vdot(y, c)
+        return float(total)
+
+    def preacts(self, nb: int) -> list[np.ndarray]:
+        """W_l v_i + b_l of this vector's blocks at S2's nb samples, X K11 + beta P."""
+        out = []
+        for x, k, c in zip(self.adjoints, self.frame.grams, self.frame.cross):
+            z = x @ k
+            z += c * self.beta
+            out.append(z)
+        return out
+
+    def factored(self) -> FactoredVector:
+        """This vector over S1, its S2 adjoints placed by the span's embed."""
+        frame = self.frame
+        span = frame.g.span
+        out = span.embed(_prefix_factors(span, self.adjoints))
+        out += frame.rest * self.beta
+        return out
+
+
 def norm(x) -> float:
     """Euclidean norm of a parameter vector, packed or factored."""
-    if isinstance(x, FactoredVector):
+    if isinstance(x, _PartwiseVector):
         return x.norm()
     return float(np.linalg.norm(x))
 
@@ -263,8 +394,7 @@ def _backward_adjoints(
     for l in range(nl - 1, 0, -1):
         w_next = params[l][0]
         u = (w_next.T @ a.reshape(len(a), -1)).reshape(-1, *a.shape[1:])
-        v = cache.v(l) if a.ndim == 2 else cache.v(l)[:, :, None]
-        a = act_jac_apply(shape.activations[l - 1], v, u)
+        a = cache.act_jac(l, u)
         adjoints[l - 1] = a
     return adjoints
 
@@ -308,11 +438,12 @@ def jvp(
 
     Propagates the directional perturbation through the layer recursion
     h1_l = W1_l v_{l-1} + W_l v1_{l-1} + b1_l and returns the last h1_L.
-    theta1 is packed, or a FactoredVector over a span whose first columns
-    are the cache's samples; then W1_l v_{l-1} + b1_l are its preacts.
+    theta1 is packed, a FactoredVector over a span whose first columns are
+    the cache's samples, or a PrefixVector whose S2 they are; then
+    W1_l v_{l-1} + b1_l are its preacts.
     """
     params = unpack(shape, theta)
-    if isinstance(theta1, FactoredVector):
+    if isinstance(theta1, (FactoredVector, PrefixVector)):
         terms = [(z, None) for z in theta1.preacts(cache.ncols)]
     else:
         terms = [
@@ -325,7 +456,7 @@ def jvp(
         if b1 is not None:
             h1 += b1
         if l < shape.num_layers:
-            v1 = act_jac_apply(shape.activations[l - 1], cache.v(l), h1)
+            v1 = cache.act_jac(l, h1)
     if counters is not None:
         counters.jvp_products += cache.ncols
     return h1

@@ -13,7 +13,7 @@ Samples are the columns of 2-D arrays; one sample is an (m, 1) column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,7 +175,9 @@ class ForwardCache:
     """Activations from one forward pass and the output pre-activation h_L.
 
     Arrays are (m_l, B) with samples as columns. first_preact is h_1 when
-    the forward kept it for forward_low_rank, else None.
+    the forward kept it for forward_low_rank, else None. slopes holds each
+    logistic hidden layer's dv/dh = v (1 - v) (None for a linear one) once
+    with_slopes has computed them, else None.
     """
 
     shape: NetworkShape
@@ -183,6 +185,7 @@ class ForwardCache:
     acts: list[np.ndarray]
     output_preact: np.ndarray
     first_preact: np.ndarray | None = None
+    slopes: list[np.ndarray | None] | None = None
 
     @property
     def ncols(self) -> int:
@@ -195,6 +198,27 @@ class ForwardCache:
     def v(self, l: int) -> np.ndarray:
         """Layer output v_l; v_0 is the network input."""
         return self.x if l == 0 else self.acts[l - 1]
+
+    def with_slopes(self) -> "ForwardCache":
+        """This cache with its hidden layers' slopes, for a caller that
+        sweeps the same samples many times; only that copy holds them."""
+        slopes = [
+            (1.0 - v) * v if kind == LOGISTIC else None
+            for kind, v in zip(self.shape.activations[:-1], self.acts)
+        ]
+        return replace(self, slopes=slopes)
+
+    def act_jac(self, l: int, u: np.ndarray) -> np.ndarray:
+        """Hidden layer l's dv/dh applied column-wise to u, fresh.
+
+        u is (m_l, B) or carries a trailing axis, (m_l, B, k). A kept
+        slope s gives s * u, the bits of act_jac_apply's product.
+        """
+        s = None if self.slopes is None else self.slopes[l - 1]
+        if s is not None:
+            return (s if u.ndim == 2 else s[:, :, None]) * u
+        v = self.v(l) if u.ndim == 2 else self.v(l)[:, :, None]
+        return act_jac_apply(self.shape.activations[l - 1], v, u)
 
     def cols(self, idx) -> "ForwardCache":
         """View of a subset of sample columns (shares storage)."""

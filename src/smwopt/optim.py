@@ -254,14 +254,18 @@ class Trainer:
             )
         return solver.smw_direction(self.shape, self.theta, system, g, self.counters)
 
-    def _trial_forward(self, cache1, x1, p) -> ForwardCache:
-        """Forward over S1 at the unscaled trial point theta + p."""
+    def _trial_forward(self, cache1, x1, p) -> tuple[np.ndarray | None, ForwardCache]:
+        """Forward over S1 at the unscaled trial point theta + p.
+
+        Returns the trial point, formed only for a packed p, and the cache.
+        """
         if isinstance(p, diff.FactoredVector):
-            return forward_low_rank(
+            return None, forward_low_rank(
                 self.shape, self.theta, cache1, p.adjoints, p.span.grams[0],
                 self.counters,
             )
-        return forward(self.shape, self.theta + p, x1, self.counters)
+        trial = self.theta + p
+        return trial, forward(self.shape, trial, x1, self.counters)
 
     def _second_order_step(self, s1, positions) -> IterationRecord:
         """Curvature step; semi-stochastic steps are applied only when rho >= eta.
@@ -285,28 +289,31 @@ class Trainer:
         )
         lam_used = self.damping.lam
         result = self._direction(positions, cache1, g, gfactors)
-        # The full-batch factors are dead now; freed, they no longer sit
-        # beside the trial forward's arrays at the step's peak.
-        del gfactors
-        trial_cache = self._trial_forward(cache1, x1, result.p)
+        grad_norm = diff.norm(g)
+        # The gradient and the full-batch factors are dead now; freed, they
+        # no longer sit beside the trial forward's arrays at the step's peak.
+        del g, gfactors
+        trial, trial_cache = self._trial_forward(cache1, x1, result.p)
         f_after = self._mean_loss(trial_cache, y1)
         report = damping_mod.compute_rho(
             f_before, f_after, result.grad_dot, result.quad_term
         )
         self.damping = damping_mod.update_lambda(self.damping, report.rho)
         accepted = not semi or report.rho >= self.config.eta
-        if accepted:
+        if semi:
+            # alpha is 1, so an accepted step lands on the trial point
+            # (theta + 1.0 * p == theta + p bit for bit).
+            if accepted:
+                self.theta = trial
+            self._iterate = (self.theta, trial_cache if accepted else cache1)
+        else:
             # A factored p expands once, into theta + alpha * p.
             self.theta = self.theta + self.config.alpha * result.p
-        if semi:
-            # alpha is 1 and theta + 1.0 * p == theta + p bit for bit, so
-            # an accepted step lands exactly on the trial point.
-            self._iterate = (self.theta, trial_cache if accepted else cache1)
         return self._record(
             batch_loss=f_before,
             rho=report.rho,
             lam=lam_used,
-            grad_norm=diff.norm(g),
+            grad_norm=grad_norm,
             step_norm=result.step_norm,
             accepted=accepted,
             batch_size=x1.shape[1],

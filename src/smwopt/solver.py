@@ -35,11 +35,15 @@ The CG routine solves the Gauss-Newton system matrix-free to a relative
 residual tolerance, one jvp and one vjp over the curvature batch per
 product, each the matching-loss J^T H J with J = d h_L / d theta, as the
 kernels of diff work in h_L. Its loop, too, is written once for either
-form of g: every CG vector is a sum of per-sample J_i^T x_i over S1, so
-with g factored over S1 the products take their tangents from the
-vectors' layer pre-activations and embed their adjoints on S1's columns,
-the inner products come from S1's Grams, and p comes back factored. No
-curvature Gram is formed in either form.
+form of g. With g factored over S1, every CG vector lies in span{g} plus
+the range of B_t, which touches only S2's columns, so it is held as a
+diff.PrefixVector: a multiple beta of g and adjoints on S2's n2 columns.
+A product's tangents and the inner products then cost n2^2, not n1^2,
+per layer entry, from S1's Grams seen from S2 (diff.PrefixFrame), a
+product's vjp adjoints are the vector's S2 adjoints with beta 0, and p
+goes back to a factored vector over S1 once, after the loop. The hidden
+layers' slopes v (1 - v) are formed once per direction, on the curvature
+batch's cache only. No curvature Gram is formed in either form.
 """
 
 from __future__ import annotations
@@ -118,6 +122,8 @@ def _sum_like(factors, like, weights=None):
     """The weighted sum of factors' vectors in the form of like."""
     if isinstance(like, diff.FactoredVector):
         return like.span.embed(factors, weights=weights)
+    if isinstance(like, diff.PrefixVector):
+        return like.frame.embed(factors)
     return factors.expand_sum(weights=weights)
 
 
@@ -233,20 +239,33 @@ def hf_cg_direction(
     """Conjugate-gradient solve of (B_t + lam I) p = -g, matrix-free.
 
     g is packed, or a diff.FactoredVector over a gradient batch whose first
-    columns are the cache's samples; every CG vector and p are in g's form.
-    Each product with B_t costs one forward-mode and one reverse-mode
-    sweep over the cache's samples; the loss-Hessian factors are formed
-    once. Iteration stops at max_iters or when the residual drops below
-    rel_residual_tol * ||g||. A curvature d . Ad that is not finite and
-    positive, or a non-finite model term, raises NumericError.
+    columns are the cache's samples; p is in g's form. A factored g's CG
+    vectors are diff.PrefixVectors: a multiple of g plus adjoints on the
+    cache's columns, which is all a product with B_t adds. Each product
+    with B_t costs one forward-mode and one reverse-mode sweep over the
+    cache's samples; the loss-Hessian factors and the hidden layers'
+    slopes are formed once. Iteration stops at max_iters or when the
+    residual drops below rel_residual_tol * ||g||. A curvature d . Ad that
+    is not finite and positive, or a non-finite model term, raises
+    NumericError.
     """
     if not isinstance(g, diff.FactoredVector):
         g = np.asarray(g, dtype=np.float64)
+        return _cg(shape, theta, cache, spec, lam, cfg, g, counters)
+    frame = diff.PrefixFrame.of(g, cache.ncols)
+    result = _cg(shape, theta, cache, spec, lam, cfg, frame.gradient, counters)
+    result.p = result.p.factored()
+    return result
+
+
+def _cg(shape, theta, cache, spec, lam, cfg, g, counters) -> DirectionResult:
+    """hf_cg_direction's loop, with every vector in g's form."""
     gnorm = diff.norm(g)
     p = g * 0.0  # zero, in g's form
     if gnorm == 0.0:
         return DirectionResult(p=p, grad_dot=0.0, quad_term=0.0)
     factors = loss_mod.hessian_factor(spec, cache)
+    cache = cache.with_slopes()
     # Every vector of the loop is owned here and updated in place.
     r = -g
     d = r.copy()

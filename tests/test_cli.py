@@ -308,7 +308,7 @@ class TestVerify:
         assert "PASS hf_factored_vs_dense_direction" in out
         assert "FAIL" not in out
 
-    @pytest.mark.parametrize("seed", (1, 2, 3, 4))
+    @pytest.mark.parametrize("seed", range(1, 10))
     def test_passes_over_seeds(self, seed, capsys):
         assert oracles.verify(seed=seed) == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -412,6 +412,29 @@ class TestVerify:
         assert "FAIL factored_vs_dense_direction" in out
         assert "FAIL hf_factored_vs_dense_direction" in out
         assert out.count("FAIL") == 2
+
+    @pytest.mark.parametrize("dropped", ("cross", "tail"))
+    def test_inner_product_without_out_of_s2_terms_fails(
+        self, dropped, capsys, monkeypatch
+    ):
+        """hf's inner products over S2's columns and g without the terms of
+        g's columns outside S2: the cross terms b vdot(X, P) or b_x b_y q."""
+
+        def inner(x, y):
+            frame = x.frame
+            total = 0.0 if dropped == "tail" else x.beta * y.beta * frame.tail_sq
+            for a, b, k, c in zip(x.adjoints, y.adjoints, frame.grams, frame.cross):
+                total += np.vdot(a, b @ k)
+                if dropped != "cross":
+                    total += y.beta * np.vdot(a, c) + x.beta * np.vdot(b, c)
+            return float(total)
+
+        monkeypatch.setattr(diff.PrefixVector, "__matmul__", inner)
+        with np.errstate(all="ignore"):
+            assert oracles.verify(seed=0) == 1
+        out = capsys.readouterr().out
+        assert "FAIL hf_factored_vs_dense_direction" in out
+        assert out.count("FAIL") == 1
 
     def test_main_verify_flag(self, capsys):
         assert cli.main(["--verify"]) == 0

@@ -471,6 +471,63 @@ class TestFactoredVector:
             assert np.array_equal(full, a / 6)
 
 
+class TestPrefixVector:
+    """Vectors held as a multiple of g plus adjoints on the first 3 of g's 5
+    span columns, against the same vectors factored over the whole span."""
+
+    def _frame(self, rng, hidden=(5, 4)):
+        shape, theta, cache, _, g, _ = TestFactoredVector()._pair(rng, hidden=hidden)
+        frame = diff.PrefixFrame.of(g, 3)
+        x, y = (
+            diff.PrefixVector(
+                frame,
+                [rng.normal(size=(m, 3)) for m in shape.layer_sizes[1:]],
+                rng.normal(size=1),
+            )
+            for _ in range(2)
+        )
+        return shape, theta, cache, g, frame, x, y
+
+    def test_factored_places_the_prefix_and_g_elsewhere(self, rng):
+        _, _, _, g, frame, x, _ = self._frame(rng)
+        got = x.factored()
+        assert got.span is g.span
+        for full, a, ga in zip(got.adjoints, x.adjoints, g.adjoints):
+            assert np.array_equal(full[:, :3], a)
+            assert np.array_equal(full[:, 3:], x.beta * ga[:, 3:])
+        for full, ga in zip(frame.gradient.factored().adjoints, g.adjoints):
+            assert np.array_equal(full, ga)
+
+    def test_inner_products_and_norm_match_factored(self, rng):
+        _, _, _, _, _, x, y = self._frame(rng)
+        fx, fy = x.factored(), y.factored()
+        assert x @ y == pytest.approx(fx @ fy, rel=1e-12)
+        assert y @ x == pytest.approx(fx @ fy, rel=1e-12)
+        assert diff.norm(x) == pytest.approx(fx.norm(), rel=1e-12)
+
+    def test_linear_combinations_act_on_beta_too(self, rng):
+        _, _, _, _, _, x, y = self._frame(rng)
+        fx, fy = x.factored(), y.factored()
+        z = x - y * 2.0
+        z += x
+        z *= 0.5
+        assert isinstance(z, diff.PrefixVector)
+        assert z.beta == pytest.approx(x.beta - y.beta, rel=1e-15)
+        expected = (fx * 2.0 - fy * 2.0) * 0.5
+        for a, b in zip(z.factored().adjoints, expected.adjoints):
+            assert np.max(np.abs(a - b)) <= 1e-14 * (1.0 + np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("hidden", ([5, 4], [5, 4, 3]), ids=("two", "three"))
+    def test_jvp_matches_factored_tangent(self, hidden, rng):
+        shape, theta, cache, _, _, x, _ = self._frame(rng, hidden=hidden)
+        prefix = cache.cols(slice(0, 3))
+        got = diff.jvp(shape, theta, prefix, x)
+        expected = diff.jvp(shape, theta, prefix, x.factored())
+        assert np.max(np.abs(got - expected)) <= 1e-12 * (
+            1.0 + np.max(np.abs(expected))
+        )
+
+
 def test_mixed_hidden_activations(rng):
     """Linear and logistic hidden layers together: gradient and adjoint hold."""
     shape = network.NetworkShape(

@@ -301,3 +301,27 @@ class TestActivations:
                 assert np.array_equal(got, expected)
                 assert got.flags.c_contiguous == expected.flags.c_contiguous
                 assert got.flags.f_contiguous == expected.flags.f_contiguous
+
+    def test_kept_slopes_give_the_bits_and_layout_of_apply(self, rng):
+        """A cache's kept slopes v (1 - v), applied to u with or without a
+        trailing axis, read as act_jac_apply does; only the copy that
+        with_slopes returns holds them."""
+        shape = network.NetworkShape(
+            (3, 5, 4, 2), (network.LOGISTIC, network.LINEAR, network.SOFTMAX)
+        )
+        theta = network.init_theta(shape, rng)
+        cache = network.forward(shape, theta, rng.normal(size=(3, 6)))
+        kept = cache.with_slopes()
+        assert cache.slopes is None and kept.slopes[1] is None
+        for l, m in ((1, 5), (2, 4)):
+            for u in (
+                rng.normal(size=(m, 6)),
+                np.asfortranarray(rng.normal(size=(m, 6))),
+                rng.normal(size=(m, 6, 3)),
+            ):
+                v = cache.v(l) if u.ndim == 2 else cache.v(l)[:, :, None]
+                expected = network.act_jac_apply(shape.activations[l - 1], v, u)
+                for c in (cache, kept):
+                    got = c.act_jac(l, u)
+                    assert np.array_equal(got, expected)
+                    assert got.flags.c_contiguous == expected.flags.c_contiguous

@@ -503,6 +503,25 @@ class TestSemiStochastic:
             accepted.add(a.accepted)
         assert accepted == {True, False}
 
+    def test_accepted_step_keeps_the_trial_point(self, monkeypatch):
+        """theta + p is formed once: an accepted step's theta is the array
+        the trial forward ran at, a rejected step keeps theta."""
+        trainer = self.make_trainer(seed=2, lambda_lm=1e-3, theta_scale=3.0)
+        points, forward = [], optim.forward
+
+        def spy(shape, theta, *args, **kwargs):
+            points.append(theta)
+            return forward(shape, theta, *args, **kwargs)
+
+        monkeypatch.setattr(optim, "forward", spy)
+        accepted = set()
+        for _ in range(30):
+            before = trainer.theta
+            rec = trainer.step()
+            assert trainer.theta is (points[-1] if rec.accepted else before)
+            accepted.add(rec.accepted)
+        assert accepted == {True, False}
+
     def test_forward_passes_count_one_full_set_per_iteration(self):
         trainer = self.make_trainer(seed=2, lambda_lm=1e-3, theta_scale=3.0)
         n = trainer.n_samples

@@ -363,9 +363,14 @@ def _hf_against_dense(instance, monkeypatch):
     return vectors
 
 
-def _in_span_of(vectors, g):
+def _on_curvature_columns(vectors, g, n2):
+    """Every vector is a multiple of g plus (m_l, n2) adjoints on S2's columns."""
+    shapes = [(m, n2) for m in g.span.shape.layer_sizes[1:]]
     return all(
-        isinstance(v, diff.FactoredVector) and v.span is g.span for v in vectors
+        isinstance(v, diff.PrefixVector)
+        and v.frame.g is g
+        and [a.shape for a in v.adjoints] == shapes
+        for v in vectors
     )
 
 
@@ -377,10 +382,11 @@ class TestHfCg:
     def test_wider_gradient_batch_matches_dense(self, kind, m_in, rng, monkeypatch):
         """S2 a strict subset of S1, whose four inputs repeat one and span
         three of m_in dimensions: CG on a packed g and on g factored over
-        S1 both solve the dense system, each in g's form."""
+        S1 both solve the dense system. A factored g's CG vectors hold
+        adjoints on S2's two columns only."""
         factored = wider_batch_instance(rng, kind, m_in, factored=True)
         shape, g = factored[0], factored[4]
-        assert _in_span_of(_hf_against_dense(factored, monkeypatch), g)
+        assert _on_curvature_columns(_hf_against_dense(factored, monkeypatch), g, 2)
         packed = factored[:4] + (g.expand(),) + factored[5:]
         vectors = _hf_against_dense(packed, monkeypatch)
         assert {v.shape for v in vectors} == {(shape.num_params,)}
@@ -389,9 +395,11 @@ class TestHfCg:
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
     def test_nearly_repeated_inputs_match_dense(self, kind, eps, rng, monkeypatch):
         """A near-duplicate S1 input column leaves S1's Grams near singular;
-        the factored inner products still solve the dense system."""
+        the inner products over S2's columns and g still solve the dense
+        system."""
         instance = wider_batch_instance(rng, kind, 40, eps=eps, factored=True)
-        assert _in_span_of(_hf_against_dense(instance, monkeypatch), instance[4])
+        vectors = _hf_against_dense(instance, monkeypatch)
+        assert _on_curvature_columns(vectors, instance[4], 2)
 
     @pytest.mark.parametrize("factored", (False, True), ids=("packed", "factored"))
     def test_zero_gradient_gives_zero_direction(self, factored, rng, monkeypatch):
@@ -434,9 +442,11 @@ class TestHfCg:
             )
 
     def test_cg_vectors_are_factored_over_the_gradient_batch(self, rng, monkeypatch):
-        """A 784-input net and a 60-column gradient batch: every CG vector
-        holds one adjoint column per S1 sample, nothing is expanded to
-        parameter length, and p comes back factored over S1."""
+        """A 784-input net, a 60-column gradient batch and a 30-column
+        curvature batch: every CG vector is a multiple of g plus one adjoint
+        column per S2 sample, no Gram product over S1 runs and nothing is
+        expanded to parameter length, and p comes back factored over S1,
+        placed by the span's embed."""
         shape = network.NetworkShape((784, 8, 10), (network.LOGISTIC, network.SOFTMAX))
         spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY)
         theta = network.init_theta(shape, rng)
@@ -444,22 +454,35 @@ class TestHfCg:
         y1 = random_targets(rng, spec.kind, 10, 60)
         cache1 = network.forward(shape, theta, x1)
         g, _ = diff.gradient(shape, theta, cache1, y1, spec, factored=True)
-        vectors = []
-        product = solver._gn_product
+        g_dot = diff.FactoredVector.__matmul__
+        vectors, embedded = [], []
+        product, embed = solver._gn_product, diff.SampleSpan.embed
 
         def spy(*args):
             vectors.append(args[4])
             return product(*args)
 
+        def spy_embed(span, factors, weights=None):
+            embedded.append([a.shape for a in factors.layer_adjoints])
+            return embed(span, factors, weights)
+
         monkeypatch.setattr(solver, "_gn_product", spy)
+        monkeypatch.setattr(diff.SampleSpan, "embed", spy_embed)
+        for name in ("__matmul__", "preacts", "expand"):
+            monkeypatch.setattr(diff.FactoredVector, name, None)
         monkeypatch.setattr(diff.BackpropFactors, "expand_sum", None)
         res = solver.hf_cg_direction(
             shape, theta, cache1.cols(np.arange(30)), spec, 1.0,
             solver.CgConfig(), g,
         )
-        assert vectors and _in_span_of(vectors + [res.p], g)
-        assert {a.shape for v in vectors for a in v.adjoints} == {(8, 60), (10, 60)}
-        assert res.grad_dot == float(g @ res.p) < 0.0
+        assert vectors and _on_curvature_columns(vectors, g, 30)
+        # g's part outside S2 when the frame is built, and p after the loop.
+        assert embedded == [[(8, 30), (10, 30)]] * 2
+        assert isinstance(res.p, diff.FactoredVector) and res.p.span is g.span
+        assert [a.shape for a in res.p.adjoints] == [(8, 60), (10, 60)]
+        monkeypatch.setattr(diff.FactoredVector, "__matmul__", g_dot)
+        assert res.grad_dot == pytest.approx(float(g @ res.p), rel=1e-12)
+        assert res.grad_dot < 0.0
 
     def test_zero_jacobian_one_iteration(self, rng):
         shape = network.NetworkShape((2, 1), ("logistic",))
