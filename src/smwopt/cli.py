@@ -135,6 +135,13 @@ def load_datasets(
     if train is None:
         raise ConfigError("no training data configured")
     test = _load_split(config, "test")
+    if test is not None:
+        widths = [(d.inputs.shape[1], d.targets.shape[1]) for d in (train, test)]
+        if widths[1] != widths[0]:
+            raise ConfigError(
+                "test split has {} features and {} target columns, the "
+                "training split {} and {}".format(*widths[1], *widths[0])
+            )
     if config.subset > 0:
         seed = None if config.subset_seed < 0 else config.subset_seed
         train = train.subset(config.subset, seed)

@@ -142,7 +142,8 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{labels_path}: {label_count} labels for {count} images"
         )
     labels = np.frombuffer(raw, dtype=np.uint8)
-    images = pixels.astype(np.float64) / 255.0
+    images = pixels.astype(np.float64)
+    images /= 255.0
     return Dataset(images, one_hot(labels, IDX_NUM_CLASSES))
 
 
@@ -154,7 +155,9 @@ class Standardizer:
     std: np.ndarray
 
     def apply(self, dataset: Dataset) -> Dataset:
-        feats = (dataset.inputs - self.mean[None, :]) / self.std[None, :]
+        """A standardized copy; the caller's dataset is left as it was."""
+        feats = dataset.inputs - self.mean
+        feats /= self.std
         return Dataset(feats, dataset.targets)
 
 
@@ -162,8 +165,11 @@ def fit_standardizer(train: Dataset) -> Standardizer:
     """Statistics from the training split only; stds floored at STD_FLOOR.
 
     Constant features end up with std equal to the floor, so they map to
-    exactly zero after centering.
+    exactly zero after centering. The one full-size temporary, the
+    centered inputs, is squared in place.
     """
     mean = np.mean(train.inputs, axis=0)
-    std = np.sqrt(np.mean((train.inputs - mean[None, :]) ** 2, axis=0))
+    centered = train.inputs - mean
+    centered *= centered
+    std = np.sqrt(np.mean(centered, axis=0))
     return Standardizer(mean=mean, std=np.maximum(std, STD_FLOOR))

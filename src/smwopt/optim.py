@@ -132,7 +132,8 @@ class Trainer:
     stored transposed so batches slice out as column blocks. The inputs
     are kept column-major (a view of a row-major caller array), the layout
     of every gathered batch, so the unsliced full set rounds like a batch
-    in the BLAS products.
+    in the BLAS products. Test inputs are held the same way, and the
+    evaluations forward column blocks of these views without copying them.
 
     The trainer only ever rebinds self.theta and never writes into it, and
     neither may callers: a semi-stochastic step reuses the forward cache of
@@ -181,7 +182,7 @@ class Trainer:
         self.counters = OpCounters()
         self.t = 0
         self.samples_seen = 0
-        self.test_x = None if test_inputs is None else np.ascontiguousarray(
+        self.test_x = None if test_inputs is None else np.asfortranarray(
             np.asarray(test_inputs, dtype=np.float64).T
         )
         self.test_y = None if test_targets is None else np.ascontiguousarray(
@@ -336,10 +337,7 @@ class Trainer:
         total = 0.0
         for start in range(0, x.shape[1], EVAL_CHUNK):
             sl = slice(start, start + EVAL_CHUNK)
-            # Row-major chunks: the layout of a BLAS operand can move the
-            # last bits of the result.
-            chunk = np.ascontiguousarray(x[:, sl])
-            cache = forward(self.shape, self.theta, chunk, self.counters)
+            cache = forward(self.shape, self.theta, x[:, sl], self.counters)
             total += chunk_sum(cache, y[:, sl])
         return total / x.shape[1]
 

@@ -9,12 +9,13 @@ on the training path imports this module.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
-from . import curvature, diff, loss as loss_mod, network, solver
-from .exceptions import NumericError, ShapeError
+from . import curvature, diff, loss as loss_mod, network, optim, solver
+from .exceptions import NumericError, ShapeError, TrainingError
 
 DENSE_ORACLE_MAX_PARAMS = 5000
 
@@ -308,6 +309,39 @@ def _hf_case(rng, kind, lam, factored):
     return float(np.max(np.abs(np.asarray(res.p) - oracle.p))) / scale
 
 
+def _trainer_step_case(rng, kind, method, lambda_lm):
+    """One stochastic optim.Trainer.step on 12 random samples (n1=6, n2=3)
+    against theta + alpha p, with p the dense solve over the S2 and the
+    gradient over the S1 that a copy of the trainer's sampler draws: the
+    largest error relative to alpha p's largest entry; infinite when the
+    step fails. hf runs CG at a tight tolerance."""
+    shape, spec, _ = make_net(rng, kind)
+    n = 12
+    x = rng.normal(size=(n, shape.input_size))
+    y = random_targets(rng, kind, shape.output_size, n).T
+    config = optim.OptimizerConfig(
+        method=method, n1=6, n2=3, alpha=0.5, lambda_lm=lambda_lm,
+        cg=solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15),
+        seed=int(rng.integers(2**31)),
+    )
+    trainer = optim.Trainer(shape, spec, x, y, config)
+    theta, lam = trainer.theta, trainer.damping.lam
+    s1, s2 = copy.deepcopy(trainer.sampler).sample_batches()
+    cache1 = network.forward(shape, theta, x[s1].T)
+    g, _ = diff.gradient(shape, theta, cache1, y[s1].T, spec)
+    curv = curvature.NG if method == optim.SMW_NG else curvature.GN
+    oracle = dense_direction_oracle(
+        shape, theta, x[s2].T, y[s2].T, spec, lam, curv, g=g
+    )
+    try:
+        trainer.step()
+    except TrainingError:
+        return math.inf
+    step = config.alpha * oracle.p
+    scale = float(np.max(np.abs(step))) + 1e-30
+    return float(np.max(np.abs(trainer.theta - (theta + step)))) / scale
+
+
 def verify(seed: int = 0) -> int:
     """Run the oracle suites and print max error and pass/fail per check.
 
@@ -493,6 +527,16 @@ def verify(seed: int = 0) -> int:
         for lam in (1e-3, 1.0, 1e3):
             worst_hf = max(worst_hf, _hf_case(rng, kind, lam, factored=True))
     checks.append(("hf_factored_vs_dense_direction", worst_hf, 1e-9))
+
+    # What the trainer runs: one stochastic step of each curvature method,
+    # batches drawn, direction solved and theta + alpha p applied, against
+    # the dense solve on the same batches.
+    worst = 0.0
+    for kind in loss_mod.LOSS_KINDS:
+        for method in (optim.SMW_GN, optim.SMW_NG, optim.HF):
+            for lambda_lm in (0.0, 1.0):
+                worst = max(worst, _trainer_step_case(rng, kind, method, lambda_lm))
+    checks.append(("trainer_step_vs_dense_direction", worst, 1e-10))
 
     failed = False
     for name, err, tol in checks:

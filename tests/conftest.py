@@ -1,6 +1,7 @@
 """Shared builders and independent numerical oracles for the test suite."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ def save_csv(path, dataset: data.Dataset) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in table:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def write_idx_pair(directory, images, labels):
+    """Independent IDX writer, the round-trip oracle of data.load_idx."""
+    images = np.asarray(images, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    count, rows, cols = images.shape
+    images_path = directory / "images.idx"
+    labels_path = directory / "labels.idx"
+    with open(images_path, "wb") as fh:
+        fh.write(struct.pack(">iiii", 0x00000803, count, rows, cols))
+        fh.write(images.tobytes())
+    with open(labels_path, "wb") as fh:
+        fh.write(struct.pack(">ii", 0x00000801, count))
+        fh.write(labels.tobytes())
+    return images_path, labels_path
 
 
 def explicit_inverse(a):

@@ -2,15 +2,16 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smwopt import cli, data, diff, network, oracles, solver
+from smwopt import cli, data, diff, network, optim, oracles, solver
 from smwopt.exceptions import ConfigError
-from tests.conftest import save_csv
+from tests.conftest import save_csv, write_idx_pair
 
 
 def write_blob_csv(path, rng, n=40, m0=3, classes=2):
@@ -84,6 +85,28 @@ class TestConfigParsing:
         train, _ = cli.load_datasets(config)
         with pytest.raises(ConfigError):
             cli.build_model(config, train)
+
+
+def test_load_datasets_holds_at_most_two_input_copies(tmp_path):
+    """Loading and standardizing 2,000 784-pixel images keeps at most one
+    float64 working copy beside the loaded inputs, with the bits of
+    (x - mean) / std. The eighth of a copy above two is one byte per entry:
+    the finiteness mask of the standardized Dataset."""
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, size=(2000, 28, 28))
+    ip, lp = write_idx_pair(tmp_path, images, rng.integers(0, 10, size=2000))
+    config = cli.build_config({"train_images": str(ip), "train_labels": str(lp)}, {})
+    tracemalloc.start()
+    try:
+        train, _ = cli.load_datasets(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * images.size * 8
+    x = images.reshape(2000, 784) / 255.0
+    mean = np.mean(x, axis=0)
+    std = np.maximum(np.sqrt(np.mean((x - mean) ** 2, axis=0)), data.STD_FLOOR)
+    assert np.array_equal(train.inputs, (x - mean) / std)
 
 
 class TestRun:
@@ -176,6 +199,28 @@ class TestMain:
         ]
         assert cli.main(argv) == 2
         assert "targets must lie in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("standardize", ("true", "false"))
+    def test_test_split_of_another_width_exit_2(
+        self, standardize, tmp_path, rng, capsys
+    ):
+        """4x4 training and 3x3 test images: a config error before training,
+        with or without standardization."""
+        argv = []
+        for split, side in (("train", 4), ("test", 3)):
+            (tmp_path / split).mkdir()
+            images = rng.integers(0, 256, size=(20, side, side))
+            ip, lp = write_idx_pair(
+                tmp_path / split, images, rng.integers(0, 10, size=20)
+            )
+            argv += [f"--{split}-images", str(ip), f"--{split}-labels", str(lp)]
+        argv += [
+            "--layers", "16,10", "--standardize", standardize,
+            "--n1", "10", "--n2", "5", "--out", str(tmp_path / "m.csv"),
+        ]
+        assert cli.main(argv) == 2
+        assert "test split has 9 features" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -306,6 +351,7 @@ class TestVerify:
         assert "PASS factored_vs_dense_direction" in out
         assert "PASS low_rank_trial_forward" in out
         assert "PASS hf_factored_vs_dense_direction" in out
+        assert "PASS trainer_step_vs_dense_direction" in out
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("seed", range(1, 10))
@@ -360,8 +406,9 @@ class TestVerify:
         gradient = diff.gradient
 
         def biased(*args, **kwargs):
+            # Packed gradients only: a factored g has no scalar add.
             g, factors = gradient(*args, **kwargs)
-            return g + 1e-3, factors
+            return (g + 1e-3 if isinstance(g, np.ndarray) else g), factors
 
         monkeypatch.setattr(diff, "gradient", biased)
         assert oracles.verify(seed=0) == 1
@@ -391,7 +438,8 @@ class TestVerify:
         assert "FAIL factored_vs_dense_direction" in out
         assert "FAIL low_rank_trial_forward" in out
         assert "FAIL hf_factored_vs_dense_direction" in out
-        assert out.count("FAIL") == 3
+        assert "FAIL trainer_step_vs_dense_direction" in out
+        assert out.count("FAIL") == 4
 
     def test_curvature_adjoints_one_column_off_fail(self, capsys, monkeypatch):
         """U q's and hf's curvature-product S2 adjoints placed on S1 columns
@@ -411,7 +459,8 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL factored_vs_dense_direction" in out
         assert "FAIL hf_factored_vs_dense_direction" in out
-        assert out.count("FAIL") == 2
+        assert "FAIL trainer_step_vs_dense_direction" in out
+        assert out.count("FAIL") == 3
 
     @pytest.mark.parametrize("dropped", ("cross", "tail"))
     def test_inner_product_without_out_of_s2_terms_fails(
@@ -434,6 +483,22 @@ class TestVerify:
             assert oracles.verify(seed=0) == 1
         out = capsys.readouterr().out
         assert "FAIL hf_factored_vs_dense_direction" in out
+        assert "FAIL trainer_step_vs_dense_direction" in out
+        assert out.count("FAIL") == 2
+
+    def test_curvature_batch_one_position_off_fails(self, capsys, monkeypatch):
+        """Trainer.step's curvature batch taken at S1 positions 1..n2 instead
+        of the prefix 0..n2-1 that the sampler's S2 is. Only the trainer
+        line runs a Trainer."""
+        second_order_step = optim.Trainer._second_order_step
+
+        def shifted(self, s1, positions):
+            return second_order_step(self, s1, positions + 1)
+
+        monkeypatch.setattr(optim.Trainer, "_second_order_step", shifted)
+        assert oracles.verify(seed=0) == 1
+        out = capsys.readouterr().out
+        assert "FAIL trainer_step_vs_dense_direction" in out
         assert out.count("FAIL") == 1
 
     def test_main_verify_flag(self, capsys):

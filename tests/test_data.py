@@ -5,23 +5,7 @@ import pytest
 
 from smwopt import data
 from smwopt.exceptions import DataFormatError
-from tests.conftest import save_csv
-
-
-def write_idx_pair(tmp_path, images, labels):
-    """Independent IDX writer used as the round-trip oracle."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    count, rows, cols = images.shape
-    images_path = tmp_path / "images.idx"
-    labels_path = tmp_path / "labels.idx"
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">iiii", 0x00000803, count, rows, cols))
-        fh.write(images.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">ii", 0x00000801, count))
-        fh.write(labels.tobytes())
-    return images_path, labels_path
+from tests.conftest import save_csv, write_idx_pair
 
 
 class TestCsv:

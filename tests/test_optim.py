@@ -531,7 +531,8 @@ class TestSemiStochastic:
         assert trainer.step().counters.forward_passes - counts[-1] == 2 * n
 
     def test_full_loss_reads_the_held_forward(self):
-        """No forward pass, and the value a fresh row-major forward gives."""
+        """No forward pass, and exactly the value a fresh chunked forward
+        over the same column-major inputs gives."""
         trainer = self.make_trainer(seed=2, lambda_lm=1e-3, theta_scale=3.0)
         for _ in range(4):
             trainer.step()
@@ -542,7 +543,7 @@ class TestSemiStochastic:
                 trainer.x, trainer.y,
                 lambda cache, y: float(np.sum(loss.loss_value(trainer.spec, cache, y))),
             )
-            assert held == pytest.approx(recomputed, rel=1e-15, abs=0.0)
+            assert held == recomputed
         trainer.theta = trainer.theta.copy()
         trainer.full_loss()
         assert trainer.counters.forward_passes == passes + 2 * trainer.n_samples
@@ -591,3 +592,25 @@ class TestRunLoop:
                 assert getattr(later.counters, field_name) >= getattr(
                     earlier.counters, field_name
                 )
+
+    def test_test_split_is_evaluated_on_a_view(self, rng, monkeypatch):
+        """The test inputs are held as a column-major view, not a copy, and
+        test_error equals the error of row-major forwards of the same chunks."""
+        x, y = blob_classification_data(rng, n=40)
+        tx, ty = blob_classification_data(rng, n=25)
+        shape = network.NetworkShape((2, 3, 1), ("logistic", "logistic"))
+        spec = loss.LossSpec(loss.BINARY_CROSS_ENTROPY)
+        config = optim.OptimizerConfig(method=optim.SMW_GN, n1=10, n2=4, alpha=0.5)
+        trainer = optim.Trainer(
+            shape, spec, x, y, config, test_inputs=tx, test_targets=ty
+        )
+        assert np.shares_memory(trainer.test_x, tx)
+        trainer.run(4, eval_interval=0)
+        monkeypatch.setattr(optim, "EVAL_CHUNK", 7)
+        errors = 0.0
+        for start in range(0, 25, 7):
+            rows = slice(start, start + 7)
+            chunk = np.ascontiguousarray(tx[rows].T)
+            cache = network.forward(shape, trainer.theta, chunk)
+            errors += loss.error_rate(cache.output, ty[rows].T) * cache.ncols
+        assert trainer.test_error() == errors / 25
