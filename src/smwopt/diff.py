@@ -16,21 +16,19 @@ products can be formed without ever materializing length-n vectors:
 
 where the +1 accounts exactly for the bias blocks.
 
-The same identity keeps a vector in factor space: FactoredVector holds
-one adjoint column per sample of a batch (a SampleSpan, its layer inputs
-V_l and their Grams V_l^T V_l + 1), and its inner products, norms and dots
-with the backward factors of any prefix of the batch's samples are
-products of those n x n Grams with the adjoints. The stochastic Woodbury
-step keeps g, p and every vector of its solve in that form, jvp takes
-such a tangent through its layer pre-activations, and a parameter-length
-vector is written only for theta + alpha p.
-
-Hessian-free CG adds only curvature-batch adjoints to g, and that batch
-S2 is a prefix of S1, so its vectors are PrefixVectors: a multiple beta
-of a factored g plus adjoints on S2's n2 columns. Their inner products
-and jvp tangents read S1's Grams only through the blocks a PrefixFrame
-takes once per direction, at n2^2 cost per layer entry instead of n1^2.
-Placing S2's adjoints among S1's columns is SampleSpan.embed's alone.
+The same identity keeps a vector in factor space. A stochastic step's
+curvature batch S2 is a prefix of its gradient batch S1, and every
+vector of its solve lies in span{g} plus S2's factor space: a
+PrefixVector, a multiple beta of g plus adjoints on S2's n2 columns.
+Its inner products, its dots with S2's backward factors and its jvp
+tangents read S1's Grams only through the blocks a PrefixFrame takes
+once per direction, at n2^2 cost per layer entry instead of n1^2. The
+trainer places g in its frame right after the gradient, and places p
+back on S1 once, as a FactoredVector (one adjoint column per sample of
+a SampleSpan, its layer inputs V_l and their Grams V_l^T V_l + 1), for
+the low-rank trial forward and theta + alpha p, the one
+parameter-length write. Placing S2's adjoints among S1's columns is
+PrefixVector.factored's alone.
 
 All kernels accept batched caches (samples as columns) and perform the
 per-sample recursions simultaneously; counters advance by the number of
@@ -86,11 +84,10 @@ class BackpropFactors:
 
         One entry per sample, or per (sample, trailing index) pair
         flattened sample-major when the adjoints carry a trailing axis.
-        The vector is packed, or a FactoredVector over a span whose first
-        columns are these samples.
+        The vector is packed, or a PrefixVector whose S2 is these samples.
         """
-        if isinstance(packed, FactoredVector):
-            preacts = packed.preacts(self.ncols)
+        if isinstance(packed, PrefixVector):
+            preacts = packed.preacts()
         else:
             params = unpack(self.shape, np.asarray(packed, dtype=np.float64))
             preacts = (
@@ -131,24 +128,6 @@ class SampleSpan:
     def of(cls, cache: ForwardCache) -> "SampleSpan":
         inputs = _layer_inputs(cache)
         return cls(cache.shape, inputs, [v.T @ v + 1.0 for v in inputs])
-
-    @property
-    def ncols(self) -> int:
-        return self.grams[0].shape[0]
-
-    def embed(self, factors: BackpropFactors, weights=None) -> "FactoredVector":
-        """The sum of factors' vectors, optionally weighted, over this span.
-
-        factors' samples must be the span's first columns (the curvature
-        batch is a prefix of the gradient batch); the other columns of the
-        fresh adjoints are zero.
-        """
-        adjoints = []
-        for a in factors.layer_adjoints:
-            full = np.zeros((a.shape[0], self.ncols))
-            full[:, : a.shape[1]] = a if weights is None else a * weights
-            adjoints.append(full)
-        return FactoredVector(self, adjoints)
 
 
 class _PartwiseVector:
@@ -210,19 +189,27 @@ class _PartwiseVector:
     def copy(self):
         return self._map(np.copy)
 
-    def norm(self) -> float:
-        """Euclidean norm; a Gram-rounded square below zero reads as 0."""
-        return math.sqrt(max(self @ self, 0.0))
+    def expand(self) -> np.ndarray:
+        """The packed parameter vector, fresh."""
+        raise NotImplementedError
+
+    def __radd__(self, packed) -> np.ndarray:
+        """packed + x: the one expansion, into a fresh array."""
+        out = self.expand()
+        out += packed
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The expansion, so numpy functions read the packed vector."""
+        return np.asarray(self.expand(), dtype=dtype)
 
 
 class FactoredVector(_PartwiseVector):
     """The parameter vector sum_i expand(a_i v_i^T, a_i) over a span's samples.
 
     adjoints[l-1] is (m_l, n), one column a_i per sample, paired with the
-    span's layer inputs v_i. Linear combinations act on the adjoints;
-    inner products use the factored identity with the span's Grams, so
-    nothing parameter-length is formed. Adding it to a packed vector
-    (packed + x) is the one expansion, into a fresh array.
+    span's layer inputs v_i. Linear combinations act on the adjoints, so
+    nothing parameter-length is formed before the expansion.
     """
 
     def __init__(self, span: SampleSpan, adjoints: list[np.ndarray]):
@@ -235,42 +222,11 @@ class FactoredVector(_PartwiseVector):
     def _with(self, parts):
         return FactoredVector(self.span, parts)
 
-    def __matmul__(self, other) -> float:
-        """Inner product: sum_l sum_ik grams_l[i, k] (a_i . b_k)."""
-        return float(sum(
-            np.vdot(a.T @ b, k)
-            for a, b, k in zip(self.adjoints, other.adjoints, self.span.grams)
-        ))
-
-    def __radd__(self, packed) -> np.ndarray:
-        out = self.expand()
-        out += packed
-        return out
-
-    def preacts(self, nb: int) -> list[np.ndarray]:
-        """W_l v_i + b_l of this vector's blocks at the span's first nb samples.
-
-        Per layer A_l (V_{l-1}^T v_i + 1), an (m_l, nb) array.
-        """
-        return [a @ k[:, :nb] for a, k in zip(self.adjoints, self.span.grams)]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The expansion, so numpy functions read the packed vector."""
-        return np.asarray(self.expand(), dtype=dtype)
-
     def expand(self) -> np.ndarray:
         span = self.span
         return BackpropFactors(
             span.shape, self.adjoints, span.layer_inputs
         ).expand_sum()
-
-
-def _prefix_factors(span: SampleSpan, adjoints) -> BackpropFactors:
-    """Factors with the given adjoints on the span's first columns."""
-    nb = adjoints[0].shape[1]
-    return BackpropFactors(
-        span.shape, adjoints, [v[:, :nb] for v in span.layer_inputs]
-    )
 
 
 @dataclass
@@ -279,28 +235,24 @@ class PrefixFrame:
 
     The frame of PrefixVector. With K_l S1's Grams and G_l g's adjoints
     outside S2: grams[l-1] = K_l[:n2, :n2], cross[l-1] = G_l K_l[n2:, :n2]
-    and tail_sq = sum_l vdot(G_l, G_l K_l[n2:, n2:]). rest is g with its S2
-    columns zero, placed by the span's embed like every S2 adjoint.
+    and tail_sq = sum_l vdot(G_l, G_l K_l[n2:, n2:]).
     """
 
     g: FactoredVector
-    rest: FactoredVector
     grams: list[np.ndarray]
     cross: list[np.ndarray]
     tail_sq: float
 
     @classmethod
     def of(cls, g: FactoredVector, n2: int) -> "PrefixFrame":
-        span = g.span
-        head = [a[:, :n2] for a in g.adjoints]
+        grams = g.span.grams
         tails = [a[:, n2:] for a in g.adjoints]
         return cls(
             g=g,
-            rest=g - span.embed(_prefix_factors(span, head)),
-            grams=[k[:n2, :n2] for k in span.grams],
-            cross=[t @ k[n2:, :n2] for t, k in zip(tails, span.grams)],
+            grams=[k[:n2, :n2] for k in grams],
+            cross=[t @ k[n2:, :n2] for t, k in zip(tails, grams)],
             tail_sq=float(sum(
-                np.vdot(t, t @ k[n2:, n2:]) for t, k in zip(tails, span.grams)
+                np.vdot(t, t @ k[n2:, n2:]) for t, k in zip(tails, grams)
             )),
         )
 
@@ -314,20 +266,27 @@ class PrefixFrame:
         head = [np.ascontiguousarray(a[:, : self.n2]) for a in self.g.adjoints]
         return PrefixVector(self, head, np.ones(1))
 
-    def embed(self, factors: BackpropFactors) -> "PrefixVector":
-        """The sum of S2's factored vectors, whose adjoints it takes over."""
-        return PrefixVector(self, list(factors.layer_adjoints), np.zeros(1))
+    def embed(self, factors: BackpropFactors, weights=None) -> "PrefixVector":
+        """The sum of S2's factored vectors, optionally weighted.
+
+        Unweighted, it takes over factors' adjoints.
+        """
+        adjoints = [
+            a if weights is None else a * weights for a in factors.layer_adjoints
+        ]
+        return PrefixVector(self, adjoints, np.zeros(1))
 
 
 class PrefixVector(_PartwiseVector):
     """A vector of span{g} plus S2's factor space, over a frame's S1.
 
-    Every vector of hf's conjugate gradients lies there, as the range of
-    the curvature touches only S2's columns. adjoints[l-1] is X_l,
-    (m_l, n2), the vector's adjoints on S2's columns, beta g's included;
-    its adjoints on S1's other columns are beta g's. beta is the one entry
-    of coef, a part beside the adjoints. Inner products and jvp tangents
-    cost n2^2 per layer entry, not n1^2.
+    Every vector of a stochastic direction solve lies there, Woodbury's
+    and hf's alike, as the range of the curvature touches only S2's
+    columns. adjoints[l-1] is X_l, (m_l, n2), the vector's adjoints on
+    S2's columns, beta g's included; its adjoints on S1's other columns
+    are beta g's. beta is the one entry of coef, a part beside the
+    adjoints. Inner products and jvp tangents cost n2^2 per layer entry,
+    not n1^2.
     """
 
     def __init__(self, frame: PrefixFrame, adjoints: list[np.ndarray], coef):
@@ -354,8 +313,12 @@ class PrefixVector(_PartwiseVector):
             total += np.vdot(x, y @ k) + by * np.vdot(x, c) + bx * np.vdot(y, c)
         return float(total)
 
-    def preacts(self, nb: int) -> list[np.ndarray]:
-        """W_l v_i + b_l of this vector's blocks at S2's nb samples, X K11 + beta P."""
+    def norm(self) -> float:
+        """Euclidean norm; a Gram-rounded square below zero reads as 0."""
+        return math.sqrt(max(self @ self, 0.0))
+
+    def preacts(self) -> list[np.ndarray]:
+        """W_l v_i + b_l of this vector's blocks at S2's samples, X K11 + beta P."""
         out = []
         for x, k, c in zip(self.adjoints, self.frame.grams, self.frame.cross):
             z = x @ k
@@ -364,17 +327,23 @@ class PrefixVector(_PartwiseVector):
         return out
 
     def factored(self) -> FactoredVector:
-        """This vector over S1, its S2 adjoints placed by the span's embed."""
-        frame = self.frame
-        span = frame.g.span
-        out = span.embed(_prefix_factors(span, self.adjoints))
-        out += frame.rest * self.beta
-        return out
+        """This vector over S1: its S2 adjoints on the span's first
+        columns, beta g's on the others."""
+        g = self.frame.g
+        adjoints = []
+        for x, ga in zip(self.adjoints, g.adjoints):
+            full = ga * self.beta
+            full[:, : x.shape[1]] = x
+            adjoints.append(full)
+        return FactoredVector(g.span, adjoints)
+
+    def expand(self) -> np.ndarray:
+        return self.factored().expand()
 
 
 def norm(x) -> float:
-    """Euclidean norm of a parameter vector, packed or factored."""
-    if isinstance(x, _PartwiseVector):
+    """Euclidean norm of a parameter vector, packed or a PrefixVector."""
+    if isinstance(x, PrefixVector):
         return x.norm()
     return float(np.linalg.norm(x))
 
@@ -422,7 +391,9 @@ def gradient(
     if counters is not None:
         counters.backward_passes += cache.ncols
     if factored:
-        g = SampleSpan.of(cache).embed(factors)
+        g = FactoredVector(
+            SampleSpan.of(cache), [a.copy() for a in factors.layer_adjoints]
+        )
     g /= cache.ncols
     return g, factors
 
@@ -438,13 +409,12 @@ def jvp(
 
     Propagates the directional perturbation through the layer recursion
     h1_l = W1_l v_{l-1} + W_l v1_{l-1} + b1_l and returns the last h1_L.
-    theta1 is packed, a FactoredVector over a span whose first columns are
-    the cache's samples, or a PrefixVector whose S2 they are; then
-    W1_l v_{l-1} + b1_l are its preacts.
+    theta1 is packed, or a PrefixVector whose S2 is the cache's samples;
+    then W1_l v_{l-1} + b1_l are its preacts.
     """
     params = unpack(shape, theta)
-    if isinstance(theta1, (FactoredVector, PrefixVector)):
-        terms = [(z, None) for z in theta1.preacts(cache.ncols)]
+    if isinstance(theta1, PrefixVector):
+        terms = [(z, None) for z in theta1.preacts()]
     else:
         terms = [
             (w1 @ cache.v(l), b1[:, None])

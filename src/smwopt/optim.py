@@ -14,12 +14,14 @@ this iteration's own forward after a rejection) as the forward pass of
 the next iteration.
 
 In stochastic mode, where S2 is a prefix of S1, every curvature method
-keeps g and p in factor space (diff.FactoredVector over S1): the direction
-is solver.factored_direction or, for hf, solver.hf_cg_direction on the
-factored g, the trial forward is network.forward_low_rank from the
-layer-1 pre-activation the step's own forward kept, and theta + alpha * p
-is the step's one parameter-length write. The semi-stochastic step, whose
-S1 is the whole data set, stays packed.
+keeps g and p in factor space: g goes into its diff.PrefixFrame once,
+right after the gradient, and the direction solver (smw_direction, or
+hf_cg_direction for hf) sees and returns only diff.PrefixVectors, from
+which grad_norm and step_norm are read. p is placed on S1 once, as a
+diff.FactoredVector; the trial forward is network.forward_low_rank from
+the layer-1 pre-activation the step's own forward kept, and
+theta + alpha * p is the step's one parameter-length write. The
+semi-stochastic step, whose S1 is the whole data set, stays packed.
 """
 
 from __future__ import annotations
@@ -249,24 +251,7 @@ class Trainer:
             system = curvature.build_gn_system(
                 self.shape, self.theta, cache2, self.spec, lam, self.counters
             )
-        if isinstance(g, diff.FactoredVector):
-            return solver.factored_direction(
-                self.shape, self.theta, system, g, self.counters
-            )
         return solver.smw_direction(self.shape, self.theta, system, g, self.counters)
-
-    def _trial_forward(self, cache1, x1, p) -> tuple[np.ndarray | None, ForwardCache]:
-        """Forward over S1 at the unscaled trial point theta + p.
-
-        Returns the trial point, formed only for a packed p, and the cache.
-        """
-        if isinstance(p, diff.FactoredVector):
-            return None, forward_low_rank(
-                self.shape, self.theta, cache1, p.adjoints, p.span.grams[0],
-                self.counters,
-            )
-        trial = self.theta + p
-        return trial, forward(self.shape, trial, x1, self.counters)
 
     def _second_order_step(self, s1, positions) -> IterationRecord:
         """Curvature step; semi-stochastic steps are applied only when rho >= eta.
@@ -288,13 +273,24 @@ class Trainer:
             self.shape, self.theta, cache1, y1, self.spec, self.counters,
             factored=factored,
         )
+        if factored:
+            g = diff.PrefixFrame.of(g, positions.size).gradient
         lam_used = self.damping.lam
         result = self._direction(positions, cache1, g, gfactors)
         grad_norm = diff.norm(g)
         # The gradient and the full-batch factors are dead now; freed, they
         # no longer sit beside the trial forward's arrays at the step's peak.
         del g, gfactors
-        trial, trial_cache = self._trial_forward(cache1, x1, result.p)
+        p = result.p
+        if factored:
+            p = p.factored()  # placed on S1, the step's one placement
+            trial_cache = forward_low_rank(
+                self.shape, self.theta, cache1, p.adjoints, p.span.grams[0],
+                self.counters,
+            )
+        else:
+            trial = self.theta + p
+            trial_cache = forward(self.shape, trial, x1, self.counters)
         f_after = self._mean_loss(trial_cache, y1)
         report = damping_mod.compute_rho(
             f_before, f_after, result.grad_dot, result.quad_term
@@ -308,8 +304,8 @@ class Trainer:
                 self.theta = trial
             self._iterate = (self.theta, trial_cache if accepted else cache1)
         else:
-            # A factored p expands once, into theta + alpha * p.
-            self.theta = self.theta + self.config.alpha * result.p
+            # The placed p expands once, into theta + alpha * p.
+            self.theta = self.theta + self.config.alpha * p
         return self._record(
             batch_loss=f_before,
             rho=report.rho,

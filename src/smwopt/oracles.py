@@ -103,8 +103,9 @@ def wider_batch_instance(rng, kind, m_in, eps=0.0, factored=False):
     The last S1 column repeats the first, so the inputs are rank-deficient;
     a nonzero eps adds eps times a normal draw to it, so they are nearly so.
     Returns shape, spec, theta, the S1 cache, its gradient g, and S2's
-    inputs and targets. If factored, g is the diff.FactoredVector of the
-    gradient's per-sample factors over S1, and the cache keeps h_1.
+    inputs and targets. If factored, g is placed in its diff.PrefixFrame
+    as the stochastic trainer places it, a diff.PrefixVector, and the
+    cache keeps h_1.
     """
     shape, spec, theta = make_net(rng, kind, m_in=m_in)
     x1 = rng.normal(size=(m_in, 4))
@@ -113,18 +114,18 @@ def wider_batch_instance(rng, kind, m_in, eps=0.0, factored=False):
         x1[:, 3] += eps * rng.normal(size=m_in)
     y1 = random_targets(rng, kind, shape.output_size, 4)
     cache1 = network.forward(shape, theta, x1, keep_first_preact=factored)
-    g, factors = diff.gradient(shape, theta, cache1, y1, spec)
+    g, _ = diff.gradient(shape, theta, cache1, y1, spec, factored=factored)
     if factored:
-        g = diff.SampleSpan.of(cache1).embed(factors)
-        g /= 4
+        g = diff.PrefixFrame.of(g, 2).gradient
     return shape, spec, theta, cache1, g, x1[:, :2], y1[:, :2]
 
 
 def factored_case(rng, kind, method, lam):
-    """The trainer's factored direction on a wider_batch_instance.
+    """The trainer's factor-space direction on a wider_batch_instance.
 
-    Returns shape, theta, the S1 cache, the factored g and direction, and
-    dense_direction_oracle's solve over S2 with the expanded g.
+    Returns shape, theta, the S1 cache, g and the direction, both
+    diff.PrefixVectors, and dense_direction_oracle's solve over S2 with
+    the expanded g.
     """
     shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
         rng, kind, m_in=5, factored=True
@@ -135,7 +136,7 @@ def factored_case(rng, kind, method, lam):
     else:
         _, gf = diff.gradient(shape, theta, cache2, y2, spec)
         system = curvature.build_ng_system(gf, lam)
-    res = solver.factored_direction(shape, theta, system, g)
+    res = solver.smw_direction(shape, theta, system, g)
     oracle = dense_direction_oracle(
         shape, theta, x2, y2, spec, lam, method, g=g.expand()
     )
@@ -309,24 +310,31 @@ def _hf_case(rng, kind, lam, factored):
     return float(np.max(np.abs(np.asarray(res.p) - oracle.p))) / scale
 
 
-def _trainer_step_case(rng, kind, method, lambda_lm):
-    """One stochastic optim.Trainer.step on 12 random samples (n1=6, n2=3)
-    against theta + alpha p, with p the dense solve over the S2 and the
-    gradient over the S1 that a copy of the trainer's sampler draws: the
-    largest error relative to alpha p's largest entry; infinite when the
-    step fails. hf runs CG at a tight tolerance."""
+def _trainer_step_case(rng, kind, method, lambda_lm, semi=False):
+    """One optim.Trainer.step on 12 random samples against theta + alpha p,
+    with p the dense solve over the S2 and the gradient over the S1 that a
+    copy of the trainer's sampler draws. The stochastic step takes n1=6,
+    n2=3 and alpha=0.5; the semi-stochastic one n1=12, the whole set in
+    index order, n2=3 and alpha=1. Returns the largest error relative to
+    alpha p's largest entry, and whether the step was accepted; a rejected
+    step reads 0 if it left theta bit for bit, and a failed one, or a
+    rejected one that moved theta, reads infinite. hf runs CG at a tight
+    tolerance."""
     shape, spec, _ = make_net(rng, kind)
     n = 12
     x = rng.normal(size=(n, shape.input_size))
     y = random_targets(rng, kind, shape.output_size, n).T
     config = optim.OptimizerConfig(
-        method=method, n1=6, n2=3, alpha=0.5, lambda_lm=lambda_lm,
+        method=method, n1=n if semi else 6, n2=3, alpha=1.0 if semi else 0.5,
+        lambda_lm=lambda_lm, semi_stochastic=semi,
         cg=solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15),
         seed=int(rng.integers(2**31)),
     )
     trainer = optim.Trainer(shape, spec, x, y, config)
     theta, lam = trainer.theta, trainer.damping.lam
     s1, s2 = copy.deepcopy(trainer.sampler).sample_batches()
+    if semi:
+        s1 = np.arange(n)
     cache1 = network.forward(shape, theta, x[s1].T)
     g, _ = diff.gradient(shape, theta, cache1, y[s1].T, spec)
     curv = curvature.NG if method == optim.SMW_NG else curvature.GN
@@ -334,12 +342,14 @@ def _trainer_step_case(rng, kind, method, lambda_lm):
         shape, theta, x[s2].T, y[s2].T, spec, lam, curv, g=g
     )
     try:
-        trainer.step()
+        rec = trainer.step()
     except TrainingError:
-        return math.inf
+        return math.inf, False
+    if not rec.accepted:
+        return (0.0 if np.array_equal(trainer.theta, theta) else math.inf), False
     step = config.alpha * oracle.p
     scale = float(np.max(np.abs(step))) + 1e-30
-    return float(np.max(np.abs(trainer.theta - (theta + step)))) / scale
+    return float(np.max(np.abs(trainer.theta - (theta + step)))) / scale, True
 
 
 def verify(seed: int = 0) -> int:
@@ -492,10 +502,10 @@ def verify(seed: int = 0) -> int:
         worst = max(worst, float(np.max(np.abs(b_mat - hessian))))
     checks.append(("gn_matrix_vs_theta_hessian", worst, 1e-8))
 
-    # The stochastic trainer's step in factor space: g and p as adjoints
+    # The stochastic trainer's step in factor space: g and p in g's frame
     # over a gradient batch S1 wider than the curvature batch S2, and the
-    # low-rank trial forward at theta + p, against the dense solve and a
-    # forward at the expanded point.
+    # low-rank trial forward at theta + p placed on S1, against the dense
+    # solve and a forward at the expanded point.
     worst_dir = 0.0
     worst_trial = 0.0
     for kind in loss_mod.LOSS_KINDS:
@@ -504,15 +514,16 @@ def verify(seed: int = 0) -> int:
                 shape, theta, cache1, _, res, oracle = factored_case(
                     rng, kind, method, lam
                 )
+                p = res.p.factored()
                 scale = float(np.max(np.abs(oracle.p))) + 1e-30
                 worst_dir = max(worst_dir, float(
-                    np.max(np.abs(res.p.expand() - oracle.p))
+                    np.max(np.abs(p.expand() - oracle.p))
                 ) / scale)
                 trial = network.forward_low_rank(
-                    shape, theta, cache1, res.p.adjoints, res.p.span.grams[0]
+                    shape, theta, cache1, p.adjoints, p.span.grams[0]
                 ).output_preact
                 dense = network.forward(
-                    shape, theta + res.p.expand(), cache1.x
+                    shape, theta + p.expand(), cache1.x
                 ).output_preact
                 worst_trial = max(worst_trial, float(
                     np.max(np.abs(trial - dense)) / (1.0 + np.max(np.abs(dense)))
@@ -521,7 +532,7 @@ def verify(seed: int = 0) -> int:
     checks.append(("low_rank_trial_forward", worst_trial, 1e-9))
 
     # The stochastic trainer's hf step: the same CG with g and every CG
-    # vector factored over S1.
+    # vector in g's frame over S1.
     worst_hf = 0.0
     for kind in loss_mod.LOSS_KINDS:
         for lam in (1e-3, 1.0, 1e3):
@@ -530,13 +541,24 @@ def verify(seed: int = 0) -> int:
 
     # What the trainer runs: one stochastic step of each curvature method,
     # batches drawn, direction solved and theta + alpha p applied, against
-    # the dense solve on the same batches.
+    # the dense solve on the same batches; then one semi-stochastic step,
+    # whose S2 is a random draw from the whole set. The line fails if no
+    # semi-stochastic step is accepted, as rejections compare no p.
     worst = 0.0
+    methods = (optim.SMW_GN, optim.SMW_NG, optim.HF)
     for kind in loss_mod.LOSS_KINDS:
-        for method in (optim.SMW_GN, optim.SMW_NG, optim.HF):
+        for method in methods:
             for lambda_lm in (0.0, 1.0):
-                worst = max(worst, _trainer_step_case(rng, kind, method, lambda_lm))
-    checks.append(("trainer_step_vs_dense_direction", worst, 1e-10))
+                err, _ = _trainer_step_case(rng, kind, method, lambda_lm)
+                worst = max(worst, err)
+    accepted = False
+    for kind in loss_mod.LOSS_KINDS:
+        for method in methods:
+            err, ok = _trainer_step_case(rng, kind, method, 1.0, semi=True)
+            worst, accepted = max(worst, err), accepted or ok
+    checks.append((
+        "trainer_step_vs_dense_direction", worst if accepted else math.inf, 1e-10
+    ))
 
     failed = False
     for name, err, tol in checks:

@@ -22,28 +22,24 @@ only such sweep of an unrefined direction: its model term p^T B_t p =
 between the methods: natural gradient sums its factors weighted by q,
 and Gauss-Newton runs one reverse-mode product J^T C q per sample.
 
-The algebra is written once for either form of g and p: packed
-(smw_direction), or a diff.FactoredVector over the gradient batch S1
-(factored_direction), whose curvature batch S2 is a prefix of S1. In
-factor space U^T g, g . p and the norms are products of S1's n1 x n1
-input Grams with per-layer adjoints, U q is the adjoints of the same
-reverse sweep, unexpanded, and p is the adjoints (A_Uq - A_g / n1) / lam
-on S1's columns, refinement included; no parameter-length vector is
-formed.
+The algebra is written once for either form of g and p: packed, or a
+diff.PrefixVector in the frame the stochastic trainer places g in,
+whose curvature batch S2 is a prefix of the gradient batch S1. Every
+vector of a stochastic solve, Woodbury's with its refinement and CG's
+alike, lies in span{g} plus the range of B_t, which touches only S2's
+columns, so it is a multiple beta of g plus adjoints on S2's n2
+columns. U^T v reads the vector's tangents at S2, U q is the adjoints
+of the same reverse sweep, unexpanded, with beta 0, and the inner
+products cost n2^2, not n1^2, per layer entry, from S1's Grams seen
+from S2 (diff.PrefixFrame). No parameter-length vector is formed; the
+trainer places p on S1 once, after the solve.
 
 The CG routine solves the Gauss-Newton system matrix-free to a relative
 residual tolerance, one jvp and one vjp over the curvature batch per
 product, each the matching-loss J^T H J with J = d h_L / d theta, as the
-kernels of diff work in h_L. Its loop, too, is written once for either
-form of g. With g factored over S1, every CG vector lies in span{g} plus
-the range of B_t, which touches only S2's columns, so it is held as a
-diff.PrefixVector: a multiple beta of g and adjoints on S2's n2 columns.
-A product's tangents and the inner products then cost n2^2, not n1^2,
-per layer entry, from S1's Grams seen from S2 (diff.PrefixFrame), a
-product's vjp adjoints are the vector's S2 adjoints with beta 0, and p
-goes back to a factored vector over S1 once, after the loop. The hidden
-layers' slopes v (1 - v) are formed once per direction, on the curvature
-batch's cache only. No curvature Gram is formed in either form.
+kernels of diff work in h_L. The hidden layers' slopes v (1 - v) are
+formed once per direction, on the curvature batch's cache only. No
+curvature Gram is formed in either form.
 """
 
 from __future__ import annotations
@@ -62,12 +58,12 @@ from .network import ForwardCache, NetworkShape
 class DirectionResult:
     """Step direction with its quadratic-model ingredients.
 
-    p is in the form of g: packed, or a diff.FactoredVector.
+    p is in the form of g: packed, or a diff.PrefixVector.
     grad_dot = g . p and quad_term = p^T B_t p; the model decrease is
     -grad_dot - quad_term / 2.
     """
 
-    p: np.ndarray | diff.FactoredVector
+    p: np.ndarray | diff.PrefixVector
     grad_dot: float
     quad_term: float
 
@@ -88,6 +84,13 @@ class CgConfig:
             raise ConfigError("cg rel_residual_tol must be positive")
 
 
+def _as_vector(g):
+    """g as given if a diff.PrefixVector, else a packed float64 array."""
+    if isinstance(g, diff.PrefixVector):
+        return g
+    return np.asarray(g, dtype=np.float64)
+
+
 def _finite_model(grad_dot: float, quad: float) -> tuple[float, float]:
     if not (math.isfinite(grad_dot) and math.isfinite(quad)):
         raise NumericError(f"quadratic model is not finite: g.p={grad_dot}, pBp={quad}")
@@ -103,7 +106,7 @@ def quadratic_terms(
 
 
 def _expand(shape, theta, system, w, like, counters):
-    """U w in the form of like, packed or factored over like's span.
+    """U w in the form of like, packed or a PrefixVector in like's frame.
 
     Natural gradient weights its factors by w. Gauss-Newton maps the
     sample-major w to output columns C_i w_i and runs one reverse sweep
@@ -120,10 +123,8 @@ def _expand(shape, theta, system, w, like, counters):
 
 def _sum_like(factors, like, weights=None):
     """The weighted sum of factors' vectors in the form of like."""
-    if isinstance(like, diff.FactoredVector):
-        return like.span.embed(factors, weights=weights)
     if isinstance(like, diff.PrefixVector):
-        return like.frame.embed(factors)
+        return like.frame.embed(factors, weights)
     return factors.expand_sum(weights=weights)
 
 
@@ -178,39 +179,20 @@ def smw_direction(
     shape: NetworkShape,
     theta,
     system: curvature.GramSystem,
-    g: np.ndarray,
+    g: np.ndarray | diff.PrefixVector,
     counters: OpCounters | None = None,
 ) -> DirectionResult:
     """Exact damped-curvature direction through the small core solve.
 
-    g and p are packed parameter vectors. Without refinement the model
-    term comes from the core vector: with p = (U q - g) / lam and core
-    q = U^T g / n2, U^T p = -n2 q, so p^T B_t p = n2 ||q||^2 and no
-    further sweep over p is needed. After refinement p no longer has that
-    form and U^T p is measured.
+    g is packed, or a diff.PrefixVector whose S2 is the system's samples;
+    p is in g's form, with the same operations and sweeps, so the same
+    counts, either way. Without refinement the model term comes from the
+    core vector: with p = (U q - g) / lam and core q = U^T g / n2,
+    U^T p = -n2 q, so p^T B_t p = n2 ||q||^2 and no further sweep over p
+    is needed. After refinement p no longer has that form and U^T p is
+    measured.
     """
-    return _woodbury_direction(
-        shape, theta, system, np.asarray(g, dtype=np.float64), counters
-    )
-
-
-def factored_direction(
-    shape: NetworkShape,
-    theta,
-    system: curvature.GramSystem,
-    g: diff.FactoredVector,
-    counters: OpCounters | None = None,
-) -> DirectionResult:
-    """smw_direction with g and p factored over the gradient batch S1.
-
-    The system's samples must be S1's first columns. The same operations
-    and sweeps as the packed solve, so the same counts; p is a
-    diff.FactoredVector.
-    """
-    return _woodbury_direction(shape, theta, system, g, counters)
-
-
-def _woodbury_direction(shape, theta, system, g, counters) -> DirectionResult:
+    g = _as_vector(g)
     lam = system.lam
     p, q = _negated_damped_inverse(shape, theta, system, g, counters)
     if lam >= REFINE_LAMBDA:
@@ -233,33 +215,20 @@ def hf_cg_direction(
     spec: loss_mod.LossSpec,
     lam: float,
     cfg: CgConfig,
-    g: np.ndarray | diff.FactoredVector,
+    g: np.ndarray | diff.PrefixVector,
     counters: OpCounters | None = None,
 ) -> DirectionResult:
     """Conjugate-gradient solve of (B_t + lam I) p = -g, matrix-free.
 
-    g is packed, or a diff.FactoredVector over a gradient batch whose first
-    columns are the cache's samples; p is in g's form. A factored g's CG
-    vectors are diff.PrefixVectors: a multiple of g plus adjoints on the
-    cache's columns, which is all a product with B_t adds. Each product
-    with B_t costs one forward-mode and one reverse-mode sweep over the
-    cache's samples; the loss-Hessian factors and the hidden layers'
-    slopes are formed once. Iteration stops at max_iters or when the
-    residual drops below rel_residual_tol * ||g||. A curvature d . Ad that
-    is not finite and positive, or a non-finite model term, raises
-    NumericError.
+    g is packed, or a diff.PrefixVector whose S2 is the cache's samples;
+    every CG vector and p are in g's form. Each product with B_t costs
+    one forward-mode and one reverse-mode sweep over the cache's samples;
+    the loss-Hessian factors and the hidden layers' slopes are formed
+    once. Iteration stops at max_iters or when the residual drops below
+    rel_residual_tol * ||g||. A curvature d . Ad that is not finite and
+    positive, or a non-finite model term, raises NumericError.
     """
-    if not isinstance(g, diff.FactoredVector):
-        g = np.asarray(g, dtype=np.float64)
-        return _cg(shape, theta, cache, spec, lam, cfg, g, counters)
-    frame = diff.PrefixFrame.of(g, cache.ncols)
-    result = _cg(shape, theta, cache, spec, lam, cfg, frame.gradient, counters)
-    result.p = result.p.factored()
-    return result
-
-
-def _cg(shape, theta, cache, spec, lam, cfg, g, counters) -> DirectionResult:
-    """hf_cg_direction's loop, with every vector in g's form."""
+    g = _as_vector(g)
     gnorm = diff.norm(g)
     p = g * 0.0  # zero, in g's form
     if gnorm == 0.0:

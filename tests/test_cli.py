@@ -442,19 +442,20 @@ class TestVerify:
         assert out.count("FAIL") == 4
 
     def test_curvature_adjoints_one_column_off_fail(self, capsys, monkeypatch):
-        """U q's and hf's curvature-product S2 adjoints placed on S1 columns
-        1..n2 instead of the prefix 0..n2-1 that S2 is."""
+        """S2 adjoints placed on S1 columns 1..n2 instead of the prefix
+        0..n2-1 that S2 is, when a vector in g's frame is placed on S1."""
 
-        def shifted(span, factors, weights=None):
+        def shifted(x):
+            g = x.frame.g
             adjoints = []
-            for a in factors.layer_adjoints:
-                full = np.zeros((a.shape[0], span.ncols))
-                off = int(a.shape[1] < span.ncols)
-                full[:, off : a.shape[1] + off] = a if weights is None else a * weights
+            for a, ga in zip(x.adjoints, g.adjoints):
+                full = ga * x.beta
+                off = int(a.shape[1] < full.shape[1])
+                full[:, off : a.shape[1] + off] = a
                 adjoints.append(full)
-            return diff.FactoredVector(span, adjoints)
+            return diff.FactoredVector(g.span, adjoints)
 
-        monkeypatch.setattr(diff.SampleSpan, "embed", shifted)
+        monkeypatch.setattr(diff.PrefixVector, "factored", shifted)
         assert oracles.verify(seed=0) == 1
         out = capsys.readouterr().out
         assert "FAIL factored_vs_dense_direction" in out
@@ -466,8 +467,9 @@ class TestVerify:
     def test_inner_product_without_out_of_s2_terms_fails(
         self, dropped, capsys, monkeypatch
     ):
-        """hf's inner products over S2's columns and g without the terms of
-        g's columns outside S2: the cross terms b vdot(X, P) or b_x b_y q."""
+        """Inner products in g's frame without the terms of g's columns
+        outside S2: the cross terms b vdot(X, P) or b_x b_y q. hf's CG
+        direction goes wrong; the Woodbury p reads no inner product."""
 
         def inner(x, y):
             frame = x.frame
@@ -488,18 +490,53 @@ class TestVerify:
 
     def test_curvature_batch_one_position_off_fails(self, capsys, monkeypatch):
         """Trainer.step's curvature batch taken at S1 positions 1..n2 instead
-        of the prefix 0..n2-1 that the sampler's S2 is. Only the trainer
-        line runs a Trainer."""
+        of the prefix 0..n2-1 that the sampler's S2 is (a semi-stochastic
+        S2 one sample on, wrapping at the set's end). Only the trainer line
+        runs a Trainer."""
         second_order_step = optim.Trainer._second_order_step
 
         def shifted(self, s1, positions):
-            return second_order_step(self, s1, positions + 1)
+            return second_order_step(self, s1, (positions + 1) % self.n_samples)
 
         monkeypatch.setattr(optim.Trainer, "_second_order_step", shifted)
         assert oracles.verify(seed=0) == 1
         out = capsys.readouterr().out
         assert "FAIL trainer_step_vs_dense_direction" in out
         assert out.count("FAIL") == 1
+
+    def test_semi_stochastic_curvature_batch_of_first_rows_fails(
+        self, capsys, monkeypatch
+    ):
+        """A semi-stochastic step's curvature batch taken as the set's first
+        n2 samples instead of the sampler's random draw."""
+        second_order_step = optim.Trainer._second_order_step
+
+        def first_rows(self, s1, positions):
+            if self.config.semi_stochastic:
+                positions = np.arange(positions.size)
+            return second_order_step(self, s1, positions)
+
+        monkeypatch.setattr(optim.Trainer, "_second_order_step", first_rows)
+        assert oracles.verify(seed=0) == 1
+        out = capsys.readouterr().out
+        assert "FAIL trainer_step_vs_dense_direction" in out
+        assert out.count("FAIL") == 1
+
+    def test_frame_embed_without_weights_fails(self, capsys, monkeypatch):
+        """Natural gradient's U q = sum_i q_i grad_i in g's frame with the
+        core weights q dropped: the factor-space Woodbury step goes wrong,
+        and only the checks that run it in g's frame see it."""
+        embed = diff.PrefixFrame.embed
+
+        def unweighted(frame, factors, weights=None):
+            return embed(frame, factors)
+
+        monkeypatch.setattr(diff.PrefixFrame, "embed", unweighted)
+        assert oracles.verify(seed=0) == 1
+        out = capsys.readouterr().out
+        assert "FAIL factored_vs_dense_direction" in out
+        assert "FAIL trainer_step_vs_dense_direction" in out
+        assert out.count("FAIL") == 2
 
     def test_main_verify_flag(self, capsys):
         assert cli.main(["--verify"]) == 0

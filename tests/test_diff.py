@@ -338,7 +338,10 @@ class TestFactoredDot:
 
 
 class TestFactoredVector:
-    """Vectors kept as adjoints over a batch's samples against their expansions."""
+    """Vectors kept as adjoints over a batch's samples against their
+    expansions: a FactoredVector over the span, or, for the inner
+    products, dots and jvp tangents that only it has, a PrefixVector over
+    the span's first 3 columns."""
 
     def _pair(self, rng, n=5, hidden=(5, 4)):
         shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=hidden)
@@ -353,7 +356,7 @@ class TestFactoredVector:
         return shape, theta, cache, span, x, y
 
     def test_inner_products_and_norm_match_expansion(self, rng):
-        _, _, _, _, x, y = self._pair(rng)
+        *_, x, y = TestPrefixVector()._frame(rng)
         ex, ey = x.expand(), y.expand()
         assert x @ y == pytest.approx(float(ex @ ey), rel=1e-12)
         assert x.norm() == pytest.approx(float(np.linalg.norm(ex)), rel=1e-12)
@@ -393,12 +396,13 @@ class TestFactoredVector:
         ex = x.expand()
         assert np.array_equal(np.asarray(x), ex)
         assert np.linalg.norm(x) == np.linalg.norm(ex)
+        *_, px, _ = TestPrefixVector()._frame(rng)
+        assert np.array_equal(np.asarray(px), px.expand())
 
     @pytest.mark.parametrize("hidden", ([5, 4], [5, 4, 3]), ids=("two", "three"))
     def test_jvp_of_a_factored_tangent_matches_its_expansion(self, hidden, rng):
-        """At a prefix of the span's samples, J theta1 from the tangent's
-        layer pre-activations."""
-        shape, theta, cache, _, x, _ = self._pair(rng, hidden=hidden)
+        """At S2, J theta1 from the tangent's layer pre-activations."""
+        shape, theta, cache, _, _, x, _ = TestPrefixVector()._frame(rng, hidden=hidden)
         prefix = cache.cols(slice(0, 3))
         counters = OpCounters()
         got = diff.jvp(shape, theta, prefix, x, counters)
@@ -418,9 +422,9 @@ class TestFactoredVector:
         assert np.array_equal(out, x.expand() + theta)
 
     def test_dots_with_matches_packed(self, rng):
-        """A curvature batch that is a prefix of the span reads U^T x from
-        the span's Grams, with one and with m_L vectors per sample."""
-        shape, theta, cache, _, x, _ = self._pair(rng)
+        """A curvature batch S2 reads U^T x from the frame's blocks of S1's
+        Grams, with one and with m_L vectors per sample."""
+        shape, theta, cache, _, _, x, _ = TestPrefixVector()._frame(rng)
         prefix = cache.cols(slice(0, 3))
         seeds = rng.normal(size=(shape.output_size, 3, shape.output_size))
         _, gn = diff.vjp(shape, theta, prefix, seeds, expand=False)
@@ -434,24 +438,31 @@ class TestFactoredVector:
             )
 
     def test_embed_pads_a_prefix_and_weights_it(self, rng):
-        shape, theta, cache, span, _, _ = self._pair(rng)
+        """S2's factors summed in g's frame with weights, then placed on S1:
+        S2's adjoints weighted on the span's first columns, and beta g's,
+        zero here, on the others."""
+        shape, theta, cache, _, g, _ = self._pair(rng)
         seeds = rng.normal(size=(shape.output_size, 3))
         _, factors = diff.vjp(shape, theta, cache.cols(slice(0, 3)), seeds)
         w = rng.normal(size=3)
-        x = span.embed(factors, weights=w)
+        y = diff.PrefixFrame.of(g, 3).embed(factors, weights=w)
+        assert y.beta == 0.0
+        x = y.factored()
+        assert x.span is g.span
         for a, full in zip(factors.layer_adjoints, x.adjoints):
             assert np.array_equal(full[:, :3], a * w)
             assert not full[:, 3:].any()
         expected = factors.expand_sum(weights=w)
         assert np.max(np.abs(x.expand() - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-    def test_rounding_negative_square_reads_zero_norm(self, rng):
+    def test_rounding_negative_square_reads_zero_norm(self):
         """Grams are positive semidefinite only up to rounding; a square
         that rounds below zero is a zero norm, not a sqrt error."""
-        shape = network.NetworkShape((1, 1), ("linear",))
         gram = np.array([[1.0, 1.0 + 2.0**-52], [1.0 + 2.0**-52, 1.0]])
-        span = diff.SampleSpan(shape, [np.ones((1, 2))], [gram])
-        x = diff.FactoredVector(span, [np.array([[1.0, -1.0]])])
+        frame = diff.PrefixFrame(
+            g=None, grams=[gram], cross=[np.zeros((1, 2))], tail_sq=0.0
+        )
+        x = diff.PrefixVector(frame, [np.array([[1.0, -1.0]])], np.zeros(1))
         assert x @ x < 0.0
         assert x.norm() == 0.0
 
@@ -499,11 +510,13 @@ class TestPrefixVector:
             assert np.array_equal(full, ga)
 
     def test_inner_products_and_norm_match_factored(self, rng):
-        _, _, _, _, _, x, y = self._frame(rng)
-        fx, fy = x.factored(), y.factored()
-        assert x @ y == pytest.approx(fx @ fy, rel=1e-12)
-        assert y @ x == pytest.approx(fx @ fy, rel=1e-12)
-        assert diff.norm(x) == pytest.approx(fx.norm(), rel=1e-12)
+        """Among them g itself, whose norm the trainer reads as grad_norm."""
+        _, _, _, g, frame, x, _ = self._frame(rng)
+        gx = frame.gradient
+        eg, ex = g.expand(), x.factored().expand()
+        assert gx @ x == pytest.approx(float(eg @ ex), rel=1e-12)
+        assert x @ gx == pytest.approx(float(eg @ ex), rel=1e-12)
+        assert diff.norm(gx) == pytest.approx(float(np.linalg.norm(eg)), rel=1e-12)
 
     def test_linear_combinations_act_on_beta_too(self, rng):
         _, _, _, _, _, x, y = self._frame(rng)
@@ -519,10 +532,11 @@ class TestPrefixVector:
 
     @pytest.mark.parametrize("hidden", ([5, 4], [5, 4, 3]), ids=("two", "three"))
     def test_jvp_matches_factored_tangent(self, hidden, rng):
-        shape, theta, cache, _, _, x, _ = self._frame(rng, hidden=hidden)
+        """g itself as the tangent: beta 1 and g's S2 adjoints."""
+        shape, theta, cache, g, frame, _, _ = self._frame(rng, hidden=hidden)
         prefix = cache.cols(slice(0, 3))
-        got = diff.jvp(shape, theta, prefix, x)
-        expected = diff.jvp(shape, theta, prefix, x.factored())
+        got = diff.jvp(shape, theta, prefix, frame.gradient)
+        expected = diff.jvp(shape, theta, prefix, g.expand())
         assert np.max(np.abs(got - expected)) <= 1e-12 * (
             1.0 + np.max(np.abs(expected))
         )

@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from smwopt import curvature, diff, loss, network, optim, oracles, solver
+from smwopt import curvature, damping, diff, loss, network, optim, oracles, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import ConfigError, NumericError
 
@@ -327,8 +328,33 @@ class TestSmwStep:
         assert isinstance(err.value, NumericError)
 
 
+def _packed_step(trainer):
+    """One stochastic curvature step with g and p packed: the trainer's
+    batches, direction and damping update, a forward at theta + p, and
+    theta + alpha p."""
+    shape, spec, counters = trainer.shape, trainer.spec, trainer.counters
+    s1, s2 = trainer.sampler.sample_batches()
+    x1, y1 = trainer.x[:, s1], trainer.y[:, s1]
+    cache1 = network.forward(shape, trainer.theta, x1, counters)
+    f_before = float(np.mean(loss.loss_value(spec, cache1, y1)))
+    g, gfactors = diff.gradient(shape, trainer.theta, cache1, y1, spec, counters)
+    lam = trainer.damping.lam
+    result = trainer._direction(np.arange(s2.size), cache1, g, gfactors)
+    trial = network.forward(shape, trainer.theta + result.p, x1, counters)
+    f_after = float(np.mean(loss.loss_value(spec, trial, y1)))
+    rho = damping.compute_rho(
+        f_before, f_after, result.grad_dot, result.quad_term
+    ).rho
+    trainer.damping = damping.update_lambda(trainer.damping, rho)
+    trainer.theta = trainer.theta + trainer.config.alpha * result.p
+    return SimpleNamespace(
+        counters=counters.snapshot(), batch_loss=f_before, rho=rho, lam=lam,
+        grad_norm=float(np.linalg.norm(g)), step_norm=result.step_norm,
+    )
+
+
 class TestFactoredStep:
-    """The stochastic curvature step keeps g and p factored over S1."""
+    """The stochastic curvature step keeps g and p in factor space."""
 
     @staticmethod
     def _trainer(method, lambda_lm=1.0, tau=1e-3):
@@ -340,19 +366,13 @@ class TestFactoredStep:
         return make_binary_trainer(rng, config, hidden=(6, 4), n=60)
 
     @pytest.mark.parametrize("method", [optim.SMW_GN, optim.SMW_NG, optim.HF])
-    def test_matches_the_packed_step(self, method, monkeypatch):
+    def test_matches_the_packed_step(self, method):
         factored = self._trainer(method)
         records = [factored.step() for _ in range(12)]
         assert isinstance(factored.theta, np.ndarray)
-        gradient = diff.gradient
-
-        def packed_gradient(*args, factored=False, **kwargs):
-            return gradient(*args, **kwargs)
-
-        monkeypatch.setattr(diff, "gradient", packed_gradient)
         packed = self._trainer(method)
         for rec in records:
-            ref = packed.step()
+            ref = _packed_step(packed)
             assert rec.counters == ref.counters
             for name in ("batch_loss", "rho", "lam", "grad_norm", "step_norm"):
                 assert getattr(rec, name) == pytest.approx(getattr(ref, name), rel=1e-10)
@@ -399,21 +419,25 @@ class TestFactoredStep:
         assert len(calls) == 1
 
     def test_factored_forms_reach_the_solver_and_trial_forward(self, monkeypatch):
+        """The Woodbury solve sees g and returns p in g's frame, and the
+        trial forward is the low-rank one."""
         trainer = self._trainer(optim.SMW_GN)
         calls = []
-        factored, low_rank = solver.factored_direction, network.forward_low_rank
+        direction, low_rank = solver.smw_direction, network.forward_low_rank
 
-        def spy_direction(*args, **kwargs):
+        def spy_direction(shape, theta, system, g, counters):
+            res = direction(shape, theta, system, g, counters)
+            assert isinstance(g, diff.PrefixVector)
+            assert isinstance(res.p, diff.PrefixVector) and res.p.frame is g.frame
             calls.append("direction")
-            return factored(*args, **kwargs)
+            return res
 
         def spy_trial(*args, **kwargs):
             calls.append("trial")
             return low_rank(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "factored_direction", spy_direction)
+        monkeypatch.setattr(solver, "smw_direction", spy_direction)
         monkeypatch.setattr(optim, "forward_low_rank", spy_trial)
-        monkeypatch.setattr(solver, "smw_direction", None)
         trainer.step()
         assert calls == ["direction", "trial"]
 

@@ -69,9 +69,13 @@ def test_traced_run_writes_the_untraced_csv(name, tmp_path, rng):
     steps = [span for span in tracer.spans if span[0] == "optim.step"]
     assert len(steps) == len(probe.steps) == len(plain)
 
+    # Every curvature solve runs through smw_direction or hf_cg_direction,
+    # which the probe samples. The Gauss-Newton core has n2 * m_L rows,
+    # natural gradient's n2, and CG none.
     solves = probe.drain()
-    if cfg.method == "hf" or cfg.semi_stochastic:  # smw_direction or CG sampled
-        assert solves
+    assert solves
+    m_out = int(cfg.layers.split(",")[-1])
+    core = {"smw-gn": cfg.n2 * m_out, "smw-ng": cfg.n2, "hf": 0}[cfg.method]
     for residual, core_size in solves:
         assert math.isfinite(residual)
-        assert core_size == (0 if cfg.method == "hf" else cfg.n2)
+        assert core_size == core

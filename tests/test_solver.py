@@ -234,17 +234,24 @@ class TestSmwDirection:
         assert counters.jvp_products == 0
 
 
+def _frame_gradient(shape, theta, cache, y, spec, n2):
+    """The batch's gradient placed in its frame as the trainer places it."""
+    g, _ = diff.gradient(shape, theta, cache, y, spec, factored=True)
+    return diff.PrefixFrame.of(g, n2).gradient
+
+
 class TestFactoredDirection:
-    """The stochastic trainer's direction, with g and p kept as adjoints over
-    a gradient batch S1 of 4 samples whose prefix S2 of 2 is the curvature
-    batch, against the dense solve over S2 with S1's gradient."""
+    """The stochastic trainer's direction, smw_direction with g and p in
+    g's frame over a gradient batch S1 of 4 samples whose prefix S2 of 2
+    is the curvature batch, against the dense solve over S2 with S1's
+    gradient."""
 
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
     @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
     def test_matches_dense_oracle(self, kind, method, rng):
         for lam in (1e-3, 1.0, 1e3):
-            *_, res, oracle = oracles.factored_case(rng, kind, method, lam)
-            assert isinstance(res.p, diff.FactoredVector)
+            *_, g, res, oracle = oracles.factored_case(rng, kind, method, lam)
+            assert isinstance(res.p, diff.PrefixVector) and res.p.frame is g.frame
             p = oracle.p
             assert np.max(np.abs(res.p.expand() - p)) <= 1e-9 * np.max(np.abs(p))
             assert res.grad_dot == pytest.approx(oracle.grad_dot, rel=1e-9)
@@ -264,9 +271,9 @@ class TestFactoredDirection:
             shape, spec, theta, x, y, cache, _, gfactors = build_instance(
                 rng, kind, method, nb=3
             )
-            g, _ = diff.gradient(shape, theta, cache, y, spec, factored=True)
+            g = _frame_gradient(shape, theta, cache, y, spec, 3)
             system = build_system(shape, theta, cache, spec, gfactors, lam, method)
-            res = solver.factored_direction(shape, theta, system, g)
+            res = solver.smw_direction(shape, theta, system, g)
             b_mat, dense_g = oracles.build_curvature_matrix(
                 shape, theta, x, y, spec, method
             )
@@ -281,12 +288,13 @@ class TestFactoredDirection:
         x = rng.normal(size=(shape.input_size, 4))
         cache = network.forward(shape, theta, x)
         y = cache.output.copy()
-        g, gfactors = diff.gradient(shape, theta, cache, y, spec, factored=True)
+        _, gfactors = diff.gradient(shape, theta, cache, y, spec)
+        g = _frame_gradient(shape, theta, cache, y, spec, 2)
         system = build_system(
             shape, theta, cache.cols([0, 1]), spec, gfactors.cols([0, 1]), 0.5, method
         )
-        res = solver.factored_direction(shape, theta, system, g)
-        assert all(not a.any() for a in res.p.adjoints)
+        res = solver.smw_direction(shape, theta, system, g)
+        assert all(not a.any() for a in res.p.factored().adjoints)
         assert res.grad_dot == res.quad_term == res.step_norm == 0.0
 
     @pytest.mark.parametrize("lam", (1.0, 1e-8))
@@ -294,16 +302,16 @@ class TestFactoredDirection:
         shape, spec, theta, x, y, cache, g, _ = build_instance(
             rng, loss.SOFTMAX_CROSS_ENTROPY, curvature.GN
         )
-        factored, _ = diff.gradient(shape, theta, cache, y, spec, factored=True)
+        factored = _frame_gradient(shape, theta, cache, y, spec, 2)
         system = curvature.build_gn_system(
             shape, theta, cache.cols([0, 1]), spec, lam
         )
         counts, directions = [], []
-        for direction, grad in (
-            (solver.smw_direction, g), (solver.factored_direction, factored)
-        ):
+        for grad in (g, factored):
             counters = OpCounters()
-            directions.append(direction(shape, theta, system, grad, counters).p)
+            directions.append(
+                solver.smw_direction(shape, theta, system, grad, counters).p
+            )
             counts.append(counters)
         refine = 2 * solver.REFINE_ROUNDS if lam < solver.REFINE_LAMBDA else 0
         assert counts[0] == counts[1] == OpCounters(vjp_products=2 * (1 + refine))
@@ -365,10 +373,10 @@ def _hf_against_dense(instance, monkeypatch):
 
 def _on_curvature_columns(vectors, g, n2):
     """Every vector is a multiple of g plus (m_l, n2) adjoints on S2's columns."""
-    shapes = [(m, n2) for m in g.span.shape.layer_sizes[1:]]
+    shapes = [(m, n2) for m in g.frame.g.span.shape.layer_sizes[1:]]
     return all(
         isinstance(v, diff.PrefixVector)
-        and v.frame.g is g
+        and v.frame is g.frame
         and [a.shape for a in v.adjoints] == shapes
         for v in vectors
     )
@@ -381,8 +389,8 @@ class TestHfCg:
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
     def test_wider_gradient_batch_matches_dense(self, kind, m_in, rng, monkeypatch):
         """S2 a strict subset of S1, whose four inputs repeat one and span
-        three of m_in dimensions: CG on a packed g and on g factored over
-        S1 both solve the dense system. A factored g's CG vectors hold
+        three of m_in dimensions: CG on a packed g and on g in its frame
+        over S1 both solve the dense system. The latter's CG vectors hold
         adjoints on S2's two columns only."""
         factored = wider_batch_instance(rng, kind, m_in, factored=True)
         shape, g = factored[0], factored[4]
@@ -443,46 +451,45 @@ class TestHfCg:
 
     def test_cg_vectors_are_factored_over_the_gradient_batch(self, rng, monkeypatch):
         """A 784-input net, a 60-column gradient batch and a 30-column
-        curvature batch: every CG vector is a multiple of g plus one adjoint
-        column per S2 sample, no Gram product over S1 runs and nothing is
-        expanded to parameter length, and p comes back factored over S1,
-        placed by the span's embed."""
+        curvature batch: with g placed in its frame, every CG vector is a
+        multiple of g plus one adjoint column per S2 sample, no Gram of S1
+        is read, nothing is placed on S1 or expanded to parameter length,
+        and p comes back in g's frame, to be placed on S1 once."""
         shape = network.NetworkShape((784, 8, 10), (network.LOGISTIC, network.SOFTMAX))
         spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY)
         theta = network.init_theta(shape, rng)
         x1 = rng.uniform(size=(784, 60))
         y1 = random_targets(rng, spec.kind, 10, 60)
         cache1 = network.forward(shape, theta, x1)
-        g, _ = diff.gradient(shape, theta, cache1, y1, spec, factored=True)
-        g_dot = diff.FactoredVector.__matmul__
-        vectors, embedded = [], []
-        product, embed = solver._gn_product, diff.SampleSpan.embed
+        g = _frame_gradient(shape, theta, cache1, y1, spec, 30)
+        span = g.frame.g.span
+        vectors = []
+        product = solver._gn_product
 
         def spy(*args):
             vectors.append(args[4])
             return product(*args)
 
-        def spy_embed(span, factors, weights=None):
-            embedded.append([a.shape for a in factors.layer_adjoints])
-            return embed(span, factors, weights)
-
         monkeypatch.setattr(solver, "_gn_product", spy)
-        monkeypatch.setattr(diff.SampleSpan, "embed", spy_embed)
-        for name in ("__matmul__", "preacts", "expand"):
-            monkeypatch.setattr(diff.FactoredVector, name, None)
-        monkeypatch.setattr(diff.BackpropFactors, "expand_sum", None)
+        for cls, name in (
+            (diff.PrefixVector, "factored"), (diff.FactoredVector, "expand"),
+            (diff.BackpropFactors, "expand_sum"),
+        ):
+            monkeypatch.setattr(cls, name, None)
+        grams = span.grams
+        monkeypatch.setattr(span, "grams", None)
         res = solver.hf_cg_direction(
             shape, theta, cache1.cols(np.arange(30)), spec, 1.0,
             solver.CgConfig(), g,
         )
         assert vectors and _on_curvature_columns(vectors, g, 30)
-        # g's part outside S2 when the frame is built, and p after the loop.
-        assert embedded == [[(8, 30), (10, 30)]] * 2
-        assert isinstance(res.p, diff.FactoredVector) and res.p.span is g.span
-        assert [a.shape for a in res.p.adjoints] == [(8, 60), (10, 60)]
-        monkeypatch.setattr(diff.FactoredVector, "__matmul__", g_dot)
+        assert isinstance(res.p, diff.PrefixVector) and res.p.frame is g.frame
         assert res.grad_dot == pytest.approx(float(g @ res.p), rel=1e-12)
         assert res.grad_dot < 0.0
+        monkeypatch.undo()
+        placed = res.p.factored()
+        assert placed.span is span and span.grams is grams
+        assert [a.shape for a in placed.adjoints] == [(8, 60), (10, 60)]
 
     def test_zero_jacobian_one_iteration(self, rng):
         shape = network.NetworkShape((2, 1), ("logistic",))
