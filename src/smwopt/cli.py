@@ -131,6 +131,8 @@ def _load_split(config: RunConfig, prefix: str) -> data_mod.Dataset | None:
 def load_datasets(
     config: RunConfig,
 ) -> tuple[data_mod.Dataset, data_mod.Dataset | None]:
+    """The training split and the test split or None, standardized in
+    place with the training split's statistics when configured."""
     train = _load_split(config, "train")
     if train is None:
         raise ConfigError("no training data configured")

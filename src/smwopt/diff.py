@@ -354,7 +354,8 @@ def _backward_adjoints(
     """Run the adjoint recursion from an h_L-space seed down to layer 1.
 
     A seed with a trailing axis, (m_L, B, k), is swept as B*k columns in
-    one matrix product per layer; every adjoint keeps that layout.
+    one matrix product per layer; every adjoint keeps that layout. Each
+    layer's slope product is written into its fresh W^T a.
     """
     nl = shape.num_layers
     adjoints: list[np.ndarray] = [None] * nl
@@ -363,7 +364,7 @@ def _backward_adjoints(
     for l in range(nl - 1, 0, -1):
         w_next = params[l][0]
         u = (w_next.T @ a.reshape(len(a), -1)).reshape(-1, *a.shape[1:])
-        a = cache.act_jac(l, u)
+        a = cache.act_jac(l, u, out=u)
         adjoints[l - 1] = a
     return adjoints
 

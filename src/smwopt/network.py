@@ -9,6 +9,12 @@ Parameters live in one flat float64 vector theta laid out as
 weight matrix. Layer l maps v_{l-1} to v_l = act_l(W_l v_{l-1} + b_l).
 
 Samples are the columns of 2-D arrays; one sample is an (m, 1) column.
+
+The elementwise logistic kernels, sigmoid and the slope product of
+act_jac_apply, work over BLOCK-element pieces of an array's memory, so a
+forward or reverse sweep over the full set makes no temporary of a hidden
+layer's size: a hidden activation overwrites its pre-activation, and a
+reverse sweep's slope product its fresh W^T a.
 """
 
 from __future__ import annotations
@@ -116,21 +122,51 @@ def init_theta(shape: NetworkShape, seed_or_rng=0) -> np.ndarray:
     return np.concatenate(parts)
 
 
+# Elements per block of the elementwise logistic kernels. In place on a
+# 500x1200 array (2 cores, interleaved medians) the sigmoid takes 2.29 ms
+# in 32K-element blocks, 2.37 ms in 16K, 2.45 ms in 64K, 2.52 ms in 8K and
+# 3.02 ms unblocked.
+BLOCK = 32768
+
+
+def _flat_blocks(*arrays):
+    """Matching BLOCK-element pieces of same-shaped arrays in memory order.
+
+    The arrays must share one contiguous layout, so that ravel(order="K")
+    returns views that number their elements alike; otherwise the arrays
+    themselves are the one piece. Writes to a piece reach its array.
+    """
+    first = arrays[0]
+    if not (first.flags.c_contiguous or first.flags.f_contiguous) or any(
+        a.shape != first.shape or a.strides != first.strides for a in arrays
+    ):
+        yield arrays
+        return
+    flat = [a.ravel(order="K") for a in arrays]
+    for start in range(0, first.size, BLOCK):
+        yield [f[start : start + BLOCK] for f in flat]
+
+
 def sigmoid(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + e) for h >= 0 and e / (1 + e) below, with e = exp(-|h|) <= 1.
 
     Because e <= 1, the numerator max(e, h >= 0) is 1 for h >= 0 and e
-    below, exactly. e, and then the result, live in out, a fresh array by
-    default; out=h overwrites h with the same bits, as the sign mask is
-    taken first.
+    below, exactly. e, and then the result, live in out, a fresh array in
+    h's layout by default; out=h overwrites h with the same bits, as each
+    block's sign mask is taken first. The mask and the numerator are
+    formed per block (BLOCK), so no temporary of h's size is made.
     """
-    positive = h >= 0
-    e = np.abs(h, out=out)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    numerator = np.maximum(e, positive)
-    e += 1.0
-    return np.divide(numerator, e, out=e)
+    if out is None:
+        out = np.empty_like(h)
+    for hb, e in _flat_blocks(h, out):
+        positive = hb >= 0
+        np.abs(hb, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        numerator = np.maximum(e, positive)
+        e += 1.0
+        np.divide(numerator, e, out=e)
+    return out
 
 
 def softmax(h: np.ndarray) -> np.ndarray:
@@ -150,15 +186,30 @@ def apply_activation(kind: str, h: np.ndarray) -> np.ndarray:
     raise ShapeError(f"unknown activation kind: {kind!r}")
 
 
-def act_jac_apply(kind: str, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+def act_jac_apply(
+    kind: str, v: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply a hidden layer's dv/dh column-wise to u without materializing it.
 
     Both hidden jacobians are diagonal, so this serves J u and J^T u alike.
     The backprop kernels work in h_L, so the output-only softmax has none.
+    The result is fresh, or written into out, which may be u itself; a
+    logistic slope v (1 - v) is then formed per block (BLOCK) where v, u
+    and out share one layout. The bits are those of v (1 - v) u either way.
     """
     if kind == LINEAR:
-        return np.array(u, copy=True)
+        if out is None:
+            return np.array(u, copy=True)
+        if out is not u:
+            np.copyto(out, u)
+        return out
     if kind == LOGISTIC:
+        if out is not None:
+            for vb, ub, ob in _flat_blocks(v, u, out):
+                r = 1.0 - vb
+                r *= vb
+                np.multiply(r, ub, out=ob)
+            return out
         r = 1.0 - v
         r *= v
         # In place only where r * u would come out C-ordered anyway: the
@@ -208,17 +259,19 @@ class ForwardCache:
         ]
         return replace(self, slopes=slopes)
 
-    def act_jac(self, l: int, u: np.ndarray) -> np.ndarray:
-        """Hidden layer l's dv/dh applied column-wise to u, fresh.
+    def act_jac(
+        self, l: int, u: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Hidden layer l's dv/dh applied column-wise to u, fresh or in out.
 
         u is (m_l, B) or carries a trailing axis, (m_l, B, k). A kept
         slope s gives s * u, the bits of act_jac_apply's product.
         """
         s = None if self.slopes is None else self.slopes[l - 1]
         if s is not None:
-            return (s if u.ndim == 2 else s[:, :, None]) * u
+            return np.multiply(s if u.ndim == 2 else s[:, :, None], u, out=out)
         v = self.v(l) if u.ndim == 2 else self.v(l)[:, :, None]
-        return act_jac_apply(self.shape.activations[l - 1], v, u)
+        return act_jac_apply(self.shape.activations[l - 1], v, u, out)
 
     def cols(self, idx) -> "ForwardCache":
         """View of a subset of sample columns (shares storage)."""

@@ -90,8 +90,7 @@ class TestConfigParsing:
 def test_load_datasets_holds_at_most_two_input_copies(tmp_path):
     """Loading and standardizing 2,000 784-pixel images keeps at most one
     float64 working copy beside the loaded inputs, with the bits of
-    (x - mean) / std. The eighth of a copy above two is one byte per entry:
-    the finiteness mask of the standardized Dataset."""
+    (x - mean) / std."""
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(2000, 28, 28))
     ip, lp = write_idx_pair(tmp_path, images, rng.integers(0, 10, size=2000))
@@ -103,6 +102,27 @@ def test_load_datasets_holds_at_most_two_input_copies(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * images.size * 8
+    x = images.reshape(2000, 784) / 255.0
+    mean = np.mean(x, axis=0)
+    std = np.maximum(np.sqrt(np.mean((x - mean) ** 2, axis=0)), data.STD_FLOOR)
+    assert np.array_equal(train.inputs, (x - mean) / std)
+
+
+def test_load_datasets_holds_one_input_copy(tmp_path):
+    """Loading and standardizing 2,000 784-pixel images in place holds one
+    float64 copy of the inputs, plus the IDX file's pixel bytes (an eighth
+    of a copy) while they are converted and the standardizer's blocks."""
+    rng = np.random.default_rng(1)
+    images = rng.integers(0, 256, size=(2000, 28, 28))
+    ip, lp = write_idx_pair(tmp_path, images, rng.integers(0, 10, size=2000))
+    config = cli.build_config({"train_images": str(ip), "train_labels": str(lp)}, {})
+    tracemalloc.start()
+    try:
+        train, _ = cli.load_datasets(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * images.size * 8
     x = images.reshape(2000, 784) / 255.0
     mean = np.mean(x, axis=0)
     std = np.maximum(np.sqrt(np.mean((x - mean) ** 2, axis=0)), data.STD_FLOOR)
@@ -419,7 +439,29 @@ class TestVerify:
         REFINE_LAMBDA; the small-lambda residual check catches the rest."""
         monkeypatch.setattr(solver, "REFINE_ROUNDS", 0)
         assert oracles.verify(seed=0) == 1
-        assert "FAIL smw_residual_small_lambda" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL smw_residual_small_lambda" in out
+        assert "FAIL smw_backward_error_wider_batch" in out
+
+    def test_refinement_residual_without_damping_term_fails(
+        self, capsys, monkeypatch
+    ):
+        """Refinement's residual -g - B_t p without its lambda p term. With
+        g over S2 alone lambda p is tiny, so the small-lambda residual
+        passes at seed 0; with g over a wider S1, lambda p carries g's part
+        outside B_t's range, and only the backward error sees it."""
+        apply_curvature = solver.apply_curvature
+
+        def undamped(shape, theta, system, v, counters=None):
+            bv = apply_curvature(shape, theta, system, v, counters)
+            bv -= system.lam * v
+            return bv
+
+        monkeypatch.setattr(solver, "apply_curvature", undamped)
+        assert oracles.verify(seed=0) == 1
+        out = capsys.readouterr().out
+        assert "FAIL smw_backward_error_wider_batch" in out
+        assert out.count("FAIL") == 1
 
     def test_grams_without_bias_term_fail(self, capsys, monkeypatch):
         """S1 input Grams without the +1 that pairs the bias blocks: every
@@ -503,6 +545,29 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL trainer_step_vs_dense_direction" in out
         assert out.count("FAIL") == 1
+
+    def test_curvature_batch_past_the_set_end_fails(self, capsys, monkeypatch):
+        """Trainer.step's curvature batch one position on without wrapping:
+        a semi-stochastic S2 then reaches index N and the step raises
+        IndexError. That fails the trainer line, and every other check
+        still reports."""
+        oracles.verify(seed=0)
+        clean = capsys.readouterr().out.splitlines()
+        second_order_step = optim.Trainer._second_order_step
+
+        def shifted(self, s1, positions):
+            return second_order_step(self, s1, positions + 1)
+
+        monkeypatch.setattr(optim.Trainer, "_second_order_step", shifted)
+        assert oracles.verify(seed=0) == 1
+        out, err = capsys.readouterr()
+        assert "FAIL trainer_step_vs_dense_direction" in out
+        assert out.count("FAIL") == 1
+        assert "IndexError" in err
+        names = [line.split(":")[0][5:] for line in clean if "max_error=" in line]
+        assert len(names) > 1
+        for name in names:
+            assert f" {name}: max_error=" in out
 
     def test_semi_stochastic_curvature_batch_of_first_rows_fails(
         self, capsys, monkeypatch

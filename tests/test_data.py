@@ -145,10 +145,77 @@ class TestStandardizer:
         assert np.max(np.abs(stats.std - 1.0)) <= 1e-8
 
 
+def whole_array_std(x):
+    """The standardizer's std from one full-size centered temporary."""
+    mean = np.mean(x, axis=0)
+    std = np.sqrt(np.mean((x - mean) ** 2, axis=0))
+    return mean, np.maximum(std, data.STD_FLOOR)
+
+
+class TestBlockwiseFit:
+    """fit_standardizer sums the centered squares a block of rows at a
+    time, with the bits of the whole-array formula."""
+
+    @pytest.mark.parametrize("rows", (1, 2, 15, 16, 17, 48, 50))
+    def test_bits_around_the_block(self, rows, rng, monkeypatch):
+        monkeypatch.setattr(data, "FIT_BLOCK", 64)  # 16 rows of 4 columns
+        x = rng.normal(3.0, 2.5, size=(rows, 4))
+        x[:, 2] = 7.0  # a constant column
+        stats = data.fit_standardizer(data.Dataset(x, np.zeros((rows, 1))))
+        mean, std = whole_array_std(x)
+        assert np.array_equal(stats.mean, mean)
+        assert np.array_equal(stats.std, std)
+        assert stats.std[2] == data.STD_FLOOR
+
+    @pytest.mark.parametrize("columns", (1, 3))
+    def test_bits_of_other_layouts(self, columns, rng, monkeypatch):
+        """Row-major inputs of several columns are summed in blocks;
+        column-major ones and a single column as one block, as numpy sums
+        those pairwise down each column."""
+        monkeypatch.setattr(data, "FIT_BLOCK", 64)
+        for x in (
+            rng.normal(size=(300, columns)),
+            np.asfortranarray(rng.normal(size=(300, columns))),
+        ):
+            stats = data.fit_standardizer(data.Dataset(x, np.zeros((300, 1))))
+            mean, std = whole_array_std(x)
+            assert np.array_equal(stats.mean, mean)
+            assert np.array_equal(stats.std, std)
+
+    def test_bits_at_the_module_block(self, rng):
+        rows = 3 * (data.FIT_BLOCK // 784) + 5
+        x = rng.integers(0, 256, size=(rows, 784)) / 255.0
+        stats = data.fit_standardizer(data.Dataset(x, np.zeros((rows, 1))))
+        mean, std = whole_array_std(x)
+        assert np.array_equal(stats.mean, mean)
+        assert np.array_equal(stats.std, std)
+
+    def test_apply_standardizes_in_place(self, rng):
+        x = rng.normal(2.0, 3.0, size=(30, 4))
+        ds = data.Dataset(x.copy(), np.zeros((30, 1)))
+        stats = data.fit_standardizer(ds)
+        out = stats.apply(ds)
+        assert out.inputs is ds.inputs
+        assert np.array_equal(out.inputs, (x - stats.mean) / stats.std)
+
+
 class TestDataset:
     def test_rejects_nan(self):
         with pytest.raises(DataFormatError):
             data.Dataset(np.array([[np.nan]]), np.array([[0.0]]))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("where", ("inputs", "targets"))
+    def test_rejects_non_finite_entries(self, bad, where, rng):
+        arrays = {"inputs": rng.normal(size=(6, 3)), "targets": np.zeros((6, 2))}
+        arrays[where][4, 1] = bad
+        with pytest.raises(DataFormatError, match="NaN or Inf"):
+            data.Dataset(**arrays)
+
+    def test_accepts_extreme_finite_entries(self):
+        big = np.finfo(float).max
+        ds = data.Dataset(np.array([[big, -big]]), np.array([[0.0]]))
+        assert ds.num_samples == 1
 
     def test_subset_first_k(self, rng):
         ds = data.Dataset(rng.normal(size=(10, 2)), np.zeros((10, 1)))

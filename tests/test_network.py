@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,3 +327,99 @@ class TestActivations:
                     got = c.act_jac(l, u)
                     assert np.array_equal(got, expected)
                     assert got.flags.c_contiguous == expected.flags.c_contiguous
+
+
+class TestBlockedKernels:
+    """The logistic kernels work over BLOCK-element pieces of an array's
+    memory; the bits and layouts are those of the whole-array formulas."""
+
+    SIZES = (
+        (127, network.BLOCK // 128),  # below one block
+        (128, network.BLOCK // 128),  # exactly one block
+        (129, network.BLOCK // 128 + 1),  # just above one block
+        (300, 250),  # several blocks, the last one partial
+    )
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("order", "CF")
+    def test_sigmoid_keeps_its_bits(self, size, order, rng):
+        h = np.asarray(rng.normal(scale=10.0, size=size), order=order)
+        h.flat[:4] = (0.0, -0.0, 800.0, -800.0)
+        expected = where_sigmoid(h)
+        fresh = network.sigmoid(h)
+        assert fresh.tobytes(order="A") == expected.tobytes(order="A")
+        assert fresh.flags.c_contiguous == h.flags.c_contiguous
+        assert fresh.flags.f_contiguous == h.flags.f_contiguous
+        buf = h.copy(order="K")
+        got = network.sigmoid(buf, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, expected)
+
+    def test_sigmoid_of_a_strided_view_has_the_unblocked_layout(self, rng):
+        h = rng.normal(scale=10.0, size=(40, 90))[:, ::3]
+        got = network.sigmoid(h)
+        assert np.array_equal(got, where_sigmoid(h))
+        assert got.strides == np.abs(h).strides
+        into = np.asfortranarray(np.zeros(h.shape))
+        assert network.sigmoid(h, out=into) is into
+        assert np.array_equal(into, where_sigmoid(h))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_slope_product_into_u_keeps_the_bits_and_layout(self, size, rng):
+        """act_jac_apply(..., out=u) writes v (1 - v) u over u; for the
+        C-ordered u that the reverse sweep's W^T a is, the bits and layout
+        of the fresh product. Without out, u is left as it was."""
+        m, n = size
+        for v_order in "CF":
+            v = np.asarray(network.sigmoid(rng.normal(size=size)), order=v_order)
+            for u in (rng.normal(size=size), rng.normal(size=(m, n, 3))):
+                vv = v if u.ndim == 2 else v[:, :, None]
+                u_in = u.copy()
+                expected = network.act_jac_apply(network.LOGISTIC, vv, u)
+                assert np.array_equal(u, u_in)
+                got = network.act_jac_apply(network.LOGISTIC, vv, u, out=u)
+                assert got is u
+                assert got.tobytes() == expected.tobytes()
+                assert got.flags.c_contiguous == expected.flags.c_contiguous
+        u = np.asfortranarray(rng.normal(size=size))
+        v = np.asfortranarray(network.sigmoid(rng.normal(size=size)))
+        expected = v * (1.0 - v) * u
+        got = network.act_jac_apply(network.LOGISTIC, v, u, out=u)
+        assert np.array_equal(got, expected)
+
+    def test_cache_act_jac_into_u(self, rng):
+        shape = network.NetworkShape(
+            (3, 5, 4, 2), (network.LOGISTIC, network.LINEAR, network.SOFTMAX)
+        )
+        theta = network.init_theta(shape, rng)
+        cache = network.forward(shape, theta, rng.normal(size=(3, 6)))
+        for c in (cache, cache.with_slopes(), cache.cols([4, 0, 2])):
+            for l, m in ((1, 5), (2, 4)):
+                for u in (
+                    rng.normal(size=(m, c.ncols)),
+                    rng.normal(size=(m, c.ncols, 2)),
+                ):
+                    expected = c.act_jac(l, u)
+                    got = c.act_jac(l, u, out=u)
+                    assert got is u and np.array_equal(got, expected)
+
+    def test_forward_holds_no_extra_hidden_size_array(self, rng):
+        """A wide logistic layer's forward allocates its m_1 x N activation
+        and an m_1 x N finiteness mask of one byte per entry, no more."""
+        shape = network.NetworkShape(
+            (20, 400, 3), (network.LOGISTIC, network.SOFTMAX)
+        )
+        theta = network.init_theta(shape, rng)
+        x = rng.normal(size=(20, 2000))
+        hidden = 400 * 2000 * 8
+        tracemalloc.start()
+        try:
+            cache = network.forward(shape, theta, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * hidden
+        w, b = network.unpack(shape, theta)[0]
+        h = w @ x
+        h += b[:, None]
+        assert np.array_equal(cache.v(1), where_sigmoid(h))
