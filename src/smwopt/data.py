@@ -1,15 +1,18 @@
 """Dataset loading (numeric CSV, IDX containers) and standardization.
 
-The data path holds one float64 copy of the inputs: load_idx scales the
-one copy it converts the pixels into, Dataset checks finiteness without
-a mask, fit_standardizer squares the centered inputs a block of rows at a
-time, and Standardizer.apply standardizes the inputs in place.
+Inputs are held in the form they were loaded: load_idx keeps the IDX
+file's uint8 pixels with their divisor (255), load_csv the float64 rows.
+fit_standardizer reads the converted inputs a block of rows at a time,
+and Standardizer.apply attaches the statistics beside the stored rows.
+Nothing standardizes the whole array: Inputs.columns converts and
+standardizes only the samples a forward reads (the trainer's batches and
+evaluation blocks), each entry as (x / divisor - mean) / std.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,8 +21,9 @@ from .exceptions import DataFormatError
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 IDX_NUM_CLASSES = 10
+IDX_PIXEL_DIVISOR = 255.0
 STD_FLOOR = 1e-8
-# Entries per block of centered squares in fit_standardizer. At 6000x784
+# Entries per block of converted inputs in fit_standardizer. At 6000x784
 # the fit takes 13.9-16.0 ms in 32K-entry blocks, 13.8-18.3 ms in 16K,
 # 13.7-18.1 ms in 64K, 17.4-27.0 ms in 128K and more, and 23-29 ms as one
 # full-size temporary.
@@ -31,17 +35,77 @@ def _all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(np.isfinite(np.min(a)) and np.isfinite(np.max(a)))
 
 
+@dataclass(frozen=True)
+class Inputs:
+    """Sample rows (N, m0) as stored, and the map a forward reads them through.
+
+    stored holds the rows as loaded: uint8 pixels of an IDX file, or
+    float64 rows. A forward reads stored / divisor when a divisor is set,
+    and then (x - mean) / std when a Standardizer has attached statistics.
+    """
+
+    stored: np.ndarray
+    divisor: float | None = None
+    mean: np.ndarray | None = None
+    std: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, inputs) -> "Inputs":
+        """inputs itself if it is Inputs, else its rows as float64 read as stored."""
+        if isinstance(inputs, Inputs):
+            return inputs
+        return cls(np.asarray(inputs, dtype=np.float64))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.stored.shape
+
+    def __len__(self) -> int:
+        return len(self.stored)
+
+    def rows(self, idx) -> np.ndarray:
+        """Fresh float64 rows idx as a forward reads them, in the layout
+        the stored rows give (row-major for a gather or a row-major array)."""
+        out = self.stored[idx].astype(np.float64)
+        if self.divisor is not None:
+            out /= self.divisor
+        if self.mean is not None:
+            out -= self.mean
+            out /= self.std
+        return out
+
+    def columns(self, idx) -> np.ndarray:
+        """Samples idx as network input: (m0, B) float64 sample columns,
+        column-major, the transpose of the rows gathered row-major."""
+        return np.ascontiguousarray(self.rows(idx)).T
+
+    def all_finite(self) -> bool:
+        """Every entry as a forward reads it is finite.
+
+        Converting and standardizing preserve order, so this holds when it
+        holds for each feature's smallest and largest stored entry; min
+        and max propagate NaN.
+        """
+        x = self.stored
+        extremes = np.stack((np.min(x, axis=0), np.max(x, axis=0)))
+        return _all_finite(replace(self, stored=extremes).rows(slice(None)))
+
+
 @dataclass
 class Dataset:
-    """Sample rows: inputs (N, m0) and targets (N, m_L); both finite."""
+    """Sample rows: inputs (N, m0) and targets (N, m_L); both finite.
 
-    inputs: np.ndarray
+    inputs is an Inputs; an array given in its place is read as stored,
+    as float64.
+    """
+
+    inputs: Inputs
     targets: np.ndarray
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.inputs = Inputs.of(self.inputs)
         self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.inputs.ndim != 2 or self.targets.ndim != 2:
+        if len(self.inputs.shape) != 2 or self.targets.ndim != 2:
             raise DataFormatError("inputs and targets must be 2-dimensional")
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise DataFormatError(
@@ -50,7 +114,7 @@ class Dataset:
             )
         if self.inputs.shape[0] < 1:
             raise DataFormatError("data set is empty")
-        if not (_all_finite(self.inputs) and _all_finite(self.targets)):
+        if not (self.inputs.all_finite() and _all_finite(self.targets)):
             raise DataFormatError("data set contains NaN or Inf")
 
     @property
@@ -66,7 +130,8 @@ class Dataset:
             idx = np.random.default_rng(seed).choice(
                 self.num_samples, size=k, replace=False
             )
-        return Dataset(self.inputs[idx], self.targets[idx])
+        inputs = replace(self.inputs, stored=self.inputs.stored[idx])
+        return Dataset(inputs, self.targets[idx])
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -131,7 +196,7 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """MNIST-style IDX pair: big-endian u8 images scaled to [0, 1], one-hot labels."""
+    """MNIST-style IDX pair: the u8 pixels, read scaled to [0, 1], and one-hot labels."""
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(
             ">iiii", _read_exact(fh, 16, images_path, "image header")
@@ -156,9 +221,8 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{labels_path}: {label_count} labels for {count} images"
         )
     labels = np.frombuffer(raw, dtype=np.uint8)
-    images = pixels.astype(np.float64)
-    images /= 255.0
-    return Dataset(images, one_hot(labels, IDX_NUM_CLASSES))
+    inputs = Inputs(pixels, divisor=IDX_PIXEL_DIVISOR)
+    return Dataset(inputs, one_hot(labels, IDX_NUM_CLASSES))
 
 
 @dataclass(frozen=True)
@@ -169,35 +233,52 @@ class Standardizer:
     std: np.ndarray
 
     def apply(self, dataset: Dataset) -> Dataset:
-        """The dataset standardized in place: its inputs are overwritten
-        with (x - mean) / std, and a Dataset over them is returned."""
-        feats = dataset.inputs
-        feats -= self.mean
-        feats /= self.std
-        return Dataset(feats, dataset.targets)
+        """The dataset with these statistics attached to its inputs, which
+        a forward then reads as (x - mean) / std; the stored rows are
+        shared, not copied or written. Raises DataFormatError when an
+        entry so read is not finite (checked on each feature's extremes)."""
+        if dataset.inputs.mean is not None:
+            raise ValueError("inputs already carry standardization statistics")
+        inputs = replace(dataset.inputs, mean=self.mean, std=self.std)
+        return Dataset(inputs, dataset.targets)
+
+
+def _row_sum(blocks) -> np.ndarray:
+    """Sum over the rows of consecutive row blocks, with the bits numpy
+    gives axis 0 of their stack when it sums that axis row by row: each
+    block after the first is summed with the running total as its first
+    row."""
+    total = None
+    for block in blocks:
+        if total is not None:
+            block = np.concatenate((total[None], block))
+        total = np.sum(block, axis=0)
+    return total
 
 
 def fit_standardizer(train: Dataset) -> Standardizer:
     """Statistics from the training split only; stds floored at STD_FLOOR.
 
     Constant features end up with std equal to the floor, so they map to
-    exactly zero after centering. std has the bits of mean((x - mean)^2).
+    exactly zero after centering. mean and std have the bits of mean(x)
+    and sqrt(mean((x - mean)^2)) over the inputs as a forward reads them.
     numpy sums axis 0 of row-major inputs of two or more columns row by
-    row, so there the centered squares are formed about FIT_BLOCK entries
-    at a time, and each block after the first is summed with the running
-    total as its first row. Other inputs are summed as one block.
+    row, so there both sums read the converted inputs about FIT_BLOCK
+    entries at a time (_row_sum). Other inputs are read as one block.
     """
-    x = train.inputs
-    mean = np.mean(x, axis=0)
-    rows = len(x)
-    if x.shape[1] > 1 and x.strides[0] > x.strides[1]:
-        rows = max(1, FIT_BLOCK // x.shape[1])
-    total = None
-    for start in range(0, len(x), rows):
-        squares = x[start : start + rows] - mean
+    inputs = train.inputs
+    n, m0 = inputs.shape
+    rows = n
+    if m0 > 1 and inputs.stored.strides[0] > inputs.stored.strides[1]:
+        rows = max(1, FIT_BLOCK // m0)
+    blocks = [slice(start, start + rows) for start in range(0, n, rows)]
+    mean = _row_sum(inputs.rows(b) for b in blocks) / n
+
+    def centered_squares(b):
+        squares = inputs.rows(b)
+        squares -= mean
         squares *= squares
-        if total is not None:
-            squares = np.concatenate((total[None], squares))
-        total = np.sum(squares, axis=0)
-    std = np.sqrt(total / len(x))
+        return squares
+
+    std = np.sqrt(_row_sum(map(centered_squares, blocks)) / n)
     return Standardizer(mean=mean, std=np.maximum(std, STD_FLOOR))

@@ -19,7 +19,7 @@ reverse sweep's slope product its fresh W^T a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,10 +34,18 @@ ACTIVATION_KINDS = (LINEAR, LOGISTIC, SOFTMAX)
 
 @dataclass(frozen=True)
 class NetworkShape:
-    """Layer widths (m0, ..., mL) and one activation kind per layer 1..L."""
+    """Layer widths (m0, ..., mL) and one activation kind per layer 1..L.
+
+    num_params and the parameter layout are derived once per shape, in
+    __post_init__, as unpack reads them on every call.
+    """
 
     layer_sizes: tuple[int, ...]
     activations: tuple[str, ...]
+    num_params: int = field(init=False, repr=False, compare=False)
+    _layout: tuple[tuple[slice, slice, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         sizes = tuple(int(m) for m in self.layer_sizes)
@@ -57,6 +65,16 @@ class NetworkShape:
                 raise ShapeError(f"unknown activation kind: {kind!r}")
         if SOFTMAX in acts[:-1]:
             raise ShapeError("softmax is only allowed on the output layer")
+        layout = []
+        offset = 0
+        for m_in, m_out in zip(sizes[:-1], sizes[1:]):
+            wsl = slice(offset, offset + m_out * m_in)
+            offset += m_out * m_in
+            bsl = slice(offset, offset + m_out)
+            offset += m_out
+            layout.append((wsl, bsl, m_out, m_in))
+        object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "num_params", offset)
 
     @property
     def num_layers(self) -> int:
@@ -70,24 +88,9 @@ class NetworkShape:
     def output_size(self) -> int:
         return self.layer_sizes[-1]
 
-    @property
-    def num_params(self) -> int:
-        return sum(
-            m_out * m_in + m_out
-            for m_in, m_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:])
-        )
-
-    def param_layout(self) -> list[tuple[slice, slice, int, int]]:
+    def param_layout(self) -> tuple[tuple[slice, slice, int, int], ...]:
         """Per layer: (weight slice, bias slice, m_out, m_in) into theta."""
-        layout = []
-        offset = 0
-        for m_in, m_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            wsl = slice(offset, offset + m_out * m_in)
-            offset += m_out * m_in
-            bsl = slice(offset, offset + m_out)
-            offset += m_out
-            layout.append((wsl, bsl, m_out, m_in))
-        return layout
+        return self._layout
 
 
 def check_theta(shape: NetworkShape, theta) -> np.ndarray:
@@ -296,10 +299,11 @@ def _as_cols(x, m0: int) -> np.ndarray:
 def _activate(shape: NetworkShape, l: int, h: np.ndarray, keep_h=False):
     """Layer l's output from its pre-activation h, which must be finite.
 
-    Only the output pre-activation is kept by default, so a hidden
-    logistic one is overwritten by its activation unless keep_h.
+    Finiteness is checked over BLOCK-element pieces of h, so no mask of
+    h's size is made. Only the output pre-activation is kept by default,
+    so a hidden logistic one is overwritten by its activation unless keep_h.
     """
-    if not np.all(np.isfinite(h)):
+    if not all(np.isfinite(hb).all() for hb, in _flat_blocks(h)):
         raise NumericError(f"non-finite pre-activation at layer {l}")
     kind = shape.activations[l - 1]
     if kind == LOGISTIC and l < shape.num_layers and not keep_h:

@@ -47,7 +47,7 @@ def save_csv(path, dataset: data.Dataset) -> None:
         labels = np.argmax(dataset.targets, axis=1).astype(np.float64)
     else:
         labels = dataset.targets[:, 0]
-    table = np.hstack([dataset.inputs, labels.reshape(-1, 1)])
+    table = np.hstack([dataset.inputs.columns(slice(None)).T, labels.reshape(-1, 1)])
     with open(path, "w", encoding="utf-8") as fh:
         for row in table:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -266,7 +266,7 @@ def test_criterion_08_semi_stochastic_descent():
     trainer = optim.Trainer(shape, spec, x, y, config)
 
     def full_gradient_norm():
-        cache = network.forward(shape, trainer.theta, trainer.x)
+        cache = network.forward(shape, trainer.theta, trainer.inputs.columns(slice(None)))
         g, _ = diff.gradient(shape, trainer.theta, cache, trainer.y, spec)
         return float(np.linalg.norm(g))
 

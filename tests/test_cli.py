@@ -89,8 +89,8 @@ class TestConfigParsing:
 
 def test_load_datasets_holds_at_most_two_input_copies(tmp_path):
     """Loading and standardizing 2,000 784-pixel images keeps at most one
-    float64 working copy beside the loaded inputs, with the bits of
-    (x - mean) / std."""
+    float64 working copy beside the loaded inputs, and the inputs read
+    with the bits of (x - mean) / std."""
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(2000, 28, 28))
     ip, lp = write_idx_pair(tmp_path, images, rng.integers(0, 10, size=2000))
@@ -105,13 +105,13 @@ def test_load_datasets_holds_at_most_two_input_copies(tmp_path):
     x = images.reshape(2000, 784) / 255.0
     mean = np.mean(x, axis=0)
     std = np.maximum(np.sqrt(np.mean((x - mean) ** 2, axis=0)), data.STD_FLOOR)
-    assert np.array_equal(train.inputs, (x - mean) / std)
+    assert np.array_equal(train.inputs.columns(slice(None)), ((x - mean) / std).T)
 
 
 def test_load_datasets_holds_one_input_copy(tmp_path):
-    """Loading and standardizing 2,000 784-pixel images in place holds one
-    float64 copy of the inputs, plus the IDX file's pixel bytes (an eighth
-    of a copy) while they are converted and the standardizer's blocks."""
+    """Loading and standardizing 2,000 784-pixel images holds at most one
+    float64 copy of the inputs, with the IDX file's pixel bytes (an eighth
+    of a copy) and the standardizer's blocks."""
     rng = np.random.default_rng(1)
     images = rng.integers(0, 256, size=(2000, 28, 28))
     ip, lp = write_idx_pair(tmp_path, images, rng.integers(0, 10, size=2000))
@@ -126,7 +126,200 @@ def test_load_datasets_holds_one_input_copy(tmp_path):
     x = images.reshape(2000, 784) / 255.0
     mean = np.mean(x, axis=0)
     std = np.maximum(np.sqrt(np.mean((x - mean) ** 2, axis=0)), data.STD_FLOOR)
-    assert np.array_equal(train.inputs, (x - mean) / std)
+    assert np.array_equal(train.inputs.columns(slice(None)), ((x - mean) / std).T)
+
+
+def whole_array_inputs(pixels, standardize, test_pixels=None):
+    """The inputs a forward reads, from the whole arrays: x / 255.0, then
+    - mean and / std with the training split's statistics."""
+    x = pixels.astype(np.float64)
+    x /= 255.0
+    tx = None if test_pixels is None else test_pixels.astype(np.float64) / 255.0
+    if standardize:
+        mean = np.mean(x, axis=0)
+        std = np.sqrt(np.mean((x - mean) ** 2, axis=0))
+        std = np.maximum(std, data.STD_FLOOR)
+        x -= mean
+        x /= std
+        if tx is not None:
+            tx = (tx - mean) / std
+    return x, tx
+
+
+def write_split_pair(tmp_path, rng, n, n_test, side=4):
+    """Seeded train and test IDX pairs; their config values and pixel rows."""
+    values, pixels = {}, []
+    for split, count in (("train", n), ("test", n_test)):
+        (tmp_path / split).mkdir()
+        images = rng.integers(0, 256, size=(count, side, side))
+        ip, lp = write_idx_pair(tmp_path / split, images, rng.integers(0, 10, size=count))
+        values.update({f"{split}_images": str(ip), f"{split}_labels": str(lp)})
+        pixels.append(images.reshape(count, side * side))
+    return values, pixels
+
+
+class TestGather:
+    """Every forward of the trainer reads columns gathered and standardized
+    by data.Inputs.columns, with the bits of the whole-array formula and
+    column-major, as when the whole array was standardized up front."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The inputs of every forward, and the gradient batches drawn."""
+        seen, batches = [], []
+        forward, sample = network.forward, optim.EpochSampler.sample_batches
+
+        def spy_forward(shape, theta, x, *args, **kwargs):
+            seen.append(x)
+            return forward(shape, theta, x, *args, **kwargs)
+
+        def spy_sample(self):
+            s1, s2 = sample(self)
+            batches.append(s1.copy())
+            return s1, s2
+
+        monkeypatch.setattr(optim, "forward", spy_forward)
+        monkeypatch.setattr(optim.EpochSampler, "sample_batches", spy_sample)
+        return seen, batches
+
+    def check_trainer(self, trainer, x, tx, monkeypatch):
+        seen, batches = self.spy(monkeypatch)
+        monkeypatch.setattr(optim, "EVAL_CHUNK", 64)
+        trainer.step()
+        assert seen[0].flags.f_contiguous
+        assert np.array_equal(seen[0], x[batches[0]].T)
+        for evaluate, whole in ((trainer.full_loss, x), (trainer.test_error, tx)):
+            seen.clear()
+            evaluate()
+            assert len(seen) == -(-len(whole) // 64)
+            assert all(cols.flags.f_contiguous for cols in seen)
+            assert np.array_equal(np.hstack(seen), whole.T)
+
+    @pytest.mark.parametrize("standardize", (True, False))
+    def test_idx_columns(self, standardize, tmp_path, rng, monkeypatch):
+        values, (pixels, test_pixels) = write_split_pair(tmp_path, rng, 300, 130)
+        values.update(standardize=str(standardize).lower(), layers="16,10")
+        config = cli.build_config(values, {})
+        train, test = cli.load_datasets(config)
+        assert train.inputs.stored.dtype == np.uint8
+        shape, spec = cli.build_model(config, train)
+        trainer = optim.Trainer(
+            shape, spec, train.inputs, train.targets,
+            optim.OptimizerConfig(method=optim.SMW_GN, n1=60, n2=30),
+            test_inputs=test.inputs, test_targets=test.targets,
+        )
+        x, tx = whole_array_inputs(pixels, standardize, test_pixels)
+        self.check_trainer(trainer, x, tx, monkeypatch)
+
+    def test_csv_columns(self, tmp_path, rng, monkeypatch):
+        values = base_config(tmp_path, rng, method="smw-gn")
+        test_csv = write_blob_csv(tmp_path / "test.csv", rng, n=70)
+        values.update(test_csv=str(test_csv), n1="20", n2="10")
+        config = cli.build_config(values, {})
+        train, test = cli.load_datasets(config)
+        shape, spec = cli.build_model(config, train)
+        trainer = optim.Trainer(
+            shape, spec, train.inputs, train.targets,
+            optim.OptimizerConfig(method=optim.SMW_GN, n1=20, n2=10),
+            test_inputs=test.inputs, test_targets=test.targets,
+        )
+        raw = [data.load_csv(p, 3, 2).inputs.stored for p in (values["train_csv"], test_csv)]
+        mean = np.mean(raw[0], axis=0)
+        std = np.maximum(np.sqrt(np.mean((raw[0] - mean) ** 2, axis=0)), data.STD_FLOOR)
+        x, tx = ((r - mean) / std for r in raw)
+        self.check_trainer(trainer, x, tx, monkeypatch)
+
+    def test_semi_stochastic_full_set_is_gathered_once(self, tmp_path, rng, monkeypatch):
+        """The full set is gathered at the first step; every later forward
+        reads that array, from the held forward cache of the iterate."""
+        values, (pixels, _) = write_split_pair(tmp_path, rng, 120, 10)
+        config = cli.build_config(
+            {"train_images": values["train_images"],
+             "train_labels": values["train_labels"], "layers": "16,10"}, {}
+        )
+        train, _ = cli.load_datasets(config)
+        shape, spec = cli.build_model(config, train)
+        trainer = optim.Trainer(
+            shape, spec, train.inputs, train.targets,
+            optim.OptimizerConfig(
+                method=optim.SMW_NG, n1=120, n2=30, alpha=1.0,
+                semi_stochastic=True, lambda_lm=5.0,
+            ),
+        )
+        gathers, columns = [], data.Inputs.columns
+
+        def spy_columns(inputs, idx):
+            gathers.append(idx)
+            return columns(inputs, idx)
+
+        monkeypatch.setattr(data.Inputs, "columns", spy_columns)
+        seen, _ = self.spy(monkeypatch)
+        for _ in range(4):
+            trainer.step()
+        trainer.full_loss()
+        assert gathers == [slice(None)]
+        assert len(seen) == 5 and all(cols is seen[0] for cols in seen)
+        x, _ = whole_array_inputs(pixels, True)
+        assert seen[0].flags.f_contiguous
+        assert np.array_equal(seen[0], x.T)
+
+    @pytest.mark.parametrize("method", optim.METHODS)
+    def test_run_writes_the_metrics_of_inputs_standardized_up_front(
+        self, method, tmp_path, rng, monkeypatch
+    ):
+        """cli.run on IDX splits writes the metrics a Trainer fed the whole
+        arrays, standardized in place before training, writes, apart from
+        wall_time_s."""
+        monkeypatch.setattr(optim, "EVAL_CHUNK", 64)
+        values, (pixels, test_pixels) = write_split_pair(tmp_path, rng, 200, 90, side=5)
+        values.update(
+            layers="25,8,10", method=method, n1="20", n2="10", epochs="2",
+            eval_interval="3", out=str(tmp_path / "metrics.csv"),
+        )
+        config = cli.build_config(values, {})
+        assert cli.run(config) == 0
+        header, rows = read_metrics(tmp_path / "metrics.csv")
+
+        train, test = cli.load_datasets(config)
+        shape, spec = cli.build_model(config, train)
+        x, tx = whole_array_inputs(pixels, True, test_pixels)
+        trainer = optim.Trainer(
+            shape, spec, x, train.targets,
+            optim.OptimizerConfig(method=method, n1=20, n2=10),
+            test_inputs=tx, test_targets=test.targets,
+        )
+        records = trainer.run(2 * trainer.iters_per_epoch, eval_interval=3)
+        expected = [cli._metrics_row(r).split(",") for r in records]
+        assert len(rows) == len(expected) == 20
+        wall = header.index("wall_time_s")
+        for row, want in zip(rows, expected):
+            del row[wall], want[wall]
+            assert row == want
+
+
+def test_load_and_train_hold_no_float64_copy_of_the_inputs(tmp_path):
+    """cli.load_datasets, optim.Trainer, a step and a full evaluation on
+    2,000 784-pixel images never hold a float64 array of all the inputs:
+    they stay uint8 and only gathered columns are converted."""
+    rng = np.random.default_rng(2)
+    images = rng.integers(0, 256, size=(2000, 28, 28))
+    ip, lp = write_idx_pair(tmp_path, images, rng.integers(0, 10, size=2000))
+    config = cli.build_config(
+        {"train_images": str(ip), "train_labels": str(lp), "layers": "784,10"}, {}
+    )
+    tracemalloc.start()
+    try:
+        train, _ = cli.load_datasets(config)
+        shape, spec = cli.build_model(config, train)
+        trainer = optim.Trainer(
+            shape, spec, train.inputs, train.targets, optim.OptimizerConfig()
+        )
+        trainer.step()
+        trainer.full_loss()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < images.size * 8
 
 
 class TestRun:
@@ -240,6 +433,25 @@ class TestMain:
         ]
         assert cli.main(argv) == 2
         assert "test split has 9 features" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_overflowing_standardized_feature_exit_2(self, tmp_path, rng, capsys):
+        """A CSV feature at +-1.7e308, whose standardized extremes overflow,
+        is a data error at load, not a numeric failure in training."""
+        csv_path = tmp_path / "train.csv"
+        x = rng.normal(size=(20, 2))
+        x[:, 0] = -1.7e308
+        x[0, 0] = 1.7e308
+        save_csv(csv_path, data.Dataset(x, data.one_hot(rng.integers(0, 2, size=20), 2)))
+        argv = [
+            "--train-csv", str(csv_path), "--csv-features", "2", "--csv-classes", "2",
+            "--layers", "2,3,2", "--n1", "10", "--n2", "5",
+            "--out", str(tmp_path / "m.csv"),
+        ]
+        assert cli.main(argv) == 2
+        assert "NaN or Inf" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow")

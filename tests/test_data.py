@@ -8,6 +8,12 @@ from smwopt.exceptions import DataFormatError
 from tests.conftest import save_csv, write_idx_pair
 
 
+def read(inputs):
+    """All samples as the network reads them, through the trainer's gather,
+    back as (N, m0) rows."""
+    return inputs.columns(slice(None)).T
+
+
 class TestCsv:
     def test_three_line_multiclass(self, tmp_path):
         path = tmp_path / "toy.csv"
@@ -54,7 +60,7 @@ class TestCsv:
         path = tmp_path / "rt.csv"
         save_csv(path, ds)
         back = data.load_csv(path, num_features=3, num_classes=4)
-        assert np.array_equal(back.inputs, ds.inputs)
+        assert np.array_equal(read(back.inputs), read(ds.inputs))
         assert np.array_equal(back.targets, ds.targets)
 
 
@@ -63,7 +69,7 @@ class TestIdx:
         images = np.zeros((1, 4, 4), dtype=np.uint8)
         ip, lp = write_idx_pair(tmp_path, images, [3])
         ds = data.load_idx(ip, lp)
-        assert np.array_equal(ds.inputs, np.zeros((1, 16)))
+        assert np.array_equal(read(ds.inputs), np.zeros((1, 16)))
         assert ds.targets[0, 3] == 1.0
 
     def test_label_seven(self, tmp_path):
@@ -73,14 +79,14 @@ class TestIdx:
         expected = np.zeros(10)
         expected[7] = 1.0
         assert np.array_equal(ds.targets[0], expected)
-        assert np.array_equal(ds.inputs[0], np.ones(4))
+        assert np.array_equal(ds.inputs.columns([0])[:, 0], np.ones(4))
 
     def test_round_trip(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(3, 5, 5)).astype(np.uint8)
         labels = np.array([0, 9, 4], dtype=np.uint8)
         ip, lp = write_idx_pair(tmp_path, images, labels)
         ds = data.load_idx(ip, lp)
-        assert np.array_equal(ds.inputs, images.reshape(3, 25) / 255.0)
+        assert np.array_equal(read(ds.inputs), images.reshape(3, 25) / 255.0)
         assert np.array_equal(np.argmax(ds.targets, axis=1), labels)
 
     def test_bad_magic(self, tmp_path, rng):
@@ -117,25 +123,26 @@ class TestStandardizer:
         assert stats.std[0] == pytest.approx(np.sqrt(2.0 / 3.0))
         out = stats.apply(ds)
         expected = np.array([-1.224744871391589, 0.0, 1.224744871391589])
-        assert np.max(np.abs(out.inputs[:, 0] - expected)) < 1e-12
+        assert np.max(np.abs(read(out.inputs)[:, 0] - expected)) < 1e-12
 
     def test_constant_column_maps_to_zero(self):
         ds = data.Dataset(np.full((4, 2), 7.0), np.zeros((4, 1)))
         out = data.fit_standardizer(ds).apply(ds)
-        assert np.array_equal(out.inputs, np.zeros((4, 2)))
+        assert np.array_equal(read(out.inputs), np.zeros((4, 2)))
 
     def test_transformed_moments(self, rng):
         ds = data.Dataset(rng.normal(3.0, 2.5, size=(200, 6)), np.zeros((200, 1)))
-        out = data.fit_standardizer(ds).apply(ds)
-        assert np.max(np.abs(np.mean(out.inputs, axis=0))) <= 1e-10
-        assert np.max(np.abs(np.var(out.inputs, axis=0) - 1.0)) <= 1e-8
+        out = read(data.fit_standardizer(ds).apply(ds).inputs)
+        assert np.max(np.abs(np.mean(out, axis=0))) <= 1e-10
+        assert np.max(np.abs(np.var(out, axis=0) - 1.0)) <= 1e-8
 
     def test_test_split_uses_train_statistics(self, rng):
         train = data.Dataset(rng.normal(0.0, 1.0, size=(50, 3)), np.zeros((50, 1)))
         test = data.Dataset(rng.normal(5.0, 1.0, size=(50, 3)), np.zeros((50, 1)))
         stats = data.fit_standardizer(train)
         out = stats.apply(test)
-        assert np.all(np.mean(out.inputs, axis=0) > 1.0)
+        assert out.inputs.mean is stats.mean and out.inputs.std is stats.std
+        assert np.all(np.mean(read(out.inputs), axis=0) > 1.0)
 
     def test_refit_idempotent(self, rng):
         ds = data.Dataset(rng.normal(2.0, 3.0, size=(100, 4)), np.zeros((100, 1)))
@@ -143,6 +150,24 @@ class TestStandardizer:
         stats = data.fit_standardizer(once)
         assert np.max(np.abs(stats.mean)) <= 1e-10
         assert np.max(np.abs(stats.std - 1.0)) <= 1e-8
+
+    def test_apply_twice_is_refused(self, rng):
+        ds = data.Dataset(rng.normal(size=(10, 2)), np.zeros((10, 1)))
+        stats = data.fit_standardizer(ds)
+        with pytest.raises(ValueError, match="already"):
+            stats.apply(stats.apply(ds))
+
+    @pytest.mark.parametrize("big", (1.7e308, -1.7e308))
+    def test_overflowing_standardized_extreme_is_a_format_error(self, big):
+        """A feature whose standardized extreme overflows is refused when
+        the statistics are attached, from its extremes alone."""
+        x = np.array([[big, 0.0], [-big, 1.0], [-big, 2.0]])
+        ds = data.Dataset(x, np.zeros((3, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = data.fit_standardizer(ds)
+            assert not np.all(np.isfinite((x - stats.mean) / stats.std))
+            with pytest.raises(DataFormatError, match="NaN or Inf"):
+                stats.apply(ds)
 
 
 def whole_array_std(x):
@@ -190,13 +215,18 @@ class TestBlockwiseFit:
         assert np.array_equal(stats.mean, mean)
         assert np.array_equal(stats.std, std)
 
-    def test_apply_standardizes_in_place(self, rng):
+    def test_apply_attaches_statistics(self, rng):
+        """apply neither copies nor writes the stored rows; the gather
+        reads them with the bits of (x - mean) / std, column-major."""
         x = rng.normal(2.0, 3.0, size=(30, 4))
         ds = data.Dataset(x.copy(), np.zeros((30, 1)))
         stats = data.fit_standardizer(ds)
         out = stats.apply(ds)
-        assert out.inputs is ds.inputs
-        assert np.array_equal(out.inputs, (x - stats.mean) / stats.std)
+        assert out.inputs.stored is ds.inputs.stored
+        assert np.array_equal(ds.inputs.stored, x)
+        columns = out.inputs.columns(slice(None))
+        assert columns.flags.f_contiguous
+        assert np.array_equal(columns, ((x - stats.mean) / stats.std).T)
 
 
 class TestDataset:
@@ -220,11 +250,11 @@ class TestDataset:
     def test_subset_first_k(self, rng):
         ds = data.Dataset(rng.normal(size=(10, 2)), np.zeros((10, 1)))
         sub = ds.subset(4)
-        assert np.array_equal(sub.inputs, ds.inputs[:4])
+        assert np.array_equal(read(sub.inputs), read(ds.inputs)[:4])
 
     def test_subset_seeded(self, rng):
         ds = data.Dataset(rng.normal(size=(10, 2)), np.zeros((10, 1)))
         a = ds.subset(5, seed=1)
         b = ds.subset(5, seed=1)
-        assert np.array_equal(a.inputs, b.inputs)
-        assert len({tuple(r) for r in a.inputs}) == 5
+        assert np.array_equal(read(a.inputs), read(b.inputs))
+        assert len({tuple(r) for r in read(a.inputs)}) == 5

@@ -30,6 +30,24 @@ class TestShapeAndPacking:
         packed = pack(shape, network.unpack(shape, theta))
         assert np.array_equal(packed, theta)
 
+    def test_unpack_views_through_the_layout_derived_once(self, rng):
+        """unpack returns each layer's W as a column-major view of theta
+        and b as a view, through the layout the shape derived once."""
+        shape = network.NetworkShape((4, 9, 2), ("logistic", "linear"))
+        assert shape.param_layout() is shape.param_layout()
+        assert shape == network.NetworkShape([4, 9, 2], ["logistic", "linear"])
+        theta = rng.normal(size=shape.num_params)
+        offset = 0
+        for (w, b), (m_out, m_in) in zip(network.unpack(shape, theta), ((9, 4), (2, 9))):
+            assert w.shape == (m_out, m_in) and w.flags.f_contiguous
+            assert w.base is theta and b.base is theta
+            size = m_out * m_in
+            expected = theta[offset : offset + size].reshape((m_out, m_in), order="F")
+            assert np.array_equal(w, expected)
+            assert np.array_equal(b, theta[offset + size : offset + size + m_out])
+            offset += size + m_out
+        assert offset == shape.num_params == 9 * 4 + 9 + 2 * 9 + 2
+
     def test_mnist_parameter_count(self):
         shape = network.NetworkShape(
             (784, 500, 10), ("logistic", "softmax")
@@ -403,9 +421,20 @@ class TestBlockedKernels:
                     got = c.act_jac(l, u, out=u)
                     assert got is u and np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_forward_finds_a_non_finite_entry_in_a_later_block(self, bad, rng):
+        shape = network.NetworkShape((2, 400, 3), (network.LOGISTIC, network.SOFTMAX))
+        theta = network.init_theta(shape, rng)
+        w, _ = network.unpack(shape, theta)[0]
+        w[-1, 0] = bad  # only h_1's last row, in its last block, is not finite
+        assert 400 * 2000 > network.BLOCK
+        with pytest.raises(NumericError, match="layer 1"):
+            network.forward(shape, theta, rng.normal(size=(2, 2000)))
+
     def test_forward_holds_no_extra_hidden_size_array(self, rng):
         """A wide logistic layer's forward allocates its m_1 x N activation
-        and an m_1 x N finiteness mask of one byte per entry, no more."""
+        and a few BLOCK-element temporaries, no more: no finiteness mask
+        of one byte per entry."""
         shape = network.NetworkShape(
             (20, 400, 3), (network.LOGISTIC, network.SOFTMAX)
         )
@@ -418,7 +447,7 @@ class TestBlockedKernels:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * hidden
+        assert peak <= hidden + 3 * network.BLOCK * 8
         w, b = network.unpack(shape, theta)[0]
         h = w @ x
         h += b[:, None]

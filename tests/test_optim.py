@@ -334,7 +334,7 @@ def _packed_step(trainer):
     theta + alpha p."""
     shape, spec, counters = trainer.shape, trainer.spec, trainer.counters
     s1, s2 = trainer.sampler.sample_batches()
-    x1, y1 = trainer.x[:, s1], trainer.y[:, s1]
+    x1, y1 = trainer.inputs.columns(s1), trainer.y[:, s1]
     cache1 = network.forward(shape, trainer.theta, x1, counters)
     f_before = float(np.mean(loss.loss_value(spec, cache1, y1)))
     g, gfactors = diff.gradient(shape, trainer.theta, cache1, y1, spec, counters)
@@ -564,7 +564,7 @@ class TestSemiStochastic:
             held = trainer.full_loss()
             assert trainer.counters.forward_passes == passes
             recomputed = trainer._chunked_mean(
-                trainer.x, trainer.y,
+                trainer.inputs, trainer.y,
                 lambda cache, y: float(np.sum(loss.loss_value(trainer.spec, cache, y))),
             )
             assert held == recomputed
@@ -618,8 +618,8 @@ class TestRunLoop:
                 )
 
     def test_test_split_is_evaluated_on_a_view(self, rng, monkeypatch):
-        """The test inputs are held as a column-major view, not a copy, and
-        test_error equals the error of row-major forwards of the same chunks."""
+        """The test inputs are held as given, not copied, and test_error
+        equals the error of row-major forwards of the same chunks."""
         x, y = blob_classification_data(rng, n=40)
         tx, ty = blob_classification_data(rng, n=25)
         shape = network.NetworkShape((2, 3, 1), ("logistic", "logistic"))
@@ -628,7 +628,7 @@ class TestRunLoop:
         trainer = optim.Trainer(
             shape, spec, x, y, config, test_inputs=tx, test_targets=ty
         )
-        assert np.shares_memory(trainer.test_x, tx)
+        assert trainer.test_inputs.stored is tx
         trainer.run(4, eval_interval=0)
         monkeypatch.setattr(optim, "EVAL_CHUNK", 7)
         errors = 0.0
