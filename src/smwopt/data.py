@@ -2,15 +2,17 @@
 
 Inputs are held in the form they were loaded: load_idx keeps the IDX
 file's uint8 pixels with their divisor (255), load_csv the float64 rows.
-fit_standardizer reads the converted inputs a block of rows at a time,
-and Standardizer.apply attaches the statistics beside the stored rows.
-Nothing standardizes the whole array: Inputs.columns converts and
-standardizes only the samples a forward reads (the trainer's batches and
-evaluation blocks), each entry as (x / divisor - mean) / std.
+fit_standardizer reads the inputs a block of rows at a time: uint8 pixels
+through their exact integer moments, float rows with the bits of the
+whole-array formula. Standardizer.apply attaches the statistics beside
+the stored rows. Nothing standardizes the whole array: Inputs.columns
+converts and standardizes only the samples a forward reads (the trainer's
+batches and evaluation blocks), each entry as (x / divisor - mean) / std.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -24,9 +26,11 @@ IDX_NUM_CLASSES = 10
 IDX_PIXEL_DIVISOR = 255.0
 STD_FLOOR = 1e-8
 # Entries per block of converted inputs in fit_standardizer. At 6000x784
-# the fit takes 13.9-16.0 ms in 32K-entry blocks, 13.8-18.3 ms in 16K,
-# 13.7-18.1 ms in 64K, 17.4-27.0 ms in 128K and more, and 23-29 ms as one
-# full-size temporary.
+# float64 inputs the fit takes 13.9-16.0 ms in 32K-entry blocks,
+# 13.8-18.3 ms in 16K, 13.7-18.1 ms in 64K, 17.4-27.0 ms in 128K and more,
+# and 23-29 ms as one full-size temporary. At 6000x784 uint8 pixels the
+# exact fit takes 5.7-5.9 ms in 32K-entry blocks, 5.6-5.9 ms in 16K and
+# 8.0-8.5 ms in 8K (2 BLAS threads).
 FIT_BLOCK = 1 << 15
 
 
@@ -84,10 +88,16 @@ class Inputs:
 
         Converting and standardizing preserve order, so this holds when it
         holds for each feature's smallest and largest stored entry; min
-        and max propagate NaN.
+        and max propagate NaN. Integer rows are checked at their dtype's
+        extremes, which bound every entry they can hold, with no scan.
         """
         x = self.stored
-        extremes = np.stack((np.min(x, axis=0), np.max(x, axis=0)))
+        if np.issubdtype(x.dtype, np.integer):
+            info = np.iinfo(x.dtype)
+            bounds = np.array([[info.min], [info.max]], dtype=x.dtype)
+            extremes = np.broadcast_to(bounds, (2,) + x.shape[1:])
+        else:
+            extremes = np.stack((np.min(x, axis=0), np.max(x, axis=0)))
         return _all_finite(replace(self, stored=extremes).rows(slice(None)))
 
 
@@ -256,18 +266,58 @@ def _row_sum(blocks) -> np.ndarray:
     return total
 
 
+def _pixel_moments(pixels: np.ndarray) -> tuple[list[int], list[int]]:
+    """Each column's sum and sum of squares of uint8 pixels, as ints.
+
+    Each is a float64 ones-vector product over row blocks of at most
+    FIT_BLOCK entries, converted into one reused buffer. Every partial sum
+    is an integer of at most 255^2 N, below 2^53 for N < 1.3e11 rows, so
+    float64 holds it exactly whatever order the sums take.
+    """
+    n, m0 = pixels.shape
+    rows = max(1, FIT_BLOCK // m0)
+    ones, buffer = np.ones(rows), np.empty((rows, m0))
+    sums, squares = np.zeros(m0), np.zeros(m0)
+    for start in range(0, n, rows):
+        part = pixels[start:start + rows]
+        block, weights = buffer[:len(part)], ones[:len(part)]
+        np.copyto(block, part)
+        sums += weights @ block
+        block *= block
+        squares += weights @ block
+    return sums.astype(np.int64).tolist(), squares.astype(np.int64).tolist()
+
+
 def fit_standardizer(train: Dataset) -> Standardizer:
     """Statistics from the training split only; stds floored at STD_FLOOR.
 
     Constant features end up with std equal to the floor, so they map to
-    exactly zero after centering. mean and std have the bits of mean(x)
-    and sqrt(mean((x - mean)^2)) over the inputs as a forward reads them.
-    numpy sums axis 0 of row-major inputs of two or more columns row by
-    row, so there both sums read the converted inputs about FIT_BLOCK
-    entries at a time (_row_sum). Other inputs are read as one block.
+    exactly zero after centering.
+
+    uint8 pixels read through an integer divisor d (every IDX load) are
+    fitted from exact integer moments S1 = sum x and S2 = sum x^2 of each
+    column (_pixel_moments): mean = S1 / (d N), correctly rounded, and
+    std = sqrt((N S2 - S1^2) / (d N)^2), the quotient of Python ints
+    correctly rounded before the square root, so within one ulp.
+
+    Other inputs keep the bits of mean(x) and sqrt(mean((x - mean)^2))
+    over the inputs as a forward reads them. numpy sums axis 0 of
+    row-major inputs of two or more columns row by row, so there both
+    sums read the converted inputs about FIT_BLOCK entries at a time
+    (_row_sum). Other inputs are read as one block.
     """
     inputs = train.inputs
     n, m0 = inputs.shape
+    divisor = inputs.divisor or 1.0
+    if inputs.stored.dtype == np.uint8 and float(divisor).is_integer():
+        scale = int(divisor) * n
+        sums, squares = _pixel_moments(inputs.stored)
+        mean = np.array(sums) / scale
+        std = np.array([
+            math.sqrt((n * q - s * s) / (scale * scale))
+            for s, q in zip(sums, squares)
+        ])
+        return Standardizer(mean=mean, std=np.maximum(std, STD_FLOOR))
     rows = n
     if m0 > 1 and inputs.stored.strides[0] > inputs.stored.strides[1]:
         rows = max(1, FIT_BLOCK // m0)

@@ -21,36 +21,6 @@ from .exceptions import NumericError, ShapeError
 DENSE_ORACLE_MAX_PARAMS = 5000
 
 
-def pack(shape, params) -> np.ndarray:
-    """Inverse of network.unpack: flatten per-layer (W, b) back into theta."""
-    parts = []
-    for (w, b), (_, _, m_out, m_in) in zip(params, shape.param_layout()):
-        w = np.asarray(w, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if w.shape != (m_out, m_in) or b.shape != (m_out,):
-            raise ShapeError(
-                f"layer block shapes {w.shape}/{b.shape} do not match "
-                f"({m_out}, {m_in})/({m_out},)"
-            )
-        parts.append(w.reshape(-1, order="F"))
-        parts.append(b)
-    return np.concatenate(parts)
-
-
-def activation_jacobian(kind: str, h, v) -> np.ndarray:
-    """Materialized jacobian dv/dh for one sample; v must equal act(h)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError("activation_jacobian expects a single sample")
-    if kind == network.LINEAR:
-        return np.eye(v.size)
-    if kind == network.LOGISTIC:
-        return np.diag(v * (1.0 - v))
-    if kind == network.SOFTMAX:
-        return np.diag(v) - np.outer(v, v)
-    raise ShapeError(f"unknown activation kind: {kind!r}")
-
-
 def loss_hessian_h(spec, cache) -> np.ndarray:
     """Closed-form loss Hessians w.r.t. h_L, shape (B, m_L, m_L).
 

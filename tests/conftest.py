@@ -2,12 +2,44 @@
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from smwopt import data, network
+from smwopt.exceptions import ShapeError
 from smwopt.oracles import fd_loss_gradient, make_net, random_targets  # noqa: F401
+
+
+def pack(shape, params) -> np.ndarray:
+    """Inverse of network.unpack: flatten per-layer (W, b) back into theta."""
+    parts = []
+    for (w, b), (_, _, m_out, m_in) in zip(params, shape.param_layout()):
+        w = np.asarray(w, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if w.shape != (m_out, m_in) or b.shape != (m_out,):
+            raise ShapeError(
+                f"layer block shapes {w.shape}/{b.shape} do not match "
+                f"({m_out}, {m_in})/({m_out},)"
+            )
+        parts.append(w.reshape(-1, order="F"))
+        parts.append(b)
+    return np.concatenate(parts)
+
+
+def activation_jacobian(kind: str, h, v) -> np.ndarray:
+    """Materialized jacobian dv/dh for one sample; v must equal act(h)."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ShapeError("activation_jacobian expects a single sample")
+    if kind == network.LINEAR:
+        return np.eye(v.size)
+    if kind == network.LOGISTIC:
+        return np.diag(v * (1.0 - v))
+    if kind == network.SOFTMAX:
+        return np.diag(v) - np.outer(v, v)
+    raise ShapeError(f"unknown activation kind: {kind!r}")
 
 
 def scalar_forward(sizes, acts, params, x):
@@ -51,6 +83,25 @@ def save_csv(path, dataset: data.Dataset) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in table:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def exact_pixel_statistics(pixels):
+    """The standardizer's mean and std of integer pixels read as x / 255.
+
+    pixels is (N, ...) with one sample per row. Each column's moments
+    S1 = sum x and S2 = sum x^2 are summed as Python ints; mean is
+    Fraction(S1, 255 N) rounded once, std the square root of the int
+    quotient (N S2 - S1^2) / (255 N)^2, floored at data.STD_FLOOR.
+    """
+    rows = np.asarray(pixels).reshape(len(pixels), -1)
+    n, scale = len(rows), 255 * len(rows)
+    mean, std = [], []
+    for column in rows.T.tolist():
+        s1, s2 = sum(column), sum(v * v for v in column)
+        mean.append(float(Fraction(s1, scale)))
+        var = (n * s2 - s1 * s1) / (scale * scale)
+        std.append(max(math.sqrt(var), data.STD_FLOOR))
+    return np.array(mean), np.array(std)
 
 
 def write_idx_pair(directory, images, labels):

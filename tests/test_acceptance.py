@@ -21,9 +21,9 @@ from smwopt.oracles import (
     loss_hessian_h,
     make_net,
     output_cache,
-    pack,
     random_targets,
 )
+from tests.conftest import pack
 
 
 def report(num, text):

@@ -11,7 +11,7 @@ import pytest
 
 from smwopt import cli, data, diff, network, optim, oracles, solver
 from smwopt.exceptions import ConfigError
-from tests.conftest import save_csv, write_idx_pair
+from tests.conftest import exact_pixel_statistics, save_csv, write_idx_pair
 
 
 def write_blob_csv(path, rng, n=40, m0=3, classes=2):
@@ -103,8 +103,7 @@ def test_load_datasets_holds_at_most_two_input_copies(tmp_path):
         tracemalloc.stop()
     assert peak <= 2.25 * images.size * 8
     x = images.reshape(2000, 784) / 255.0
-    mean = np.mean(x, axis=0)
-    std = np.maximum(np.sqrt(np.mean((x - mean) ** 2, axis=0)), data.STD_FLOOR)
+    mean, std = exact_pixel_statistics(images)
     assert np.array_equal(train.inputs.columns(slice(None)), ((x - mean) / std).T)
 
 
@@ -124,21 +123,18 @@ def test_load_datasets_holds_one_input_copy(tmp_path):
         tracemalloc.stop()
     assert peak <= 1.3 * images.size * 8
     x = images.reshape(2000, 784) / 255.0
-    mean = np.mean(x, axis=0)
-    std = np.maximum(np.sqrt(np.mean((x - mean) ** 2, axis=0)), data.STD_FLOOR)
+    mean, std = exact_pixel_statistics(images)
     assert np.array_equal(train.inputs.columns(slice(None)), ((x - mean) / std).T)
 
 
 def whole_array_inputs(pixels, standardize, test_pixels=None):
     """The inputs a forward reads, from the whole arrays: x / 255.0, then
-    - mean and / std with the training split's statistics."""
+    - mean and / std with the training split's exact statistics."""
     x = pixels.astype(np.float64)
     x /= 255.0
     tx = None if test_pixels is None else test_pixels.astype(np.float64) / 255.0
     if standardize:
-        mean = np.mean(x, axis=0)
-        std = np.sqrt(np.mean((x - mean) ** 2, axis=0))
-        std = np.maximum(std, data.STD_FLOOR)
+        mean, std = exact_pixel_statistics(pixels)
         x -= mean
         x /= std
         if tx is not None:
@@ -160,8 +156,9 @@ def write_split_pair(tmp_path, rng, n, n_test, side=4):
 
 class TestGather:
     """Every forward of the trainer reads columns gathered and standardized
-    by data.Inputs.columns, with the bits of the whole-array formula and
-    column-major, as when the whole array was standardized up front."""
+    by data.Inputs.columns, with the bits of (x - mean) / std over the
+    whole arrays and column-major, as when the whole array was
+    standardized up front."""
 
     @staticmethod
     def spy(monkeypatch):

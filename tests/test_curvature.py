@@ -10,9 +10,9 @@ from smwopt.oracles import (
     factored_jacobian,
     fd_loss_hessian_theta,
     make_net,
-    pack,
     random_targets,
 )
+from tests.conftest import pack
 
 
 class TestGnBlockGram:

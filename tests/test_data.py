@@ -1,11 +1,13 @@
 import struct
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from smwopt import data
 from smwopt.exceptions import DataFormatError
-from tests.conftest import save_csv, write_idx_pair
+from tests.conftest import exact_pixel_statistics, save_csv, write_idx_pair
 
 
 def read(inputs):
@@ -229,6 +231,87 @@ class TestBlockwiseFit:
         assert np.array_equal(columns, ((x - stats.mean) / stats.std).T)
 
 
+def pixel_dataset(pixels):
+    """pixels as an IDX load holds them: uint8 rows read through 255."""
+    inputs = data.Inputs(np.asarray(pixels, dtype=np.uint8), data.IDX_PIXEL_DIVISOR)
+    return data.Dataset(inputs, np.zeros((len(pixels), 1)))
+
+
+def exact_moments(pixels):
+    """Each column's sum and sum of squares, as Python ints."""
+    columns = np.asarray(pixels).T.tolist()
+    return [sum(c) for c in columns], [sum(v * v for v in c) for c in columns]
+
+
+class TestExactFit:
+    """uint8 pixels are fitted from exact integer moments: the mean is
+    correctly rounded and the std within one ulp."""
+
+    @pytest.mark.parametrize("rows", (5, 37, 50))
+    def test_statistics_around_the_block(self, rows, rng, monkeypatch):
+        """16-row blocks: under one block, 2 blocks and 5 rows, 3 and 2."""
+        monkeypatch.setattr(data, "FIT_BLOCK", 64)  # 16 rows of 4 columns
+        pixels = rng.integers(0, 256, size=(rows, 4))
+        pixels[:, 1], pixels[:, 2] = 0, 255
+        stats = data.fit_standardizer(pixel_dataset(pixels))
+        mean, std = exact_pixel_statistics(pixels)
+        assert np.array_equal(stats.mean, mean)
+        assert np.array_equal(stats.std, std)
+
+    def test_mean_correctly_rounded_std_within_one_ulp(self, rng):
+        rows = 3 * (data.FIT_BLOCK // 784) + 5
+        pixels = rng.integers(0, 256, size=(rows, 784))
+        stats = data.fit_standardizer(pixel_dataset(pixels))
+        scale = 255 * rows
+        for j, (s1, s2) in enumerate(zip(*exact_moments(pixels))):
+            assert stats.mean[j] == float(Fraction(s1, scale))
+            variance = Fraction(rows * s2 - s1 * s1, scale * scale)
+            below = Fraction(float(np.nextafter(stats.std[j], 0.0)))
+            above = Fraction(float(np.nextafter(stats.std[j], np.inf)))
+            assert below * below <= variance <= above * above
+
+    def test_constant_columns_read_exactly_zero(self):
+        """Every constant column, all-0 and all-255 included, gets the
+        floor for its std and reads exactly 0."""
+        pixels = np.tile(np.arange(256), (7, 1))
+        ds = pixel_dataset(pixels)
+        out = data.fit_standardizer(ds).apply(ds)
+        assert np.all(out.inputs.std == data.STD_FLOOR)
+        assert np.array_equal(read(out.inputs), np.zeros((7, 256)))
+
+    def test_float_fit_of_the_same_pixels_is_an_ulp_off(self, rng):
+        """The whole-array float formula over x / 255 misses the correctly
+        rounded mean in some column; the exact fit does not."""
+        pixels = rng.integers(0, 256, size=(600, 784))
+        stats = data.fit_standardizer(pixel_dataset(pixels))
+        exact = np.array([float(Fraction(s, 255 * 600)) for s in exact_moments(pixels)[0]])
+        float_mean, _ = whole_array_std(pixels / 255.0)
+        assert np.array_equal(stats.mean, exact)
+        assert np.any(float_mean != exact)
+
+    def test_pixels_never_take_the_float_route(self, rng, monkeypatch):
+        def refuse(blocks):
+            raise AssertionError("float route taken")
+
+        monkeypatch.setattr(data, "_row_sum", refuse)
+        pixels = rng.integers(0, 256, size=(50, 4))
+        stats = data.fit_standardizer(pixel_dataset(pixels))
+        assert np.array_equal(stats.mean, exact_pixel_statistics(pixels)[0])
+        with pytest.raises(AssertionError, match="float route"):
+            data.fit_standardizer(data.Dataset(pixels / 255.0, np.zeros((50, 1))))
+
+    def test_fit_holds_one_block_of_float64(self, rng):
+        """The fit's largest temporary is one FIT_BLOCK-entry float64 block."""
+        ds = pixel_dataset(rng.integers(0, 256, size=(2000, 784)))
+        tracemalloc.start()
+        try:
+            data.fit_standardizer(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.FIT_BLOCK * 8
+
+
 class TestDataset:
     def test_rejects_nan(self):
         with pytest.raises(DataFormatError):
@@ -241,6 +324,28 @@ class TestDataset:
         arrays[where][4, 1] = bad
         with pytest.raises(DataFormatError, match="NaN or Inf"):
             data.Dataset(**arrays)
+
+    def test_pixels_with_statistics_pass(self, rng):
+        """uint8 rows are checked at 0 and 255, which bound every pixel."""
+        pixels = rng.integers(0, 256, size=(30, 5))
+        pixels[:, 0] = 0
+        ds = pixel_dataset(pixels)
+        out = data.fit_standardizer(ds).apply(ds)
+        assert out.inputs.all_finite()
+
+    def test_pixels_are_checked_at_their_dtype_extremes(self):
+        """All-zero pixels whose 255 would overflow are refused: the check
+        reads the dtype's extremes, not the stored ones."""
+        tiny = np.full(2, 1e-320)
+        inputs = data.Inputs(np.zeros((3, 2), np.uint8), 255.0, np.zeros(2), tiny)
+        with np.errstate(over="ignore", divide="ignore"):
+            assert not inputs.all_finite()
+
+    @pytest.mark.parametrize("bad", (np.inf, -np.inf))
+    def test_float_rows_with_statistics_refuse_infinities(self, bad):
+        x = np.array([[1.0, bad], [2.0, 0.0]])
+        inputs = data.Inputs(x, divisor=255.0, mean=np.zeros(2), std=np.ones(2))
+        assert not inputs.all_finite()
 
     def test_accepts_extreme_finite_entries(self):
         big = np.finfo(float).max

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from smwopt import curvature, diff, loss, network
 from smwopt.counters import OpCounters
 from smwopt.exceptions import ShapeError
-from smwopt.oracles import pack
 from tests.conftest import (
     fd_loss_gradient,
     fd_preact_jacobian_product,
     make_net,
+    pack,
     random_targets,
 )
 

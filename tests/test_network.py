@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from smwopt import network
 from smwopt.counters import OpCounters
 from smwopt.exceptions import NumericError, ShapeError
-from smwopt.oracles import activation_jacobian, pack
-from tests.conftest import scalar_forward
+from tests.conftest import activation_jacobian, pack, scalar_forward
 
 
 class TestShapeAndPacking:

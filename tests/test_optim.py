@@ -7,6 +7,7 @@ import pytest
 from smwopt import curvature, damping, diff, loss, network, optim, oracles, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import ConfigError, NumericError
+from tests.conftest import pack
 
 
 def linear_regression_data(rng, n=8, m0=3, m_out=2):
@@ -222,7 +223,7 @@ class TestSmwStep:
         shape, spec, x, y = linear_regression_data(rng, n=8)
         design = np.hstack([x, np.ones((8, 1))])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        theta_star = oracles.pack(shape, [(coef[:3].T, coef[3])])
+        theta_star = pack(shape, [(coef[:3].T, coef[3])])
         config = optim.OptimizerConfig(
             method=optim.SMW_GN, n1=8, n2=8, alpha=1.0, lambda_lm=0.0, tau=1e-10
         )

@@ -5,6 +5,7 @@ from smwopt import curvature, diff, linalg, loss, network, oracles, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import ConfigError, NumericError, ShapeError
 from smwopt.oracles import make_net, random_targets, wider_batch_instance
+from tests.conftest import pack
 
 
 def build_instance(rng, kind, method, nb=4, hidden=None):
@@ -41,7 +42,7 @@ class TestSmwDirection:
     def test_zero_jacobian_degenerates_to_scaled_gradient(self, rng):
         # A saturated logistic output zeroes the activation jacobian, hence J.
         shape = network.NetworkShape((2, 1), ("logistic",))
-        theta = oracles.pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
+        theta = pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
         cache = network.forward(shape, theta, np.ones((2, 3)))
         spec = loss.LossSpec(loss.BINARY_CROSS_ENTROPY)
         y = np.zeros((1, 3))
@@ -493,7 +494,7 @@ class TestHfCg:
 
     def test_zero_jacobian_one_iteration(self, rng):
         shape = network.NetworkShape((2, 1), ("logistic",))
-        theta = oracles.pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
+        theta = pack(shape, [(np.zeros((1, 2)), np.array([800.0]))])
         cache = network.forward(shape, theta, np.ones((2, 3)))
         spec = loss.LossSpec(loss.BINARY_CROSS_ENTROPY)
         y = np.zeros((1, 3))
