@@ -7,7 +7,7 @@ Subpackages:
     diff       gradients, jvp/vjp w.r.t. h_L, factored dot products
     counters   per-sample operation counts
     curvature  Gram matrices and the small core systems
-    solver     Woodbury direction, CG baseline in an input-span basis
+    solver     Woodbury direction and the Hessian-free CG baseline
     damping    reduction ratio and the adaptive damping rule
     optim      training loops and batch sampling
     data       CSV / IDX loading and standardization

@@ -268,10 +268,11 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("config", "verify")}
     try:
-        if args.verify:
-            return oracles.verify(seed=build_config({}, overrides).seed)
         file_values = parse_config_file(args.config) if args.config else {}
-        return run(build_config(file_values, overrides))
+        config = build_config(file_values, overrides)
+        if args.verify:
+            return oracles.verify(seed=config.seed)
+        return run(config)
     except (ConfigError, DataFormatError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -23,12 +23,11 @@ PrefixVector, a multiple beta of g plus adjoints on S2's n2 columns.
 Its inner products, its dots with S2's backward factors and its jvp
 tangents read S1's Grams only through the blocks a PrefixFrame takes
 once per direction, at n2^2 cost per layer entry instead of n1^2. The
-trainer places g in its frame right after the gradient, and places p
-back on S1 once, as a FactoredVector (one adjoint column per sample of
-a SampleSpan, its layer inputs V_l and their Grams V_l^T V_l + 1), for
-the low-rank trial forward and theta + alpha p, the one
-parameter-length write. Placing S2's adjoints among S1's columns is
-PrefixVector.factored's alone.
+trainer places g, the gradient's factors over S1, in its frame right
+after the gradient, and places p back on S1 once, as BackpropFactors
+with one adjoint column per sample of S1, for the low-rank trial
+forward and theta + alpha p, the one parameter-length write. Placing
+S2's adjoints among S1's columns is PrefixVector.factored's alone.
 
 All kernels accept batched caches (samples as columns) and perform the
 per-sample recursions simultaneously; counters advance by the number of
@@ -113,56 +112,101 @@ def _layer_inputs(cache: ForwardCache) -> list[np.ndarray]:
 
 
 @dataclass
-class SampleSpan:
-    """A batch's layer inputs and their Grams: the frame of FactoredVector.
+class PrefixFrame:
+    """A factored g over S1 seen from its first n2 samples, S2.
 
-    layer_inputs[l-1] is V_{l-1}, (m_{l-1}, n), and grams[l-1] is
-    V_{l-1}^T V_{l-1} + 1, (n, n); the +1 pairs the bias blocks.
+    The frame of PrefixVector. With K_l = V_{l-1}^T V_{l-1} + 1 S1's
+    input Grams (the +1 pairs the bias blocks) and G_l g's adjoints
+    outside S2: grams[l-1] = K_l[:n2, :n2], cross[l-1] = G_l K_l[n2:, :n2],
+    tail_sq = sum_l vdot(G_l, G_l K_l[n2:, n2:]), and first_gram = K_1
+    for the low-rank trial forward.
     """
 
-    shape: NetworkShape
-    layer_inputs: list[np.ndarray]
+    g: BackpropFactors
     grams: list[np.ndarray]
+    cross: list[np.ndarray]
+    tail_sq: float
+    first_gram: np.ndarray
 
     @classmethod
-    def of(cls, cache: ForwardCache) -> "SampleSpan":
-        inputs = _layer_inputs(cache)
-        return cls(cache.shape, inputs, [v.T @ v + 1.0 for v in inputs])
+    def of(cls, g: BackpropFactors, n2: int) -> "PrefixFrame":
+        grams = [v.T @ v + 1.0 for v in g.layer_inputs]
+        tails = [a[:, n2:] for a in g.layer_adjoints]
+        return cls(
+            g=g,
+            grams=[k[:n2, :n2] for k in grams],
+            cross=[t @ k[n2:, :n2] for t, k in zip(tails, grams)],
+            tail_sq=float(sum(
+                np.vdot(t, t @ k[n2:, n2:]) for t, k in zip(tails, grams)
+            )),
+            first_gram=grams[0],
+        )
+
+    @property
+    def n2(self) -> int:
+        return self.grams[0].shape[0]
+
+    @property
+    def gradient(self) -> "PrefixVector":
+        """g itself: coefficient 1 and g's S2 adjoints."""
+        head = [np.ascontiguousarray(a[:, : self.n2]) for a in self.g.layer_adjoints]
+        return PrefixVector(self, head, np.ones(1))
+
+    def embed(self, factors: BackpropFactors, weights=None) -> "PrefixVector":
+        """The sum of S2's factored vectors, optionally weighted.
+
+        Unweighted, it takes over factors' adjoints.
+        """
+        adjoints = [
+            a if weights is None else a * weights for a in factors.layer_adjoints
+        ]
+        return PrefixVector(self, adjoints, np.zeros(1))
 
 
-class _PartwiseVector:
-    """Linear combinations of a vector held as a list of arrays, its parts.
+class PrefixVector:
+    """A vector of span{g} plus S2's factor space, over a frame's S1.
 
-    Each operation acts part by part. In-place operators write into the
-    parts, which a vector owns.
+    Every vector of a stochastic direction solve lies there, Woodbury's
+    and hf's alike, as the range of the curvature touches only S2's
+    columns. adjoints[l-1] is X_l, (m_l, n2), the vector's adjoints on
+    S2's columns, beta g's included; its adjoints on S1's other columns
+    are beta g's. beta is the one entry of coef, a part beside the
+    adjoints. Linear combinations act part by part, and in-place
+    operators write into the parts, which a vector owns. Inner products
+    and jvp tangents cost n2^2 per layer entry, not n1^2.
     """
 
     # numpy's operators on a packed left operand defer to the reflected ones.
     __array_ufunc__ = None
 
+    def __init__(self, frame: PrefixFrame, adjoints: list[np.ndarray], coef):
+        self.frame = frame
+        self.adjoints = adjoints
+        self.coef = coef
+
+    @property
+    def beta(self) -> float:
+        return float(self.coef[0])
+
     def _parts(self) -> list[np.ndarray]:
-        raise NotImplementedError
+        return [*self.adjoints, self.coef]
 
-    def _with(self, parts: list[np.ndarray]):
-        raise NotImplementedError
-
-    def _map(self, fn):
-        return self._with([fn(a) for a in self._parts()])
-
-    def _zip(self, other, fn):
-        return self._with([fn(a, b) for a, b in zip(self._parts(), other._parts())])
+    def _partwise(self, fn, *others) -> "PrefixVector":
+        """fn applied part by part to this vector and others, fresh."""
+        parts = [fn(*ps) for ps in zip(self._parts(), *(o._parts() for o in others))]
+        return PrefixVector(self.frame, parts[:-1], parts[-1])
 
     def __neg__(self):
-        return self._map(np.negative)
+        return self._partwise(np.negative)
 
     def __add__(self, other):
-        return self._zip(other, np.add)
+        return self._partwise(np.add, other)
 
     def __sub__(self, other):
-        return self._zip(other, np.subtract)
+        return self._partwise(np.subtract, other)
 
     def __mul__(self, scalar):
-        return self._map(lambda a: a * scalar)
+        return self._partwise(lambda a: a * scalar)
 
     __rmul__ = __mul__
 
@@ -187,122 +231,7 @@ class _PartwiseVector:
         return self
 
     def copy(self):
-        return self._map(np.copy)
-
-    def expand(self) -> np.ndarray:
-        """The packed parameter vector, fresh."""
-        raise NotImplementedError
-
-    def __radd__(self, packed) -> np.ndarray:
-        """packed + x: the one expansion, into a fresh array."""
-        out = self.expand()
-        out += packed
-        return out
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The expansion, so numpy functions read the packed vector."""
-        return np.asarray(self.expand(), dtype=dtype)
-
-
-class FactoredVector(_PartwiseVector):
-    """The parameter vector sum_i expand(a_i v_i^T, a_i) over a span's samples.
-
-    adjoints[l-1] is (m_l, n), one column a_i per sample, paired with the
-    span's layer inputs v_i. Linear combinations act on the adjoints, so
-    nothing parameter-length is formed before the expansion.
-    """
-
-    def __init__(self, span: SampleSpan, adjoints: list[np.ndarray]):
-        self.span = span
-        self.adjoints = adjoints
-
-    def _parts(self):
-        return self.adjoints
-
-    def _with(self, parts):
-        return FactoredVector(self.span, parts)
-
-    def expand(self) -> np.ndarray:
-        span = self.span
-        return BackpropFactors(
-            span.shape, self.adjoints, span.layer_inputs
-        ).expand_sum()
-
-
-@dataclass
-class PrefixFrame:
-    """A factored g over S1 seen from the span's first n2 samples, S2.
-
-    The frame of PrefixVector. With K_l S1's Grams and G_l g's adjoints
-    outside S2: grams[l-1] = K_l[:n2, :n2], cross[l-1] = G_l K_l[n2:, :n2]
-    and tail_sq = sum_l vdot(G_l, G_l K_l[n2:, n2:]).
-    """
-
-    g: FactoredVector
-    grams: list[np.ndarray]
-    cross: list[np.ndarray]
-    tail_sq: float
-
-    @classmethod
-    def of(cls, g: FactoredVector, n2: int) -> "PrefixFrame":
-        grams = g.span.grams
-        tails = [a[:, n2:] for a in g.adjoints]
-        return cls(
-            g=g,
-            grams=[k[:n2, :n2] for k in grams],
-            cross=[t @ k[n2:, :n2] for t, k in zip(tails, grams)],
-            tail_sq=float(sum(
-                np.vdot(t, t @ k[n2:, n2:]) for t, k in zip(tails, grams)
-            )),
-        )
-
-    @property
-    def n2(self) -> int:
-        return self.grams[0].shape[0]
-
-    @property
-    def gradient(self) -> "PrefixVector":
-        """g itself: coefficient 1 and g's S2 adjoints."""
-        head = [np.ascontiguousarray(a[:, : self.n2]) for a in self.g.adjoints]
-        return PrefixVector(self, head, np.ones(1))
-
-    def embed(self, factors: BackpropFactors, weights=None) -> "PrefixVector":
-        """The sum of S2's factored vectors, optionally weighted.
-
-        Unweighted, it takes over factors' adjoints.
-        """
-        adjoints = [
-            a if weights is None else a * weights for a in factors.layer_adjoints
-        ]
-        return PrefixVector(self, adjoints, np.zeros(1))
-
-
-class PrefixVector(_PartwiseVector):
-    """A vector of span{g} plus S2's factor space, over a frame's S1.
-
-    Every vector of a stochastic direction solve lies there, Woodbury's
-    and hf's alike, as the range of the curvature touches only S2's
-    columns. adjoints[l-1] is X_l, (m_l, n2), the vector's adjoints on
-    S2's columns, beta g's included; its adjoints on S1's other columns
-    are beta g's. beta is the one entry of coef, a part beside the
-    adjoints. Inner products and jvp tangents cost n2^2 per layer entry,
-    not n1^2.
-    """
-
-    def __init__(self, frame: PrefixFrame, adjoints: list[np.ndarray], coef):
-        self.frame = frame
-        self.adjoints = adjoints
-        self.coef = coef
-
-    @property
-    def beta(self) -> float:
-        return float(self.coef[0])
-
-    def _parts(self):
-        return [*self.adjoints, self.coef]
-
-    def _with(self, parts):
-        return PrefixVector(self.frame, parts[:-1], parts[-1])
+        return self._partwise(np.copy)
 
     def __matmul__(self, other) -> float:
         """Inner product: sum_l [vdot(X_x, X_y K11) + b_y vdot(X_x, P)
@@ -326,19 +255,30 @@ class PrefixVector(_PartwiseVector):
             out.append(z)
         return out
 
-    def factored(self) -> FactoredVector:
-        """This vector over S1: its S2 adjoints on the span's first
-        columns, beta g's on the others."""
+    def factored(self) -> BackpropFactors:
+        """This vector over S1, one adjoint column per sample: its S2
+        adjoints on the first columns, beta g's on the others."""
         g = self.frame.g
         adjoints = []
-        for x, ga in zip(self.adjoints, g.adjoints):
+        for x, ga in zip(self.adjoints, g.layer_adjoints):
             full = ga * self.beta
             full[:, : x.shape[1]] = x
             adjoints.append(full)
-        return FactoredVector(g.span, adjoints)
+        return BackpropFactors(g.shape, adjoints, g.layer_inputs)
 
     def expand(self) -> np.ndarray:
-        return self.factored().expand()
+        """The packed parameter vector, fresh."""
+        return self.factored().expand_sum()
+
+    def __radd__(self, packed) -> np.ndarray:
+        """packed + x: the one expansion, into a fresh array."""
+        out = self.expand()
+        out += packed
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The expansion, so numpy functions read the packed vector."""
+        return np.asarray(self.expand(), dtype=dtype)
 
 
 def norm(x) -> float:
@@ -377,13 +317,14 @@ def gradient(
     spec: loss_mod.LossSpec,
     counters: OpCounters | None = None,
     factored: bool = False,
-) -> tuple[np.ndarray | FactoredVector, BackpropFactors]:
+) -> tuple[np.ndarray | BackpropFactors, BackpropFactors]:
     """Backward pass for the loss gradient: vjp of the loss gradient in h_L.
 
     Returns the gradient, the mean over the cache's sample columns, packed
-    or, with factored=True, as a FactoredVector over the cache's samples,
-    together with the per-sample factors for Gram reuse. It counts as one
-    backward pass per column, not as vjp products.
+    or, with factored=True, as factors whose adjoints are the per-sample
+    ones divided by the column count, together with the per-sample factors
+    for Gram reuse. It counts as one backward pass per column, not as vjp
+    products.
     """
     if cache.ncols == 0:
         raise ShapeError("empty cache")
@@ -392,10 +333,12 @@ def gradient(
     if counters is not None:
         counters.backward_passes += cache.ncols
     if factored:
-        g = FactoredVector(
-            SampleSpan.of(cache), [a.copy() for a in factors.layer_adjoints]
+        n = cache.ncols
+        g = BackpropFactors(
+            shape, [a / n for a in factors.layer_adjoints], factors.layer_inputs
         )
-    g /= cache.ncols
+    else:
+        g /= cache.ncols
     return g, factors
 
 

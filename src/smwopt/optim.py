@@ -17,11 +17,12 @@ In stochastic mode, where S2 is a prefix of S1, every curvature method
 keeps g and p in factor space: g goes into its diff.PrefixFrame once,
 right after the gradient, and the direction solver (smw_direction, or
 hf_cg_direction for hf) sees and returns only diff.PrefixVectors, from
-which grad_norm and step_norm are read. p is placed on S1 once, as a
-diff.FactoredVector; the trial forward is network.forward_low_rank from
-the layer-1 pre-activation the step's own forward kept, and
-theta + alpha * p is the step's one parameter-length write. The
-semi-stochastic step, whose S1 is the whole data set, stays packed.
+which grad_norm and step_norm are read. p is placed on S1 once, as
+diff.BackpropFactors; the trial forward is network.forward_low_rank from
+the layer-1 pre-activation the step's own forward kept and the frame's
+first-layer Gram, and theta + alpha * p is the step's one
+parameter-length write. The semi-stochastic step, whose S1 is the whole
+data set, stays packed.
 
 Every forward reads its inputs through data.Inputs.columns, which
 converts and standardizes only the samples it gathers: each stochastic
@@ -285,7 +286,8 @@ class Trainer:
             factored=factored,
         )
         if factored:
-            g = diff.PrefixFrame.of(g, positions.size).gradient
+            frame = diff.PrefixFrame.of(g, positions.size)
+            g = frame.gradient
         lam_used = self.damping.lam
         result = self._direction(positions, cache1, g, gfactors)
         grad_norm = diff.norm(g)
@@ -296,7 +298,7 @@ class Trainer:
         if factored:
             p = p.factored()  # placed on S1, the step's one placement
             trial_cache = forward_low_rank(
-                self.shape, self.theta, cache1, p.adjoints, p.span.grams[0],
+                self.shape, self.theta, cache1, p.layer_adjoints, frame.first_gram,
                 self.counters,
             )
         else:
@@ -315,8 +317,11 @@ class Trainer:
                 self.theta = trial
             self._iterate = (self.theta, trial_cache if accepted else cache1)
         else:
-            # The placed p expands once, into theta + alpha * p.
-            self.theta = self.theta + self.config.alpha * p
+            # The placed p expands once, each adjoint scaled by alpha, into
+            # the fresh array that becomes theta + alpha * p.
+            step = p.expand_sum(weights=np.full(p.ncols, self.config.alpha))
+            step += self.theta
+            self.theta = step
         return self._record(
             batch_loss=f_before,
             rho=report.rho,

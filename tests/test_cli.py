@@ -12,6 +12,7 @@ import pytest
 from smwopt import cli, data, diff, network, optim, oracles, solver
 from smwopt.exceptions import ConfigError
 from tests.conftest import exact_pixel_statistics, save_csv, write_idx_pair
+from tests.test_acceptance import synthetic_digits_idx
 
 
 def write_blob_csv(path, rng, n=40, m0=3, classes=2):
@@ -632,6 +633,10 @@ class TestVerify:
             assert out.count("FAIL") == 1
 
     def test_injected_error_fails(self, capsys, monkeypatch):
+        """Packed gradients biased by 1e-3. Finite differences see it, and so
+        does the trainer line, whose stochastic steps take an unbiased
+        factored g against the dense solve's biased packed one; every other
+        check has the same biased g on both sides."""
         gradient = diff.gradient
 
         def biased(*args, **kwargs):
@@ -641,7 +646,29 @@ class TestVerify:
 
         monkeypatch.setattr(diff, "gradient", biased)
         assert oracles.verify(seed=0) == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        failed = {line.split(":")[0][5:] for line in out.splitlines() if "FAIL" in line}
+        assert failed == {
+            "gradient_vs_finite_differences", "trainer_step_vs_dense_direction"
+        }
+
+    def test_each_group_draws_from_its_own_generator(self, capsys, monkeypatch):
+        """One more draw in the backward-error group's instances moves that
+        line alone; every other line, the margins included, is unchanged."""
+        oracles.verify(seed=0)
+        clean = capsys.readouterr().out.splitlines()
+        case = oracles._backward_error_case
+
+        def one_more_draw(rng, *args):
+            rng.random()
+            return case(rng, *args)
+
+        monkeypatch.setattr(oracles, "_backward_error_case", one_more_draw)
+        oracles.verify(seed=0)
+        perturbed = capsys.readouterr().out.splitlines()
+        assert len(perturbed) == len(clean)
+        moved = [a.split(":")[0] for a, b in zip(clean, perturbed) if a != b]
+        assert moved == ["PASS smw_backward_error_wider_batch"]
 
     def test_solve_without_refinement_fails(self, capsys, monkeypatch):
         """Every other Woodbury check runs at lambda >= 1e-3, above
@@ -673,17 +700,23 @@ class TestVerify:
         assert out.count("FAIL") == 1
 
     def test_grams_without_bias_term_fail(self, capsys, monkeypatch):
-        """S1 input Grams without the +1 that pairs the bias blocks: every
-        factored inner product, U^T g, the factored jvp tangents and the
-        low-rank trial forward go wrong, and only the factored checks read
-        them."""
-        span_of = diff.SampleSpan.of.__func__
+        """S1 input Grams without the +1 that pairs the bias blocks, in
+        every block a frame takes: every factored inner product, U^T g,
+        the factored jvp tangents and the low-rank trial forward go wrong,
+        and only the factored checks read them."""
 
-        def no_bias(cls, cache):
-            span = span_of(cls, cache)
-            return cls(span.shape, span.layer_inputs, [k - 1.0 for k in span.grams])
+        def no_bias(cls, g, n2):
+            grams = [v.T @ v for v in g.layer_inputs]
+            tails = [a[:, n2:] for a in g.layer_adjoints]
+            return cls(
+                g,
+                [k[:n2, :n2] for k in grams],
+                [t @ k[n2:, :n2] for t, k in zip(tails, grams)],
+                float(sum(np.vdot(t, t @ k[n2:, n2:]) for t, k in zip(tails, grams))),
+                grams[0],
+            )
 
-        monkeypatch.setattr(diff.SampleSpan, "of", classmethod(no_bias))
+        monkeypatch.setattr(diff.PrefixFrame, "of", classmethod(no_bias))
         assert oracles.verify(seed=0) == 1
         out = capsys.readouterr().out
         assert "FAIL factored_vs_dense_direction" in out
@@ -699,12 +732,12 @@ class TestVerify:
         def shifted(x):
             g = x.frame.g
             adjoints = []
-            for a, ga in zip(x.adjoints, g.adjoints):
+            for a, ga in zip(x.adjoints, g.layer_adjoints):
                 full = ga * x.beta
                 off = int(a.shape[1] < full.shape[1])
                 full[:, off : a.shape[1] + off] = a
                 adjoints.append(full)
-            return diff.FactoredVector(g.span, adjoints)
+            return diff.BackpropFactors(g.shape, adjoints, g.layer_inputs)
 
         monkeypatch.setattr(diff.PrefixVector, "factored", shifted)
         assert oracles.verify(seed=0) == 1
@@ -816,6 +849,18 @@ class TestVerify:
         assert cli.main(["--verify"]) == 0
         assert "model_decrease_bound_margin" in capsys.readouterr().out
 
+    def test_main_verify_reads_the_config_file(self, tmp_path, capsys):
+        """--verify takes its seed from --config as training does, and a
+        missing config file is a configuration error there too."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=3\n")
+        assert cli.main(["--verify", "--seed", "3"]) == 0
+        expected = capsys.readouterr().out
+        assert cli.main(["--verify", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+        assert cli.main(["--verify", "--config", str(tmp_path / "none.cfg")]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 # One smw-gn step through the library, then report whether scipy was
 # imported along the way. numpy is the only declared dependency, so nothing
@@ -839,14 +884,51 @@ print("scipy" in sys.modules)
 """
 
 
-def run_python(*args, check=False):
-    """Run this interpreter on the checkout's src/ and capture its output."""
+def run_python(*args, check=False, **env):
+    """Run this interpreter on the checkout's src/ and capture its output.
+
+    Keyword arguments are set in its environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = dict(os.environ, **env, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=check
     )
+
+
+# Relative bound on a metrics float that differs between 1 and 2 OpenBLAS
+# threads. On 784-30-10 over 600 synthetic digits, smw-gn, hf and smw-ng at
+# seeds 0-5 differed by at most 2.2e-15 (smw-ng's rho).
+THREAD_ROUNDING = 1e-14
+
+
+def test_blas_thread_count_moves_only_float_rounding(tmp_path):
+    """One smw-gn run at 1 and at 2 BLAS threads: lambda and the counters
+    are identical, and every other float but wall time agrees to
+    THREAD_ROUNDING."""
+    images, labels = synthetic_digits_idx(tmp_path, n=600)
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"metrics-{threads}.csv"
+        result = run_python(
+            "-m", "smwopt", "--train-images", str(images), "--train-labels",
+            str(labels), "--layers", "784,30,10", "--loss", "softmax_cross_entropy",
+            "--method", "smw-gn", "--n1", "60", "--n2", "30", "--epochs", "1",
+            "--eval-interval", "5", "--out", str(out),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        assert result.returncode == 0, result.stderr
+        runs.append(read_metrics(out))
+    (header, one), (_, two) = runs
+    assert len(one) == len(two) == 10
+    exact = {"iter", "epoch_frac", "lambda", *header[header.index("wall_time_s") + 1 :]}
+    for row_one, row_two in zip(one, two):
+        for name, a, b in zip(header, row_one, row_two):
+            if name in exact:
+                assert a == b, name
+            elif name != "wall_time_s" and a != b:
+                x, y = float(a), float(b)
+                assert abs(x - y) <= THREAD_ROUNDING * max(abs(x), abs(y)), name
 
 
 def test_training_path_does_not_import_scipy():

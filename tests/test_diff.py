@@ -64,6 +64,25 @@ class TestGradient:
             singles.append(gi)
         assert np.max(np.abs(g - np.mean(singles, axis=0))) < 1e-14
 
+    @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
+    def test_factored_gradient_expands_to_packed(self, kind, rng):
+        """factored=True: the per-sample adjoints over the batch size, on
+        the cache's layer inputs."""
+        shape, spec, theta = make_net(rng, kind, hidden=[5, 4])
+        x = rng.normal(size=(shape.input_size, 6))
+        y = random_targets(rng, kind, shape.output_size, 6)
+        cache = network.forward(shape, theta, x)
+        counters = OpCounters()
+        g, factors = diff.gradient(shape, theta, cache, y, spec, counters, factored=True)
+        packed, _ = diff.gradient(shape, theta, cache, y, spec)
+        assert isinstance(g, diff.BackpropFactors)
+        assert g.layer_inputs is factors.layer_inputs
+        expanded = g.expand_sum()
+        assert np.max(np.abs(expanded - packed)) <= 1e-15 * np.max(np.abs(packed))
+        assert counters == OpCounters(backward_passes=6)
+        for a, full in zip(factors.layer_adjoints, g.layer_adjoints):
+            assert np.array_equal(full, a / 6)
+
     def test_counter_one_forward_one_backward(self, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
         counters = OpCounters()
@@ -338,22 +357,8 @@ class TestFactoredDot:
 
 
 class TestFactoredVector:
-    """Vectors kept as adjoints over a batch's samples against their
-    expansions: a FactoredVector over the span, or, for the inner
-    products, dots and jvp tangents that only it has, a PrefixVector over
-    the span's first 3 columns."""
-
-    def _pair(self, rng, n=5, hidden=(5, 4)):
-        shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=hidden)
-        cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, n)))
-        span = diff.SampleSpan.of(cache)
-        x, y = (
-            diff.FactoredVector(
-                span, [rng.normal(size=(m, n)) for m in shape.layer_sizes[1:]]
-            )
-            for _ in range(2)
-        )
-        return shape, theta, cache, span, x, y
+    """Vectors kept as adjoints over a batch's samples, here PrefixVectors
+    on the first 3 of 5 columns, against their expansions."""
 
     def test_inner_products_and_norm_match_expansion(self, rng):
         *_, x, y = TestPrefixVector()._frame(rng)
@@ -364,23 +369,23 @@ class TestFactoredVector:
         assert diff.norm(ex) == float(np.linalg.norm(ex))
 
     def test_linear_combinations_match_expansion(self, rng):
-        _, _, _, _, x, y = self._pair(rng)
+        *_, x, y = TestPrefixVector()._frame(rng)
         ex, ey = x.expand(), y.expand()
         scale = 1.0 + np.max(np.abs(ex)) + np.max(np.abs(ey))
         for got, expected in (
             (-x, -ex), (x + y, ex + ey), (x - y, ex - ey), (2.5 * x, 2.5 * ex),
             (x * 2.5, 2.5 * ex),
         ):
-            assert isinstance(got, diff.FactoredVector)
+            assert isinstance(got, diff.PrefixVector)
             assert np.max(np.abs(got.expand() - expected)) <= 1e-14 * scale
-        z = x - y  # owns its adjoints
+        z = x - y  # owns its parts
         z -= y
         z /= 4.0
         assert np.max(np.abs(z.expand() - (ex - 2 * ey) / 4.0)) <= 1e-14 * scale
         assert np.max(np.abs(x.expand() - ex)) == 0.0
 
     def test_in_place_operators_and_copy(self, rng):
-        _, _, _, _, x, y = self._pair(rng)
+        *_, x, y = TestPrefixVector()._frame(rng)
         ex, ey = x.expand(), y.expand()
         scale = 1.0 + np.max(np.abs(ex)) + np.max(np.abs(ey))
         z = x.copy()
@@ -388,16 +393,7 @@ class TestFactoredVector:
         z *= 2.5
         assert np.max(np.abs(z.expand() - 2.5 * (ex + ey))) <= 1e-14 * scale
         assert np.array_equal(x.expand(), ex)
-        assert all(not np.shares_memory(a, b) for a, b in zip(x.adjoints, z.adjoints))
-
-    def test_array_is_the_expansion(self, rng):
-        """numpy functions read a factored vector as its expansion."""
-        _, _, _, _, x, _ = self._pair(rng)
-        ex = x.expand()
-        assert np.array_equal(np.asarray(x), ex)
-        assert np.linalg.norm(x) == np.linalg.norm(ex)
-        *_, px, _ = TestPrefixVector()._frame(rng)
-        assert np.array_equal(np.asarray(px), px.expand())
+        assert not any(np.shares_memory(a, b) for a, b in zip(x._parts(), z._parts()))
 
     @pytest.mark.parametrize("hidden", ([5, 4], [5, 4, 3]), ids=("two", "three"))
     def test_jvp_of_a_factored_tangent_matches_its_expansion(self, hidden, rng):
@@ -412,82 +408,20 @@ class TestFactoredVector:
         )
         assert counters == OpCounters(jvp_products=3)
 
-    def test_added_to_packed_is_one_fresh_expansion(self, rng):
-        _, _, _, _, x, _ = self._pair(rng)
-        theta = rng.normal(size=x.expand().size)
-        before = theta.copy()
-        out = theta + x
-        assert isinstance(out, np.ndarray) and out is not theta
-        assert np.array_equal(theta, before)
-        assert np.array_equal(out, x.expand() + theta)
-
-    def test_dots_with_matches_packed(self, rng):
-        """A curvature batch S2 reads U^T x from the frame's blocks of S1's
-        Grams, with one and with m_L vectors per sample."""
-        shape, theta, cache, _, _, x, _ = TestPrefixVector()._frame(rng)
-        prefix = cache.cols(slice(0, 3))
-        seeds = rng.normal(size=(shape.output_size, 3, shape.output_size))
-        _, gn = diff.vjp(shape, theta, prefix, seeds, expand=False)
-        _, ng = diff.vjp(shape, theta, prefix, seeds[:, :, 0], expand=False)
-        packed = x.expand()
-        for factors in (gn, ng):
-            expected = factors.dots_with(packed)
-            got = factors.dots_with(x)
-            assert np.max(np.abs(got - expected)) <= 1e-12 * (
-                1.0 + np.max(np.abs(expected))
-            )
-
-    def test_embed_pads_a_prefix_and_weights_it(self, rng):
-        """S2's factors summed in g's frame with weights, then placed on S1:
-        S2's adjoints weighted on the span's first columns, and beta g's,
-        zero here, on the others."""
-        shape, theta, cache, _, g, _ = self._pair(rng)
-        seeds = rng.normal(size=(shape.output_size, 3))
-        _, factors = diff.vjp(shape, theta, cache.cols(slice(0, 3)), seeds)
-        w = rng.normal(size=3)
-        y = diff.PrefixFrame.of(g, 3).embed(factors, weights=w)
-        assert y.beta == 0.0
-        x = y.factored()
-        assert x.span is g.span
-        for a, full in zip(factors.layer_adjoints, x.adjoints):
-            assert np.array_equal(full[:, :3], a * w)
-            assert not full[:, 3:].any()
-        expected = factors.expand_sum(weights=w)
-        assert np.max(np.abs(x.expand() - expected)) <= 1e-14 * np.max(np.abs(expected))
-
-    def test_rounding_negative_square_reads_zero_norm(self):
-        """Grams are positive semidefinite only up to rounding; a square
-        that rounds below zero is a zero norm, not a sqrt error."""
-        gram = np.array([[1.0, 1.0 + 2.0**-52], [1.0 + 2.0**-52, 1.0]])
-        frame = diff.PrefixFrame(
-            g=None, grams=[gram], cross=[np.zeros((1, 2))], tail_sq=0.0
-        )
-        x = diff.PrefixVector(frame, [np.array([[1.0, -1.0]])], np.zeros(1))
-        assert x @ x < 0.0
-        assert x.norm() == 0.0
-
-    @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
-    def test_factored_gradient_expands_to_packed(self, kind, rng):
-        shape, spec, theta = make_net(rng, kind, hidden=[5, 4])
-        x = rng.normal(size=(shape.input_size, 6))
-        y = random_targets(rng, kind, shape.output_size, 6)
-        cache = network.forward(shape, theta, x)
-        counters = OpCounters()
-        g, factors = diff.gradient(shape, theta, cache, y, spec, counters, factored=True)
-        packed, _ = diff.gradient(shape, theta, cache, y, spec)
-        assert isinstance(g, diff.FactoredVector)
-        assert np.max(np.abs(g.expand() - packed)) <= 1e-15 * np.max(np.abs(packed))
-        assert counters == OpCounters(backward_passes=6)
-        for a, full in zip(factors.layer_adjoints, g.adjoints):
-            assert np.array_equal(full, a / 6)
-
 
 class TestPrefixVector:
-    """Vectors held as a multiple of g plus adjoints on the first 3 of g's 5
-    span columns, against the same vectors factored over the whole span."""
+    """Vectors held as a multiple of g plus adjoints on the first 3 of the
+    5 columns of g's factors over S1, against the same vectors placed on
+    S1 and their expansions."""
 
     def _frame(self, rng, hidden=(5, 4)):
-        shape, theta, cache, _, g, _ = TestFactoredVector()._pair(rng, hidden=hidden)
+        shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=hidden)
+        cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 5)))
+        g = diff.BackpropFactors(
+            shape,
+            [rng.normal(size=(m, 5)) for m in shape.layer_sizes[1:]],
+            [cache.v(l) for l in range(shape.num_layers)],
+        )
         frame = diff.PrefixFrame.of(g, 3)
         x, y = (
             diff.PrefixVector(
@@ -502,44 +436,109 @@ class TestPrefixVector:
     def test_factored_places_the_prefix_and_g_elsewhere(self, rng):
         _, _, _, g, frame, x, _ = self._frame(rng)
         got = x.factored()
-        assert got.span is g.span
-        for full, a, ga in zip(got.adjoints, x.adjoints, g.adjoints):
+        assert got.layer_inputs is g.layer_inputs
+        for full, a, ga in zip(got.layer_adjoints, x.adjoints, g.layer_adjoints):
             assert np.array_equal(full[:, :3], a)
             assert np.array_equal(full[:, 3:], x.beta * ga[:, 3:])
-        for full, ga in zip(frame.gradient.factored().adjoints, g.adjoints):
+        for full, ga in zip(frame.gradient.factored().layer_adjoints, g.layer_adjoints):
             assert np.array_equal(full, ga)
 
     def test_inner_products_and_norm_match_factored(self, rng):
         """Among them g itself, whose norm the trainer reads as grad_norm."""
         _, _, _, g, frame, x, _ = self._frame(rng)
         gx = frame.gradient
-        eg, ex = g.expand(), x.factored().expand()
+        eg, ex = g.expand_sum(), x.expand()
         assert gx @ x == pytest.approx(float(eg @ ex), rel=1e-12)
         assert x @ gx == pytest.approx(float(eg @ ex), rel=1e-12)
         assert diff.norm(gx) == pytest.approx(float(np.linalg.norm(eg)), rel=1e-12)
 
     def test_linear_combinations_act_on_beta_too(self, rng):
         _, _, _, _, _, x, y = self._frame(rng)
-        fx, fy = x.factored(), y.factored()
+        ex, ey = x.expand(), y.expand()
+        scale = 1.0 + np.max(np.abs(ex)) + np.max(np.abs(ey))
         z = x - y * 2.0
         z += x
         z *= 0.5
+        z /= 4.0
         assert isinstance(z, diff.PrefixVector)
-        assert z.beta == pytest.approx(x.beta - y.beta, rel=1e-15)
-        expected = (fx * 2.0 - fy * 2.0) * 0.5
-        for a, b in zip(z.factored().adjoints, expected.adjoints):
-            assert np.max(np.abs(a - b)) <= 1e-14 * (1.0 + np.max(np.abs(b)))
+        assert z.beta == pytest.approx((x.beta - y.beta) / 4.0, rel=1e-15)
+        assert np.max(np.abs(z.expand() - (ex - ey) / 4.0)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("hidden", ([5, 4], [5, 4, 3]), ids=("two", "three"))
     def test_jvp_matches_factored_tangent(self, hidden, rng):
         """g itself as the tangent: beta 1 and g's S2 adjoints."""
         shape, theta, cache, g, frame, _, _ = self._frame(rng, hidden=hidden)
         prefix = cache.cols(slice(0, 3))
-        got = diff.jvp(shape, theta, prefix, frame.gradient)
-        expected = diff.jvp(shape, theta, prefix, g.expand())
+        counters = OpCounters()
+        got = diff.jvp(shape, theta, prefix, frame.gradient, counters)
+        expected = diff.jvp(shape, theta, prefix, g.expand_sum())
         assert np.max(np.abs(got - expected)) <= 1e-12 * (
             1.0 + np.max(np.abs(expected))
         )
+        assert counters == OpCounters(jvp_products=3)
+
+    def test_array_is_the_expansion(self, rng):
+        """numpy functions read a vector in g's frame as its expansion."""
+        *_, x, _ = self._frame(rng)
+        ex = x.expand()
+        assert np.array_equal(np.asarray(x), ex)
+        assert np.linalg.norm(x) == np.linalg.norm(ex)
+
+    def test_added_to_packed_is_one_fresh_expansion(self, rng):
+        *_, x, _ = self._frame(rng)
+        theta = rng.normal(size=x.expand().size)
+        before = theta.copy()
+        out = theta + x
+        assert isinstance(out, np.ndarray) and out is not theta
+        assert np.array_equal(theta, before)
+        assert np.array_equal(out, x.expand() + theta)
+
+    def test_dots_with_matches_packed(self, rng):
+        """A curvature batch S2 reads U^T x from the frame's blocks of S1's
+        Grams, with one and with m_L vectors per sample."""
+        shape, theta, cache, _, _, x, _ = self._frame(rng)
+        prefix = cache.cols(slice(0, 3))
+        seeds = rng.normal(size=(shape.output_size, 3, shape.output_size))
+        _, gn = diff.vjp(shape, theta, prefix, seeds, expand=False)
+        _, ng = diff.vjp(shape, theta, prefix, seeds[:, :, 0], expand=False)
+        packed = x.expand()
+        for factors in (gn, ng):
+            expected = factors.dots_with(packed)
+            got = factors.dots_with(x)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * (
+                1.0 + np.max(np.abs(expected))
+            )
+
+    def test_embed_pads_a_prefix_and_weights_it(self, rng):
+        """S2's factors summed in g's frame with weights, then placed on S1:
+        S2's adjoints weighted on S1's first columns, and beta g's, zero
+        here, on the others."""
+        shape, theta, cache, g, frame, _, _ = self._frame(rng)
+        seeds = rng.normal(size=(shape.output_size, 3))
+        _, factors = diff.vjp(shape, theta, cache.cols(slice(0, 3)), seeds)
+        w = rng.normal(size=3)
+        y = frame.embed(factors, weights=w)
+        assert y.beta == 0.0
+        x = y.factored()
+        assert x.layer_inputs is g.layer_inputs
+        for a, full in zip(factors.layer_adjoints, x.layer_adjoints):
+            assert np.array_equal(full[:, :3], a * w)
+            assert not full[:, 3:].any()
+        expected = factors.expand_sum(weights=w)
+        got = x.expand_sum()
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_rounding_negative_square_reads_zero_norm(self):
+        """Grams are positive semidefinite only up to rounding; a square
+        that rounds below zero is a zero norm, not a sqrt error."""
+        gram = np.array([[1.0, 1.0 + 2.0**-52], [1.0 + 2.0**-52, 1.0]])
+        frame = diff.PrefixFrame(
+            g=None, grams=[gram], cross=[np.zeros((1, 2))], tail_sq=0.0,
+            first_gram=None,
+        )
+        x = diff.PrefixVector(frame, [np.array([[1.0, -1.0]])], np.zeros(1))
+        assert x @ x < 0.0
+        assert x.norm() == 0.0
 
 
 def test_mixed_hidden_activations(rng):

@@ -295,7 +295,7 @@ class TestFactoredDirection:
             shape, theta, cache.cols([0, 1]), spec, gfactors.cols([0, 1]), 0.5, method
         )
         res = solver.smw_direction(shape, theta, system, g)
-        assert all(not a.any() for a in res.p.factored().adjoints)
+        assert all(not a.any() for a in res.p.factored().layer_adjoints)
         assert res.grad_dot == res.quad_term == res.step_norm == 0.0
 
     @pytest.mark.parametrize("lam", (1.0, 1e-8))
@@ -374,7 +374,7 @@ def _hf_against_dense(instance, monkeypatch):
 
 def _on_curvature_columns(vectors, g, n2):
     """Every vector is a multiple of g plus (m_l, n2) adjoints on S2's columns."""
-    shapes = [(m, n2) for m in g.frame.g.span.shape.layer_sizes[1:]]
+    shapes = [(m, n2) for m in g.frame.g.shape.layer_sizes[1:]]
     return all(
         isinstance(v, diff.PrefixVector)
         and v.frame is g.frame
@@ -453,9 +453,10 @@ class TestHfCg:
     def test_cg_vectors_are_factored_over_the_gradient_batch(self, rng, monkeypatch):
         """A 784-input net, a 60-column gradient batch and a 30-column
         curvature batch: with g placed in its frame, every CG vector is a
-        multiple of g plus one adjoint column per S2 sample, no Gram of S1
-        is read, nothing is placed on S1 or expanded to parameter length,
-        and p comes back in g's frame, to be placed on S1 once."""
+        multiple of g plus one adjoint column per S2 sample, the frame's
+        first-layer Gram of S1 is not read, nothing is placed on S1 or
+        expanded to parameter length, and p comes back in g's frame, to be
+        placed on S1 once."""
         shape = network.NetworkShape((784, 8, 10), (network.LOGISTIC, network.SOFTMAX))
         spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY)
         theta = network.init_theta(shape, rng)
@@ -463,7 +464,7 @@ class TestHfCg:
         y1 = random_targets(rng, spec.kind, 10, 60)
         cache1 = network.forward(shape, theta, x1)
         g = _frame_gradient(shape, theta, cache1, y1, spec, 30)
-        span = g.frame.g.span
+        frame = g.frame
         vectors = []
         product = solver._gn_product
 
@@ -473,12 +474,11 @@ class TestHfCg:
 
         monkeypatch.setattr(solver, "_gn_product", spy)
         for cls, name in (
-            (diff.PrefixVector, "factored"), (diff.FactoredVector, "expand"),
-            (diff.BackpropFactors, "expand_sum"),
+            (diff.PrefixVector, "factored"), (diff.BackpropFactors, "expand_sum"),
         ):
             monkeypatch.setattr(cls, name, None)
-        grams = span.grams
-        monkeypatch.setattr(span, "grams", None)
+        first_gram = frame.first_gram
+        monkeypatch.setattr(frame, "first_gram", None)
         res = solver.hf_cg_direction(
             shape, theta, cache1.cols(np.arange(30)), spec, 1.0,
             solver.CgConfig(), g,
@@ -489,8 +489,9 @@ class TestHfCg:
         assert res.grad_dot < 0.0
         monkeypatch.undo()
         placed = res.p.factored()
-        assert placed.span is span and span.grams is grams
-        assert [a.shape for a in placed.adjoints] == [(8, 60), (10, 60)]
+        assert placed.layer_inputs is frame.g.layer_inputs
+        assert frame.first_gram is first_gram
+        assert [a.shape for a in placed.layer_adjoints] == [(8, 60), (10, 60)]
 
     def test_zero_jacobian_one_iteration(self, rng):
         shape = network.NetworkShape((2, 1), ("logistic",))
