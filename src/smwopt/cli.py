@@ -10,7 +10,6 @@ runs the oracle self-checks of oracles.verify instead of training.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
@@ -189,19 +188,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _test_error(rec: optim.IterationRecord):
-    # nan: the evaluation ran but no test split is configured.
-    err = rec.test_error
-    return None if err is not None and math.isnan(err) else err
-
-
 # The fixed metrics schema: column name and the record field it holds.
 _METRICS = (
     ("iter", attrgetter("iteration")),
     ("epoch_frac", attrgetter("epoch_frac")),
     ("batch_loss", attrgetter("batch_loss")),
     ("full_loss", attrgetter("full_loss")),
-    ("test_error", _test_error),
+    ("test_error", attrgetter("test_error")),
     ("lambda", attrgetter("lam")),
     ("rho", attrgetter("rho")),
     ("grad_norm", attrgetter("grad_norm")),

@@ -2,9 +2,9 @@
 
 Inputs are held in the form they were loaded: load_idx keeps the IDX
 file's uint8 pixels with their divisor (255), load_csv the float64 rows.
-fit_standardizer reads the inputs a block of rows at a time: uint8 pixels
-through their exact integer moments, float rows with the bits of the
-whole-array formula. Standardizer.apply attaches the statistics beside
+fit_standardizer fits uint8 pixels from their exact integer moments, a
+block of rows at a time, and float rows with np.mean and np.std over one
+converted copy. Standardizer.apply attaches the statistics beside
 the stored rows. Nothing standardizes the whole array: Inputs.columns
 converts and standardizes only the samples a forward reads (the trainer's
 batches and evaluation blocks), each entry as (x / divisor - mean) / std.
@@ -25,12 +25,9 @@ IDX_LABELS_MAGIC = 0x00000801
 IDX_NUM_CLASSES = 10
 IDX_PIXEL_DIVISOR = 255.0
 STD_FLOOR = 1e-8
-# Entries per block of converted inputs in fit_standardizer. At 6000x784
-# float64 inputs the fit takes 13.9-16.0 ms in 32K-entry blocks,
-# 13.8-18.3 ms in 16K, 13.7-18.1 ms in 64K, 17.4-27.0 ms in 128K and more,
-# and 23-29 ms as one full-size temporary. At 6000x784 uint8 pixels the
-# exact fit takes 5.7-5.9 ms in 32K-entry blocks, 5.6-5.9 ms in 16K and
-# 8.0-8.5 ms in 8K (2 BLAS threads).
+# Entries per block of converted pixels in the exact fit (_pixel_moments).
+# At 6000x784 uint8 pixels it takes 5.7-5.9 ms in 32K-entry blocks,
+# 5.6-5.9 ms in 16K and 8.0-8.5 ms in 8K (2 BLAS threads).
 FIT_BLOCK = 1 << 15
 
 
@@ -253,19 +250,6 @@ class Standardizer:
         return Dataset(inputs, dataset.targets)
 
 
-def _row_sum(blocks) -> np.ndarray:
-    """Sum over the rows of consecutive row blocks, with the bits numpy
-    gives axis 0 of their stack when it sums that axis row by row: each
-    block after the first is summed with the running total as its first
-    row."""
-    total = None
-    for block in blocks:
-        if total is not None:
-            block = np.concatenate((total[None], block))
-        total = np.sum(block, axis=0)
-    return total
-
-
 def _pixel_moments(pixels: np.ndarray) -> tuple[list[int], list[int]]:
     """Each column's sum and sum of squares of uint8 pixels, as ints.
 
@@ -300,14 +284,11 @@ def fit_standardizer(train: Dataset) -> Standardizer:
     std = sqrt((N S2 - S1^2) / (d N)^2), the quotient of Python ints
     correctly rounded before the square root, so within one ulp.
 
-    Other inputs keep the bits of mean(x) and sqrt(mean((x - mean)^2))
-    over the inputs as a forward reads them. numpy sums axis 0 of
-    row-major inputs of two or more columns row by row, so there both
-    sums read the converted inputs about FIT_BLOCK entries at a time
-    (_row_sum). Other inputs are read as one block.
+    Other inputs are converted whole, as a forward reads them, for
+    np.mean and np.std.
     """
     inputs = train.inputs
-    n, m0 = inputs.shape
+    n = len(inputs)
     divisor = inputs.divisor or 1.0
     if inputs.stored.dtype == np.uint8 and float(divisor).is_integer():
         scale = int(divisor) * n
@@ -318,17 +299,7 @@ def fit_standardizer(train: Dataset) -> Standardizer:
             for s, q in zip(sums, squares)
         ])
         return Standardizer(mean=mean, std=np.maximum(std, STD_FLOOR))
-    rows = n
-    if m0 > 1 and inputs.stored.strides[0] > inputs.stored.strides[1]:
-        rows = max(1, FIT_BLOCK // m0)
-    blocks = [slice(start, start + rows) for start in range(0, n, rows)]
-    mean = _row_sum(inputs.rows(b) for b in blocks) / n
-
-    def centered_squares(b):
-        squares = inputs.rows(b)
-        squares -= mean
-        squares *= squares
-        return squares
-
-    std = np.sqrt(_row_sum(map(centered_squares, blocks)) / n)
-    return Standardizer(mean=mean, std=np.maximum(std, STD_FLOOR))
+    x = inputs.rows(slice(None))
+    mean = np.mean(x, axis=0)
+    std = np.maximum(np.std(x, axis=0), STD_FLOOR)
+    return Standardizer(mean=mean, std=std)

@@ -304,7 +304,7 @@ def _backward_adjoints(
     for l in range(nl - 1, 0, -1):
         w_next = params[l][0]
         u = (w_next.T @ a.reshape(len(a), -1)).reshape(-1, *a.shape[1:])
-        a = cache.act_jac(l, u, out=u)
+        a = cache.act_jac(l, u)
         adjoints[l - 1] = a
     return adjoints
 

@@ -11,10 +11,11 @@ weight matrix. Layer l maps v_{l-1} to v_l = act_l(W_l v_{l-1} + b_l).
 Samples are the columns of 2-D arrays; one sample is an (m, 1) column.
 
 The elementwise logistic kernels, sigmoid and the slope product of
-act_jac_apply, work over BLOCK-element pieces of an array's memory, so a
-forward or reverse sweep over the full set makes no temporary of a hidden
+ForwardCache.act_jac, work over BLOCK-element pieces of an array's memory,
+so a forward or a sweep over the full set makes no temporary of a hidden
 layer's size: a hidden activation overwrites its pre-activation, and a
-reverse sweep's slope product its fresh W^T a.
+slope product the caller's fresh vector it scales (a reverse sweep's
+W^T a, a forward-mode sweep's h1).
 """
 
 from __future__ import annotations
@@ -189,41 +190,6 @@ def apply_activation(kind: str, h: np.ndarray) -> np.ndarray:
     raise ShapeError(f"unknown activation kind: {kind!r}")
 
 
-def act_jac_apply(
-    kind: str, v: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Apply a hidden layer's dv/dh column-wise to u without materializing it.
-
-    Both hidden jacobians are diagonal, so this serves J u and J^T u alike.
-    The backprop kernels work in h_L, so the output-only softmax has none.
-    The result is fresh, or written into out, which may be u itself; a
-    logistic slope v (1 - v) is then formed per block (BLOCK) where v, u
-    and out share one layout. The bits are those of v (1 - v) u either way.
-    """
-    if kind == LINEAR:
-        if out is None:
-            return np.array(u, copy=True)
-        if out is not u:
-            np.copyto(out, u)
-        return out
-    if kind == LOGISTIC:
-        if out is not None:
-            for vb, ub, ob in _flat_blocks(v, u, out):
-                r = 1.0 - vb
-                r *= vb
-                np.multiply(r, ub, out=ob)
-            return out
-        r = 1.0 - v
-        r *= v
-        # In place only where r * u would come out C-ordered anyway: the
-        # result's memory layout steers the BLAS calls that consume it.
-        if r.shape == u.shape and r.flags.c_contiguous and u.flags.c_contiguous:
-            r *= u
-            return r
-        return r * u
-    raise ShapeError(f"no hidden-layer jacobian for activation kind {kind!r}")
-
-
 @dataclass
 class ForwardCache:
     """Activations from one forward pass and the output pre-activation h_L.
@@ -262,19 +228,27 @@ class ForwardCache:
         ]
         return replace(self, slopes=slopes)
 
-    def act_jac(
-        self, l: int, u: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Hidden layer l's dv/dh applied column-wise to u, fresh or in out.
+    def act_jac(self, l: int, u: np.ndarray) -> np.ndarray:
+        """Hidden layer l's dv/dh applied column-wise to u, in place; returns u.
 
-        u is (m_l, B) or carries a trailing axis, (m_l, B, k). A kept
-        slope s gives s * u, the bits of act_jac_apply's product.
+        u is (m_l, B) or carries a trailing axis, (m_l, B, k), and belongs
+        to the caller. Both hidden jacobians are diagonal, so this serves
+        J u and J^T u alike. A kept slope s scales u by s; otherwise a
+        logistic slope v (1 - v) is formed per block (BLOCK) where v and u
+        share one layout. The bits are those of v (1 - v) u either way.
         """
+        if self.shape.activations[l - 1] == LINEAR:
+            return u
         s = None if self.slopes is None else self.slopes[l - 1]
         if s is not None:
-            return np.multiply(s if u.ndim == 2 else s[:, :, None], u, out=out)
+            u *= s if u.ndim == 2 else s[:, :, None]
+            return u
         v = self.v(l) if u.ndim == 2 else self.v(l)[:, :, None]
-        return act_jac_apply(self.shape.activations[l - 1], v, u, out)
+        for vb, ub in _flat_blocks(v, u):
+            r = 1.0 - vb
+            r *= vb
+            ub *= r
+        return u
 
     def cols(self, idx) -> "ForwardCache":
         """View of a subset of sample columns (shares storage)."""

@@ -78,6 +78,12 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method: {self.method!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if not self.drop > 0.0:
+            raise ConfigError("drop must be positive")
         if not 1 <= self.n2 <= self.n1:
             raise ConfigError(f"need 1 <= n2 <= n1, got n2={self.n2}, n1={self.n1}")
         if not self.alpha > 0.0:
@@ -379,9 +385,9 @@ class Trainer:
             lambda cache, y: float(np.sum(loss_mod.loss_value(self.spec, cache, y))),
         )
 
-    def test_error(self) -> float:
+    def test_error(self) -> float | None:
         if self.test_inputs is None:
-            return math.nan
+            return None
         return self._chunked_mean(
             self.test_inputs, self.test_y,
             lambda cache, y: loss_mod.error_rate(cache.output, y) * cache.ncols,

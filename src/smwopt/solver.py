@@ -80,8 +80,8 @@ class CgConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError("cg max_iters must be at least 1")
-        if not self.rel_residual_tol > 0.0:
-            raise ConfigError("cg rel_residual_tol must be positive")
+        if not 0.0 < self.rel_residual_tol < math.inf:
+            raise ConfigError("cg rel_residual_tol must be positive and finite")
 
 
 def _as_vector(g):

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -356,6 +357,8 @@ class TestRun:
         full_idx = header.index("full_loss")
         evaluated = [r for r in rows if r[full_idx] != ""]
         assert len(evaluated) == 2
+        # No test split: its cell stays empty on evaluation rows too.
+        assert all(r[header.index("test_error")] == "" for r in evaluated)
         int_cols = {
             "iter", "forward_passes", "backward_passes",
             "jvp_products", "vjp_products",
@@ -389,6 +392,32 @@ class TestMain:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
         assert cli.main(["--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "--lambda-lm=nan", "--lambda-lm=inf", "--tau=inf", "--alpha=inf",
+            "--boost=inf", "--cg-tol=inf", "--drop=-0.5", "--drop=0",
+        ],
+    )
+    def test_bad_step_setting_exit_2(self, setting, tmp_path, rng, capsys):
+        """A non-finite or out-of-range step setting is a config error
+        before any metrics row is written."""
+        values = base_config(tmp_path, rng, method="smw-gn")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        assert cli.main(["--config", str(cfg), setting]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_zero_lambda_lm_and_tiny_tau_train(self, tmp_path, rng):
+        values = base_config(tmp_path, rng, method="smw-gn")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        argv = ["--config", str(cfg), "--lambda-lm=0", "--tau=1e-10"]
+        assert cli.main(argv) == 0
+        _, rows = read_metrics(tmp_path / "metrics.csv")
+        assert len(rows) == 4
 
     def test_run_via_flags(self, tmp_path, rng):
         values = base_config(tmp_path, rng, epochs=1)
@@ -571,6 +600,18 @@ def test_every_definition_outside_oracles_is_used_outside_oracles():
                 referenced.add(node.name)
     unused = [name for name in defined if name.rsplit(".", 1)[1] not in referenced]
     assert unused == [], f"defined but used only by oracles or tests: {unused}"
+
+
+def test_readme_line_count_matches_the_package():
+    """The README's tracked line count is `wc -l src/smwopt/*.py`."""
+    repo = Path(__file__).resolve().parents[1]
+    text = (repo / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"`src/smwopt` holds ([\d,]+) lines", text)
+    assert match, "README names no line count for src/smwopt"
+    total = sum(
+        p.read_bytes().count(b"\n") for p in (repo / "src" / "smwopt").glob("*.py")
+    )
+    assert int(match.group(1).replace(",", "")) == total
 
 
 class TestVerify:

@@ -180,8 +180,8 @@ def whole_array_std(x):
 
 
 class TestBlockwiseFit:
-    """fit_standardizer sums the centered squares a block of rows at a
-    time, with the bits of the whole-array formula."""
+    """fit_standardizer's float fit has the bits of the whole-array
+    formula, whatever FIT_BLOCK, the layout or the column count."""
 
     @pytest.mark.parametrize("rows", (1, 2, 15, 16, 17, 48, 50))
     def test_bits_around_the_block(self, rows, rng, monkeypatch):
@@ -196,9 +196,7 @@ class TestBlockwiseFit:
 
     @pytest.mark.parametrize("columns", (1, 3))
     def test_bits_of_other_layouts(self, columns, rng, monkeypatch):
-        """Row-major inputs of several columns are summed in blocks;
-        column-major ones and a single column as one block, as numpy sums
-        those pairwise down each column."""
+        """Row-major and column-major inputs, one column or several."""
         monkeypatch.setattr(data, "FIT_BLOCK", 64)
         for x in (
             rng.normal(size=(300, columns)),
@@ -290,15 +288,17 @@ class TestExactFit:
         assert np.any(float_mean != exact)
 
     def test_pixels_never_take_the_float_route(self, rng, monkeypatch):
-        def refuse(blocks):
+        def refuse(inputs, idx):
             raise AssertionError("float route taken")
 
-        monkeypatch.setattr(data, "_row_sum", refuse)
         pixels = rng.integers(0, 256, size=(50, 4))
-        stats = data.fit_standardizer(pixel_dataset(pixels))
+        ds = pixel_dataset(pixels)
+        scaled = data.Dataset(pixels / 255.0, np.zeros((50, 1)))
+        monkeypatch.setattr(data.Inputs, "rows", refuse)
+        stats = data.fit_standardizer(ds)
         assert np.array_equal(stats.mean, exact_pixel_statistics(pixels)[0])
         with pytest.raises(AssertionError, match="float route"):
-            data.fit_standardizer(data.Dataset(pixels / 255.0, np.zeros((50, 1))))
+            data.fit_standardizer(scaled)
 
     def test_fit_holds_one_block_of_float64(self, rng):
         """The fit's largest temporary is one FIT_BLOCK-entry float64 block."""

@@ -127,7 +127,8 @@ class TestJvp:
         assert np.max(np.abs(out - fd) / (1.0 + np.abs(fd))) < 1e-6
 
     def test_packed_tangent_sums_in_layer_order(self, rng):
-        """h1_l = (W1_l v_{l-1} + W_l v1_{l-1}) + b1_l, bit for bit."""
+        """h1_l = (W1_l v_{l-1} + W_l v1_{l-1}) + b1_l and
+        v1_l = (1 - v_l) v_l h1_l, bit for bit."""
         shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=[5, 4])
         cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 3)))
         t1 = rng.normal(size=shape.num_params)
@@ -138,7 +139,8 @@ class TestJvp:
                 h1 += w @ v1
             h1 += b1[:, None]
             if l < shape.num_layers:
-                v1 = network.act_jac_apply(shape.activations[l - 1], cache.v(l), h1)
+                v = cache.v(l)
+                v1 = (1.0 - v) * v * h1
         assert np.array_equal(diff.jvp(shape, theta, cache, t1), h1)
 
 

@@ -197,6 +197,14 @@ class TestForwardLowRank:
         assert np.array_equal(cache.cols([1, 3]).first_preact, cache.first_preact[:, [1, 3]])
 
 
+def hidden_cache(kind, v):
+    """A forward cache whose one hidden layer, of activation kind, holds v."""
+    m, n = v.shape
+    shape = network.NetworkShape((1, m, 1), (kind, network.LINEAR))
+    zeros = np.zeros((1, n))
+    return network.ForwardCache(shape, zeros, [v, zeros], zeros)
+
+
 def masked_sigmoid(h):
     """The two-branch logistic function, written with boolean masks."""
     out = np.empty_like(h)
@@ -294,37 +302,38 @@ class TestActivations:
     def test_apply_matches_materialized(self, kind, rng):
         h = rng.normal(size=(4, 3))
         u = rng.normal(size=(4, 3))
-        u_in = u.copy()
         for order in ("C", "F"):  # a gathered batch is column-major
             v = np.asarray(network.apply_activation(kind, h), order=order)
+            cache = hidden_cache(kind, v)
             v_in = v.copy()
-            applied = network.act_jac_apply(kind, v, u)
-            assert np.array_equal(v, v_in) and np.array_equal(u, u_in)
+            uo = u.copy()
+            applied = cache.act_jac(1, uo)
+            assert applied is uo and np.array_equal(v, v_in)
             for i in range(3):
                 jac = activation_jacobian(kind, h[:, i], v[:, i])
                 assert np.max(np.abs(applied[:, i] - jac @ u[:, i])) < 1e-14
 
     def test_logistic_apply_keeps_product_layout(self, rng):
-        """Bits and memory layout of v * (1 - v) * u for every operand layout.
-
-        The layout of an adjoint decides how later BLAS products round.
-        """
+        """Bits of v * (1 - v) * u for every operand layout, written over
+        u, which keeps its own layout."""
         h = rng.normal(size=(5, 4))
         u = rng.normal(size=(5, 4))
         for v_order in "CF":
+            v = np.asarray(network.sigmoid(h), order=v_order)
+            cache = hidden_cache(network.LOGISTIC, v)
+            v_in = v.copy()
             for u_order in "CF":
-                v = np.asarray(network.sigmoid(h), order=v_order)
-                uo = np.asarray(u, order=u_order)
+                uo = np.array(u, order=u_order)
                 expected = v * (1.0 - v) * uo
-                got = network.act_jac_apply(network.LOGISTIC, v, uo)
-                assert np.array_equal(got, expected)
-                assert got.flags.c_contiguous == expected.flags.c_contiguous
-                assert got.flags.f_contiguous == expected.flags.f_contiguous
+                got = cache.act_jac(1, uo)
+                assert got is uo and np.array_equal(got, expected)
+                assert got.flags[u_order + "_CONTIGUOUS"]
+                assert np.array_equal(v, v_in)
 
     def test_kept_slopes_give_the_bits_and_layout_of_apply(self, rng):
         """A cache's kept slopes v (1 - v), applied to u with or without a
-        trailing axis, read as act_jac_apply does; only the copy that
-        with_slopes returns holds them."""
+        trailing axis, give the bits of the slopes formed from v; only the
+        copy that with_slopes returns holds them."""
         shape = network.NetworkShape(
             (3, 5, 4, 2), (network.LOGISTIC, network.LINEAR, network.SOFTMAX)
         )
@@ -332,6 +341,8 @@ class TestActivations:
         cache = network.forward(shape, theta, rng.normal(size=(3, 6)))
         kept = cache.with_slopes()
         assert cache.slopes is None and kept.slopes[1] is None
+        acts = [v.copy() for v in cache.acts]
+        slope = kept.slopes[0].copy()
         for l, m in ((1, 5), (2, 4)):
             for u in (
                 rng.normal(size=(m, 6)),
@@ -339,11 +350,14 @@ class TestActivations:
                 rng.normal(size=(m, 6, 3)),
             ):
                 v = cache.v(l) if u.ndim == 2 else cache.v(l)[:, :, None]
-                expected = network.act_jac_apply(shape.activations[l - 1], v, u)
+                expected = u if l == 2 else (1.0 - v) * v * u
                 for c in (cache, kept):
-                    got = c.act_jac(l, u)
-                    assert np.array_equal(got, expected)
-                    assert got.flags.c_contiguous == expected.flags.c_contiguous
+                    uc = u.copy(order="K")
+                    got = c.act_jac(l, uc)
+                    assert got is uc and np.array_equal(got, expected)
+                    assert got.flags.c_contiguous == u.flags.c_contiguous
+        assert all(np.array_equal(v, a) for v, a in zip(cache.acts, acts))
+        assert np.array_equal(kept.slopes[0], slope)
 
 
 class TestBlockedKernels:
@@ -383,42 +397,49 @@ class TestBlockedKernels:
 
     @pytest.mark.parametrize("size", SIZES)
     def test_slope_product_into_u_keeps_the_bits_and_layout(self, size, rng):
-        """act_jac_apply(..., out=u) writes v (1 - v) u over u; for the
-        C-ordered u that the reverse sweep's W^T a is, the bits and layout
-        of the fresh product. Without out, u is left as it was."""
+        """act_jac writes v (1 - v) u over u, in blocks where v and u share
+        a layout, with the bits of the whole-array product; u keeps its
+        layout and v is left as it was."""
         m, n = size
         for v_order in "CF":
             v = np.asarray(network.sigmoid(rng.normal(size=size)), order=v_order)
-            for u in (rng.normal(size=size), rng.normal(size=(m, n, 3))):
+            cache = hidden_cache(network.LOGISTIC, v)
+            v_in = v.copy()
+            for u in (
+                rng.normal(size=size),
+                np.asfortranarray(rng.normal(size=size)),
+                rng.normal(size=(m, n, 3)),
+            ):
                 vv = v if u.ndim == 2 else v[:, :, None]
-                u_in = u.copy()
-                expected = network.act_jac_apply(network.LOGISTIC, vv, u)
-                assert np.array_equal(u, u_in)
-                got = network.act_jac_apply(network.LOGISTIC, vv, u, out=u)
-                assert got is u
+                expected = (1.0 - vv) * vv * u
+                uc = u.copy(order="K")
+                got = cache.act_jac(1, uc)
+                assert got is uc
                 assert got.tobytes() == expected.tobytes()
-                assert got.flags.c_contiguous == expected.flags.c_contiguous
-        u = np.asfortranarray(rng.normal(size=size))
-        v = np.asfortranarray(network.sigmoid(rng.normal(size=size)))
-        expected = v * (1.0 - v) * u
-        got = network.act_jac_apply(network.LOGISTIC, v, u, out=u)
-        assert np.array_equal(got, expected)
+                assert got.flags.c_contiguous == u.flags.c_contiguous
+                assert np.array_equal(v, v_in)
 
     def test_cache_act_jac_into_u(self, rng):
+        """Kept slopes and gathered columns give the bits the full cache's
+        v gives; u is written in place and the cache is left as it was."""
         shape = network.NetworkShape(
             (3, 5, 4, 2), (network.LOGISTIC, network.LINEAR, network.SOFTMAX)
         )
         theta = network.init_theta(shape, rng)
         cache = network.forward(shape, theta, rng.normal(size=(3, 6)))
+        acts = [v.copy() for v in cache.acts]
         for c in (cache, cache.with_slopes(), cache.cols([4, 0, 2])):
             for l, m in ((1, 5), (2, 4)):
                 for u in (
                     rng.normal(size=(m, c.ncols)),
                     rng.normal(size=(m, c.ncols, 2)),
                 ):
-                    expected = c.act_jac(l, u)
-                    got = c.act_jac(l, u, out=u)
-                    assert got is u and np.array_equal(got, expected)
+                    v = c.v(l) if u.ndim == 2 else c.v(l)[:, :, None]
+                    expected = u if l == 2 else (1.0 - v) * v * u
+                    uc = u.copy()
+                    got = c.act_jac(l, uc)
+                    assert got is uc and np.array_equal(got, expected)
+        assert all(np.array_equal(v, a) for v, a in zip(cache.acts, acts))
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_forward_finds_a_non_finite_entry_in_a_later_block(self, bad, rng):
