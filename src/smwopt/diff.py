@@ -19,7 +19,8 @@ where the +1 accounts exactly for the bias blocks.
 The same identity keeps a vector in factor space. A stochastic step's
 curvature batch S2 is a prefix of its gradient batch S1, and every
 vector of its solve lies in span{g} plus S2's factor space: a
-PrefixVector, a multiple beta of g plus adjoints on S2's n2 columns.
+PrefixVector, a multiple beta of g plus adjoints on S2's n2 columns,
+held in one buffer so a linear combination is one array operation.
 Its inner products, its dots with S2's backward factors and its jvp
 tangents read S1's Grams only through the blocks a PrefixFrame takes
 once per direction, at n2^2 cost per layer entry instead of n1^2. The
@@ -148,19 +149,20 @@ class PrefixFrame:
 
     @property
     def gradient(self) -> "PrefixVector":
-        """g itself: coefficient 1 and g's S2 adjoints."""
-        head = [np.ascontiguousarray(a[:, : self.n2]) for a in self.g.layer_adjoints]
-        return PrefixVector(self, head, np.ones(1))
+        """g itself: coefficient 1 and g's S2 adjoints, fresh."""
+        return self._vector([a[:, : self.n2] for a in self.g.layer_adjoints], 1.0)
 
     def embed(self, factors: BackpropFactors, weights=None) -> "PrefixVector":
-        """The sum of S2's factored vectors, optionally weighted.
+        """The sum of S2's factored vectors, optionally weighted, fresh."""
+        return self._vector(factors.layer_adjoints, 0.0, weights)
 
-        Unweighted, it takes over factors' adjoints.
-        """
-        adjoints = [
-            a if weights is None else a * weights for a in factors.layer_adjoints
-        ]
-        return PrefixVector(self, adjoints, np.zeros(1))
+    def _vector(self, adjoints, beta, weights=None) -> "PrefixVector":
+        """A new vector: beta and S2's adjoints copied, weighted if asked."""
+        x = PrefixVector(self, np.empty(sum(c.size for c in self.cross) + 1))
+        for out, a in zip(x.adjoints, adjoints):
+            np.multiply(a, 1.0 if weights is None else weights, out=out)
+        x.coef[0] = beta
+        return x
 
 
 class PrefixVector:
@@ -170,68 +172,61 @@ class PrefixVector:
     and hf's alike, as the range of the curvature touches only S2's
     columns. adjoints[l-1] is X_l, (m_l, n2), the vector's adjoints on
     S2's columns, beta g's included; its adjoints on S1's other columns
-    are beta g's. beta is the one entry of coef, a part beside the
-    adjoints. Linear combinations act part by part, and in-place
-    operators write into the parts, which a vector owns. Inner products
-    and jvp tangents cost n2^2 per layer entry, not n1^2.
+    are beta g's. beta is the one entry of coef. The vector owns one
+    float64 buffer, data: X_1, ..., X_L row-major, then beta, of which
+    adjoints and coef are views. Linear combinations are one array
+    operation on data, and in-place operators write into it. Inner
+    products and jvp tangents cost n2^2 per layer entry, not n1^2.
     """
 
     # numpy's operators on a packed left operand defer to the reflected ones.
     __array_ufunc__ = None
 
-    def __init__(self, frame: PrefixFrame, adjoints: list[np.ndarray], coef):
+    def __init__(self, frame: PrefixFrame, data: np.ndarray):
         self.frame = frame
-        self.adjoints = adjoints
-        self.coef = coef
+        self.data = data
+        self.adjoints, start = [], 0
+        for c in frame.cross:
+            self.adjoints.append(data[start : start + c.size].reshape(c.shape))
+            start += c.size
+        self.coef = data[start:]
 
     @property
     def beta(self) -> float:
         return float(self.coef[0])
 
-    def _parts(self) -> list[np.ndarray]:
-        return [*self.adjoints, self.coef]
-
-    def _partwise(self, fn, *others) -> "PrefixVector":
-        """fn applied part by part to this vector and others, fresh."""
-        parts = [fn(*ps) for ps in zip(self._parts(), *(o._parts() for o in others))]
-        return PrefixVector(self.frame, parts[:-1], parts[-1])
-
     def __neg__(self):
-        return self._partwise(np.negative)
+        return PrefixVector(self.frame, -self.data)
 
     def __add__(self, other):
-        return self._partwise(np.add, other)
+        return PrefixVector(self.frame, self.data + other.data)
 
     def __sub__(self, other):
-        return self._partwise(np.subtract, other)
+        return PrefixVector(self.frame, self.data - other.data)
 
     def __mul__(self, scalar):
-        return self._partwise(lambda a: a * scalar)
+        return PrefixVector(self.frame, self.data * scalar)
 
     __rmul__ = __mul__
 
     def __iadd__(self, other):
-        for a, b in zip(self._parts(), other._parts()):
-            a += b
+        self.data += other.data
         return self
 
     def __isub__(self, other):
-        for a, b in zip(self._parts(), other._parts()):
-            a -= b
+        self.data -= other.data
         return self
 
     def __imul__(self, scalar):
-        for a in self._parts():
-            a *= scalar
+        self.data *= scalar
         return self
 
     def __itruediv__(self, scalar):
-        for a in self._parts():
-            a /= scalar
+        self.data /= scalar
         return self
 
     def copy(self):
-        return self._partwise(np.copy)
+        return PrefixVector(self.frame, self.data.copy())
 
     def __matmul__(self, other) -> float:
         """Inner product: sum_l [vdot(X_x, X_y K11) + b_y vdot(X_x, P)

@@ -118,12 +118,13 @@ def init_theta(shape: NetworkShape, seed_or_rng=0) -> np.ndarray:
     rng = np.random.default_rng(seed_or_rng) if not isinstance(
         seed_or_rng, np.random.Generator
     ) else seed_or_rng
-    parts = []
-    for m_in, m_out in zip(shape.layer_sizes[:-1], shape.layer_sizes[1:]):
+    theta = np.zeros(shape.num_params)
+    for wsl, _, _, m_in in shape.param_layout():
         s = 1.0 / np.sqrt(m_in)
-        parts.append(rng.uniform(-s, s, size=m_out * m_in))
-        parts.append(np.zeros(m_out))
-    return np.concatenate(parts)
+        w = rng.random(out=theta[wsl])
+        w *= 2 * s
+        w -= s
+    return theta
 
 
 # Elements per block of the elementwise logistic kernels. In place on a
@@ -276,10 +277,13 @@ def _activate(shape: NetworkShape, l: int, h: np.ndarray, keep_h=False):
     Finiteness is checked over BLOCK-element pieces of h, so no mask of
     h's size is made. Only the output pre-activation is kept by default,
     so a hidden logistic one is overwritten by its activation unless keep_h.
+    A linear layer's output is h itself, which nothing writes into.
     """
     if not all(np.isfinite(hb).all() for hb, in _flat_blocks(h)):
         raise NumericError(f"non-finite pre-activation at layer {l}")
     kind = shape.activations[l - 1]
+    if kind == LINEAR:
+        return h
     if kind == LOGISTIC and l < shape.num_layers and not keep_h:
         return sigmoid(h, out=h)
     return apply_activation(kind, h)

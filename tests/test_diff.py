@@ -380,7 +380,7 @@ class TestFactoredVector:
         ):
             assert isinstance(got, diff.PrefixVector)
             assert np.max(np.abs(got.expand() - expected)) <= 1e-14 * scale
-        z = x - y  # owns its parts
+        z = x - y  # owns its buffer
         z -= y
         z /= 4.0
         assert np.max(np.abs(z.expand() - (ex - 2 * ey) / 4.0)) <= 1e-14 * scale
@@ -395,7 +395,7 @@ class TestFactoredVector:
         z *= 2.5
         assert np.max(np.abs(z.expand() - 2.5 * (ex + ey))) <= 1e-14 * scale
         assert np.array_equal(x.expand(), ex)
-        assert not any(np.shares_memory(a, b) for a, b in zip(x._parts(), z._parts()))
+        assert not np.shares_memory(x.data, z.data)
 
     @pytest.mark.parametrize("hidden", ([5, 4], [5, 4, 3]), ids=("two", "three"))
     def test_jvp_of_a_factored_tangent_matches_its_expansion(self, hidden, rng):
@@ -428,8 +428,10 @@ class TestPrefixVector:
         x, y = (
             diff.PrefixVector(
                 frame,
-                [rng.normal(size=(m, 3)) for m in shape.layer_sizes[1:]],
-                rng.normal(size=1),
+                np.concatenate(
+                    [rng.normal(size=(m, 3)).ravel() for m in shape.layer_sizes[1:]]
+                    + [rng.normal(size=1)]
+                ),
             )
             for _ in range(2)
         )
@@ -530,6 +532,82 @@ class TestPrefixVector:
         got = x.expand_sum()
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
+    def test_operators_act_part_by_part_on_one_buffer(self, rng):
+        """Each operator gives, bit for bit, the part-wise result on the
+        adjoints and beta; a fresh result owns a buffer of its own."""
+        *_, x, y = self._frame(rng)
+
+        def parts(v):
+            return [*v.adjoints, v.coef]
+
+        px, py = parts(x), parts(y)
+        for got, expected in (
+            (-x, [-a for a in px]),
+            (x + y, [a + b for a, b in zip(px, py)]),
+            (x - y, [a - b for a, b in zip(px, py)]),
+            (x * 0.3, [a * 0.3 for a in px]),
+            (0.3 * x, [a * 0.3 for a in px]),
+            (x.copy(), px),
+        ):
+            assert isinstance(got, diff.PrefixVector) and got.frame is x.frame
+            for a, b in zip(parts(got), expected):
+                assert a.shape == b.shape
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            assert not np.shares_memory(got.data, x.data)
+            assert not np.shares_memory(got.data, y.data)
+            assert all(np.shares_memory(a, got.data) for a in parts(got))
+
+    def test_in_place_operators_show_through_adjoints_and_coef(self, rng):
+        """In-place operators write the part-wise bits into the buffer that
+        adjoints and coef view."""
+        *_, x, y = self._frame(rng)
+        data, held = x.data, [*x.adjoints, x.coef]
+        py = [*y.adjoints, y.coef]
+        expected = [a.copy() for a in held]
+
+        def holds_expected():
+            assert x.data is data
+            return all(
+                np.array_equal(a.view(np.int64), e.view(np.int64))
+                for a, e in zip(held, expected)
+            )
+
+        x += y
+        expected = [e + b for e, b in zip(expected, py)]
+        assert holds_expected()
+        x -= y
+        expected = [e - b for e, b in zip(expected, py)]
+        assert holds_expected()
+        x *= 0.7
+        expected = [e * 0.7 for e in expected]
+        assert holds_expected()
+        x /= 3.0
+        expected = [e / 3.0 for e in expected]
+        assert holds_expected()
+
+    def test_frame_vectors_own_their_adjoints(self, rng):
+        """embed and gradient copy what they read: writing to the vector
+        leaves g's and the factors' adjoints as they were."""
+        shape, theta, cache, g, frame, _, _ = self._frame(rng)
+        _, factors = diff.vjp(
+            shape, theta, cache.cols(slice(0, 3)),
+            rng.normal(size=(shape.output_size, 3)),
+        )
+        w = rng.normal(size=3)
+        for vec, read in (
+            (frame.gradient, g.layer_adjoints),
+            (frame.embed(factors), factors.layer_adjoints),
+            (frame.embed(factors, weights=w), factors.layer_adjoints),
+        ):
+            kept = [a.copy() for a in read]
+            assert all(np.shares_memory(x, vec.data) for x in vec.adjoints)
+            assert not any(np.shares_memory(vec.data, a) for a in read)
+            vec *= 2.0
+            assert all(np.array_equal(a, k) for a, k in zip(read, kept))
+        assert frame.gradient.beta == 1.0 and frame.embed(factors).beta == 0.0
+        for a, b in zip(frame.embed(factors).adjoints, factors.layer_adjoints):
+            assert np.array_equal(a, b)
+
     def test_rounding_negative_square_reads_zero_norm(self):
         """Grams are positive semidefinite only up to rounding; a square
         that rounds below zero is a zero norm, not a sqrt error."""
@@ -538,7 +616,7 @@ class TestPrefixVector:
             g=None, grams=[gram], cross=[np.zeros((1, 2))], tail_sq=0.0,
             first_gram=None,
         )
-        x = diff.PrefixVector(frame, [np.array([[1.0, -1.0]])], np.zeros(1))
+        x = diff.PrefixVector(frame, np.concatenate([[1.0, -1.0], np.zeros(1)]))
         assert x @ x < 0.0
         assert x.norm() == 0.0
 

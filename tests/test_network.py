@@ -70,6 +70,25 @@ class TestShapeAndPacking:
             assert np.all(np.abs(w) <= 1.0 / np.sqrt(m_in))
             assert np.all(b == 0.0)
 
+    @pytest.mark.parametrize(
+        "sizes", ((3, 2), (4, 9, 2), (784, 20, 10), (5, 7, 6, 1)),
+        ids=("one_layer", "two_layers", "wide_input", "three_layers"),
+    )
+    @pytest.mark.parametrize("seed", (0, 3, 11))
+    def test_init_theta_draws_the_concatenated_uniform_bits(self, sizes, seed):
+        """Weights drawn in place equal the per-layer uniform draws and
+        zero biases concatenated in layout order, bit for bit."""
+        shape = network.NetworkShape(sizes, ("linear",) * (len(sizes) - 1))
+        rng = np.random.default_rng(seed)
+        parts = []
+        for m_in, m_out in zip(sizes[:-1], sizes[1:]):
+            s = 1.0 / np.sqrt(m_in)
+            parts.append(rng.uniform(-s, s, size=m_out * m_in))
+            parts.append(np.zeros(m_out))
+        expected = np.concatenate(parts)
+        got = network.init_theta(shape, seed)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
 
 class TestForward:
     def test_identity_linear(self):
@@ -128,6 +147,19 @@ class TestForward:
         theta[0] = np.inf
         with pytest.raises(NumericError, match="layer 1"):
             network.forward(shape, theta, np.ones((2, 1)))
+
+    def test_linear_layers_hold_their_preactivation_once(self, rng):
+        """A linear layer's output is its pre-activation itself, not a copy."""
+        shape = network.NetworkShape((3, 4, 4, 2), ("linear",) * 3)
+        theta = network.init_theta(shape, rng)
+        x = rng.normal(size=(3, 5))
+        cache = network.forward(shape, theta, x)
+        assert np.shares_memory(cache.output, cache.output_preact)
+        kept = network.forward(shape, theta, x, keep_first_preact=True)
+        assert kept.first_preact is kept.v(1)
+        assert np.array_equal(kept.output, cache.output)
+        h = cache.output_preact
+        assert not np.shares_memory(network.apply_activation("linear", h), h)
 
     def test_forward_counter(self, rng):
         shape = network.NetworkShape((3, 2), ("linear",))
