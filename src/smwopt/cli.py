@@ -15,6 +15,8 @@ from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+
 from . import data as data_mod, loss as loss_mod, network, optim, oracles, solver
 from .exceptions import ConfigError, DataFormatError, NumericError
 
@@ -265,7 +267,10 @@ def main(argv=None) -> int:
         config = build_config(file_values, overrides)
         if args.verify:
             return oracles.verify(seed=config.seed)
-        return run(config)
+        # Explicit checks raise; numpy's warnings would only precede the one
+        # error line. errstate(all="raise") misses OpenBLAS threads' FP flags.
+        with np.errstate(all="ignore"):
+            return run(config)
     except (ConfigError, DataFormatError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -242,10 +242,13 @@ class Standardizer:
     def apply(self, dataset: Dataset) -> Dataset:
         """The dataset with these statistics attached to its inputs, which
         a forward then reads as (x - mean) / std; the stored rows are
-        shared, not copied or written. Raises DataFormatError when an
-        entry so read is not finite (checked on each feature's extremes)."""
+        shared, not copied or written. Raises DataFormatError when a
+        statistic, or an entry so read (at each feature's extremes), is not
+        finite."""
         if dataset.inputs.mean is not None:
             raise ValueError("inputs already carry standardization statistics")
+        if not (_all_finite(self.mean) and _all_finite(self.std)):
+            raise DataFormatError("standardization statistics contain NaN or Inf")
         inputs = replace(dataset.inputs, mean=self.mean, std=self.std)
         return Dataset(inputs, dataset.targets)
 

@@ -79,26 +79,27 @@ class BackpropFactors:
             np.sum(aw, axis=1, out=b)
         return out
 
-    def dots_with(self, packed) -> np.ndarray:
+    def dots_with(self, x) -> np.ndarray:
         """Dot products of the factored vectors with a parameter vector.
 
         One entry per sample, or per (sample, trailing index) pair
         flattened sample-major when the adjoints carry a trailing axis.
         The vector is packed, or a PrefixVector whose S2 is these samples.
         """
-        if isinstance(packed, PrefixVector):
-            preacts = packed.preacts()
-        else:
-            params = unpack(self.shape, np.asarray(packed, dtype=np.float64))
-            preacts = (
-                w @ v + b[:, None] for (w, b), v in zip(params, self.layer_inputs)
-            )
+        preacts = _preacts(self.shape, x, self.layer_inputs)
         out = np.zeros(self.layer_adjoints[0].shape[1:])
         for a, z in zip(self.layer_adjoints, preacts):
             if a.ndim == 3:
                 z = z[:, :, None]
             out += np.sum(a * z, axis=0)
         return out.reshape(-1)
+
+    def sum_like(self, like, weights=None):
+        """The sum of the factored vectors, optionally weighted, in the form
+        of like: packed, or a PrefixVector in like's frame, fresh."""
+        if isinstance(like, PrefixVector):
+            return like.frame.embed(self, weights)
+        return self.expand_sum(weights)
 
     def cols(self, idx) -> "BackpropFactors":
         return BackpropFactors(
@@ -237,10 +238,6 @@ class PrefixVector:
             total += np.vdot(x, y @ k) + by * np.vdot(x, c) + bx * np.vdot(y, c)
         return float(total)
 
-    def norm(self) -> float:
-        """Euclidean norm; a Gram-rounded square below zero reads as 0."""
-        return math.sqrt(max(self @ self, 0.0))
-
     def preacts(self) -> list[np.ndarray]:
         """W_l v_i + b_l of this vector's blocks at S2's samples, X K11 + beta P."""
         out = []
@@ -277,10 +274,17 @@ class PrefixVector:
 
 
 def norm(x) -> float:
-    """Euclidean norm of a parameter vector, packed or a PrefixVector."""
+    """Euclidean norm of a packed vector (np.linalg.norm's bits) or of a
+    PrefixVector, whose square, from Grams, reads as 0 if rounded below."""
+    return math.sqrt(max(float(x @ x), 0.0))
+
+
+def _preacts(shape: NetworkShape, x, layer_inputs) -> list[np.ndarray]:
+    """W_l v + b_l of x's blocks at layer_inputs, fresh: a PrefixVector's
+    own preacts, as its S2 is the inputs' samples, or a packed x's."""
     if isinstance(x, PrefixVector):
-        return x.norm()
-    return float(np.linalg.norm(x))
+        return x.preacts()
+    return [w @ v + b[:, None] for (w, b), v in zip(unpack(shape, x), layer_inputs)]
 
 
 def _backward_adjoints(
@@ -347,23 +351,14 @@ def jvp(
     """Forward-mode product J_i theta1 for every sample column.
 
     Propagates the directional perturbation through the layer recursion
-    h1_l = W1_l v_{l-1} + W_l v1_{l-1} + b1_l and returns the last h1_L.
-    theta1 is packed, or a PrefixVector whose S2 is the cache's samples;
-    then W1_l v_{l-1} + b1_l are its preacts.
+    h1_l = (W1_l v_{l-1} + b1_l) + W_l v1_{l-1} and returns the last h1_L.
+    theta1 is packed, or a PrefixVector whose S2 is the cache's samples.
     """
     params = unpack(shape, theta)
-    if isinstance(theta1, PrefixVector):
-        terms = [(z, None) for z in theta1.preacts()]
-    else:
-        terms = [
-            (w1 @ cache.v(l), b1[:, None])
-            for l, (w1, b1) in enumerate(unpack(shape, theta1))
-        ]
-    for l, ((w, _), (h1, b1)) in enumerate(zip(params, terms), start=1):
+    terms = _preacts(shape, theta1, _layer_inputs(cache))
+    for l, ((w, _), h1) in enumerate(zip(params, terms), start=1):
         if l > 1:  # the input tangent v1_0 is zero
             h1 += w @ v1
-        if b1 is not None:
-            h1 += b1
         if l < shape.num_layers:
             v1 = cache.act_jac(l, h1)
     if counters is not None:

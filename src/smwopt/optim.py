@@ -41,7 +41,7 @@ import numpy as np
 
 from . import curvature, damping as damping_mod, data, diff, loss as loss_mod, solver
 from .counters import OpCounters
-from .exceptions import ConfigError, TrainingError
+from .exceptions import ConfigError, NumericError, TrainingError
 from .network import ForwardCache, NetworkShape, forward, forward_low_rank, init_theta
 
 SGD = "sgd"
@@ -243,13 +243,16 @@ class Trainer:
         g, _ = diff.gradient(
             self.shape, self.theta, cache, self.y[:, s1], self.spec, self.counters
         )
+        grad_norm = diff.norm(g)
+        if not (math.isfinite(f_before) and math.isfinite(grad_norm)):
+            raise NumericError(f"batch is not finite: loss={f_before}, |g|={grad_norm}")
         self.theta = self.theta - self.config.alpha * g
         return self._record(
             batch_loss=f_before,
             rho=math.nan,
             lam=math.nan,
-            grad_norm=float(np.linalg.norm(g)),
-            step_norm=float(np.linalg.norm(g)),
+            grad_norm=grad_norm,
+            step_norm=grad_norm,
             accepted=True,
             batch_size=s1.size,
         )
@@ -402,7 +405,8 @@ class Trainer:
         """Run num_iters iterations, attaching full evaluations periodically.
 
         eval_interval defaults to once per epoch; pass 0 to disable the
-        full-data evaluations entirely.
+        full-data evaluations entirely. A full loss that is not finite
+        raises TrainingError before its record reaches record_hook.
         """
         if eval_interval is None:
             eval_interval = self.iters_per_epoch
@@ -411,6 +415,9 @@ class Trainer:
             rec = self.step()
             if eval_interval and rec.iteration % eval_interval == eval_interval - 1:
                 rec.full_loss = self.full_loss()
+                if not math.isfinite(rec.full_loss):
+                    err = NumericError(f"full loss is not finite: {rec.full_loss}")
+                    raise TrainingError(rec.iteration, err)
                 rec.test_error = self.test_error()
             if record_hook is not None:
                 record_hook(rec)

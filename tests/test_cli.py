@@ -570,6 +570,26 @@ def test_only_cli_imports_oracles():
     assert importers == ["cli.py"]
 
 
+def test_only_diff_tells_the_vector_forms_apart():
+    """Outside oracles.py, only diff.py asks whether a vector is packed or
+    a PrefixVector: once to read it at layer inputs, once to write a sum
+    of factors in its form."""
+    package = Path(cli.__file__).parent
+    checks = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and "PrefixVector" in ast.unparse(node.args[1])
+            ):
+                checks.append(path.name)
+    assert checks == ["diff.py", "diff.py"]
+
+
 def test_every_definition_outside_oracles_is_used_outside_oracles():
     """Training modules hold no test-only code: each top-level function and
     class, and each non-dunder method, defined outside oracles.py is named
@@ -982,3 +1002,47 @@ def test_python_dash_m_entry_point():
     assert out.returncode == 0
     assert "usage: smwopt" in out.stdout
     assert "RuntimeWarning" not in out.stderr
+
+
+
+# Runs that end in a numeric or data failure: flags, whether the first
+# feature holds +-1e308 in two rows, and the exit code.
+FAILING_RUNS = {
+    "non-finite pre-activation": (
+        "--activations linear,linear --method smw-gn --n1 10 --n2 5 --alpha 1e200",
+        False, 3,
+    ),
+    "infinite standardizer std": ("--method smw-gn --n1 10 --n2 5", True, 2),
+    "sgd batch loss": ("--method sgd --n1 10 --n2 5 --alpha 1e300", False, 3),
+    "full loss": (
+        "--method smw-gn --n1 50 --n2 5 --alpha 1e160 --epochs 1", False, 3
+    ),
+}
+
+
+@pytest.mark.parametrize("flags, big, code", FAILING_RUNS.values(), ids=FAILING_RUNS)
+def test_failure_is_one_stderr_line(flags, big, code, tmp_path):
+    """A failed run on a 50x4 regression CSV prints its one error line and
+    no numpy warning, and no metrics row it wrote holds a non-finite loss
+    or norm."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(50, 4))
+    rng.integers(0, 3, 50)
+    y = rng.normal(size=(50, 1))
+    if big:
+        x[0, 0], x[1, 0] = 1e308, -1e308
+    save_csv(tmp_path / "train.csv", data.Dataset(x, y))
+    out = tmp_path / "m.csv"
+    result = run_python(
+        "-m", "smwopt", "--train-csv", str(tmp_path / "train.csv"),
+        "--csv-features", "4", "--layers", "4,5,1", "--loss", "squared_error",
+        *flags.split(), "--out", str(out),
+    )
+    assert result.returncode == code
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    if out.exists():
+        header, rows = read_metrics(out)
+        for row in rows:
+            for name in ("batch_loss", "full_loss", "grad_norm", "step_norm"):
+                cell = row[header.index(name)]
+                assert cell == "" or np.isfinite(float(cell)), (name, cell)

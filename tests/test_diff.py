@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,17 +129,16 @@ class TestJvp:
         assert np.max(np.abs(out - fd) / (1.0 + np.abs(fd))) < 1e-6
 
     def test_packed_tangent_sums_in_layer_order(self, rng):
-        """h1_l = (W1_l v_{l-1} + W_l v1_{l-1}) + b1_l and
+        """h1_l = (W1_l v_{l-1} + b1_l) + W_l v1_{l-1} and
         v1_l = (1 - v_l) v_l h1_l, bit for bit."""
         shape, spec, theta = make_net(rng, loss.SOFTMAX_CROSS_ENTROPY, hidden=[5, 4])
         cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 3)))
         t1 = rng.normal(size=shape.num_params)
         params, direction = network.unpack(shape, theta), network.unpack(shape, t1)
         for l, ((w, _), (w1, b1)) in enumerate(zip(params, direction), start=1):
-            h1 = w1 @ cache.v(l - 1)
+            h1 = w1 @ cache.v(l - 1) + b1[:, None]
             if l > 1:
                 h1 += w @ v1
-            h1 += b1[:, None]
             if l < shape.num_layers:
                 v = cache.v(l)
                 v1 = (1.0 - v) * v * h1
@@ -366,8 +367,8 @@ class TestFactoredVector:
         *_, x, y = TestPrefixVector()._frame(rng)
         ex, ey = x.expand(), y.expand()
         assert x @ y == pytest.approx(float(ex @ ey), rel=1e-12)
-        assert x.norm() == pytest.approx(float(np.linalg.norm(ex)), rel=1e-12)
-        assert diff.norm(x) == x.norm()
+        assert diff.norm(x) == pytest.approx(float(np.linalg.norm(ex)), rel=1e-12)
+        assert diff.norm(x) == math.sqrt(x @ x)
         assert diff.norm(ex) == float(np.linalg.norm(ex))
 
     def test_linear_combinations_match_expansion(self, rng):
@@ -618,7 +619,7 @@ class TestPrefixVector:
         )
         x = diff.PrefixVector(frame, np.concatenate([[1.0, -1.0], np.zeros(1)]))
         assert x @ x < 0.0
-        assert x.norm() == 0.0
+        assert diff.norm(x) == 0.0
 
 
 def test_mixed_hidden_activations(rng):
