@@ -30,8 +30,6 @@ class RunConfig:
     test_images: str = ""
     test_labels: str = ""
     test_csv: str = ""
-    csv_features: int = 0
-    csv_classes: int = 1
     csv_header: bool = False
     subset: int = 0
     subset_seed: int = -1
@@ -118,13 +116,9 @@ def _load_split(config: RunConfig, prefix: str) -> data_mod.Dataset | None:
     if csv:
         if not Path(csv).exists():
             raise ConfigError(f"file not found: {csv}")
-        if config.csv_features < 1:
-            raise ConfigError("csv_features must be set for CSV data")
+        sizes = _parse_model(config)[0].layer_sizes
         return data_mod.load_csv(
-            csv,
-            num_features=config.csv_features,
-            num_classes=config.csv_classes,
-            skip_header=config.csv_header,
+            csv, sizes[0], num_classes=sizes[-1], skip_header=config.csv_header
         )
     return None
 
@@ -156,9 +150,8 @@ def load_datasets(
     return train, test
 
 
-def build_model(
-    config: RunConfig, train: data_mod.Dataset
-) -> tuple[network.NetworkShape, loss_mod.LossSpec]:
+def _parse_model(config: RunConfig) -> tuple[network.NetworkShape, loss_mod.LossSpec]:
+    """The network shape and loss named by layers, activations and loss."""
     if not config.layers:
         raise ConfigError("network layers must be configured (e.g. layers=784,500,10)")
     try:
@@ -173,10 +166,17 @@ def build_model(
         spec.check_matches(shape)
     except ValueError as err:
         raise ConfigError(f"model: {err}") from err
+    return shape, spec
+
+
+def build_model(
+    config: RunConfig, train: data_mod.Dataset
+) -> tuple[network.NetworkShape, loss_mod.LossSpec]:
+    shape, spec = _parse_model(config)
     features, outputs = train.inputs.shape[1], train.targets.shape[1]
     if (shape.input_size, shape.output_size) != (features, outputs):
         raise ConfigError(
-            f"layers {sizes} do not match data with {features} "
+            f"layers {shape.layer_sizes} do not match data with {features} "
             f"features and {outputs} target columns"
         )
     return shape, spec
@@ -271,8 +271,11 @@ def main(argv=None) -> int:
         # error line. errstate(all="raise") misses OpenBLAS threads' FP flags.
         with np.errstate(all="ignore"):
             return run(config)
-    except (ConfigError, DataFormatError, OSError) as err:
+    except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except DataFormatError as err:
+        print(f"data error: {err}", file=sys.stderr)
         return 2
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)

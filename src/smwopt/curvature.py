@@ -101,13 +101,12 @@ def gn_block_gram(factors: diff.BackpropFactors) -> np.ndarray:
 class GramSystem:
     """Assembled core system plus the factors of U, with B_t = U U^T / n2.
 
-    factors.dots_with(v) is U^T v for both methods: GnBatchFactors for
-    Gauss-Newton, the per-sample gradient factors for natural gradient.
-    core_factor is the lower Cholesky factor of core, computed once here
-    and reused by every core solve of the direction.
+    factors.dots_with(v) is U^T v for both methods, and their type is the
+    method: GnBatchFactors for Gauss-Newton, per-sample gradient factors
+    for natural gradient. core_factor, the lower Cholesky factor of core,
+    is computed once here and reused by every core solve of the direction.
     """
 
-    method: str
     core: np.ndarray
     core_factor: np.ndarray
     lam: float
@@ -119,6 +118,20 @@ class GramSystem:
         lower = self.core_factor
         return linalg.solve_upper(lower.T, linalg.solve_lower(lower, rhs))
 
+    def expand(self, shape, theta, w, like, counters=None):
+        """U w in the form of like, packed or a PrefixVector in like's frame.
+
+        Natural gradient weights its factors by w. Gauss-Newton maps the
+        sample-major w to output columns C_i w_i and runs one reverse sweep
+        over them.
+        """
+        if not isinstance(self.factors, GnBatchFactors):
+            return self.factors.sum_like(like, w)
+        c = self.factors.hessian_factors
+        cw = (c @ w.reshape(len(c), -1, 1))[:, :, 0].T
+        _, sweep = diff.vjp(shape, theta, self.factors.cache, cw, counters, expand=False)
+        return sweep.sum_like(like)
+
 
 def assemble_d(gram: np.ndarray, lam: float, n2: int) -> np.ndarray:
     """Core matrix lam * I + gram / n2 over a batch of n2 samples."""
@@ -127,7 +140,7 @@ def assemble_d(gram: np.ndarray, lam: float, n2: int) -> np.ndarray:
     return core
 
 
-def _factored_system(method, gram, lam, factors) -> GramSystem:
+def _factored_system(gram, lam, factors) -> GramSystem:
     """Assemble the core over the factors' samples and factor it once."""
     n2 = factors.ncols
     core = assemble_d(gram, lam, n2)
@@ -139,7 +152,7 @@ def _factored_system(method, gram, lam, factors) -> GramSystem:
             f"core factorization failed at lambda={lam:.6e} "
             f"(diag range [{diag.min():.3e}, {diag.max():.3e}]): {err}"
         ) from err
-    return GramSystem(method, core, lower, lam, n2, factors)
+    return GramSystem(core, lower, lam, n2, factors)
 
 
 def build_gn_system(
@@ -152,9 +165,9 @@ def build_gn_system(
 ) -> GramSystem:
     """Factor the batch, form the Gram matrix, and factor the GN core."""
     batch = gn_batch_factors(shape, theta, cache, spec, counters)
-    return _factored_system(GN, gn_block_gram(batch), lam, batch)
+    return _factored_system(gn_block_gram(batch), lam, batch)
 
 
 def build_ng_system(factors: diff.BackpropFactors, lam: float) -> GramSystem:
     """Assemble and factor the natural-gradient core from per-sample gradient factors."""
-    return _factored_system(NG, gn_block_gram(factors), lam, factors)
+    return _factored_system(gn_block_gram(factors), lam, factors)

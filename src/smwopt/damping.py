@@ -27,14 +27,14 @@ class DampingState:
     epsilon: float = 0.25
 
     def __post_init__(self):
-        if self.lambda_lm < 0.0:
-            raise ConfigError("lambda_lm must be nonnegative")
-        if not self.tau > 0.0:
-            raise ConfigError("tau must be positive")
-        if not (self.drop < 1.0 < self.boost):
-            raise ConfigError("need drop < 1 < boost")
+        if not 0.0 <= self.lambda_lm < math.inf:
+            raise ConfigError(f"need 0 <= lambda_lm < inf, got {self.lambda_lm}")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"need 0 < tau < inf, got {self.tau}")
+        if not 0.0 < self.drop < 1.0 < self.boost < math.inf:
+            raise ConfigError("need 0 < drop < 1 < boost < inf")
         if not 0.0 < self.epsilon < 0.5:
-            raise ConfigError("epsilon must lie in (0, 1/2)")
+            raise ConfigError(f"need 0 < epsilon < 1/2, got {self.epsilon}")
 
     @property
     def lam(self) -> float:
@@ -81,8 +81,11 @@ def update_lambda(state: DampingState, rho: float) -> DampingState:
 
     Pure: replaying a recorded rho sequence reproduces the lambda
     trajectory exactly. A degenerate rho (-inf) falls in the boost branch.
+    A boost that overflows lambda_lm raises NumericError.
     """
     if rho < state.epsilon:
+        if state.lambda_lm * state.boost == math.inf:
+            raise NumericError(f"boosting lambda_lm {state.lambda_lm} overflows")
         return replace(state, lambda_lm=state.lambda_lm * state.boost)
     if rho > 1.0 - state.epsilon:
         return replace(state, lambda_lm=state.lambda_lm * state.drop)

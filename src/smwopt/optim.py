@@ -78,16 +78,15 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method: {self.method!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        if not self.drop > 0.0:
-            raise ConfigError("drop must be positive")
-        if not 1 <= self.n2 <= self.n1:
+        self.damping_state()  # raises ConfigError for a damping setting out of range
+        if self.n1 < 1:
+            raise ConfigError(f"n1 must be at least 1, got {self.n1}")
+        if self.method != SGD and not 1 <= self.n2 <= self.n1:
             raise ConfigError(f"need 1 <= n2 <= n1, got n2={self.n2}, n1={self.n1}")
-        if not self.alpha > 0.0:
-            raise ConfigError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigError(f"need 0 < alpha < inf, got {self.alpha}")
+        if not math.isfinite(self.eta):
+            raise ConfigError(f"eta must be finite, got {self.eta}")
         if self.semi_stochastic:
             if self.method == SGD:
                 raise ConfigError("semi-stochastic mode needs a curvature method")
@@ -127,8 +126,6 @@ class EpochSampler:
     """
 
     def __init__(self, rng: np.random.Generator, n: int, n1: int, n2: int):
-        if not 1 <= n2 <= n1 <= n:
-            raise ConfigError(f"need 1 <= n2 <= n1 <= N, got {n2}, {n1}, {n}")
         self.rng = rng
         self.n = n
         self.n1 = n1
@@ -185,11 +182,9 @@ class Trainer:
         self.y = np.ascontiguousarray(targets.T)
         self.n_samples = inputs.shape[0]
         n1 = config.n1
-        if config.semi_stochastic and n1 != self.n_samples:
-            raise ConfigError(
-                f"semi-stochastic mode requires n1 == N ({self.n_samples}), "
-                f"got {n1}"
-            )
+        if n1 > self.n_samples or (config.semi_stochastic and n1 != self.n_samples):
+            need = "==" if config.semi_stochastic else "<="
+            raise ConfigError(f"need n1 {need} N ({self.n_samples}), got n1={n1}")
         self.config = config
         seed_init, seed_batch = np.random.SeedSequence(config.seed).spawn(2)
         self.theta = init_theta(shape, np.random.default_rng(seed_init))

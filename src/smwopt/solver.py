@@ -19,8 +19,9 @@ natural gradient, and for Gauss-Newton the adjoints of J_i^T C_i e_j,
 where C_i is the loss-Hessian factor (H_i = C_i C_i^T). U^T g is the
 only such sweep of an unrefined direction: its model term p^T B_t p =
 ||U^T p||^2 / n2 is n2 ||q||^2, because U^T p = -n2 q. Only U q differs
-between the methods: natural gradient sums its factors weighted by q,
-and Gauss-Newton runs one reverse-mode product J^T C q per sample.
+between the methods, and curvature.GramSystem.expand forms it: natural
+gradient sums its factors weighted by q, and Gauss-Newton runs one
+reverse-mode product J^T C q per sample.
 
 The algebra is written once for either form of g and p: packed, or a
 diff.PrefixVector in the frame the stochastic trainer places g in,
@@ -103,22 +104,6 @@ def quadratic_terms(
     return _finite_model(float(g @ p), float(np.sum(dots**2) / system.n2))
 
 
-def _expand(shape, theta, system, w, like, counters):
-    """U w in the form of like, packed or a PrefixVector in like's frame.
-
-    Natural gradient weights its factors by w. Gauss-Newton maps the
-    sample-major w to output columns C_i w_i and runs one reverse sweep
-    over them.
-    """
-    factors = system.factors
-    if system.method == curvature.GN:
-        c = factors.hessian_factors
-        cw = (c @ w.reshape(len(c), -1, 1))[:, :, 0].T
-        _, factors = diff.vjp(shape, theta, factors.cache, cw, counters, expand=False)
-        w = None
-    return factors.sum_like(like, w)
-
-
 def _negated_damped_inverse(shape, theta, system, v, counters):
     """-(B_t + lam I)^-1 v = (U q - v) / lam through the Woodbury identity.
 
@@ -126,7 +111,7 @@ def _negated_damped_inverse(shape, theta, system, v, counters):
     """
     q = system.solve_core(system.factors.dots_with(v))
     q /= system.n2
-    out = _expand(shape, theta, system, q, v, counters)
+    out = system.expand(shape, theta, q, v, counters)
     out -= v
     out /= system.lam
     return out, q
@@ -156,7 +141,7 @@ def apply_curvature(
     """Matrix-free product B_t v = U U^T v / n2, in v's form."""
     dots = system.factors.dots_with(v)
     dots /= system.n2
-    return _expand(shape, theta, system, dots, v, counters)
+    return system.expand(shape, theta, dots, v, counters)
 
 
 # Below this damping level the division by lam in the Woodbury identity

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from smwopt import cli, data, diff, network, optim, oracles, solver
-from smwopt.exceptions import ConfigError
+from smwopt.exceptions import ConfigError, DataFormatError
 from tests.conftest import exact_pixel_statistics, save_csv, write_idx_pair
 from tests.test_acceptance import synthetic_digits_idx
 
@@ -29,8 +29,6 @@ def base_config(tmp_path, rng, **extra):
     csv_path = write_blob_csv(tmp_path / "train.csv", rng)
     values = {
         "train_csv": str(csv_path),
-        "csv_features": "3",
-        "csv_classes": "2",
         "layers": "3,4,2",
         "loss": "softmax_cross_entropy",
         "method": "sgd",
@@ -66,8 +64,10 @@ class TestConfigParsing:
         assert config.train_csv == values["train_csv"]
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError):
-            cli.build_config({"learning_rate": "1"}, {})
+        # csv_features and csv_classes are gone: layers gives the CSV widths.
+        for key in ("learning_rate", "csv_features", "csv_classes"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                cli.build_config({key: "1"}, {})
 
     def test_bad_boolean(self):
         with pytest.raises(ConfigError):
@@ -75,15 +75,27 @@ class TestConfigParsing:
 
     def test_missing_file_is_config_error(self, tmp_path):
         config = cli.build_config(
-            {"train_csv": str(tmp_path / "nope.csv"), "csv_features": "2",
-             "layers": "2,2"}, {}
+            {"train_csv": str(tmp_path / "nope.csv"), "layers": "2,2"}, {}
         )
         with pytest.raises(ConfigError):
             cli.load_datasets(config)
 
-    def test_layer_data_mismatch(self, tmp_path, rng):
+    def test_layer_data_mismatch(self, tmp_path, rng, capsys):
+        """A 3-feature CSV read as layers=4,4,2 is a data error at load; 4x4
+        IDX images under layers=9,10 are a config error in build_model."""
         values = base_config(tmp_path, rng, layers="4,4,2")
-        config = cli.build_config(values, {})
+        with pytest.raises(DataFormatError):
+            cli.load_datasets(cli.build_config(values, {}))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        assert cli.main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not (tmp_path / "metrics.csv").exists()
+        images = rng.integers(0, 256, size=(20, 4, 4))
+        ip, lp = write_idx_pair(tmp_path, images, rng.integers(0, 10, size=20))
+        config = cli.build_config(
+            {"train_images": str(ip), "train_labels": str(lp), "layers": "9,10"}, {}
+        )
         train, _ = cli.load_datasets(config)
         with pytest.raises(ConfigError):
             cli.build_model(config, train)
@@ -388,7 +400,7 @@ class TestMain:
         assert cli.main(["--config", str(tmp_path / "missing.cfg")]) == 2
 
     def test_config_error_exit_2(self, tmp_path, rng):
-        values = base_config(tmp_path, rng, n1="5", n2="50")
+        values = base_config(tmp_path, rng, method="smw-gn", n1="5", n2="50")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
         assert cli.main(["--config", str(cfg)]) == 2
@@ -432,7 +444,7 @@ class TestMain:
         labels[:3, 0] = [0.0, 1.0, 2.0]
         save_csv(csv_path, data.Dataset(rng.normal(size=(20, 2)), labels))
         argv = [
-            "--train-csv", str(csv_path), "--csv-features", "2",
+            "--train-csv", str(csv_path),
             "--loss", "binary_cross_entropy", "--layers", "2,3,1",
             "--n1", "10", "--n2", "5",
             "--out", str(tmp_path / "m.csv"),
@@ -473,12 +485,14 @@ class TestMain:
         x[0, 0] = 1.7e308
         save_csv(csv_path, data.Dataset(x, data.one_hot(rng.integers(0, 2, size=20), 2)))
         argv = [
-            "--train-csv", str(csv_path), "--csv-features", "2", "--csv-classes", "2",
+            "--train-csv", str(csv_path),
             "--layers", "2,3,2", "--n1", "10", "--n2", "5",
             "--out", str(tmp_path / "m.csv"),
         ]
         assert cli.main(argv) == 2
-        assert "NaN or Inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "NaN or Inf" in err
         assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -490,7 +504,7 @@ class TestMain:
         save_csv(csv_path, data.Dataset(x, y))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            f"train_csv={csv_path}\ncsv_features=2\ncsv_classes=1\n"
+            f"train_csv={csv_path}\n"
             "standardize=false\nlayers=2,2,1\nactivations=linear,linear\n"
             "loss=squared_error\nmethod=sgd\nn1=8\nn2=1\nalpha=1e200\n"
             f"epochs=2\nout={tmp_path / 'm.csv'}\n"
@@ -525,7 +539,7 @@ class TestMain:
         )
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            f"train_csv={csv_path}\ncsv_features=5\ncsv_classes=3\n"
+            f"train_csv={csv_path}\n"
             "standardize=false\nlayers=5,4,3\nactivations=linear,linear\n"
             "loss=squared_error\nmethod=smw-ng\nn1=10\nn2=5\nalpha=1\n"
             f"lambda_lm=0\nepochs=3\nout={tmp_path / 'm.csv'}\n"
@@ -588,6 +602,49 @@ def test_only_diff_tells_the_vector_forms_apart():
             ):
                 checks.append(path.name)
     assert checks == ["diff.py", "diff.py"]
+
+
+def test_only_curvature_tells_the_methods_apart():
+    """solver.py names no Gauss-Newton factor type, Hessian factor or method
+    tag: curvature.GramSystem.expand reads the method from its factors."""
+    named, attributes = set(), set()
+    for node in ast.walk(ast.parse(Path(solver.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+            attributes.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+    assert named.isdisjoint({"GnBatchFactors", "hessian_factors", "GN", "NG"})
+    assert "method" not in attributes
+
+
+@pytest.mark.parametrize(
+    "loss_name, layers, target_columns",
+    [("softmax_cross_entropy", "3,4,2", 2), ("binary_cross_entropy", "3,4,1", 1)],
+)
+def test_csv_widths_come_from_layers(loss_name, layers, target_columns, tmp_path, rng):
+    """A config of train_csv, layers, loss and the step keys trains: the CSV
+    rows hold layers[0] features and a label, read one-hot over layers[-1]
+    classes when that is above 1 and as a scalar target otherwise."""
+    labels = rng.integers(0, 2, size=40).astype(float)
+    save_csv(
+        tmp_path / "train.csv",
+        data.Dataset(rng.normal(size=(40, 3)), labels.reshape(-1, 1)),
+    )
+    config = cli.build_config(
+        {"train_csv": str(tmp_path / "train.csv"), "layers": layers,
+         "loss": loss_name, "method": "smw-gn", "n1": "10", "n2": "5",
+         "out": str(tmp_path / "m.csv")}, {},
+    )
+    train, _ = cli.load_datasets(config)
+    one_hot = target_columns > 1
+    expected = data.one_hot(labels, 2) if one_hot else labels.reshape(-1, 1)
+    assert np.array_equal(train.targets, expected)
+    assert cli.run(config) == 0
+    _, rows = read_metrics(tmp_path / "m.csv")
+    assert len(rows) == 4
 
 
 def test_every_definition_outside_oracles_is_used_outside_oracles():
@@ -1006,43 +1063,70 @@ def test_python_dash_m_entry_point():
 
 
 # Runs that end in a numeric or data failure: flags, whether the first
-# feature holds +-1e308 in two rows, and the exit code.
+# feature holds +-1e308 in two rows, the exit code and the error line's label.
 FAILING_RUNS = {
     "non-finite pre-activation": (
         "--activations linear,linear --method smw-gn --n1 10 --n2 5 --alpha 1e200",
-        False, 3,
+        False, 3, "numeric failure",
     ),
-    "infinite standardizer std": ("--method smw-gn --n1 10 --n2 5", True, 2),
-    "sgd batch loss": ("--method sgd --n1 10 --n2 5 --alpha 1e300", False, 3),
+    "infinite standardizer std": (
+        "--method smw-gn --n1 10 --n2 5", True, 2, "data error"
+    ),
+    "sgd batch loss": ("--method sgd --n1 10 --alpha 1e300", False, 3, "numeric failure"),
     "full loss": (
-        "--method smw-gn --n1 50 --n2 5 --alpha 1e160 --epochs 1", False, 3
+        "--method smw-gn --n1 50 --n2 5 --alpha 1e160 --epochs 1",
+        False, 3, "numeric failure",
     ),
 }
 
 
-@pytest.mark.parametrize("flags, big, code", FAILING_RUNS.values(), ids=FAILING_RUNS)
-def test_failure_is_one_stderr_line(flags, big, code, tmp_path):
-    """A failed run on a 50x4 regression CSV prints its one error line and
-    no numpy warning, and no metrics row it wrote holds a non-finite loss
-    or norm."""
+def write_regression_csv(path, big=False):
+    """The 50x4 regression CSV of the failure recipes; with big, feature 0
+    holds +-1e308 in two rows."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(50, 4))
     rng.integers(0, 3, 50)
     y = rng.normal(size=(50, 1))
     if big:
         x[0, 0], x[1, 0] = 1e308, -1e308
-    save_csv(tmp_path / "train.csv", data.Dataset(x, y))
+    save_csv(path, data.Dataset(x, y))
+    return path
+
+
+@pytest.mark.parametrize(
+    "flags, big, code, label", FAILING_RUNS.values(), ids=FAILING_RUNS
+)
+def test_failure_is_one_stderr_line(flags, big, code, label, tmp_path):
+    """A failed run on a 50x4 regression CSV prints its one error line,
+    under its label, and no numpy warning, and no metrics row it wrote
+    holds a non-finite loss or norm."""
+    csv_path = write_regression_csv(tmp_path / "train.csv", big)
     out = tmp_path / "m.csv"
     result = run_python(
-        "-m", "smwopt", "--train-csv", str(tmp_path / "train.csv"),
-        "--csv-features", "4", "--layers", "4,5,1", "--loss", "squared_error",
+        "-m", "smwopt", "--train-csv", str(csv_path),
+        "--layers", "4,5,1", "--loss", "squared_error",
         *flags.split(), "--out", str(out),
     )
     assert result.returncode == code
     assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith(label + ": "), result.stderr
     if out.exists():
         header, rows = read_metrics(out)
         for row in rows:
             for name in ("batch_loss", "full_loss", "grad_norm", "step_norm"):
                 cell = row[header.index(name)]
                 assert cell == "" or np.isfinite(float(cell)), (name, cell)
+
+
+def test_sgd_reads_no_n2(tmp_path):
+    """SGD never reads n2: --method sgd --n1 10 with the default n2 (30)
+    trains on the 50x4 regression CSV, one row per batch of 10."""
+    out = tmp_path / "m.csv"
+    argv = [
+        "--train-csv", str(write_regression_csv(tmp_path / "train.csv")),
+        "--layers", "4,5,1", "--loss", "squared_error",
+        "--method", "sgd", "--n1", "10", "--out", str(out),
+    ]
+    assert cli.main(argv) == 0
+    _, rows = read_metrics(out)
+    assert len(rows) == 5

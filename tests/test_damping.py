@@ -89,6 +89,19 @@ class TestUpdateLambda:
         with pytest.raises(ConfigError):
             damping.DampingState(epsilon=0.6)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("drop", -1.0), ("lambda_lm", math.nan), ("tau", math.inf), ("boost", math.inf)],
+    )
+    def test_rejects_values_outside_the_damping_rules(self, name, value):
+        with pytest.raises(ConfigError):
+            damping.DampingState(**{name: value})
+
+    def test_boost_overflow_is_a_numeric_failure(self):
+        state = damping.DampingState(lambda_lm=1e308, boost=10.0)
+        with pytest.raises(NumericError):
+            damping.update_lambda(state, -math.inf)
+
 
 @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=60))
 @settings(max_examples=50, deadline=None)

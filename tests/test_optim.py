@@ -50,6 +50,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             optim.OptimizerConfig(n1=10, n2=20)
 
+    def test_sgd_checks_n1_only(self):
+        optim.OptimizerConfig(method=optim.SGD, n1=10, n2=30)
+        with pytest.raises(ConfigError):
+            optim.OptimizerConfig(method=optim.SGD, n1=0, n2=0)
+
+    def test_damping_rules_checked_at_construction(self):
+        with pytest.raises(ConfigError):
+            optim.OptimizerConfig(boost=0.5)
+
     def test_semi_stochastic_constraints(self):
         with pytest.raises(ConfigError):
             optim.OptimizerConfig(semi_stochastic=True, alpha=0.5)
@@ -99,9 +108,12 @@ class TestSampler:
         assert sizes == [4, 4, 2]
         assert sorted(seen) == list(range(10))
 
-    def test_invalid_sizes(self, rng):
-        with pytest.raises(ConfigError):
-            optim.EpochSampler(rng, 10, 4, 5)
+    def test_batch_above_sample_count(self, rng):
+        """n1 > N is a config error when the Trainer is built."""
+        for method in optim.METHODS:
+            config = optim.OptimizerConfig(method=method, n1=101, n2=5)
+            with pytest.raises(ConfigError):
+                make_binary_trainer(rng, config, n=100)
 
 
 class TestSgd:
