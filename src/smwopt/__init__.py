@@ -1,6 +1,6 @@
 """Woodbury-based second-order training for feed-forward networks.
 
-Subpackages:
+Modules:
     linalg     Cholesky factor, blocked triangular solves
     network    shapes, parameter layout, forward pass
     loss       matching losses, output-Hessian products and factors

@@ -139,7 +139,9 @@ def load_datasets(
                 "test split has {} features and {} target columns, the "
                 "training split {} and {}".format(*widths[1], *widths[0])
             )
-    if config.subset > 0:
+    if config.subset < 0:
+        raise ConfigError(f"need subset >= 0, got {config.subset}")
+    if config.subset:
         seed = None if config.subset_seed < 0 else config.subset_seed
         train = train.subset(config.subset, seed)
     if config.standardize:
@@ -232,8 +234,12 @@ def run(config: RunConfig) -> int:
         test_inputs=None if test is None else test.inputs,
         test_targets=None if test is None else test.targets,
     )
+    if config.epochs < 1:
+        raise ConfigError(f"need epochs >= 1, got {config.epochs}")
+    if config.eval_interval < 0:
+        raise ConfigError(f"need eval_interval >= 0, got {config.eval_interval}")
     num_iters = config.epochs * trainer.iters_per_epoch
-    interval = config.eval_interval if config.eval_interval > 0 else None
+    interval = config.eval_interval or None
     with open(config.out, "w", encoding="utf-8") as fh:
         fh.write(",".join(METRICS_COLUMNS) + "\n")
         trainer.run(

@@ -36,10 +36,6 @@ from .counters import OpCounters
 from .exceptions import NumericError
 from .network import ForwardCache, NetworkShape
 
-GN = "gn"
-NG = "ng"
-
-
 @dataclass
 class GnBatchFactors(diff.BackpropFactors):
     """Backward factors of every (sample, Hessian-factor column) pair in a batch.
@@ -104,14 +100,33 @@ class GramSystem:
     factors.dots_with(v) is U^T v for both methods, and their type is the
     method: GnBatchFactors for Gauss-Newton, per-sample gradient factors
     for natural gradient. core_factor, the lower Cholesky factor of core,
-    is computed once here and reused by every core solve of the direction.
+    is computed once, by GramSystem.of, and reused by every core solve of
+    the direction.
     """
 
     core: np.ndarray
     core_factor: np.ndarray
     lam: float
-    n2: int
     factors: diff.BackpropFactors
+
+    @classmethod
+    def of(cls, factors: diff.BackpropFactors, lam: float) -> GramSystem:
+        """Assemble the core over the factors' samples and factor it once."""
+        core = assemble_d(gn_block_gram(factors), lam, factors.ncols)
+        try:
+            lower = linalg.cholesky(core)
+        except NumericError as err:
+            diag = np.diag(core)
+            raise NumericError(
+                f"core factorization failed at lambda={lam:.6e} "
+                f"(diag range [{diag.min():.3e}, {diag.max():.3e}]): {err}"
+            ) from err
+        return cls(core, lower, lam, factors)
+
+    @property
+    def n2(self) -> int:
+        """Samples in the curvature batch."""
+        return self.factors.ncols
 
     def solve_core(self, rhs: np.ndarray) -> np.ndarray:
         """core^-1 rhs by two triangular solves with the kept factor."""
@@ -138,36 +153,3 @@ def assemble_d(gram: np.ndarray, lam: float, n2: int) -> np.ndarray:
     core = gram / n2
     core[np.diag_indices(len(core))] += lam
     return core
-
-
-def _factored_system(gram, lam, factors) -> GramSystem:
-    """Assemble the core over the factors' samples and factor it once."""
-    n2 = factors.ncols
-    core = assemble_d(gram, lam, n2)
-    try:
-        lower = linalg.cholesky(core)
-    except NumericError as err:
-        diag = np.diag(core)
-        raise NumericError(
-            f"core factorization failed at lambda={lam:.6e} "
-            f"(diag range [{diag.min():.3e}, {diag.max():.3e}]): {err}"
-        ) from err
-    return GramSystem(core, lower, lam, n2, factors)
-
-
-def build_gn_system(
-    shape: NetworkShape,
-    theta,
-    cache: ForwardCache,
-    spec: loss_mod.LossSpec,
-    lam: float,
-    counters: OpCounters | None = None,
-) -> GramSystem:
-    """Factor the batch, form the Gram matrix, and factor the GN core."""
-    batch = gn_batch_factors(shape, theta, cache, spec, counters)
-    return _factored_system(gn_block_gram(batch), lam, batch)
-
-
-def build_ng_system(factors: diff.BackpropFactors, lam: float) -> GramSystem:
-    """Assemble and factor the natural-gradient core from per-sample gradient factors."""
-    return _factored_system(gn_block_gram(factors), lam, factors)

@@ -87,6 +87,8 @@ class OptimizerConfig:
             raise ConfigError(f"need 0 < alpha < inf, got {self.alpha}")
         if not math.isfinite(self.eta):
             raise ConfigError(f"eta must be finite, got {self.eta}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.semi_stochastic:
             if self.method == SGD:
                 raise ConfigError("semi-stochastic mode needs a curvature method")
@@ -255,7 +257,7 @@ class Trainer:
     def _direction(self, positions, cache1, g, gfactors) -> solver.DirectionResult:
         lam = self.damping.lam
         if self.config.method == SMW_NG:
-            system = curvature.build_ng_system(gfactors.cols(positions), lam)
+            factors = gfactors.cols(positions)
         else:
             cache2 = cache1.cols(positions)
             if self.config.method == HF:
@@ -263,9 +265,10 @@ class Trainer:
                     self.shape, self.theta, cache2, self.spec, lam,
                     self.config.cg, g, self.counters,
                 )
-            system = curvature.build_gn_system(
-                self.shape, self.theta, cache2, self.spec, lam, self.counters
+            factors = curvature.gn_batch_factors(
+                self.shape, self.theta, cache2, self.spec, self.counters
             )
+        system = curvature.GramSystem.of(factors, lam)
         return solver.smw_direction(self.shape, self.theta, system, g, self.counters)
 
     def _second_order_step(self, s1, positions) -> IterationRecord:

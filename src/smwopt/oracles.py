@@ -16,7 +16,7 @@ import traceback
 import numpy as np
 
 from . import curvature, diff, loss as loss_mod, network, optim, solver
-from .exceptions import NumericError, ShapeError
+from .exceptions import ConfigError, NumericError, ShapeError
 
 DENSE_ORACLE_MAX_PARAMS = 5000
 
@@ -101,7 +101,7 @@ def factored_case(rng, kind, method, lam):
     shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
         rng, kind, m_in=5, factored=True
     )
-    system = _prefix_system(shape, spec, theta, cache1, y2, method, lam)
+    system = smw_system(shape, theta, cache1.cols([0, 1]), y2, spec, lam, method)
     res = solver.smw_direction(shape, theta, system, g)
     oracle = dense_direction_oracle(
         shape, theta, x2, y2, spec, lam, method, g=g.expand()
@@ -109,13 +109,14 @@ def factored_case(rng, kind, method, lam):
     return shape, theta, cache1, g, res, oracle
 
 
-def _prefix_system(shape, spec, theta, cache1, y2, method, lam):
-    """The curvature system over a wider_batch_instance's S2 prefix."""
-    cache2 = cache1.cols([0, 1])
-    if method == curvature.GN:
-        return curvature.build_gn_system(shape, theta, cache2, spec, lam)
-    _, gf = diff.gradient(shape, theta, cache2, y2, spec)
-    return curvature.build_ng_system(gf, lam)
+def smw_system(shape, theta, cache, y, spec, lam, method=optim.SMW_GN):
+    """The Woodbury system the trainer's method, optim.SMW_GN or SMW_NG,
+    builds over the samples of cache, whose targets are y."""
+    if method == optim.SMW_NG:
+        factors = diff.gradient(shape, theta, cache, y, spec)[1]
+    else:
+        factors = curvature.gn_batch_factors(shape, theta, cache, spec)
+    return curvature.GramSystem.of(factors, lam)
 
 
 def central_differences(f, point, step) -> np.ndarray:
@@ -215,7 +216,7 @@ def build_curvature_matrix(
     g, factors = diff.gradient(shape, theta, cache, y, spec)
     nb = cache.ncols
     b_mat = np.zeros((n, n))
-    if method == curvature.NG:
+    if method == optim.SMW_NG:
         for i in range(nb):
             gi = factors.cols([i]).expand_sum()
             b_mat += np.outer(gi, gi)
@@ -230,7 +231,7 @@ def build_curvature_matrix(
 
 
 def dense_direction_oracle(
-    shape, theta, x, y, spec, lam: float, method: str = curvature.GN, g=None
+    shape, theta, x, y, spec, lam: float, method: str = optim.SMW_GN, g=None
 ) -> solver.DirectionResult:
     """Solve (B_t + lam I) p = -g with B_t materialized over the batch x.
 
@@ -247,23 +248,21 @@ def dense_direction_oracle(
 
 
 def _smw_case(rng, kind, method, lam):
-    """A random 3-sample instance, its Woodbury direction, the dense B_t
-    and the direction's residual ||(B_t + lam I) p + g|| / (1 + ||g||)."""
+    """On a random 3-sample instance: its gradient g, its Woodbury direction,
+    the dense B_t and the direction's residual
+    ||(B_t + lam I) p + g|| / (1 + ||g||)."""
     shape, spec, theta = make_net(rng, kind)
     nb = 3
     x = rng.normal(size=(shape.input_size, nb))
     y = random_targets(rng, kind, shape.output_size, nb)
     cache = network.forward(shape, theta, x)
-    g, gf = diff.gradient(shape, theta, cache, y, spec)
-    if method == curvature.GN:
-        system = curvature.build_gn_system(shape, theta, cache, spec, lam)
-    else:
-        system = curvature.build_ng_system(gf, lam)
+    g, _ = diff.gradient(shape, theta, cache, y, spec)
+    system = smw_system(shape, theta, cache, y, spec, lam, method)
     res = solver.smw_direction(shape, theta, system, g)
     b_mat, _ = build_curvature_matrix(shape, theta, x, y, spec, method)
     residual = b_mat @ res.p + lam * res.p + g
     res_err = float(np.linalg.norm(residual)) / (1.0 + float(np.linalg.norm(g)))
-    return shape, spec, theta, x, y, g, res, b_mat, res_err
+    return g, res, b_mat, res_err
 
 
 def _backward_error_case(rng, kind, method, lam):
@@ -272,7 +271,7 @@ def _backward_error_case(rng, kind, method, lam):
     over S2, g over S1, r = A p + g and the spectral norm of A (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 7)."""
     shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(rng, kind, m_in=5)
-    system = _prefix_system(shape, spec, theta, cache1, y2, method, lam)
+    system = smw_system(shape, theta, cache1.cols([0, 1]), y2, spec, lam, method)
     p = solver.smw_direction(shape, theta, system, g).p
     b_mat, _ = build_curvature_matrix(shape, theta, x2, y2, spec, method)
     a = b_mat + lam * np.eye(shape.num_params)
@@ -327,9 +326,8 @@ def _trainer_step_case(rng, kind, method, lambda_lm, semi=False):
         s1 = np.arange(n)
     cache1 = network.forward(shape, theta, x[s1].T)
     g, _ = diff.gradient(shape, theta, cache1, y[s1].T, spec)
-    curv = curvature.NG if method == optim.SMW_NG else curvature.GN
     oracle = dense_direction_oracle(
-        shape, theta, x[s2].T, y[s2].T, spec, lam, curv, g=g
+        shape, theta, x[s2].T, y[s2].T, spec, lam, method, g=g
     )
     try:
         rec = trainer.step()
@@ -351,6 +349,8 @@ def verify(seed: int = 0) -> int:
     for the group's fixed index k, so a new or changed group moves no other
     group's random instances. A new group takes the next index.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     checks: list[tuple[str, float, float]] = []
 
     # Gradients against central finite differences.
@@ -435,17 +435,13 @@ def verify(seed: int = 0) -> int:
     worst_margin = math.inf
     margin_lines = []
     for kind in loss_mod.LOSS_KINDS:
-        for method in (curvature.GN, curvature.NG):
+        for method in (optim.SMW_GN, optim.SMW_NG):
             for lam in (1e-3, 1.0, 1e3):
-                shape, spec, theta, x, y, g, res, b_mat, res_err = _smw_case(
-                    rng, kind, method, lam
-                )
-                oracle = dense_direction_oracle(
-                    shape, theta, x, y, spec, lam, method
-                )
-                scale = float(np.max(np.abs(oracle.p))) + 1e-30
+                g, res, b_mat, res_err = _smw_case(rng, kind, method, lam)
+                dense_p = np.linalg.solve(b_mat + lam * np.eye(len(g)), -g)
+                scale = float(np.max(np.abs(dense_p))) + 1e-30
                 worst_dir = max(
-                    worst_dir, float(np.max(np.abs(res.p - oracle.p))) / scale
+                    worst_dir, float(np.max(np.abs(res.p - dense_p))) / scale
                 )
                 worst_res = max(worst_res, res_err)
                 beta = float(np.max(np.linalg.eigvalsh(b_mat)))
@@ -482,7 +478,7 @@ def verify(seed: int = 0) -> int:
     rng = np.random.default_rng([seed, 6])
     worst_res = 0.0
     for kind in loss_mod.LOSS_KINDS:
-        for method in (curvature.GN, curvature.NG):
+        for method in (optim.SMW_GN, optim.SMW_NG):
             worst_res = max(worst_res, _smw_case(rng, kind, method, 1e-10)[-1])
     checks.append(("smw_residual_small_lambda", worst_res, 1e-8))
 
@@ -497,7 +493,7 @@ def verify(seed: int = 0) -> int:
     rng = np.random.default_rng([seed, 7])
     worst = 0.0
     for kind in loss_mod.LOSS_KINDS:
-        for method in (curvature.GN, curvature.NG):
+        for method in (optim.SMW_GN, optim.SMW_NG):
             worst = max(worst, _backward_error_case(rng, kind, method, 1e-10))
     checks.append(("smw_backward_error_wider_batch", worst, 1e-15))
 
@@ -513,7 +509,7 @@ def verify(seed: int = 0) -> int:
         theta = 3.0 * network.init_theta(shape, rng)
         x = rng.normal(size=(shape.input_size, 2))
         y = random_targets(rng, kind, shape.output_size, 2)
-        b_mat, _ = build_curvature_matrix(shape, theta, x, y, spec, curvature.GN)
+        b_mat, _ = build_curvature_matrix(shape, theta, x, y, spec, optim.SMW_GN)
         hessian = fd_loss_hessian_theta(shape, theta, x, y, spec)
         worst = max(worst, float(np.max(np.abs(b_mat - hessian))))
     checks.append(("gn_matrix_vs_theta_hessian", worst, 1e-8))
@@ -526,7 +522,7 @@ def verify(seed: int = 0) -> int:
     worst_dir = 0.0
     worst_trial = 0.0
     for kind in loss_mod.LOSS_KINDS:
-        for method in (curvature.GN, curvature.NG):
+        for method in (optim.SMW_GN, optim.SMW_NG):
             for lam in (1e-3, 1.0, 1e3):
                 shape, theta, cache1, _, res, oracle = factored_case(
                     rng, kind, method, lam

@@ -22,6 +22,7 @@ from smwopt.oracles import (
     make_net,
     output_cache,
     random_targets,
+    smw_system,
 )
 from tests.conftest import pack
 
@@ -138,7 +139,7 @@ def test_criterion_05_smw_exactness():
     worst_dir = 0.0
     worst_res = 0.0
     for kind in loss.LOSS_KINDS:
-        for method in (curvature.GN, curvature.NG):
+        for method in (optim.SMW_GN, optim.SMW_NG):
             shape, spec, theta = make_net(
                 rng, kind, hidden=[12, 10], m_in=10,
                 m_out=1 if kind == loss.BINARY_CROSS_ENTROPY else 3,
@@ -148,14 +149,9 @@ def test_criterion_05_smw_exactness():
             x = rng.normal(size=(shape.input_size, nb))
             y = random_targets(rng, kind, shape.output_size, nb)
             cache = network.forward(shape, theta, x)
-            g, gfactors = diff.gradient(shape, theta, cache, y, spec)
+            g, _ = diff.gradient(shape, theta, cache, y, spec)
             for lam in (1e-3, 1.0, 1e3):
-                if method == curvature.GN:
-                    system = curvature.build_gn_system(
-                        shape, theta, cache, spec, lam
-                    )
-                else:
-                    system = curvature.build_ng_system(gfactors, lam)
+                system = smw_system(shape, theta, cache, y, spec, lam, method)
                 res = solver.smw_direction(shape, theta, system, g)
                 oracle = dense_direction_oracle(
                     shape, theta, x, y, spec, lam, method

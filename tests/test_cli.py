@@ -334,8 +334,8 @@ def test_load_and_train_hold_no_float64_copy_of_the_inputs(tmp_path):
 
 
 class TestRun:
-    def test_zero_epochs_header_only(self, tmp_path, rng):
-        config = cli.build_config(base_config(tmp_path, rng, epochs=0), {})
+    def test_header_is_the_fixed_schema(self, tmp_path, rng):
+        config = cli.build_config(base_config(tmp_path, rng), {})
         assert cli.run(config) == 0
         header, rows = read_metrics(tmp_path / "metrics.csv")
         assert header == cli.METRICS_COLUMNS == [
@@ -343,7 +343,7 @@ class TestRun:
             "lambda", "rho", "grad_norm", "step_norm", "wall_time_s",
             "forward_passes", "backward_passes", "jvp_products", "vjp_products",
         ]
-        assert rows == []
+        assert rows and all(len(row) == len(header) for row in rows)
 
     def test_deterministic_except_wall_time(self, tmp_path, rng):
         values = base_config(tmp_path, rng, epochs=3)
@@ -410,16 +410,20 @@ class TestMain:
         [
             "--lambda-lm=nan", "--lambda-lm=inf", "--tau=inf", "--alpha=inf",
             "--boost=inf", "--cg-tol=inf", "--drop=-0.5", "--drop=0",
+            "--seed=-1", "--epochs=0", "--epochs=-1", "--subset=-5",
+            "--eval-interval=-3",
         ],
     )
     def test_bad_step_setting_exit_2(self, setting, tmp_path, rng, capsys):
-        """A non-finite or out-of-range step setting is a config error
-        before any metrics row is written."""
+        """A non-finite or out-of-range step or run setting is one config
+        error line before the metrics file is opened; subset=0 and
+        eval_interval=0 are the defaults and stay valid."""
         values = base_config(tmp_path, rng, method="smw-gn")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
         assert cli.main(["--config", str(cfg), setting]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
         assert not (tmp_path / "metrics.csv").exists()
 
     def test_zero_lambda_lm_and_tiny_tau_train(self, tmp_path, rng):
@@ -620,6 +624,39 @@ def test_only_curvature_tells_the_methods_apart():
     assert "method" not in attributes
 
 
+def _calls_by_scope(path):
+    """(enclosing class and function names, called name) for each call in path."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                found.append((".".join(scope), name))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_one_constructor_for_a_woodbury_system():
+    """Only GramSystem.of constructs a GramSystem, and only curvature.py and
+    oracles.py call the Gram kernel or the core assembly."""
+    constructed, kernel_callers = [], set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for scope, name in _calls_by_scope(path):
+            if name == "GramSystem" or (name == "cls" and scope.startswith("GramSystem.")):
+                constructed.append(f"{path.name}:{scope}")
+            if name in ("gn_block_gram", "assemble_d"):
+                kernel_callers.add(path.name)
+    assert constructed == ["curvature.py:GramSystem.of"]
+    assert kernel_callers <= {"curvature.py", "oracles.py"}
+
+
 @pytest.mark.parametrize(
     "loss_name, layers, target_columns",
     [("softmax_cross_entropy", "3,4,2", 2), ("binary_cross_entropy", "3,4,1", 1)],
@@ -701,6 +738,12 @@ class TestVerify:
         assert "PASS hf_factored_vs_dense_direction" in out
         assert "PASS trainer_step_vs_dense_direction" in out
         assert "FAIL" not in out
+
+    def test_negative_seed_is_config_error(self, capsys):
+        assert cli.main(["--verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: seed must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("seed", range(1, 10))
     def test_passes_over_seeds(self, seed, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smwopt import curvature, diff, linalg, loss, network, solver
+from smwopt import curvature, diff, linalg, loss, network, optim, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import NumericError
 from smwopt.oracles import (
@@ -11,6 +11,7 @@ from smwopt.oracles import (
     fd_loss_hessian_theta,
     make_net,
     random_targets,
+    smw_system,
 )
 from tests.conftest import pack
 
@@ -87,6 +88,9 @@ class TestGnBlockGram:
 
 
 class TestNgGram:
+    """gn_block_gram on per-sample gradient factors: the natural-gradient
+    Gram matrix of the samples' loss gradients."""
+
     def test_single_sample_norm(self, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
         x = rng.normal(size=(shape.input_size, 1))
@@ -142,10 +146,11 @@ def test_cores_are_exactly_symmetric(kind, sizes, n2, rng):
     cache = network.forward(shape, theta, x)
     _, factors = diff.gradient(shape, theta, cache, y, spec)
     positions = np.arange(n2)
-    for system in (
-        curvature.build_gn_system(shape, theta, cache.cols(positions), spec, 1e-3),
-        curvature.build_ng_system(factors.cols(positions), 1e-3),
+    for batch in (
+        curvature.gn_batch_factors(shape, theta, cache.cols(positions), spec),
+        factors.cols(positions),
     ):
+        system = curvature.GramSystem.of(batch, 1e-3)
         assert np.array_equal(system.core, system.core.T)
 
 
@@ -170,10 +175,12 @@ class TestAssemble:
 
         monkeypatch.setattr(linalg, "cholesky", failing_cholesky)
         with pytest.raises(NumericError, match="core factorization failed") as err:
-            curvature.build_gn_system(shape, theta, cache, spec, 1.0)
+            curvature.GramSystem.of(
+                curvature.gn_batch_factors(shape, theta, cache, spec), 1.0
+            )
         assert err.value.__cause__ is cause
 
-    @pytest.mark.parametrize("method", [curvature.GN, curvature.NG])
+    @pytest.mark.parametrize("method", [optim.SMW_GN, optim.SMW_NG], ids=["gn", "ng"])
     def test_indefinite_core_reports_lambda_and_diagonal(self, method, rng):
         """A core that is not SPD, here from a negative lambda, is one
         NumericError naming lambda and the core's diagonal range."""
@@ -182,11 +189,7 @@ class TestAssemble:
         y = random_targets(rng, spec.kind, shape.output_size, 2)
         cache = network.forward(shape, theta, x)
         with pytest.raises(NumericError, match=r"lambda=-1\.0+e\+03 \(diag range \["):
-            if method == curvature.GN:
-                curvature.build_gn_system(shape, theta, cache, spec, -1e3)
-            else:
-                _, factors = diff.gradient(shape, theta, cache, y, spec)
-                curvature.build_ng_system(factors, -1e3)
+            smw_system(shape, theta, cache, y, spec, -1e3, method)
 
     def test_gn_squared_error_blocks(self, rng):
         n2, m_out = 2, 2
@@ -208,7 +211,9 @@ class TestAssemble:
         x = rng.normal(size=(shape.input_size, nb))
         cache = network.forward(shape, theta, x)
         lam = 0.7
-        system = curvature.build_gn_system(shape, theta, cache, spec, lam)
+        system = curvature.GramSystem.of(
+            curvature.gn_batch_factors(shape, theta, cache, spec), lam
+        )
         fmat = factored_jacobian(shape, theta, cache, spec)
         dense = lam * np.eye(nb * shape.output_size) + (fmat @ fmat.T) / nb
         assert np.max(np.abs(system.core - dense)) < 1e-10
@@ -223,7 +228,7 @@ class TestAssemble:
         assert cache.output[0, 0] == 1.0
         spec = loss.LossSpec(loss.BINARY_CROSS_ENTROPY)
         lam = 1.0
-        system = curvature.build_gn_system(shape, theta, cache, spec, lam)
+        system = smw_system(shape, theta, cache, y, spec, lam)
         # The saturated sample's Hessian factor is zero, so its core row
         # and column hold only the damping.
         assert system.core[0, 0] == lam
@@ -254,6 +259,6 @@ def test_gn_matrix_is_theta_hessian_of_one_layer_net(kind, m_out):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 1))
     y = random_targets(rng, kind, m_out)
-    b_mat, _ = build_curvature_matrix(shape, theta, x, y, spec, curvature.GN)
+    b_mat, _ = build_curvature_matrix(shape, theta, x, y, spec, optim.SMW_GN)
     hessian = fd_loss_hessian_theta(shape, theta, x, y, spec, step=1e-5)
     assert np.max(np.abs(b_mat - hessian)) < 1e-8

@@ -67,6 +67,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             optim.OptimizerConfig(method=optim.SGD, semi_stochastic=True, alpha=1.0)
 
+    def test_negative_seed(self):
+        optim.OptimizerConfig(seed=0)
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            optim.OptimizerConfig(seed=-1)
+
     def test_cg_iters_validated(self):
         with pytest.raises(ConfigError):
             optim.OptimizerConfig(cg=solver.CgConfig(max_iters=0))
@@ -283,8 +288,9 @@ class TestSmwStep:
         from smwopt import curvature, diff, solver as solver_mod
 
         g, _ = diff.gradient(shape, theta0, cache, y[s1].T, spec)
-        system = curvature.build_gn_system(
-            shape, theta0, cache.cols(np.arange(8)), spec, probe.damping.lam
+        system = curvature.GramSystem.of(
+            curvature.gn_batch_factors(shape, theta0, cache.cols(np.arange(8)), spec),
+            probe.damping.lam,
         )
         direction = solver_mod.smw_direction(shape, theta0, system, g)
         f_before = float(np.mean(loss.loss_value(spec, cache, y[s1].T)))
@@ -310,7 +316,7 @@ class TestSmwStep:
             alpha=1.0, semi_stochastic=semi_stochastic, seed=4,
         )
         drawn, built = [], []
-        sample, build = optim.EpochSampler.sample_batches, curvature.build_gn_system
+        sample, build = optim.EpochSampler.sample_batches, curvature.gn_batch_factors
 
         def spy_sample(self):
             s1, s2 = sample(self)
@@ -322,7 +328,7 @@ class TestSmwStep:
             return build(shape, theta, cache, *args, **kwargs)
 
         monkeypatch.setattr(optim.EpochSampler, "sample_batches", spy_sample)
-        monkeypatch.setattr(curvature, "build_gn_system", spy_build)
+        monkeypatch.setattr(curvature, "gn_batch_factors", spy_build)
         trainer = optim.Trainer(shape, spec, x, y, config)
         for _ in range(3):  # stochastic mode ends on a 4-sample tail batch
             trainer.step()

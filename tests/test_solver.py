@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smwopt import curvature, diff, linalg, loss, network, oracles, solver
+from smwopt import curvature, diff, linalg, loss, network, optim, oracles, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import ConfigError, NumericError, ShapeError
 from smwopt.oracles import make_net, random_targets, wider_batch_instance
@@ -17,12 +17,6 @@ def build_instance(rng, kind, method, nb=4, hidden=None):
     return shape, spec, theta, x, y, cache, g, gfactors
 
 
-def build_system(shape, theta, cache, spec, gfactors, lam, method):
-    if method == curvature.NG:
-        return curvature.build_ng_system(gfactors, lam)
-    return curvature.build_gn_system(shape, theta, cache, spec, lam)
-
-
 class TestSmwDirection:
     def test_zero_gradient(self, rng):
         shape = network.NetworkShape((3, 2), ("linear",))
@@ -33,8 +27,8 @@ class TestSmwDirection:
         spec = loss.LossSpec(loss.SQUARED_ERROR)
         g, gfactors = diff.gradient(shape, theta, cache, y, spec)
         assert np.array_equal(g, np.zeros(shape.num_params))
-        for method in (curvature.GN, curvature.NG):
-            system = build_system(shape, theta, cache, spec, gfactors, 0.5, method)
+        for method in (optim.SMW_GN, optim.SMW_NG):
+            system = oracles.smw_system(shape, theta, cache, y, spec, 0.5, method)
             res = solver.smw_direction(shape, theta, system, g)
             assert np.array_equal(res.p, np.zeros(shape.num_params))
             assert res.grad_dot == res.quad_term == 0.0
@@ -49,12 +43,12 @@ class TestSmwDirection:
         g, gfactors = diff.gradient(shape, theta, cache, y, spec)
         assert np.linalg.norm(g) > 0
         lam = 2.0
-        system = curvature.build_gn_system(shape, theta, cache, spec, lam)
+        system = oracles.smw_system(shape, theta, cache, y, spec, lam)
         res = solver.smw_direction(shape, theta, system, g)
         assert np.max(np.abs(res.p + g / lam)) < 1e-12
 
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
-    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_matches_dense_oracle(self, kind, method, rng):
         # 3 instances x 3 damping levels per (kind, method): 54 solves total.
         for _ in range(3):
@@ -62,9 +56,7 @@ class TestSmwDirection:
                 rng, kind, method, nb=4, hidden=[8, 7]
             )
             for lam in (1e-3, 1.0, 1e3):
-                system = build_system(
-                    shape, theta, cache, spec, gfactors, lam, method
-                )
+                system = oracles.smw_system(shape, theta, cache, y, spec, lam, method)
                 res = solver.smw_direction(shape, theta, system, g)
                 oracle = oracles.dense_direction_oracle(
                     shape, theta, x, y, spec, lam, method
@@ -80,7 +72,7 @@ class TestSmwDirection:
                 )
 
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
-    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_descent_direction(self, kind, method, rng):
         for _ in range(5):
             shape, spec, theta, x, y, cache, g, gfactors = build_instance(
@@ -88,7 +80,7 @@ class TestSmwDirection:
             )
             if np.linalg.norm(g) == 0.0:
                 continue
-            system = build_system(shape, theta, cache, spec, gfactors, 0.01, method)
+            system = oracles.smw_system(shape, theta, cache, y, spec, 0.01, method)
             res = solver.smw_direction(shape, theta, system, g)
             assert res.grad_dot < 0.0
             assert res.quad_term >= -1e-10
@@ -123,14 +115,14 @@ class TestSmwDirection:
 
             monkeypatch.setattr(linalg, "cholesky", spy_cholesky)
             monkeypatch.setattr(np.linalg, "solve", spy_solve)
-            system = curvature.build_gn_system(shape, theta, cache, spec, lam)
+            system = oracles.smw_system(shape, theta, cache, y, spec, lam)
             solver.smw_direction(shape, theta, system, g)
             monkeypatch.undo()
             assert calls == expected
             assert system.core.shape == (nb * shape.output_size,) * 2
             assert solved and max(solved) <= linalg.LEAF_ROWS
 
-    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_inputs_unchanged(self, method, rng):
         """In-place kernels write only to buffers the direction owns."""
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
@@ -140,13 +132,15 @@ class TestSmwDirection:
         arrays += gfactors.layer_adjoints
         before = [a.tobytes() for a in arrays]
         for lam in (1.0, 1e-10):
-            system = build_system(shape, theta, cache, spec, gfactors, lam, method)
+            system = oracles.smw_system(shape, theta, cache, y, spec, lam, method)
             core = system.core.tobytes()
+            held = [a.tobytes() for a in system.factors.layer_adjoints]
             solver.smw_direction(shape, theta, system, g)
             assert system.core.tobytes() == core
+            assert [a.tobytes() for a in system.factors.layer_adjoints] == held
             assert [a.tobytes() for a in arrays] == before
 
-    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_one_dot_sweep_per_direction(self, method, rng, monkeypatch):
         """Without refinement U^T p is not measured: U^T g is the only sweep."""
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
@@ -161,13 +155,13 @@ class TestSmwDirection:
 
         monkeypatch.setattr(diff.BackpropFactors, "dots_with", spy)
         for lam in (1e-3, 1.0, 1e3):
-            system = build_system(shape, theta, cache, spec, gfactors, lam, method)
+            system = oracles.smw_system(shape, theta, cache, y, spec, lam, method)
             sweeps.clear()
             solver.smw_direction(shape, theta, system, g)
             assert sweeps == [shape.num_params]
 
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
-    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_model_term_from_core_vector(self, kind, method, rng):
         """n2 ||q||^2 equals the measured ||U^T p||^2 / n2."""
         for _ in range(3):
@@ -175,9 +169,7 @@ class TestSmwDirection:
                 rng, kind, method, hidden=[8, 7]
             )
             for lam in (1.0, 1e3):
-                system = build_system(
-                    shape, theta, cache, spec, gfactors, lam, method
-                )
+                system = oracles.smw_system(shape, theta, cache, y, spec, lam, method)
                 res = solver.smw_direction(shape, theta, system, g)
                 grad_dot, quad = solver.quadratic_terms(system, g, res.p)
                 assert res.grad_dot == grad_dot
@@ -186,15 +178,15 @@ class TestSmwDirection:
     def test_woodbury_inverse_reconstruction(self, rng):
         """lam I + B applied densely inverts the reconstructed inverse."""
         for kind, method in (
-            (loss.SQUARED_ERROR, curvature.GN),
-            (loss.SOFTMAX_CROSS_ENTROPY, curvature.GN),
-            (loss.BINARY_CROSS_ENTROPY, curvature.NG),
+            (loss.SQUARED_ERROR, optim.SMW_GN),
+            (loss.SOFTMAX_CROSS_ENTROPY, optim.SMW_GN),
+            (loss.BINARY_CROSS_ENTROPY, optim.SMW_NG),
         ):
             shape, spec, theta, x, y, cache, g, gfactors = build_instance(
                 rng, kind, method, nb=3, hidden=[4]
             )
             lam = 0.3
-            system = build_system(shape, theta, cache, spec, gfactors, lam, method)
+            system = oracles.smw_system(shape, theta, cache, y, spec, lam, method)
             n = shape.num_params
             ginv = np.zeros((n, n))
             for k in range(n):
@@ -210,11 +202,11 @@ class TestSmwDirection:
     @staticmethod
     def _gn_direction_counts(rng, lam):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.SOFTMAX_CROSS_ENTROPY, curvature.GN, nb=4
+            rng, loss.SOFTMAX_CROSS_ENTROPY, optim.SMW_GN, nb=4
         )
         counters = OpCounters()
-        system = curvature.build_gn_system(
-            shape, theta, cache, spec, lam, counters
+        system = curvature.GramSystem.of(
+            curvature.gn_batch_factors(shape, theta, cache, spec, counters), lam
         )
         solver.smw_direction(shape, theta, system, g, counters)
         assert counters.forward_passes == counters.backward_passes == 0
@@ -248,7 +240,7 @@ class TestFactoredDirection:
     gradient."""
 
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
-    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_matches_dense_oracle(self, kind, method, rng):
         for lam in (1e-3, 1.0, 1e3):
             *_, g, res, oracle = oracles.factored_case(rng, kind, method, lam)
@@ -260,7 +252,7 @@ class TestFactoredDirection:
             assert res.step_norm == pytest.approx(oracle.step_norm, rel=1e-9)
 
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
-    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_refined_residual_at_tiny_lambda(self, kind, method, rng):
         """The residual contract of smw_residual_small_lambda, on g over the
         curvature batch itself. With S1 wider, g has a part outside B_t's
@@ -273,7 +265,7 @@ class TestFactoredDirection:
                 rng, kind, method, nb=3
             )
             g = _frame_gradient(shape, theta, cache, y, spec, 3)
-            system = build_system(shape, theta, cache, spec, gfactors, lam, method)
+            system = oracles.smw_system(shape, theta, cache, y, spec, lam, method)
             res = solver.smw_direction(shape, theta, system, g)
             b_mat, dense_g = oracles.build_curvature_matrix(
                 shape, theta, x, y, spec, method
@@ -283,7 +275,7 @@ class TestFactoredDirection:
             assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(dense_g))
             assert res.quad_term == pytest.approx(float(p @ b_mat @ p), rel=1e-9)
 
-    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_zero_gradient_gives_zero_direction(self, method, rng):
         shape, spec, theta = make_net(rng, loss.SQUARED_ERROR, hidden=[4])
         x = rng.normal(size=(shape.input_size, 4))
@@ -291,8 +283,8 @@ class TestFactoredDirection:
         y = cache.output.copy()
         _, gfactors = diff.gradient(shape, theta, cache, y, spec)
         g = _frame_gradient(shape, theta, cache, y, spec, 2)
-        system = build_system(
-            shape, theta, cache.cols([0, 1]), spec, gfactors.cols([0, 1]), 0.5, method
+        system = oracles.smw_system(
+            shape, theta, cache.cols([0, 1]), y[:, :2], spec, 0.5, method
         )
         res = solver.smw_direction(shape, theta, system, g)
         assert all(not a.any() for a in res.p.factored().layer_adjoints)
@@ -301,12 +293,10 @@ class TestFactoredDirection:
     @pytest.mark.parametrize("lam", (1.0, 1e-8))
     def test_same_counts_as_the_packed_solve(self, lam, rng):
         shape, spec, theta, x, y, cache, g, _ = build_instance(
-            rng, loss.SOFTMAX_CROSS_ENTROPY, curvature.GN
+            rng, loss.SOFTMAX_CROSS_ENTROPY, optim.SMW_GN
         )
         factored = _frame_gradient(shape, theta, cache, y, spec, 2)
-        system = curvature.build_gn_system(
-            shape, theta, cache.cols([0, 1]), spec, lam
-        )
+        system = oracles.smw_system(shape, theta, cache.cols([0, 1]), y[:, :2], spec, lam)
         counts, directions = [], []
         for grad in (g, factored):
             counters = OpCounters()
@@ -323,7 +313,7 @@ class TestFactoredDirection:
 class TestDenseOracle:
     def test_large_damping_limit(self, rng):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.SQUARED_ERROR, curvature.GN
+            rng, loss.SQUARED_ERROR, optim.SMW_GN
         )
         lam = 1e8
         res = oracles.dense_direction_oracle(shape, theta, x, y, spec, lam)
@@ -331,7 +321,7 @@ class TestDenseOracle:
 
     def test_definiteness(self, rng):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.BINARY_CROSS_ENTROPY, curvature.GN
+            rng, loss.BINARY_CROSS_ENTROPY, optim.SMW_GN
         )
         res = oracles.dense_direction_oracle(shape, theta, x, y, spec, 0.5)
         assert float(g @ res.p) < 0.0
@@ -343,7 +333,7 @@ class TestDenseOracle:
             oracles.build_curvature_matrix(
                 shape, theta, rng.normal(size=(100, 2)),
                 rng.normal(size=(100, 2)), loss.LossSpec(loss.SQUARED_ERROR),
-                curvature.GN,
+                optim.SMW_GN,
             )
 
 
@@ -509,7 +499,7 @@ class TestHfCg:
     @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
     def test_tight_tolerance_matches_dense(self, kind, rng):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, kind, curvature.GN, nb=3, hidden=[4]
+            rng, kind, optim.SMW_GN, nb=3, hidden=[4]
         )
         lam = 0.5
         cfg = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-12)
@@ -521,13 +511,13 @@ class TestHfCg:
 
     def test_single_iteration_is_scaled_steepest_descent(self, rng):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.SQUARED_ERROR, curvature.GN
+            rng, loss.SQUARED_ERROR, optim.SMW_GN
         )
         lam = 0.5
         cfg = solver.CgConfig(max_iters=1, rel_residual_tol=1e-300)
         res = solver.hf_cg_direction(shape, theta, cache, spec, lam, cfg, g)
         b_mat, _ = oracles.build_curvature_matrix(
-            shape, theta, x, y, spec, curvature.GN
+            shape, theta, x, y, spec, optim.SMW_GN
         )
         alpha = float(g @ g) / float(g @ (b_mat + lam * np.eye(g.size)) @ g)
         assert np.max(np.abs(res.p + alpha * g)) < 1e-10
@@ -535,7 +525,7 @@ class TestHfCg:
     def test_descent_at_default_tolerance(self, rng):
         for kind in loss.LOSS_KINDS:
             shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-                rng, kind, curvature.GN
+                rng, kind, optim.SMW_GN
             )
             res = solver.hf_cg_direction(
                 shape, theta, cache, spec, 0.1, solver.CgConfig(), g
@@ -552,7 +542,7 @@ class TestHfCg:
     )
     def test_curvature_breakdown_is_numeric_error(self, product, rng, monkeypatch):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.SQUARED_ERROR, curvature.GN
+            rng, loss.SQUARED_ERROR, optim.SMW_GN
         )
         monkeypatch.setattr(
             solver, "_gn_product", lambda *args: product(args[4])
@@ -565,7 +555,7 @@ class TestHfCg:
 
     def test_non_finite_curvature_term_is_numeric_error(self, rng, monkeypatch):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.SQUARED_ERROR, curvature.GN
+            rng, loss.SQUARED_ERROR, optim.SMW_GN
         )
         fills = iter([0.0, np.inf])
         monkeypatch.setattr(
@@ -579,7 +569,7 @@ class TestHfCg:
 
     def test_non_finite_gradient_term_is_numeric_error(self, rng, monkeypatch):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.SQUARED_ERROR, curvature.GN
+            rng, loss.SQUARED_ERROR, optim.SMW_GN
         )
         g *= 1e154 / np.linalg.norm(g)
         monkeypatch.setattr(
@@ -594,7 +584,7 @@ class TestHfCg:
     def test_fresh_direction_per_call(self, rng):
         """Each call returns its own p; a later call leaves it and g alone."""
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.SOFTMAX_CROSS_ENTROPY, curvature.GN
+            rng, loss.SOFTMAX_CROSS_ENTROPY, optim.SMW_GN
         )
         g_before = g.tobytes()
         first = solver.hf_cg_direction(
@@ -618,18 +608,18 @@ class TestHfCg:
 class TestQuadraticTerms:
     def test_zero_direction(self, rng):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.SQUARED_ERROR, curvature.GN
+            rng, loss.SQUARED_ERROR, optim.SMW_GN
         )
-        system = curvature.build_gn_system(shape, theta, cache, spec, 1.0)
+        system = oracles.smw_system(shape, theta, cache, y, spec, 1.0)
         grad_dot, quad = solver.quadratic_terms(system, g, np.zeros_like(g))
         assert grad_dot == quad == 0.0
 
-    @pytest.mark.parametrize("method", (curvature.GN, curvature.NG))
+    @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_matches_dense_quadratic(self, method, rng):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
             rng, loss.SQUARED_ERROR, method
         )
-        system = build_system(shape, theta, cache, spec, gfactors, 1.0, method)
+        system = oracles.smw_system(shape, theta, cache, y, spec, 1.0, method)
         p = rng.normal(size=shape.num_params)
         _, quad = solver.quadratic_terms(system, g, p)
         b_mat, _ = oracles.build_curvature_matrix(shape, theta, x, y, spec, method)
@@ -637,9 +627,9 @@ class TestQuadraticTerms:
 
     def test_ng_sum_of_squares(self, rng):
         shape, spec, theta, x, y, cache, g, gfactors = build_instance(
-            rng, loss.BINARY_CROSS_ENTROPY, curvature.NG
+            rng, loss.BINARY_CROSS_ENTROPY, optim.SMW_NG
         )
-        system = curvature.build_ng_system(gfactors, 1.0)
+        system = curvature.GramSystem.of(gfactors, 1.0)
         p = rng.normal(size=shape.num_params)
         _, quad = solver.quadratic_terms(system, g, p)
         dots = gfactors.dots_with(p)
@@ -650,16 +640,14 @@ class TestQuadraticTerms:
 def test_model_decrease_bound(rng):
     """m(0) - m(p) >= tau / (beta + tau) * ||g|| * ||p|| on dense instances."""
     for kind in loss.LOSS_KINDS:
-        for method in (curvature.GN, curvature.NG):
+        for method in (optim.SMW_GN, optim.SMW_NG):
             shape, spec, theta, x, y, cache, g, gfactors = build_instance(
                 rng, kind, method, nb=3, hidden=[4]
             )
             if np.linalg.norm(g) == 0.0:
                 continue
             for lam in (1e-3, 1.0):
-                system = build_system(
-                    shape, theta, cache, spec, gfactors, lam, method
-                )
+                system = oracles.smw_system(shape, theta, cache, y, spec, lam, method)
                 res = solver.smw_direction(shape, theta, system, g)
                 b_mat, _ = oracles.build_curvature_matrix(
                     shape, theta, x, y, spec, method
