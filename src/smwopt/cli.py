@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data as data_mod, loss as loss_mod, network, optim, oracles, solver
+from . import damping, data as data_mod, loss as loss_mod, network, optim, oracles, solver
 from .exceptions import ConfigError, DataFormatError, NumericError
 
 @dataclass
 class RunConfig:
-    """All run options; those OptimizerConfig or CgConfig hold default to theirs."""
+    """All run options; the optimizer, damping and CG keys default to their owners'."""
 
     train_images: str = ""
     train_labels: str = ""
@@ -45,11 +45,11 @@ class RunConfig:
     seed: int = optim.OptimizerConfig.seed
     semi_stochastic: bool = optim.OptimizerConfig.semi_stochastic
     eta: float = optim.OptimizerConfig.eta
-    lambda_lm: float = optim.OptimizerConfig.lambda_lm
-    tau: float = optim.OptimizerConfig.tau
-    boost: float = optim.OptimizerConfig.boost
-    drop: float = optim.OptimizerConfig.drop
-    epsilon: float = optim.OptimizerConfig.epsilon
+    lambda_lm: float = damping.DampingState.lambda_lm
+    tau: float = damping.DampingState.tau
+    boost: float = damping.DampingState.boost
+    drop: float = damping.DampingState.drop
+    epsilon: float = damping.DampingState.epsilon
     cg_max_iters: int = solver.CgConfig.max_iters
     cg_tol: float = solver.CgConfig.rel_residual_tol
     eval_interval: int = 0
@@ -66,16 +66,19 @@ def _parse_bool(text: str) -> bool:
 
 
 def parse_config_file(path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from err
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -220,9 +223,12 @@ def run(config: RunConfig) -> int:
     """Train per the config and stream metrics rows to the output CSV."""
     train, test = load_datasets(config)
     shape, spec = build_model(config, train)
-    shared = {f.name for f in fields(optim.OptimizerConfig)}
+    def keys_of(owner):  # config's values for the fields of owner it also has
+        names = (f.name for f in fields(owner))
+        return {n: getattr(config, n) for n in names if hasattr(config, n)}
     opt_config = optim.OptimizerConfig(
-        **{f.name: getattr(config, f.name) for f in fields(config) if f.name in shared},
+        **keys_of(optim.OptimizerConfig),
+        damping=damping.DampingState(**keys_of(damping.DampingState)),
         cg=solver.CgConfig(config.cg_max_iters, config.cg_tol),
     )
     trainer = optim.Trainer(

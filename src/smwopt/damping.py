@@ -16,8 +16,9 @@ class DampingState:
 
     tau > 0 keeps the damped curvature matrix strictly positive definite;
     lambda_lm is multiplied by boost after poor steps and by drop after
-    good ones. Defaults follow the usual experiment settings; the optimizer
-    and run configurations take theirs from here.
+    good ones. Defaults follow the usual experiment settings. This is the
+    one declaration of these settings: OptimizerConfig.damping holds one,
+    and RunConfig's keys of the same names take their defaults from here.
     """
 
     lambda_lm: float = 1.0

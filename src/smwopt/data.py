@@ -13,6 +13,7 @@ batches and evaluation blocks), each entry as (x / divisor - mean) / std.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -163,25 +164,28 @@ def load_csv(
 
     num_classes > 1 converts integer labels to one-hot rows; num_classes
     == 1 keeps the label column as a scalar target (binary or regression).
+    The file is read as bytes, which float() parses, so a field that is
+    not ASCII text fails as a field that is not a number does.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if skip_header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != num_features + 1:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {num_features + 1} fields, "
-                    f"got {len(fields)}"
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as err:
-                raise DataFormatError(f"{path}:{lineno}: {err}") from err
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r\n and \r, as text mode does
+    for lineno, line in enumerate(lines, start=1):
+        if skip_header and lineno == 1:
+            continue
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(b",")
+        if len(fields) != num_features + 1:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {num_features + 1} fields, "
+                f"got {len(fields)}"
+            )
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError as err:
+            raise DataFormatError(f"{path}:{lineno}: {err}") from err
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     table = np.array(rows, dtype=np.float64)
@@ -196,10 +200,11 @@ def load_csv(
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+    """count bytes of fh, which must hold them: a count past the end of the
+    file fails before anything is read or reserved."""
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise DataFormatError(f"{path}: truncated file while reading {what}")
-    return data
+    return fh.read(count)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -212,6 +217,8 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise DataFormatError(
                 f"{images_path}: bad image magic 0x{magic:08x}"
             )
+        if min(count, rows, cols) < 0:
+            raise DataFormatError(f"{images_path}: negative size {count}x{rows}x{cols}")
         raw = _read_exact(fh, count * rows * cols, images_path, "pixel data")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as fh:
@@ -222,11 +229,11 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise DataFormatError(
                 f"{labels_path}: bad label magic 0x{magic:08x}"
             )
+        if label_count != count:
+            raise DataFormatError(
+                f"{labels_path}: {label_count} labels for {count} images"
+            )
         raw = _read_exact(fh, label_count, labels_path, "label data")
-    if label_count != count:
-        raise DataFormatError(
-            f"{labels_path}: {label_count} labels for {count} images"
-        )
     labels = np.frombuffer(raw, dtype=np.uint8)
     inputs = Inputs(pixels, divisor=IDX_PIXEL_DIVISOR)
     return Dataset(inputs, one_hot(labels, IDX_NUM_CLASSES))

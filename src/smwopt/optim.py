@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,20 +65,15 @@ class OptimizerConfig:
     n1: int = 60
     n2: int = 30
     alpha: float = 0.1
-    lambda_lm: float = damping_mod.DampingState.lambda_lm
-    tau: float = damping_mod.DampingState.tau
-    boost: float = damping_mod.DampingState.boost
-    drop: float = damping_mod.DampingState.drop
-    epsilon: float = damping_mod.DampingState.epsilon
     semi_stochastic: bool = False
     eta: float = 0.1
+    damping: damping_mod.DampingState = field(default_factory=damping_mod.DampingState)
     cg: solver.CgConfig = field(default_factory=solver.CgConfig)
     seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method: {self.method!r}")
-        self.damping_state()  # raises ConfigError for a damping setting out of range
         if self.n1 < 1:
             raise ConfigError(f"n1 must be at least 1, got {self.n1}")
         if self.method != SGD and not 1 <= self.n2 <= self.n1:
@@ -94,12 +89,8 @@ class OptimizerConfig:
                 raise ConfigError("semi-stochastic mode needs a curvature method")
             if self.alpha != 1.0:
                 raise ConfigError("semi-stochastic mode requires alpha == 1")
-            if not 0.0 < self.eta < self.epsilon:
+            if not 0.0 < self.eta < self.damping.epsilon:
                 raise ConfigError("semi-stochastic mode requires 0 < eta < epsilon")
-
-    def damping_state(self) -> damping_mod.DampingState:
-        names = (f.name for f in fields(damping_mod.DampingState))
-        return damping_mod.DampingState(**{n: getattr(self, n) for n in names})
 
 
 @dataclass
@@ -196,7 +187,7 @@ class Trainer:
         self.sampler = EpochSampler(
             np.random.default_rng(seed_batch), self.n_samples, n1, config.n2
         )
-        self.damping = config.damping_state()
+        self.damping = config.damping
         self.counters = OpCounters()
         self.t = 0
         self.samples_seen = 0
@@ -403,11 +394,17 @@ class Trainer:
         """Run num_iters iterations, attaching full evaluations periodically.
 
         eval_interval defaults to once per epoch; pass 0 to disable the
-        full-data evaluations entirely. A full loss that is not finite
-        raises TrainingError before its record reaches record_hook.
+        full-data evaluations entirely. A negative num_iters or
+        eval_interval raises ConfigError before any step. A full loss that
+        is not finite raises TrainingError before its record reaches
+        record_hook.
         """
+        if num_iters < 0:
+            raise ConfigError(f"need num_iters >= 0, got {num_iters}")
         if eval_interval is None:
             eval_interval = self.iters_per_epoch
+        elif eval_interval < 0:
+            raise ConfigError(f"need eval_interval >= 0, got {eval_interval}")
         records = []
         for _ in range(num_iters):
             rec = self.step()

@@ -15,7 +15,7 @@ import traceback
 
 import numpy as np
 
-from . import curvature, diff, loss as loss_mod, network, optim, solver
+from . import curvature, damping, diff, loss as loss_mod, network, optim, solver
 from .exceptions import ConfigError, NumericError, ShapeError
 
 DENSE_ORACLE_MAX_PARAMS = 5000
@@ -315,7 +315,7 @@ def _trainer_step_case(rng, kind, method, lambda_lm, semi=False):
     y = random_targets(rng, kind, shape.output_size, n).T
     config = optim.OptimizerConfig(
         method=method, n1=n if semi else 6, n2=3, alpha=1.0 if semi else 0.5,
-        lambda_lm=lambda_lm, semi_stochastic=semi,
+        damping=damping.DampingState(lambda_lm=lambda_lm), semi_stochastic=semi,
         cg=solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15),
         seed=int(rng.integers(2**31)),
     )

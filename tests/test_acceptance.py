@@ -292,7 +292,7 @@ def test_criterion_09_gn_exact_on_linear_least_squares():
         theta_star = pack(shape, [(coef[:m0].T, coef[m0])])
         config = optim.OptimizerConfig(
             method=optim.SMW_GN, n1=n, n2=n, alpha=1.0,
-            lambda_lm=0.0, tau=1e-10, seed=0,
+            damping=damping.DampingState(lambda_lm=0.0, tau=1e-10), seed=0,
         )
         trainer = optim.Trainer(shape, spec, x, y, config)
         trainer.step()

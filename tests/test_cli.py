@@ -1,16 +1,18 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smwopt import cli, data, diff, network, optim, oracles, solver
+import smwopt
+from smwopt import cli, damping, data, diff, network, optim, oracles, solver
 from smwopt.exceptions import ConfigError, DataFormatError
 from tests.conftest import exact_pixel_statistics, save_csv, write_idx_pair
 from tests.test_acceptance import synthetic_digits_idx
@@ -254,7 +256,7 @@ class TestGather:
             shape, spec, train.inputs, train.targets,
             optim.OptimizerConfig(
                 method=optim.SMW_NG, n1=120, n2=30, alpha=1.0,
-                semi_stochastic=True, lambda_lm=5.0,
+                semi_stochastic=True, damping=damping.DampingState(lambda_lm=5.0),
             ),
         )
         gathers, columns = [], data.Inputs.columns
@@ -425,6 +427,42 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
         assert not (tmp_path / "metrics.csv").exists()
+
+    def test_eta_above_the_configured_epsilon_exit_2(self, tmp_path, rng, capsys):
+        """A semi-stochastic run needs eta < epsilon: eta = 0.2 trains under
+        the default epsilon (0.25) and is a config error under 0.15."""
+        values = base_config(
+            tmp_path, rng, method="smw-gn", semi_stochastic="true", n1=40, alpha=1
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        assert cli.main(["--config", str(cfg), "--eta", "0.2"]) == 0
+        (tmp_path / "metrics.csv").unlink()
+        assert cli.main(["--config", str(cfg), "--epsilon", "0.15", "--eta", "0.2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: semi-stochastic mode requires 0 < eta < epsilon\n"
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, content, label",
+        [
+            (["--config"], b"layers=4,3\n\xff\xfe=1\n", "config error"),
+            (
+                ["--layers", "4,3,2", "--n1", "1", "--n2", "1", "--train-csv"],
+                b"1,2,3,4,0\n\xff,2,3,4,1\n", "data error",
+            ),
+        ],
+        ids=["config", "csv"],
+    )
+    def test_file_that_is_not_utf8_exit_2(self, argv, content, label, tmp_path, capsys):
+        """Bytes that are not UTF-8 in a config file or a CSV are one error
+        line, not a traceback."""
+        bad = tmp_path / "bad"
+        bad.write_bytes(content)
+        assert cli.main([*argv, str(bad), "--out", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(label + ": ") and len(err.splitlines()) == 1, err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_zero_lambda_lm_and_tiny_tau_train(self, tmp_path, rng):
         values = base_config(tmp_path, rng, method="smw-gn")
@@ -606,6 +644,22 @@ def test_only_diff_tells_the_vector_forms_apart():
             ):
                 checks.append(path.name)
     assert checks == ["diff.py", "diff.py"]
+
+
+def test_each_damping_setting_is_declared_once():
+    """DampingState owns the damping settings; OptimizerConfig holds one and
+    copies none of them, and RunConfig keeps them only as CLI keys."""
+    names = {f.name for f in fields(damping.DampingState)}
+    assert not names & {f.name for f in fields(optim.OptimizerConfig)}
+    assert not hasattr(optim.OptimizerConfig, "damping_state")
+    declaring = set()
+    for module in (importlib.import_module(f"smwopt.{m}") for m in smwopt.__all__):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and is_dataclass(cls) and names & {
+                f.name for f in fields(cls)
+            }:
+                declaring.add(cls.__qualname__)
+    assert declaring == {"DampingState", "RunConfig"}
 
 
 def test_only_curvature_tells_the_methods_apart():

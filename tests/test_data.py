@@ -49,6 +49,19 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="out of range"):
             data.load_csv(path, num_features=2, num_classes=3)
 
+    def test_field_that_is_not_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2,3,4,0\n\xff,2,3,4,1\n")
+        with pytest.raises(DataFormatError, match="bad.csv:2"):
+            data.load_csv(path, num_features=4, num_classes=2)
+
+    def test_line_ends(self, tmp_path):
+        """Lines end at \\n, \\r\\n or \\r, as in a file read as text."""
+        path = tmp_path / "toy.csv"
+        path.write_bytes(b"1.0,2.0,0\r\n3.0,4.0,1\r5.0,6.0,2\n")
+        ds = data.load_csv(path, num_features=2, num_classes=3)
+        assert np.array_equal(ds.targets, np.eye(3))
+
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text("a,b,label\n1.0,2.0,0\n")
@@ -114,6 +127,42 @@ class TestIdx:
             fh.write(struct.pack(">ii", 0x00000801, 1))
             fh.write(bytes([0]))
         with pytest.raises(DataFormatError, match="labels"):
+            data.load_idx(ip, lp)
+
+    @pytest.mark.parametrize(
+        "dims, match",
+        [
+            ((2**31 - 1,) * 3, "truncated"),
+            ((-1, -1, 16), "negative size"),
+            ((2, -4, -4), "negative size"),
+        ],
+    )
+    def test_header_size_is_checked_before_reading(self, dims, match, tmp_path):
+        """A 32-byte images file whose header claims sizes that overflow an
+        index or are negative."""
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        ip.write_bytes(struct.pack(">iiii", 0x00000803, *dims) + bytes(16))
+        with pytest.raises(DataFormatError, match=match):
+            data.load_idx(ip, lp)
+
+    def test_oversized_header_reserves_nothing(self, tmp_path):
+        """A header claiming 1000 28x28 images in a 32-byte file fails
+        without reserving the 784 KB it claims."""
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        ip.write_bytes(struct.pack(">iiii", 0x00000803, 1000, 28, 28) + bytes(16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="truncated"):
+                data.load_idx(ip, lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+
+    def test_label_count_is_checked_before_reading(self, tmp_path):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        lp.write_bytes(struct.pack(">ii", 0x00000801, 2**31 - 1) + bytes(2))
+        with pytest.raises(DataFormatError, match="2147483647 labels for 2 images"):
             data.load_idx(ip, lp)
 
 

@@ -57,7 +57,7 @@ class TestConfig:
 
     def test_damping_rules_checked_at_construction(self):
         with pytest.raises(ConfigError):
-            optim.OptimizerConfig(boost=0.5)
+            optim.OptimizerConfig(damping=damping.DampingState(boost=0.5))
 
     def test_semi_stochastic_constraints(self):
         with pytest.raises(ConfigError):
@@ -66,6 +66,15 @@ class TestConfig:
             optim.OptimizerConfig(semi_stochastic=True, alpha=1.0, eta=0.3)
         with pytest.raises(ConfigError):
             optim.OptimizerConfig(method=optim.SGD, semi_stochastic=True, alpha=1.0)
+
+    def test_semi_stochastic_eta_below_the_configured_epsilon(self):
+        """eta = 0.2 clears the default epsilon (0.25) but not epsilon = 0.15."""
+        optim.OptimizerConfig(semi_stochastic=True, alpha=1.0, eta=0.2)
+        with pytest.raises(ConfigError, match="eta < epsilon"):
+            optim.OptimizerConfig(
+                semi_stochastic=True, alpha=1.0, eta=0.2,
+                damping=damping.DampingState(epsilon=0.15),
+            )
 
     def test_negative_seed(self):
         optim.OptimizerConfig(seed=0)
@@ -226,7 +235,8 @@ class TestSmwStep:
         theta0 = network.init_theta(shape, rng)
         fitted = network.forward(shape, theta0, x.T).output.T.copy()
         config = optim.OptimizerConfig(
-            method=optim.SMW_GN, n1=4, n2=2, alpha=1.0, lambda_lm=1.0
+            method=optim.SMW_GN, n1=4, n2=2, alpha=1.0,
+            damping=damping.DampingState(lambda_lm=1.0),
         )
         trainer = optim.Trainer(shape, spec, x, fitted, config)
         trainer.theta = theta0
@@ -242,7 +252,8 @@ class TestSmwStep:
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         theta_star = pack(shape, [(coef[:3].T, coef[3])])
         config = optim.OptimizerConfig(
-            method=optim.SMW_GN, n1=8, n2=8, alpha=1.0, lambda_lm=0.0, tau=1e-10
+            method=optim.SMW_GN, n1=8, n2=8, alpha=1.0,
+            damping=damping.DampingState(lambda_lm=0.0, tau=1e-10),
         )
         trainer = optim.Trainer(shape, spec, x, y, config)
         trainer.step()
@@ -379,7 +390,8 @@ class TestFactoredStep:
     def _trainer(method, lambda_lm=1.0, tau=1e-3):
         rng = np.random.default_rng(7)
         config = optim.OptimizerConfig(
-            method=method, n1=12, n2=5, alpha=0.5, lambda_lm=lambda_lm, tau=tau,
+            method=method, n1=12, n2=5, alpha=0.5,
+            damping=damping.DampingState(lambda_lm=lambda_lm, tau=tau),
             seed=11,
         )
         return make_binary_trainer(rng, config, hidden=(6, 4), n=60)
@@ -473,7 +485,7 @@ class TestSemiStochastic:
             alpha=1.0,
             semi_stochastic=True,
             eta=0.1,
-            lambda_lm=lambda_lm,
+            damping=damping.DampingState(lambda_lm=lambda_lm),
             seed=seed,
         )
         trainer = make_binary_trainer(rng, config)
@@ -505,7 +517,7 @@ class TestSemiStochastic:
                 assert np.array_equal(trainer.theta, theta_before)
                 assert rec.rho < trainer.config.eta
                 assert trainer.damping.lambda_lm == pytest.approx(
-                    lam_before * trainer.config.boost
+                    lam_before * trainer.damping.boost
                 )
         assert rejected >= 1
 
@@ -611,6 +623,32 @@ class TestSemiStochastic:
 
 
 class TestRunLoop:
+    @staticmethod
+    def _softmax_trainer(rng):
+        """smw-gn on a 20-sample 4-5-3 softmax net."""
+        x = rng.normal(size=(20, 4))
+        y = np.eye(3)[rng.integers(0, 3, size=20)]
+        shape = network.NetworkShape((4, 5, 3), (network.LOGISTIC, network.SOFTMAX))
+        spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY)
+        config = optim.OptimizerConfig(method=optim.SMW_GN, n1=5, n2=2)
+        return optim.Trainer(shape, spec, x, y, config)
+
+    def test_negative_iteration_count_raises_before_any_step(self, rng):
+        trainer = self._softmax_trainer(rng)
+        with pytest.raises(ConfigError, match="num_iters"):
+            trainer.run(-2)
+        assert trainer.t == 0 and trainer.counters.forward_passes == 0
+        assert trainer.run(0) == []
+
+    def test_negative_eval_interval_raises_before_any_step(self, rng):
+        """None (once per epoch) and 0 (never) stay valid; -3 is refused."""
+        trainer = self._softmax_trainer(rng)
+        with pytest.raises(ConfigError, match="eval_interval"):
+            trainer.run(6, eval_interval=-3)
+        assert trainer.t == 0 and trainer.counters.forward_passes == 0
+        assert [r.full_loss is None for r in trainer.run(4)] == [True] * 3 + [False]
+        assert all(r.full_loss is None for r in trainer.run(4, eval_interval=0))
+
     def test_eval_interval_defaults_to_epoch(self, rng):
         x, y = blob_classification_data(rng, n=40)
         shape = network.NetworkShape((2, 1), (network.LOGISTIC,))
