@@ -252,7 +252,7 @@ class ForwardCache:
         return u
 
     def cols(self, idx) -> "ForwardCache":
-        """View of a subset of sample columns (shares storage)."""
+        """Sample columns idx: a view for a slice, a copy for an index array."""
         return ForwardCache(
             shape=self.shape,
             x=self.x[:, idx],

@@ -162,18 +162,15 @@ class Trainer:
         test_targets: np.ndarray | None = None,
     ):
         spec.check_matches(shape)
-        inputs = data.Inputs.of(inputs)
-        targets = np.asarray(targets, dtype=np.float64)
-        if len(inputs.shape) != 2 or targets.ndim != 2 or inputs.shape[0] != targets.shape[0]:
-            raise ConfigError(
-                f"inputs {inputs.shape} / targets {targets.shape} must be "
-                "2-d with matching row counts"
-            )
+        if (test_inputs is None) != (test_targets is None):
+            raise ConfigError("test inputs and test targets must be given together")
         self.shape = shape
         self.spec = spec
-        self.inputs = inputs
-        self.y = np.ascontiguousarray(targets.T)
-        self.n_samples = inputs.shape[0]
+        self.inputs, self.y = self._split("", inputs, targets)
+        self.test_inputs = self.test_y = None
+        if test_inputs is not None:
+            self.test_inputs, self.test_y = self._split("test ", test_inputs, test_targets)
+        self.n_samples = self.inputs.shape[0]
         n1 = config.n1
         if n1 > self.n_samples or (config.semi_stochastic and n1 != self.n_samples):
             need = "==" if config.semi_stochastic else "<="
@@ -191,14 +188,22 @@ class Trainer:
         self.counters = OpCounters()
         self.t = 0
         self.samples_seen = 0
-        self.test_inputs = None if test_inputs is None else data.Inputs.of(test_inputs)
-        self.test_y = None if test_targets is None else np.ascontiguousarray(
-            np.asarray(test_targets, dtype=np.float64).T
-        )
-        for y in (self.y, self.test_y):
-            if y is not None:
-                loss_mod.check_targets(spec, y)
         self._clock_start = time.perf_counter()
+
+    def _split(self, name, inputs, targets) -> tuple[data.Inputs, np.ndarray]:
+        """A split's inputs, and its targets as sample columns, once both
+        hold one row per sample at the network's input and output widths."""
+        inputs = data.Inputs.of(inputs)
+        targets = np.asarray(targets, dtype=np.float64)
+        m0, m_out = self.shape.input_size, self.shape.output_size
+        if inputs.shape[1:] != (m0,) or targets.shape != (len(inputs), m_out):
+            raise ConfigError(
+                f"{name}inputs {inputs.shape} / {name}targets {targets.shape} "
+                f"must be (N, {m0}) / (N, {m_out})"
+            )
+        y = np.ascontiguousarray(targets.T)
+        loss_mod.check_targets(self.spec, y)
+        return inputs, y
 
     @property
     def iters_per_epoch(self) -> int:

@@ -68,6 +68,16 @@ def random_targets(rng, kind, m_out, nbatch=1):
     return t
 
 
+def batch_instance(rng, kind, nb=3):
+    """A random net and nb samples, laid out as wider_batch_instance; S1 = S2."""
+    shape, spec, theta = make_net(rng, kind)
+    x = rng.normal(size=(shape.input_size, nb))
+    y = random_targets(rng, kind, shape.output_size, nb)
+    cache = network.forward(shape, theta, x)
+    g, _ = diff.gradient(shape, theta, cache, y, spec)
+    return shape, spec, theta, cache, g, x, y
+
+
 def wider_batch_instance(rng, kind, m_in, eps=0.0, factored=False):
     """Gradient over a 4-column batch S1 and curvature over its prefix S2.
 
@@ -91,22 +101,14 @@ def wider_batch_instance(rng, kind, m_in, eps=0.0, factored=False):
     return shape, spec, theta, cache1, g, x1[:, :2], y1[:, :2]
 
 
-def factored_case(rng, kind, method, lam):
-    """The trainer's factor-space direction on a wider_batch_instance.
-
-    Returns shape, theta, the S1 cache, g and the direction, both
-    diff.PrefixVectors, and dense_direction_oracle's solve over S2 with
-    the expanded g.
-    """
-    shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
-        rng, kind, m_in=5, factored=True
-    )
-    system = smw_system(shape, theta, cache1.cols([0, 1]), y2, spec, lam, method)
+def smw_case(instance, method, lam):
+    """The trainer's Woodbury direction on an instance, and the dense B_t over S2."""
+    shape, spec, theta, cache1, g, x2, y2 = instance
+    # An index array copies S2's columns; a slice view would round differently.
+    cache2 = cache1.cols(np.arange(x2.shape[1]))
+    system = smw_system(shape, theta, cache2, y2, spec, lam, method)
     res = solver.smw_direction(shape, theta, system, g)
-    oracle = dense_direction_oracle(
-        shape, theta, x2, y2, spec, lam, method, g=g.expand()
-    )
-    return shape, theta, cache1, g, res, oracle
+    return res, build_curvature_matrix(shape, theta, x2, y2, spec, method)[0]
 
 
 def smw_system(shape, theta, cache, y, spec, lam, method=optim.SMW_GN):
@@ -239,64 +241,51 @@ def dense_direction_oracle(
     batch to solve as a trainer does with S2 a subset of S1.
     """
     b_mat, g_batch = build_curvature_matrix(shape, theta, x, y, spec, method)
-    g = g_batch if g is None else g
-    a = b_mat + lam * np.eye(shape.num_params)
-    p = np.linalg.solve(a, -g)
+    return dense_direction(b_mat, lam, g_batch if g is None else g)
+
+
+def dense_direction(b_mat, lam, g) -> solver.DirectionResult:
+    """The dense solve of (B_t + lam I) p = -g, with g . p and p^T B_t p."""
+    p = np.linalg.solve(b_mat + lam * np.eye(len(g)), -g)
     return solver.DirectionResult(
         p=p, grad_dot=float(g @ p), quad_term=float(p @ b_mat @ p)
     )
 
 
-def _smw_case(rng, kind, method, lam):
-    """On a random 3-sample instance: its gradient g, its Woodbury direction,
-    the dense B_t and the direction's residual
-    ||(B_t + lam I) p + g|| / (1 + ||g||)."""
-    shape, spec, theta = make_net(rng, kind)
-    nb = 3
-    x = rng.normal(size=(shape.input_size, nb))
-    y = random_targets(rng, kind, shape.output_size, nb)
-    cache = network.forward(shape, theta, x)
-    g, _ = diff.gradient(shape, theta, cache, y, spec)
-    system = smw_system(shape, theta, cache, y, spec, lam, method)
-    res = solver.smw_direction(shape, theta, system, g)
-    b_mat, _ = build_curvature_matrix(shape, theta, x, y, spec, method)
-    residual = b_mat @ res.p + lam * res.p + g
-    res_err = float(np.linalg.norm(residual)) / (1.0 + float(np.linalg.norm(g)))
-    return g, res, b_mat, res_err
+def residual(b_mat, lam, p, g) -> float:
+    """||(B_t + lam I) p + g|| / (1 + ||g||)."""
+    r = b_mat @ p + lam * p + g
+    return float(np.linalg.norm(r)) / (1.0 + float(np.linalg.norm(g)))
 
 
-def _backward_error_case(rng, kind, method, lam):
-    """The normwise backward error ||r|| / (||A|| ||p|| + ||g||) of the
-    Woodbury direction p on a wider_batch_instance, with A = B_t + lam I
-    over S2, g over S1, r = A p + g and the spectral norm of A (Higham,
+def backward_error(b_mat, lam, p, g) -> float:
+    """The normwise backward error ||r|| / (||A|| ||p|| + ||g||) of p, with
+    A = B_t + lam I, r = A p + g and the spectral norm of A (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 7)."""
-    shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(rng, kind, m_in=5)
-    system = smw_system(shape, theta, cache1.cols([0, 1]), y2, spec, lam, method)
-    p = solver.smw_direction(shape, theta, system, g).p
-    b_mat, _ = build_curvature_matrix(shape, theta, x2, y2, spec, method)
-    a = b_mat + lam * np.eye(shape.num_params)
+    a = b_mat + lam * np.eye(len(g))
     r = a @ p + g
     norm = np.linalg.norm
     return float(norm(r) / (norm(a, 2) * norm(p) + norm(g)))
 
 
-def _hf_case(rng, kind, lam, factored):
-    """hf at a tight tolerance on a wider_batch_instance with 40 inputs:
-    the largest error of its direction against the dense solve's, relative
-    to the latter's largest entry; infinite when CG breaks down."""
-    shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
-        rng, kind, m_in=40, factored=factored
-    )
+def relative_error(x, ref) -> float:
+    """max |x - ref| relative to ref's largest entry."""
+    return float(np.max(np.abs(x - ref))) / (float(np.max(np.abs(ref))) + 1e-30)
+
+
+def _hf_case(instance, lam):
+    """hf at a tight tolerance on an instance: the relative_error of its
+    direction against the dense solve's; infinite when CG breaks down."""
+    shape, spec, theta, cache1, g, x2, y2 = instance
     tight = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15)
     try:
         res = solver.hf_cg_direction(
-            shape, theta, cache1.cols([0, 1]), spec, lam, tight, g
+            shape, theta, cache1.cols(np.arange(x2.shape[1])), spec, lam, tight, g
         )
     except NumericError:
         return math.inf
     oracle = dense_direction_oracle(shape, theta, x2, y2, spec, lam, g=np.asarray(g))
-    scale = float(np.max(np.abs(oracle.p))) + 1e-30
-    return float(np.max(np.abs(np.asarray(res.p) - oracle.p))) / scale
+    return relative_error(np.asarray(res.p), oracle.p)
 
 
 def _trainer_step_case(rng, kind, method, lambda_lm, semi=False):
@@ -437,13 +426,12 @@ def verify(seed: int = 0) -> int:
     for kind in loss_mod.LOSS_KINDS:
         for method in (optim.SMW_GN, optim.SMW_NG):
             for lam in (1e-3, 1.0, 1e3):
-                g, res, b_mat, res_err = _smw_case(rng, kind, method, lam)
-                dense_p = np.linalg.solve(b_mat + lam * np.eye(len(g)), -g)
-                scale = float(np.max(np.abs(dense_p))) + 1e-30
-                worst_dir = max(
-                    worst_dir, float(np.max(np.abs(res.p - dense_p))) / scale
-                )
-                worst_res = max(worst_res, res_err)
+                instance = batch_instance(rng, kind)
+                g = instance[4]
+                res, b_mat = smw_case(instance, method, lam)
+                dense = dense_direction(b_mat, lam, g)
+                worst_dir = max(worst_dir, relative_error(res.p, dense.p))
+                worst_res = max(worst_res, residual(b_mat, lam, res.p, g))
                 beta = float(np.max(np.linalg.eigvalsh(b_mat)))
                 tau = min(lam, 1e-3)
                 c1 = tau / (beta + tau)
@@ -458,7 +446,7 @@ def verify(seed: int = 0) -> int:
     checks.append(("smw_vs_dense_direction", worst_dir, 1e-9))
     checks.append(("smw_residual", worst_res, 1e-8))
     checks.append(
-        ("model_decrease_bound_margin", -min(worst_margin, 0.0), 1e-12)
+        ("model_decrease_bound_margin", max(0.0, -worst_margin), 1e-12)
     )
 
     # Hessian-free CG at a tight tolerance against the dense solve, on
@@ -469,7 +457,8 @@ def verify(seed: int = 0) -> int:
     worst_hf = 0.0
     for kind in loss_mod.LOSS_KINDS:
         for lam in (1e-3, 1.0, 1e3):
-            worst_hf = max(worst_hf, _hf_case(rng, kind, lam, factored=False))
+            instance = wider_batch_instance(rng, kind, m_in=40)
+            worst_hf = max(worst_hf, _hf_case(instance, lam))
     checks.append(("hf_cg_vs_dense_direction", worst_hf, 1e-9))
 
     # Below solver.REFINE_LAMBDA only iterative refinement keeps the Woodbury
@@ -479,7 +468,10 @@ def verify(seed: int = 0) -> int:
     worst_res = 0.0
     for kind in loss_mod.LOSS_KINDS:
         for method in (optim.SMW_GN, optim.SMW_NG):
-            worst_res = max(worst_res, _smw_case(rng, kind, method, 1e-10)[-1])
+            instance = batch_instance(rng, kind)
+            g = instance[4]
+            res, b_mat = smw_case(instance, method, 1e-10)
+            worst_res = max(worst_res, residual(b_mat, 1e-10, res.p, g))
     checks.append(("smw_residual_small_lambda", worst_res, 1e-8))
 
     # The same at lambda = 1e-10 with g over a batch S1 wider than S2, as a
@@ -494,7 +486,10 @@ def verify(seed: int = 0) -> int:
     worst = 0.0
     for kind in loss_mod.LOSS_KINDS:
         for method in (optim.SMW_GN, optim.SMW_NG):
-            worst = max(worst, _backward_error_case(rng, kind, method, 1e-10))
+            instance = wider_batch_instance(rng, kind, m_in=5)
+            g = instance[4]
+            res, b_mat = smw_case(instance, method, 1e-10)
+            worst = max(worst, backward_error(b_mat, 1e-10, res.p, g))
     checks.append(("smw_backward_error_wider_batch", worst, 1e-15))
 
     # On a one-layer net h_L is linear in theta, so the matching-loss
@@ -524,15 +519,13 @@ def verify(seed: int = 0) -> int:
     for kind in loss_mod.LOSS_KINDS:
         for method in (optim.SMW_GN, optim.SMW_NG):
             for lam in (1e-3, 1.0, 1e3):
-                shape, theta, cache1, _, res, oracle = factored_case(
-                    rng, kind, method, lam
-                )
+                instance = wider_batch_instance(rng, kind, m_in=5, factored=True)
+                shape, _, theta, cache1, g, _, _ = instance
+                res, b_mat = smw_case(instance, method, lam)
                 placed = res.p.factored()
                 p = placed.expand_sum()
-                scale = float(np.max(np.abs(oracle.p))) + 1e-30
-                worst_dir = max(
-                    worst_dir, float(np.max(np.abs(p - oracle.p))) / scale
-                )
+                oracle = dense_direction(b_mat, lam, g.expand())
+                worst_dir = max(worst_dir, relative_error(p, oracle.p))
                 trial = network.forward_low_rank(
                     shape, theta, cache1, placed.layer_adjoints, res.p.frame.first_gram
                 ).output_preact
@@ -549,7 +542,8 @@ def verify(seed: int = 0) -> int:
     worst_hf = 0.0
     for kind in loss_mod.LOSS_KINDS:
         for lam in (1e-3, 1.0, 1e3):
-            worst_hf = max(worst_hf, _hf_case(rng, kind, lam, factored=True))
+            instance = wider_batch_instance(rng, kind, m_in=40, factored=True)
+            worst_hf = max(worst_hf, _hf_case(instance, lam))
     checks.append(("hf_factored_vs_dense_direction", worst_hf, 1e-9))
 
     # What the trainer runs: one stochastic step of each curvature method,

@@ -480,6 +480,37 @@ class TestMain:
         assert cli.main(["--config", str(cfg), "--method", "smw-ng"]) == 0
         assert (tmp_path / "metrics.csv").exists()
 
+    def test_csv_header_line_is_read_only_with_csv_header(
+        self, tmp_path, rng, capsys
+    ):
+        values = base_config(tmp_path, rng)
+        csv_path = Path(values["train_csv"])
+        csv_path.write_text("a,b,c,label\n" + csv_path.read_text())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        assert cli.main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {csv_path}:1: could not convert string to float: b'a'\n"
+        )
+        assert cli.main(["--config", str(cfg), "--csv-header", "true"]) == 0
+        _, rows = read_metrics(tmp_path / "metrics.csv")
+        assert len(rows) == 4
+
+    def test_subset_seed_draws_the_same_random_rows(self, tmp_path, rng):
+        """subset=20 keeps the first 20 of 40 rows; with subset_seed=3 it
+        keeps 20 random rows, the same on every load."""
+        values = base_config(tmp_path, rng, subset=20, standardize="false")
+        whole = data.load_csv(values["train_csv"], 3, 2)
+        first, seeded, again = (
+            cli.load_datasets(cli.build_config(values, extra))[0]
+            for extra in ({}, {"subset_seed": "3"}, {"subset_seed": "3"})
+        )
+        assert np.array_equal(first.inputs.stored, whole.inputs.stored[:20])
+        assert seeded.num_samples == 20
+        assert np.array_equal(seeded.inputs.stored, again.inputs.stored)
+        assert np.array_equal(seeded.targets, again.targets)
+        assert not np.array_equal(seeded.inputs.stored, first.inputs.stored)
+
     def test_bad_targets_exit_2(self, tmp_path, rng, capsys):
         csv_path = tmp_path / "train.csv"
         labels = rng.integers(0, 3, size=(20, 1)).astype(float)
@@ -770,6 +801,25 @@ def test_every_definition_outside_oracles_is_used_outside_oracles():
     assert unused == [], f"defined but used only by oracles or tests: {unused}"
 
 
+def test_oracles_solve_the_dense_system_in_one_place():
+    """Every Woodbury oracle draws an instance, runs smw_case on it and
+    measures with shared helpers: np.linalg.solve is called by
+    dense_direction alone, and the per-check case functions are gone."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+
+    def solves(node):
+        calls = (c for c in ast.walk(node) if isinstance(c, ast.Call))
+        return [c for c in calls if ast.unparse(c.func) == "np.linalg.solve"]
+
+    dense = next(
+        f for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name == "dense_direction"
+    )
+    assert len(solves(tree)) == len(solves(dense)) == 1
+    for name in ("factored_case", "_smw_case", "_backward_error_case"):
+        assert not hasattr(oracles, name)
+
+
 def test_readme_line_count_matches_the_package():
     """The README's tracked line count is `wc -l src/smwopt/*.py`."""
     repo = Path(__file__).resolve().parents[1]
@@ -791,6 +841,7 @@ class TestVerify:
         assert "PASS low_rank_trial_forward" in out
         assert "PASS hf_factored_vs_dense_direction" in out
         assert "PASS trainer_step_vs_dense_direction" in out
+        assert "PASS model_decrease_bound_margin: max_error=0.000e+00 " in out
         assert "FAIL" not in out
 
     def test_negative_seed_is_config_error(self, capsys):
@@ -872,13 +923,16 @@ class TestVerify:
         line alone; every other line, the margins included, is unchanged."""
         oracles.verify(seed=0)
         clean = capsys.readouterr().out.splitlines()
-        case = oracles._backward_error_case
+        instance = oracles.wider_batch_instance
 
-        def one_more_draw(rng, *args):
-            rng.random()
-            return case(rng, *args)
+        def one_more_draw(rng, kind, m_in, eps=0.0, factored=False):
+            # The backward-error group's instances alone are 5 wide and
+            # unfactored.
+            if m_in == 5 and not factored:
+                rng.random()
+            return instance(rng, kind, m_in, eps, factored)
 
-        monkeypatch.setattr(oracles, "_backward_error_case", one_more_draw)
+        monkeypatch.setattr(oracles, "wider_batch_instance", one_more_draw)
         oracles.verify(seed=0)
         perturbed = capsys.readouterr().out.splitlines()
         assert len(perturbed) == len(clean)

@@ -86,6 +86,42 @@ class TestConfig:
             optim.OptimizerConfig(cg=solver.CgConfig(max_iters=0))
 
 
+class TestSplits:
+    """Both splits pass one check before any step: 2-d with matching rows
+    at the network's widths, and test inputs only with test targets."""
+
+    def splits(self, rng):
+        x, tx = rng.normal(size=(20, 4)), rng.normal(size=(6, 4))
+        y, ty = (np.eye(3)[rng.integers(0, 3, size=n)] for n in (20, 6))
+        return x, y, tx, ty
+
+    def trainer(self, x, y, **test):
+        shape = network.NetworkShape((4, 5, 3), ("logistic", "softmax"))
+        spec = loss.LossSpec(loss.SOFTMAX_CROSS_ENTROPY)
+        config = optim.OptimizerConfig(method=optim.SMW_GN, n1=5, n2=2)
+        return optim.Trainer(shape, spec, x, y, config, **test)
+
+    def test_test_inputs_of_another_width(self, rng):
+        x, y, tx, ty = self.splits(rng)
+        with pytest.raises(ConfigError, match=r"test inputs \(6, 5\)"):
+            self.trainer(x, y, test_inputs=np.hstack([tx, tx[:, :1]]), test_targets=ty)
+
+    def test_test_rows_that_do_not_match(self, rng):
+        x, y, tx, ty = self.splits(rng)
+        with pytest.raises(ConfigError, match=r"test targets \(5, 3\)"):
+            self.trainer(x, y, test_inputs=tx, test_targets=ty[:5])
+
+    def test_test_targets_without_test_inputs(self, rng):
+        x, y, _, ty = self.splits(rng)
+        with pytest.raises(ConfigError, match="given together"):
+            self.trainer(x, y, test_targets=ty)
+
+    def test_training_inputs_of_another_width(self, rng):
+        x, y, _, _ = self.splits(rng)
+        with pytest.raises(ConfigError, match=r"inputs \(20, 3\)"):
+            self.trainer(x[:, :3], y)
+
+
 class TestSampler:
     def test_full_batch_is_whole_index_set(self, rng):
         sampler = optim.EpochSampler(rng, 10, 10, 3)

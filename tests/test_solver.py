@@ -243,7 +243,10 @@ class TestFactoredDirection:
     @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_matches_dense_oracle(self, kind, method, rng):
         for lam in (1e-3, 1.0, 1e3):
-            *_, g, res, oracle = oracles.factored_case(rng, kind, method, lam)
+            instance = wider_batch_instance(rng, kind, m_in=5, factored=True)
+            g = instance[4]
+            res, b_mat = oracles.smw_case(instance, method, lam)
+            oracle = oracles.dense_direction(b_mat, lam, g.expand())
             assert isinstance(res.p, diff.PrefixVector) and res.p.frame is g.frame
             p = oracle.p
             assert np.max(np.abs(res.p.expand() - p)) <= 1e-9 * np.max(np.abs(p))
