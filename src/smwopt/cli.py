@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import damping, data as data_mod, loss as loss_mod, network, optim, oracles, solver
-from .exceptions import ConfigError, DataFormatError, NumericError
+from .exceptions import ConfigError, DataFormatError, NumericError, OutputError
 
 @dataclass
 class RunConfig:
@@ -246,13 +246,16 @@ def run(config: RunConfig) -> int:
         raise ConfigError(f"need eval_interval >= 0, got {config.eval_interval}")
     num_iters = config.epochs * trainer.iters_per_epoch
     interval = config.eval_interval or None
-    with open(config.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
-        trainer.run(
-            num_iters,
-            eval_interval=interval,
-            record_hook=lambda rec: fh.write(_metrics_row(rec) + "\n"),
-        )
+    try:
+        with open(config.out, "w", encoding="utf-8") as fh:
+            fh.write(",".join(METRICS_COLUMNS) + "\n")
+            trainer.run(
+                num_iters,
+                eval_interval=interval,
+                record_hook=lambda rec: fh.write(_metrics_row(rec) + "\n"),
+            )
+    except OSError as err:
+        raise OutputError(err) from err
     return 0
 
 
@@ -278,11 +281,17 @@ def main(argv=None) -> int:
         file_values = parse_config_file(args.config) if args.config else {}
         config = build_config(file_values, overrides)
         if args.verify:
-            return oracles.verify(seed=config.seed)
+            try:
+                return oracles.verify(seed=config.seed)
+            except OSError as err:  # verify reads no file; this is stdout
+                raise OutputError(err) from err
         # Explicit checks raise; numpy's warnings would only precede the one
         # error line. errstate(all="raise") misses OpenBLAS threads' FP flags.
         with np.errstate(all="ignore"):
             return run(config)
+    except OutputError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        return 2
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

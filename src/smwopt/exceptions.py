@@ -23,3 +23,7 @@ class ConfigError(ValueError):
 
 class DataFormatError(ValueError):
     """Malformed dataset file."""
+
+
+class OutputError(OSError):
+    """Writing the metrics file or standard output failed."""

@@ -12,11 +12,12 @@ from __future__ import annotations
 import copy
 import math
 import traceback
+from functools import partial
 
 import numpy as np
 
 from . import curvature, damping, diff, loss as loss_mod, network, optim, solver
-from .exceptions import ConfigError, NumericError, ShapeError
+from .exceptions import ConfigError, ShapeError
 
 DENSE_ORACLE_MAX_PARAMS = 5000
 
@@ -273,21 +274,6 @@ def relative_error(x, ref) -> float:
     return float(np.max(np.abs(x - ref))) / (float(np.max(np.abs(ref))) + 1e-30)
 
 
-def _hf_case(instance, lam):
-    """hf at a tight tolerance on an instance: the relative_error of its
-    direction against the dense solve's; infinite when CG breaks down."""
-    shape, spec, theta, cache1, g, x2, y2 = instance
-    tight = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15)
-    try:
-        res = solver.hf_cg_direction(
-            shape, theta, cache1.cols(np.arange(x2.shape[1])), spec, lam, tight, g
-        )
-    except NumericError:
-        return math.inf
-    oracle = dense_direction_oracle(shape, theta, x2, y2, spec, lam, g=np.asarray(g))
-    return relative_error(np.asarray(res.p), oracle.p)
-
-
 def _trainer_step_case(rng, kind, method, lambda_lm, semi=False):
     """One optim.Trainer.step on 12 random samples against theta + alpha p,
     with p the dense solve over the S2 and the gradient over the S1 that a
@@ -295,9 +281,8 @@ def _trainer_step_case(rng, kind, method, lambda_lm, semi=False):
     n2=3 and alpha=0.5; the semi-stochastic one n1=12, the whole set in
     index order, n2=3 and alpha=1. Returns the largest error relative to
     alpha p's largest entry, and whether the step was accepted; a rejected
-    step reads 0 if it left theta bit for bit, and a step that raised any
-    exception (its traceback goes to stderr), or a rejected one that moved
-    theta, reads infinite. hf runs CG at a tight tolerance."""
+    step reads 0 if it left theta bit for bit, and infinite if it moved
+    theta. hf runs CG at a tight tolerance."""
     shape, spec, _ = make_net(rng, kind)
     n = 12
     x = rng.normal(size=(n, shape.input_size))
@@ -318,11 +303,7 @@ def _trainer_step_case(rng, kind, method, lambda_lm, semi=False):
     oracle = dense_direction_oracle(
         shape, theta, x[s2].T, y[s2].T, spec, lam, method, g=g
     )
-    try:
-        rec = trainer.step()
-    except Exception:  # a fault in the step fails this case, not verify
-        traceback.print_exc()
-        return math.inf, False
+    rec = trainer.step()
     if not rec.accepted:
         return (0.0 if np.array_equal(trainer.theta, theta) else math.inf), False
     step = config.alpha * oracle.p
@@ -330,21 +311,8 @@ def _trainer_step_case(rng, kind, method, lambda_lm, semi=False):
     return float(np.max(np.abs(trainer.theta - (theta + step)))) / scale, True
 
 
-def verify(seed: int = 0) -> int:
-    """Run the oracle suites and print max error and pass/fail per check.
-
-    This is `smwopt --verify`; it returns the exit code, 1 if any check fails.
-    Each group of checks draws from its own generator, default_rng([seed, k])
-    for the group's fixed index k, so a new or changed group moves no other
-    group's random instances. A new group takes the next index.
-    """
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    checks: list[tuple[str, float, float]] = []
-
-    # Gradients against central finite differences.
-    rng = np.random.default_rng([seed, 0])
-    worst = 0.0
+def _gradient_cases(rng):
+    """Gradients against central finite differences."""
     for kind in loss_mod.LOSS_KINDS * 2:
         shape, spec, theta = make_net(rng, kind)
         x = rng.normal(size=(shape.input_size, 1))
@@ -352,12 +320,11 @@ def verify(seed: int = 0) -> int:
         cache = network.forward(shape, theta, x)
         g, _ = diff.gradient(shape, theta, cache, y, spec)
         fd = fd_loss_gradient(shape, theta, x, y, spec)
-        worst = max(worst, float(np.max(np.abs(g - fd) / (1.0 + np.abs(fd)))))
-    checks.append(("gradient_vs_finite_differences", worst, 1e-5))
+        yield (float(np.max(np.abs(g - fd) / (1.0 + np.abs(fd)))),)
 
-    # Adjoint identity <J t1, x> == <t1, J^T x>.
-    rng = np.random.default_rng([seed, 1])
-    worst = 0.0
+
+def _adjoint_cases(rng):
+    """The adjoint identity <J t1, x> == <t1, J^T x>."""
     for kind in loss_mod.LOSS_KINDS:
         for _ in range(20):
             shape, spec, theta = make_net(rng, kind)
@@ -368,15 +335,13 @@ def verify(seed: int = 0) -> int:
             lhs = float(diff.jvp(shape, theta, cache, t1)[:, 0] @ xo[:, 0])
             packed, _ = diff.vjp(shape, theta, cache, xo)
             rhs = float(t1 @ packed)
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    checks.append(("adjoint_identity", worst, 1e-10))
+            yield (abs(lhs - rhs) / (1.0 + abs(lhs)),)
 
-    # Loss Hessians against finite differences of the gradient, and their
-    # square factors against the closed forms.
-    rng = np.random.default_rng([seed, 2])
-    worst = 0.0
-    ones_worst = 0.0
-    factor_worst = 0.0
+
+def _loss_hessian_cases(rng):
+    """Loss Hessians against finite differences of the gradient, softmax's
+    annihilating the ones vector, and their square factors against the
+    closed forms."""
     for kind in loss_mod.LOSS_KINDS:
         shape, spec, theta = make_net(rng, kind)
         m_out = shape.output_size
@@ -385,44 +350,33 @@ def verify(seed: int = 0) -> int:
         cache = network.forward(shape, theta, x)
         fd_h = fd_loss_hessian_h(spec, cache.output_preact, y)
         closed = loss_hessian_h(spec, cache)[0]
-        worst = max(worst, float(np.max(np.abs(closed - fd_h))))
         c = loss_mod.hessian_factor(spec, cache)[0]
-        factor_worst = max(factor_worst, float(np.max(np.abs(c @ c.T - closed))))
-        if kind == loss_mod.SOFTMAX_CROSS_ENTROPY:
-            ones_worst = max(
-                ones_worst, float(np.max(np.abs(closed @ np.ones(m_out))))
-            )
-    checks.append(("loss_hessian_vs_finite_differences", worst, 1e-5))
-    checks.append(("softmax_hessian_annihilates_ones", ones_worst, 1e-12))
-    checks.append(("loss_hessian_factor", factor_worst, 1e-12))
+        softmax = kind == loss_mod.SOFTMAX_CROSS_ENTROPY
+        ones = closed @ np.ones(m_out) if softmax else 0.0
+        yield (
+            float(np.max(np.abs(closed - fd_h))),
+            float(np.max(np.abs(ones))),
+            float(np.max(np.abs(c @ c.T - closed))),
+        )
 
-    # Gram matrices against explicit Jacobians / expanded gradients.
-    rng = np.random.default_rng([seed, 3])
-    worst_gn = 0.0
-    worst_ng = 0.0
+
+def _gram_cases(rng):
+    """Gram matrices against explicit Jacobians and expanded gradients."""
     for kind in loss_mod.LOSS_KINDS:
-        shape, spec, theta = make_net(rng, kind)
-        nb = 3
-        x = rng.normal(size=(shape.input_size, nb))
-        y = random_targets(rng, kind, shape.output_size, nb)
-        cache = network.forward(shape, theta, x)
+        shape, spec, theta, cache, _, _, y = batch_instance(rng, kind)
         batch = curvature.gn_batch_factors(shape, theta, cache, spec)
-        gram = curvature.gn_block_gram(batch)
         fmat = factored_jacobian(shape, theta, cache, spec)
-        worst_gn = max(worst_gn, float(np.max(np.abs(gram - fmat @ fmat.T))))
         _, gf = diff.gradient(shape, theta, cache, y, spec)
-        ngram = curvature.gn_block_gram(gf)
-        gmat = np.stack([gf.cols([i]).expand_sum() for i in range(nb)], axis=0)
-        worst_ng = max(worst_ng, float(np.max(np.abs(ngram - gmat @ gmat.T))))
-    checks.append(("gn_block_gram_vs_explicit_jacobian", worst_gn, 1e-10))
-    checks.append(("ng_gram_vs_expanded_gradients", worst_ng, 1e-10))
+        gmat = np.stack([gf.cols([i]).expand_sum() for i in range(cache.ncols)])
+        yield (
+            float(np.max(np.abs(curvature.gn_block_gram(batch) - fmat @ fmat.T))),
+            float(np.max(np.abs(curvature.gn_block_gram(gf) - gmat @ gmat.T))),
+        )
 
-    # Woodbury direction against the dense solve, plus the model-decrease bound.
-    rng = np.random.default_rng([seed, 4])
-    worst_dir = 0.0
-    worst_res = 0.0
-    worst_margin = math.inf
-    margin_lines = []
+
+def _smw_cases(rng):
+    """The Woodbury direction against the dense solve, and the margin of
+    the model-decrease bound, whose negation the check reads."""
     for kind in loss_mod.LOSS_KINDS:
         for method in (optim.SMW_GN, optim.SMW_NG):
             for lam in (1e-3, 1.0, 1e3):
@@ -430,8 +384,6 @@ def verify(seed: int = 0) -> int:
                 g = instance[4]
                 res, b_mat = smw_case(instance, method, lam)
                 dense = dense_direction(b_mat, lam, g)
-                worst_dir = max(worst_dir, relative_error(res.p, dense.p))
-                worst_res = max(worst_res, residual(b_mat, lam, res.p, g))
                 beta = float(np.max(np.linalg.eigvalsh(b_mat)))
                 tau = min(lam, 1e-3)
                 c1 = tau / (beta + tau)
@@ -439,66 +391,66 @@ def verify(seed: int = 0) -> int:
                 margin = decrease - c1 * float(
                     np.linalg.norm(g) * np.linalg.norm(res.p)
                 )
-                worst_margin = min(worst_margin, margin)
-                margin_lines.append(
-                    f"  margin[{method} {kind} lam={lam:g}] = {margin:.3e}"
+                yield (
+                    relative_error(res.p, dense.p),
+                    residual(b_mat, lam, res.p, g),
+                    -margin,
+                    f"  margin[{method} {kind} lam={lam:g}] = {margin:.3e}",
                 )
-    checks.append(("smw_vs_dense_direction", worst_dir, 1e-9))
-    checks.append(("smw_residual", worst_res, 1e-8))
-    checks.append(
-        ("model_decrease_bound_margin", max(0.0, -worst_margin), 1e-12)
-    )
 
-    # Hessian-free CG at a tight tolerance against the dense solve, on
-    # theta's coordinates. The gradient comes from a batch S1 wider than
-    # the curvature batch S2, with a repeated column and a tenth as many
-    # columns as inputs.
-    rng = np.random.default_rng([seed, 5])
-    worst_hf = 0.0
+
+def _hf_cases(rng, factored=False):
+    """Hessian-free CG at a tight tolerance against the dense solve, on
+    theta's coordinates. The gradient comes from a batch S1 wider than the
+    curvature batch S2, with a repeated column and a tenth as many columns
+    as inputs. If factored, this is the stochastic trainer's hf step: g and
+    every CG vector are in g's frame over S1."""
     for kind in loss_mod.LOSS_KINDS:
         for lam in (1e-3, 1.0, 1e3):
-            instance = wider_batch_instance(rng, kind, m_in=40)
-            worst_hf = max(worst_hf, _hf_case(instance, lam))
-    checks.append(("hf_cg_vs_dense_direction", worst_hf, 1e-9))
+            shape, spec, theta, cache1, g, x2, y2 = wider_batch_instance(
+                rng, kind, m_in=40, factored=factored
+            )
+            tight = solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15)
+            cache2 = cache1.cols(np.arange(x2.shape[1]))
+            res = solver.hf_cg_direction(shape, theta, cache2, spec, lam, tight, g)
+            oracle = dense_direction_oracle(
+                shape, theta, x2, y2, spec, lam, g=np.asarray(g)
+            )
+            yield (relative_error(np.asarray(res.p), oracle.p),)
 
-    # Below solver.REFINE_LAMBDA only iterative refinement keeps the Woodbury
-    # residual small. The dense oracle's own direction is too inaccurate
-    # there to compare against, so only the residual is checked.
-    rng = np.random.default_rng([seed, 6])
-    worst_res = 0.0
+
+def _small_lambda_cases(rng):
+    """Below solver.REFINE_LAMBDA only iterative refinement keeps the
+    Woodbury residual small. The dense oracle's own direction is too
+    inaccurate there to compare against, so only the residual is checked."""
     for kind in loss_mod.LOSS_KINDS:
         for method in (optim.SMW_GN, optim.SMW_NG):
             instance = batch_instance(rng, kind)
-            g = instance[4]
             res, b_mat = smw_case(instance, method, 1e-10)
-            worst_res = max(worst_res, residual(b_mat, 1e-10, res.p, g))
-    checks.append(("smw_residual_small_lambda", worst_res, 1e-8))
+            yield (residual(b_mat, 1e-10, res.p, instance[4]),)
 
-    # The same at lambda = 1e-10 with g over a batch S1 wider than S2, as a
-    # stochastic step has it. The part of g outside B_t's range makes
-    # ||p|| ~ ||g|| / lambda, so the residual above reads 1e-6 there even
-    # for a backward-stable solve; the backward error scales it by
-    # ||A|| ||p||. On seeds 0-9 it read at most 6.6e-17 refined, 3.8e-15 to
-    # 1.2e-13 unrefined, and 1.2e-10 to 3.2e-10 when refinement's residual
-    # leaves out lambda p, which the residual check above passes on 7 of
-    # those 10 seeds.
-    rng = np.random.default_rng([seed, 7])
-    worst = 0.0
+
+def _backward_error_cases(rng):
+    """The same at lambda = 1e-10 with g over a batch S1 wider than S2, as
+    a stochastic step has it. The part of g outside B_t's range makes
+    ||p|| ~ ||g|| / lambda, so the residual above reads 1e-6 there even for
+    a backward-stable solve; the backward error scales it by ||A|| ||p||.
+    On seeds 0-9 it read at most 6.6e-17 refined, 3.8e-15 to 1.2e-13
+    unrefined, and 1.2e-10 to 3.2e-10 when refinement's residual leaves out
+    lambda p, which the residual check above passes on 7 of those 10 seeds."""
     for kind in loss_mod.LOSS_KINDS:
         for method in (optim.SMW_GN, optim.SMW_NG):
             instance = wider_batch_instance(rng, kind, m_in=5)
-            g = instance[4]
             res, b_mat = smw_case(instance, method, 1e-10)
-            worst = max(worst, backward_error(b_mat, 1e-10, res.p, g))
-    checks.append(("smw_backward_error_wider_batch", worst, 1e-15))
+            yield (backward_error(b_mat, 1e-10, res.p, instance[4]),)
 
-    # On a one-layer net h_L is linear in theta, so the matching-loss
-    # Gauss-Newton matrix is the loss Hessian in theta. Central differences
-    # of the gradient, which the first check pins to the loss, measure it
-    # without the Jacobian products that every other curvature check shares
-    # with the fast path.
-    rng = np.random.default_rng([seed, 8])
-    worst = 0.0
+
+def _theta_hessian_cases(rng):
+    """On a one-layer net h_L is linear in theta, so the matching-loss
+    Gauss-Newton matrix is the loss Hessian in theta. Central differences of
+    the gradient, which the first check pins to the loss, measure it without
+    the Jacobian products that every other curvature check shares with the
+    fast path."""
     for kind in loss_mod.LOSS_KINDS:
         shape, spec, _ = make_net(rng, kind, hidden=[])
         theta = 3.0 * network.init_theta(shape, rng)
@@ -506,16 +458,14 @@ def verify(seed: int = 0) -> int:
         y = random_targets(rng, kind, shape.output_size, 2)
         b_mat, _ = build_curvature_matrix(shape, theta, x, y, spec, optim.SMW_GN)
         hessian = fd_loss_hessian_theta(shape, theta, x, y, spec)
-        worst = max(worst, float(np.max(np.abs(b_mat - hessian))))
-    checks.append(("gn_matrix_vs_theta_hessian", worst, 1e-8))
+        yield (float(np.max(np.abs(b_mat - hessian))),)
 
-    # The stochastic trainer's step in factor space: g and p in g's frame
-    # over a gradient batch S1 wider than the curvature batch S2, and the
-    # low-rank trial forward at theta + p placed on S1, against the dense
-    # solve and a forward at the expanded point.
-    rng = np.random.default_rng([seed, 9])
-    worst_dir = 0.0
-    worst_trial = 0.0
+
+def _factored_cases(rng):
+    """The stochastic trainer's step in factor space: g and p in g's frame
+    over a gradient batch S1 wider than the curvature batch S2, and the
+    low-rank trial forward at theta + p placed on S1, against the dense
+    solve and a forward at the expanded point."""
     for kind in loss_mod.LOSS_KINDS:
         for method in (optim.SMW_GN, optim.SMW_NG):
             for lam in (1e-3, 1.0, 1e3):
@@ -525,55 +475,104 @@ def verify(seed: int = 0) -> int:
                 placed = res.p.factored()
                 p = placed.expand_sum()
                 oracle = dense_direction(b_mat, lam, g.expand())
-                worst_dir = max(worst_dir, relative_error(p, oracle.p))
                 trial = network.forward_low_rank(
                     shape, theta, cache1, placed.layer_adjoints, res.p.frame.first_gram
                 ).output_preact
                 dense = network.forward(shape, theta + p, cache1.x).output_preact
-                worst_trial = max(worst_trial, float(
-                    np.max(np.abs(trial - dense)) / (1.0 + np.max(np.abs(dense)))
-                ))
-    checks.append(("factored_vs_dense_direction", worst_dir, 1e-9))
-    checks.append(("low_rank_trial_forward", worst_trial, 1e-9))
+                yield (
+                    relative_error(p, oracle.p),
+                    float(np.max(np.abs(trial - dense)) / (1.0 + np.max(np.abs(dense)))),
+                )
 
-    # The stochastic trainer's hf step: the same CG with g and every CG
-    # vector in g's frame over S1.
-    rng = np.random.default_rng([seed, 10])
-    worst_hf = 0.0
-    for kind in loss_mod.LOSS_KINDS:
-        for lam in (1e-3, 1.0, 1e3):
-            instance = wider_batch_instance(rng, kind, m_in=40, factored=True)
-            worst_hf = max(worst_hf, _hf_case(instance, lam))
-    checks.append(("hf_factored_vs_dense_direction", worst_hf, 1e-9))
 
-    # What the trainer runs: one stochastic step of each curvature method,
-    # batches drawn, direction solved and theta + alpha p applied, against
-    # the dense solve on the same batches; then one semi-stochastic step,
-    # whose S2 is a random draw from the whole set. The line fails if no
-    # semi-stochastic step is accepted, as rejections compare no p.
-    rng = np.random.default_rng([seed, 11])
-    worst = 0.0
-    methods = (optim.SMW_GN, optim.SMW_NG, optim.HF)
-    for kind in loss_mod.LOSS_KINDS:
-        for method in methods:
-            for lambda_lm in (0.0, 1.0):
-                err, _ = _trainer_step_case(rng, kind, method, lambda_lm)
-                worst = max(worst, err)
+def _trainer_step_cases(rng):
+    """What the trainer runs: one stochastic step of each curvature method,
+    batches drawn, direction solved and theta + alpha p applied, against the
+    dense solve on the same batches; then one semi-stochastic step, whose S2
+    is a random draw from the whole set. The check fails if no
+    semi-stochastic step is accepted, as rejections compare no p."""
     accepted = False
-    for kind in loss_mod.LOSS_KINDS:
-        for method in methods:
-            err, ok = _trainer_step_case(rng, kind, method, 1.0, semi=True)
-            worst, accepted = max(worst, err), accepted or ok
-    checks.append((
-        "trainer_step_vs_dense_direction", worst if accepted else math.inf, 1e-10
-    ))
+    for semi, lambdas in ((False, (0.0, 1.0)), (True, (1.0,))):
+        for kind in loss_mod.LOSS_KINDS:
+            for method in (optim.SMW_GN, optim.SMW_NG, optim.HF):
+                for lambda_lm in lambdas:
+                    err, ok = _trainer_step_case(rng, kind, method, lambda_lm, semi)
+                    accepted = accepted or (semi and ok)
+                    yield (err,)
+    if not accepted:
+        yield (math.inf,)
 
+
+# The --verify checks: each row pairs a case generator with the (name,
+# tolerance) of the checks it measures, in printed order. The generator
+# takes its group's rng and yields one tuple per case: the case's error for
+# each check, then any detail lines to print after them. A row's index k
+# seeds that rng, so a new row goes last.
+CHECKS = (
+    (_gradient_cases, (("gradient_vs_finite_differences", 1e-5),)),
+    (_adjoint_cases, (("adjoint_identity", 1e-10),)),
+    (_loss_hessian_cases, (
+        ("loss_hessian_vs_finite_differences", 1e-5),
+        ("softmax_hessian_annihilates_ones", 1e-12),
+        ("loss_hessian_factor", 1e-12),
+    )),
+    (_gram_cases, (
+        ("gn_block_gram_vs_explicit_jacobian", 1e-10),
+        ("ng_gram_vs_expanded_gradients", 1e-10),
+    )),
+    (_smw_cases, (
+        ("smw_vs_dense_direction", 1e-9),
+        ("smw_residual", 1e-8),
+        ("model_decrease_bound_margin", 1e-12),
+    )),
+    (_hf_cases, (("hf_cg_vs_dense_direction", 1e-9),)),
+    (_small_lambda_cases, (("smw_residual_small_lambda", 1e-8),)),
+    (_backward_error_cases, (("smw_backward_error_wider_batch", 1e-15),)),
+    (_theta_hessian_cases, (("gn_matrix_vs_theta_hessian", 1e-8),)),
+    (_factored_cases, (
+        ("factored_vs_dense_direction", 1e-9),
+        ("low_rank_trial_forward", 1e-9),
+    )),
+    (partial(_hf_cases, factored=True), (("hf_factored_vs_dense_direction", 1e-9),)),
+    (_trainer_step_cases, (("trainer_step_vs_dense_direction", 1e-10),)),
+)
+
+
+def measure_group(k: int, seed: int) -> tuple[list[float], list[str]]:
+    """The largest error of each check in CHECKS[k] over the group's cases,
+    drawn from default_rng([seed, k]), and the detail lines they yielded.
+
+    Each error starts at 0 and a NaN error reads as infinite. A group that
+    raises prints its traceback to stderr and reads infinite on every check.
+    """
+    cases, checks = CHECKS[k]
+    worst, details = [0.0] * len(checks), []
+    try:
+        for case in cases(np.random.default_rng([seed, k])):
+            for i, err in enumerate(case[: len(checks)]):
+                worst[i] = max(worst[i], math.inf if math.isnan(err) else err)
+            details.extend(case[len(checks) :])
+    except Exception:  # a fault in one group fails its checks, not verify
+        traceback.print_exc()
+        worst = [math.inf] * len(checks)
+    return worst, details
+
+
+def verify(seed: int = 0) -> int:
+    """Run the checks of CHECKS and print max error and pass/fail per check,
+    each group's detail lines after its checks.
+
+    This is `smwopt --verify`; it returns the exit code, 1 if any check fails.
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     failed = False
-    for name, err, tol in checks:
-        ok = err <= tol
-        failed = failed or not ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: max_error={err:.3e} tol={tol:.0e}")
-        if name == "model_decrease_bound_margin":
-            for line in margin_lines:
-                print(line)
-    return 1 if failed else 0
+    for k, (_, checks) in enumerate(CHECKS):
+        worst, details = measure_group(k, seed)
+        for (name, tol), err in zip(checks, worst):
+            ok = err <= tol
+            failed = failed or not ok
+            print(f"{'PASS' if ok else 'FAIL'} {name}: max_error={err:.3e} tol={tol:.0e}")
+        for line in details:
+            print(line)
+    return int(failed)

@@ -464,6 +464,19 @@ class TestMain:
         assert err.startswith(label + ": ") and len(err.splitlines()) == 1, err
         assert not (tmp_path / "m.csv").exists()
 
+    def test_out_in_a_missing_directory_is_an_output_error(
+        self, tmp_path, rng, capsys
+    ):
+        """A metrics file that cannot be opened is one output error line,
+        exit 2: the config and the data files were read."""
+        values = base_config(tmp_path, rng, out=tmp_path / "missing" / "m.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        assert cli.main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: [Errno 2] "), err
+        assert len(err.splitlines()) == 1, err
+
     def test_zero_lambda_lm_and_tiny_tau_train(self, tmp_path, rng):
         values = base_config(tmp_path, rng, method="smw-gn")
         cfg = tmp_path / "run.cfg"
@@ -820,6 +833,25 @@ def test_oracles_solve_the_dense_system_in_one_place():
         assert not hasattr(oracles, name)
 
 
+def test_verify_draws_and_aggregates_in_one_place():
+    """Every --verify group is a row of oracles.CHECKS that measure_group
+    runs: np.random.default_rng is called there alone, and no check name
+    repeats."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+
+    def draws(node):
+        calls = (c for c in ast.walk(node) if isinstance(c, ast.Call))
+        return [c for c in calls if ast.unparse(c.func) == "np.random.default_rng"]
+
+    measure = next(
+        f for f in tree.body
+        if isinstance(f, ast.FunctionDef) and f.name == "measure_group"
+    )
+    assert len(draws(tree)) == len(draws(measure)) == 1
+    names = [name for _, checks in oracles.CHECKS for name, _ in checks]
+    assert len(names) == len(set(names)) == 18
+
+
 def test_readme_line_count_matches_the_package():
     """The README's tracked line count is `wc -l src/smwopt/*.py`."""
     repo = Path(__file__).resolve().parents[1]
@@ -832,7 +864,56 @@ def test_readme_line_count_matches_the_package():
     assert int(match.group(1).replace(",", "")) == total
 
 
+# One pytest id per --verify check: its group's row index k in
+# oracles.CHECKS, its position i in the row, and its tolerance.
+VERIFY_CHECKS = [
+    pytest.param(k, i, tol, id=name)
+    for k, (_, checks) in enumerate(oracles.CHECKS)
+    for i, (name, tol) in enumerate(checks)
+]
+
+
 class TestVerify:
+    @pytest.mark.parametrize("k, i, tol", VERIFY_CHECKS)
+    def test_check_passes_at_seed_0(self, k, i, tol):
+        worst, _ = oracles.measure_group(k, seed=0)
+        assert worst[i] <= tol
+
+    def test_nan_direction_fails_its_checks(self, capsys, monkeypatch):
+        """An all-NaN packed Woodbury direction reads infinite on every check
+        that measures it; a NaN error once left the check's maximum at 0."""
+        smw_direction = solver.smw_direction
+
+        def nan_direction(*args, **kwargs):
+            res = smw_direction(*args, **kwargs)
+            if isinstance(res.p, np.ndarray):
+                res.p = np.full_like(res.p, np.nan)
+            return res
+
+        monkeypatch.setattr(solver, "smw_direction", nan_direction)
+        assert oracles.verify(seed=0) == 1
+        out = capsys.readouterr().out
+        for name in (
+            "smw_vs_dense_direction", "smw_residual", "model_decrease_bound_margin",
+            "smw_residual_small_lambda", "smw_backward_error_wider_batch",
+        ):
+            assert f"FAIL {name}: max_error=inf " in out
+
+    def test_broken_stdout_is_an_output_error(self, capsys, monkeypatch):
+        """A stdout whose writes fail ends --verify with one output error
+        line and exit 2, not a config error."""
+
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert cli.main(["--verify"]) == 2
+        assert capsys.readouterr().err == "output error: [Errno 32] Broken pipe\n"
+
     def test_passes_by_default(self, capsys):
         assert oracles.verify(seed=0) == 0
         out = capsys.readouterr().out
