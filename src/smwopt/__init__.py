@@ -1,12 +1,11 @@
 """Woodbury-based second-order training for feed-forward networks.
 
 Modules:
-    linalg     Cholesky factor, blocked triangular solves
     network    shapes, parameter layout, forward pass
     loss       matching losses, output-Hessian products and factors
     diff       gradients, jvp/vjp w.r.t. h_L, factored dot products
     counters   per-sample operation counts
-    curvature  Gram matrices and the small core systems
+    curvature  Gram matrices, the small core systems and their solves
     solver     Woodbury direction and the Hessian-free CG baseline
     damping    reduction ratio and the adaptive damping rule
     optim      training loops and batch sampling
@@ -23,7 +22,6 @@ from . import (  # noqa: F401
     damping,
     data,
     diff,
-    linalg,
     loss,
     network,
     optim,
@@ -37,7 +35,6 @@ __all__ = [
     "damping",
     "data",
     "diff",
-    "linalg",
     "loss",
     "network",
     "optim",

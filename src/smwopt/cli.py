@@ -109,6 +109,10 @@ def _load_split(config: RunConfig, prefix: str) -> data_mod.Dataset | None:
     images = getattr(config, f"{prefix}_images")
     labels = getattr(config, f"{prefix}_labels")
     csv = getattr(config, f"{prefix}_csv")
+    if csv and (images or labels):
+        raise ConfigError(
+            f"{prefix}_csv and {prefix}_images/{prefix}_labels are both set"
+        )
     if images or labels:
         if not (images and labels):
             raise ConfigError(f"{prefix}_images and {prefix}_labels go together")

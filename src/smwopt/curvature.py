@@ -2,7 +2,7 @@
 
 For a curvature batch of B samples the full-parameter matrix is never
 formed. Instead the solve works through one small symmetric positive
-definite core matrix, Cholesky-factored once when its system is built,
+definite core matrix, solved with one np.linalg.solve each time,
 
     core = lam * I + gram / B,
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diff, linalg, loss as loss_mod
+from . import diff, loss as loss_mod
 from .counters import OpCounters
 from .exceptions import NumericError
 from .network import ForwardCache, NetworkShape
@@ -99,29 +99,24 @@ class GramSystem:
 
     factors.dots_with(v) is U^T v for both methods, and their type is the
     method: GnBatchFactors for Gauss-Newton, per-sample gradient factors
-    for natural gradient. core_factor, the lower Cholesky factor of core,
-    is computed once, by GramSystem.of, and reused by every core solve of
-    the direction.
+    for natural gradient.
     """
 
     core: np.ndarray
-    core_factor: np.ndarray
     lam: float
     factors: diff.BackpropFactors
 
     @classmethod
     def of(cls, factors: diff.BackpropFactors, lam: float) -> GramSystem:
-        """Assemble the core over the factors' samples and factor it once."""
+        """Assemble the core over the factors' samples; a core that is not
+        finite, or lam at or below its rounding floor, raises NumericError."""
         core = assemble_d(gn_block_gram(factors), lam, factors.ncols)
-        try:
-            lower = linalg.cholesky(core)
-        except NumericError as err:
-            diag = np.diag(core)
-            raise NumericError(
-                f"core factorization failed at lambda={lam:.6e} "
-                f"(diag range [{diag.min():.3e}, {diag.max():.3e}]): {err}"
-            ) from err
-        return cls(core, lower, lam, factors)
+        if not np.all(np.isfinite(core)):
+            raise _core_error(core, lam, "not finite")
+        floor = lambda_floor(core)
+        if lam <= floor:
+            raise _core_error(core, lam, f"at or below the rounding floor {floor:.3e}")
+        return cls(core, lam, factors)
 
     @property
     def n2(self) -> int:
@@ -129,9 +124,11 @@ class GramSystem:
         return self.factors.ncols
 
     def solve_core(self, rhs: np.ndarray) -> np.ndarray:
-        """core^-1 rhs by two triangular solves with the kept factor."""
-        lower = self.core_factor
-        return linalg.solve_upper(lower.T, linalg.solve_lower(lower, rhs))
+        """core^-1 rhs by one LAPACK solve; its failure raises NumericError."""
+        try:
+            return np.linalg.solve(self.core, rhs)
+        except np.linalg.LinAlgError as err:
+            raise _core_error(self.core, self.lam, f"solve failed: {err}") from err
 
     def expand(self, shape, theta, w, like, counters=None):
         """U w in the form of like, packed or a PrefixVector in like's frame.
@@ -153,3 +150,18 @@ def assemble_d(gram: np.ndarray, lam: float, n2: int) -> np.ndarray:
     core = gram / n2
     core[np.diag_indices(len(core))] += lam
     return core
+
+
+def lambda_floor(core: np.ndarray) -> float:
+    """len(core) * eps * max diag(core), the rounding error a backward
+    stable factorization of the core may commit (Higham ch. 10); damping
+    at or below it cannot keep the computed core positive definite."""
+    return len(core) * np.finfo(float).eps * float(np.max(np.diag(core)))
+
+
+def _core_error(core: np.ndarray, lam: float, reason: str) -> NumericError:
+    diag = np.diag(core)
+    return NumericError(
+        f"damped core at lambda={lam:.6e} "
+        f"(diag range [{diag.min():.3e}, {diag.max():.3e}]): {reason}"
+    )

@@ -560,6 +560,23 @@ class TestMain:
         assert "test split has 9 features" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("split", ("train", "test"))
+    def test_csv_beside_an_idx_pair_exit_2(self, split, tmp_path, rng, capsys):
+        """A split configured both as a CSV and as an IDX pair is one config
+        error naming both keys, not a run on the IDX pair alone."""
+        values, _ = write_split_pair(tmp_path, rng, 20, 20)
+        labels = data.one_hot(rng.integers(0, 10, size=20), 10)
+        save_csv(tmp_path / "s.csv", data.Dataset(rng.normal(size=(20, 16)), labels))
+        values[f"{split}_csv"] = str(tmp_path / "s.csv")
+        argv = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), v)]
+        out = tmp_path / "m.csv"
+        argv += ["--layers", "16,10", "--n1", "10", "--n2", "5", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
+        assert f"{split}_csv" in err and f"{split}_images" in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_overflowing_standardized_feature_exit_2(self, tmp_path, rng, capsys):
@@ -862,6 +879,18 @@ def test_readme_line_count_matches_the_package():
         p.read_bytes().count(b"\n") for p in (repo / "src" / "smwopt").glob("*.py")
     )
     assert int(match.group(1).replace(",", "")) == total
+
+
+def test_readme_docstring_and_all_name_the_same_modules():
+    """The README's module table, the package docstring's module list and
+    smwopt.__all__, which perfbench's tracer wraps, name the same modules."""
+    repo = Path(__file__).resolve().parents[1]
+    text = (repo / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Modules", 1)[1].split("\n\n", 2)[1]
+    readme = re.findall(r"^\| `(\w+)` +\|", table, flags=re.M)
+    listing = smwopt.__doc__.split("Modules:", 1)[1]
+    docstring = re.findall(r"^    (\w+) ", listing, flags=re.M)
+    assert sorted(readme) == sorted(docstring) == sorted(smwopt.__all__)
 
 
 # One pytest id per --verify check: its group's row index k in
@@ -1325,20 +1354,10 @@ def write_regression_csv(path, big=False):
     return path
 
 
-@pytest.mark.parametrize(
-    "flags, big, code, label", FAILING_RUNS.values(), ids=FAILING_RUNS
-)
-def test_failure_is_one_stderr_line(flags, big, code, label, tmp_path):
-    """A failed run on a 50x4 regression CSV prints its one error line,
-    under its label, and no numpy warning, and no metrics row it wrote
-    holds a non-finite loss or norm."""
-    csv_path = write_regression_csv(tmp_path / "train.csv", big)
-    out = tmp_path / "m.csv"
-    result = run_python(
-        "-m", "smwopt", "--train-csv", str(csv_path),
-        "--layers", "4,5,1", "--loss", "squared_error",
-        *flags.split(), "--out", str(out),
-    )
+def assert_one_error_line(result, code, label, out):
+    """The run exited with code and printed one error line under its label,
+    and no numpy warning, and no metrics row it wrote holds a non-finite
+    loss or norm."""
     assert result.returncode == code
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert result.stderr.startswith(label + ": "), result.stderr
@@ -1348,6 +1367,53 @@ def test_failure_is_one_stderr_line(flags, big, code, label, tmp_path):
             for name in ("batch_loss", "full_loss", "grad_norm", "step_norm"):
                 cell = row[header.index(name)]
                 assert cell == "" or np.isfinite(float(cell)), (name, cell)
+
+
+@pytest.mark.parametrize(
+    "flags, big, code, label", FAILING_RUNS.values(), ids=FAILING_RUNS
+)
+def test_failure_is_one_stderr_line(flags, big, code, label, tmp_path):
+    """A failed run on a 50x4 regression CSV prints its one error line."""
+    csv_path = write_regression_csv(tmp_path / "train.csv", big)
+    out = tmp_path / "m.csv"
+    result = run_python(
+        "-m", "smwopt", "--train-csv", str(csv_path),
+        "--layers", "4,5,1", "--loss", "squared_error",
+        *flags.split(), "--out", str(out),
+    )
+    assert_one_error_line(result, code, label, out)
+
+
+# Unstandardized inputs with columns scaled 1 to 1e5 and damping near 1e-8
+# drive the Woodbury core's diagonal to 1e10-1e15 while lambda stays near
+# 1e-8, under the core's rounding floor. Without the floor check smw-gn ran
+# on to a batch loss of 5.1e166 and exited 0.
+SCALED_INPUTS_RUN = (
+    "--standardize false --layers 6,8,1 --activations logistic,linear "
+    "--loss squared_error --n1 40 --n2 10 --epochs 3 --lambda-lm 1e-8 --tau 1e-9"
+)
+
+
+@pytest.mark.parametrize("method", ("smw-gn", "smw-ng"))
+def test_core_under_its_rounding_floor_is_one_stderr_line(method, tmp_path):
+    """On a 240x6 regression CSV whose columns are scaled by 1, 10, ..., 1e5
+    and whose target is sin(x_1 / 10) plus noise, both Woodbury methods
+    exit 3 with one line naming lambda, the core's diagonal range and its
+    rounding floor."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((240, 6)) * 10.0 ** np.arange(6)
+    y = np.sin(x[:, 0] / 10) + 0.1 * rng.standard_normal(240)
+    save_csv(tmp_path / "train.csv", data.Dataset(x, y.reshape(-1, 1)))
+    out = tmp_path / "m.csv"
+    result = run_python(
+        "-m", "smwopt", "--train-csv", str(tmp_path / "train.csv"),
+        *SCALED_INPUTS_RUN.split(), "--method", method, "--out", str(out),
+    )
+    assert_one_error_line(result, 3, "numeric failure", out)
+    assert re.search(
+        r"lambda=\S+ \(diag range \[\S+, \S+\]\): at or below the rounding floor",
+        result.stderr,
+    ), result.stderr
 
 
 def test_sgd_reads_no_n2(tmp_path):

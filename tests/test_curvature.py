@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from smwopt import curvature, diff, linalg, loss, network, optim, solver
+from smwopt import curvature, diff, loss, network, optim, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import NumericError
 from smwopt.oracles import (
@@ -13,7 +15,7 @@ from smwopt.oracles import (
     random_targets,
     smw_system,
 )
-from tests.conftest import pack
+from tests.conftest import explicit_inverse, pack
 
 
 class TestGnBlockGram:
@@ -135,8 +137,8 @@ class TestNgGram:
     ids=["small", "deep", "desk"],
 )
 def test_cores_are_exactly_symmetric(kind, sizes, n2, rng):
-    """Both cores are symmetric bit for bit, which linalg.cholesky relies on
-    unchecked. The batches are formed as a trainer forms them: the gradient
+    """Both cores are symmetric bit for bit, as the Woodbury identity has
+    them. The batches are formed as a trainer forms them: the gradient
     over n1 = 2 n2 columns and the curvature over its first n2."""
     shape, spec, theta = make_net(
         rng, kind, hidden=list(sizes[1:-1]), m_in=sizes[0], m_out=sizes[-1]
@@ -154,31 +156,55 @@ def test_cores_are_exactly_symmetric(kind, sizes, n2, rng):
         assert np.array_equal(system.core, system.core.T)
 
 
+def system_of_gram(monkeypatch, gram, lam, n2=1):
+    """GramSystem.of over n2 samples whose Gram is the given matrix."""
+    monkeypatch.setattr(curvature, "gn_block_gram", lambda factors: gram)
+    return curvature.GramSystem.of(SimpleNamespace(ncols=n2), lam)
+
+
 class TestAssemble:
     def test_ng_zero_gram(self):
         core = curvature.assemble_d(np.zeros((3, 3)), 2.5, 3)
         assert np.array_equal(core, 2.5 * np.eye(3))
 
-    def test_non_finite_gram_is_numeric_error(self):
-        core = curvature.assemble_d(np.full((2, 2), np.nan), 1.0, 2)
-        with pytest.raises(NumericError):
-            linalg.cholesky(core)
+    def test_non_finite_gram_is_numeric_error(self, monkeypatch):
+        """A Gram holding NaN or inf is refused when its system is built."""
+        for bad in (np.nan, np.inf):
+            gram = np.eye(3)
+            gram[0, 2] = bad
+            with pytest.raises(NumericError, match=r"lambda=1\.0+e\+00 .*: not finite"):
+                system_of_gram(monkeypatch, gram, 1.0)
 
-    def test_core_factorization_failure_is_numeric_error(self, rng, monkeypatch):
-        shape, spec, theta = make_net(rng, loss.SQUARED_ERROR)
-        cache = network.forward(shape, theta, rng.normal(size=(shape.input_size, 2)))
+    def test_core_factorization_failure_is_numeric_error(self, monkeypatch):
+        """LAPACK's LinAlgError from the core solve, a ValueError the
+        trainer would not catch, surfaces as NumericError naming lambda."""
+        system = system_of_gram(monkeypatch, np.eye(2), 1.0)
+        cause = np.linalg.LinAlgError("Singular matrix")
 
-        cause = NumericError("cholesky failed")
-
-        def failing_cholesky(a):
+        def failing_solve(a, b):
             raise cause
 
-        monkeypatch.setattr(linalg, "cholesky", failing_cholesky)
-        with pytest.raises(NumericError, match="core factorization failed") as err:
-            curvature.GramSystem.of(
-                curvature.gn_batch_factors(shape, theta, cache, spec), 1.0
-            )
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        with pytest.raises(NumericError, match="solve failed: Singular matrix") as err:
+            system.solve_core(np.ones(2))
         assert err.value.__cause__ is cause
+
+    def test_lambda_floor_is_size_eps_max_diagonal(self):
+        core = np.array([[1.0, 5.0, 0.0], [5.0, 3.0, 0.0], [0.0, 0.0, 2.0]])
+        assert curvature.lambda_floor(core) == 3 * np.finfo(float).eps * 3.0
+
+    def test_lambda_at_the_floor_is_numeric_error(self, monkeypatch):
+        """lambda equal to the floor of its own core is refused, naming the
+        floor; the next float up builds the system. With a 4-wide core of
+        largest diagonal 2^50 + 1, the floor is 4 eps (2^50 + 1) = 1 + 2^-50."""
+        gram = np.diag([2.0**50, 1.0, 1.0, 1.0])
+        lam = 1.0 + 2.0**-50
+        assert curvature.lambda_floor(curvature.assemble_d(gram, lam, 1)) == lam
+        floor = r"at or below the rounding floor 1\.000e\+00"
+        with pytest.raises(NumericError, match=floor):
+            system_of_gram(monkeypatch, gram, lam)
+        above = float(np.nextafter(lam, np.inf))
+        assert system_of_gram(monkeypatch, gram, above).lam == above
 
     @pytest.mark.parametrize("method", [optim.SMW_GN, optim.SMW_NG], ids=["gn", "ng"])
     def test_indefinite_core_reports_lambda_and_diagonal(self, method, rng):
@@ -217,7 +243,7 @@ class TestAssemble:
         fmat = factored_jacobian(shape, theta, cache, spec)
         dense = lam * np.eye(nb * shape.output_size) + (fmat @ fmat.T) / nb
         assert np.max(np.abs(system.core - dense)) < 1e-10
-        linalg.cholesky(system.core)
+        np.linalg.cholesky(system.core)
 
     def test_saturated_bce_sample_adds_only_damping(self):
         shape = network.NetworkShape((2, 1), ("logistic",))
@@ -239,6 +265,50 @@ class TestAssemble:
         oracle = dense_direction_oracle(shape, theta, x, y, spec, lam)
         scale = float(np.max(np.abs(oracle.p)))
         assert np.max(np.abs(res.p - oracle.p)) <= 1e-9 * scale
+
+
+def spd_system(rng, n):
+    """A GramSystem over a random well-conditioned n-wide SPD core."""
+    a = rng.normal(size=(n, n))
+    return curvature.GramSystem(a @ a.T / n + np.eye(n), 1.0, None)
+
+
+class TestSolveCore:
+    def test_identity(self, rng):
+        r = rng.normal(size=(4, 2))
+        system = curvature.GramSystem(np.eye(4), 1.0, None)
+        assert np.allclose(system.solve_core(r), r, atol=1e-15)
+
+    def test_scaled_identity(self):
+        system = curvature.GramSystem(2.0 * np.eye(4), 2.0, None)
+        assert np.allclose(system.solve_core(np.ones(4)), 0.5 * np.ones(4), atol=1e-15)
+
+    def test_against_dense_inverse(self, rng):
+        """The solve agrees with a Gauss-Jordan inverse, with one or several
+        right-hand sides, up to the 300-wide desk-scale Gauss-Newton core."""
+        for n in (1, 8, 300):
+            system = spd_system(rng, n)
+            inverse = explicit_inverse(system.core)
+            for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+                x = system.solve_core(rhs)
+                expected = inverse @ rhs
+                assert x.shape == rhs.shape
+                assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_residual_bounds_many_instances(self, rng):
+        """The solve reproduces the rhs on random well-conditioned cores."""
+        for _ in range(1000):
+            n = int(rng.integers(1, 7))
+            rhs = rng.normal(size=n)
+            system = spd_system(rng, n)
+            x = system.solve_core(rhs)
+            bound = 1e-9 * (1.0 + np.max(np.abs(rhs)))
+            assert np.max(np.abs(system.core @ x - rhs)) <= bound
+
+
+def test_explicit_inverse_matches_numpy(rng):
+    a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
+    assert np.max(np.abs(explicit_inverse(a) - np.linalg.inv(a))) < 1e-10
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smwopt import curvature, diff, linalg, loss, network, optim, oracles, solver
+from smwopt import curvature, diff, loss, network, optim, oracles, solver
 from smwopt.counters import OpCounters
 from smwopt.exceptions import ConfigError, NumericError, ShapeError
 from smwopt.oracles import make_net, random_targets, wider_batch_instance
@@ -85,42 +85,37 @@ class TestSmwDirection:
             assert res.grad_dot < 0.0
             assert res.quad_term >= -1e-10
 
-    @pytest.mark.parametrize(
-        "kind,expected", [(kind, ["cholesky"]) for kind in loss.LOSS_KINDS]
-    )
-    def test_one_core_factorization(self, kind, expected, rng, monkeypatch):
-        """A GN direction factors its core once and no loss Hessian.
-
-        The core is solved only through the factor: no LAPACK solve sees a
-        matrix wider than a triangular leaf, so no LU of the core is made,
-        also below REFINE_LAMBDA where refinement solves the core again.
-        """
+    @pytest.mark.parametrize("kind", loss.LOSS_KINDS)
+    def test_one_dense_solve_per_core_solve(self, kind, rng, monkeypatch):
+        """Each core solve of a GN direction is one np.linalg.solve on the
+        whole core, and nothing factors the core besides: one solve at
+        lambda = 1, and 1 + REFINE_ROUNDS below REFINE_LAMBDA, where
+        refinement solves the core again."""
         shape, spec, theta = make_net(rng, kind, hidden=[4], m_out=10)
         nb = 30
         x = rng.normal(size=(shape.input_size, nb))
         y = random_targets(rng, kind, shape.output_size, nb)
         cache = network.forward(shape, theta, x)
         g, _ = diff.gradient(shape, theta, cache, y, spec)
-        cholesky, dense_solve = linalg.cholesky, np.linalg.solve
-        for lam in (1.0, 1e-10):
-            calls, solved = [], []
+        dense_solve = np.linalg.solve
 
-            def spy_cholesky(a):
-                calls.append("cholesky")
-                return cholesky(a)
+        def no_cholesky(a):
+            raise AssertionError("the core is never Cholesky-factored")
+
+        for lam, solves in ((1.0, 1), (1e-10, 1 + solver.REFINE_ROUNDS)):
+            solved = []
 
             def spy_solve(a, b):
                 solved.append(len(a))
                 return dense_solve(a, b)
 
-            monkeypatch.setattr(linalg, "cholesky", spy_cholesky)
+            monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
             monkeypatch.setattr(np.linalg, "solve", spy_solve)
             system = oracles.smw_system(shape, theta, cache, y, spec, lam)
             solver.smw_direction(shape, theta, system, g)
             monkeypatch.undo()
-            assert calls == expected
             assert system.core.shape == (nb * shape.output_size,) * 2
-            assert solved and max(solved) <= linalg.LEAF_ROWS
+            assert solved == [len(system.core)] * solves
 
     @pytest.mark.parametrize("method", (optim.SMW_GN, optim.SMW_NG), ids=("gn", "ng"))
     def test_inputs_unchanged(self, method, rng):
