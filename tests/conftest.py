@@ -3,11 +3,12 @@
 import math
 import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from smwopt import data, network
+from smwopt import curvature, data, network
 from smwopt.exceptions import ShapeError
 from smwopt.oracles import fd_loss_gradient, make_net, random_targets  # noqa: F401
 
@@ -136,6 +137,12 @@ def explicit_inverse(a):
             if i != j:
                 aug[i] -= aug[i, j] * aug[j]
     return aug[:, n:]
+
+
+def system_of_gram(monkeypatch, gram, lam, n2=1):
+    """GramSystem.of over n2 samples whose Gram is the given matrix."""
+    monkeypatch.setattr(curvature, "gn_block_gram", lambda factors: gram)
+    return curvature.GramSystem.of(SimpleNamespace(ncols=n2), lam)
 
 
 @pytest.fixture

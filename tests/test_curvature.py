@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from smwopt.oracles import (
     random_targets,
     smw_system,
 )
-from tests.conftest import explicit_inverse, pack
+from tests.conftest import pack, system_of_gram
 
 
 class TestGnBlockGram:
@@ -156,12 +154,6 @@ def test_cores_are_exactly_symmetric(kind, sizes, n2, rng):
         assert np.array_equal(system.core, system.core.T)
 
 
-def system_of_gram(monkeypatch, gram, lam, n2=1):
-    """GramSystem.of over n2 samples whose Gram is the given matrix."""
-    monkeypatch.setattr(curvature, "gn_block_gram", lambda factors: gram)
-    return curvature.GramSystem.of(SimpleNamespace(ncols=n2), lam)
-
-
 class TestAssemble:
     def test_ng_zero_gram(self):
         core = curvature.assemble_d(np.zeros((3, 3)), 2.5, 3)
@@ -265,50 +257,6 @@ class TestAssemble:
         oracle = dense_direction_oracle(shape, theta, x, y, spec, lam)
         scale = float(np.max(np.abs(oracle.p)))
         assert np.max(np.abs(res.p - oracle.p)) <= 1e-9 * scale
-
-
-def spd_system(rng, n):
-    """A GramSystem over a random well-conditioned n-wide SPD core."""
-    a = rng.normal(size=(n, n))
-    return curvature.GramSystem(a @ a.T / n + np.eye(n), 1.0, None)
-
-
-class TestSolveCore:
-    def test_identity(self, rng):
-        r = rng.normal(size=(4, 2))
-        system = curvature.GramSystem(np.eye(4), 1.0, None)
-        assert np.allclose(system.solve_core(r), r, atol=1e-15)
-
-    def test_scaled_identity(self):
-        system = curvature.GramSystem(2.0 * np.eye(4), 2.0, None)
-        assert np.allclose(system.solve_core(np.ones(4)), 0.5 * np.ones(4), atol=1e-15)
-
-    def test_against_dense_inverse(self, rng):
-        """The solve agrees with a Gauss-Jordan inverse, with one or several
-        right-hand sides, up to the 300-wide desk-scale Gauss-Newton core."""
-        for n in (1, 8, 300):
-            system = spd_system(rng, n)
-            inverse = explicit_inverse(system.core)
-            for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
-                x = system.solve_core(rhs)
-                expected = inverse @ rhs
-                assert x.shape == rhs.shape
-                assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-    def test_residual_bounds_many_instances(self, rng):
-        """The solve reproduces the rhs on random well-conditioned cores."""
-        for _ in range(1000):
-            n = int(rng.integers(1, 7))
-            rhs = rng.normal(size=n)
-            system = spd_system(rng, n)
-            x = system.solve_core(rhs)
-            bound = 1e-9 * (1.0 + np.max(np.abs(rhs)))
-            assert np.max(np.abs(system.core @ x - rhs)) <= bound
-
-
-def test_explicit_inverse_matches_numpy(rng):
-    a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
-    assert np.max(np.abs(explicit_inverse(a) - np.linalg.inv(a))) < 1e-10
 
 
 @pytest.mark.parametrize(
