@@ -16,19 +16,19 @@ products can be formed without ever materializing length-n vectors:
 
 where the +1 accounts exactly for the bias blocks.
 
-The same identity keeps a vector in factor space. A stochastic step's
-curvature batch S2 is a prefix of its gradient batch S1, and every
-vector of its solve lies in span{g} plus S2's factor space: a
-PrefixVector, a multiple beta of g plus adjoints on S2's n2 columns,
-held in one buffer so a linear combination is one array operation.
-Its inner products, its dots with S2's backward factors and its jvp
-tangents read S1's Grams only through the blocks a PrefixFrame takes
-once per direction, at n2^2 cost per layer entry instead of n1^2. The
-trainer places g, the gradient's factors over S1, in its frame right
-after the gradient, and places p back on S1 once, as BackpropFactors
-with one adjoint column per sample of S1, for the low-rank trial
-forward and theta + alpha p, the one parameter-length write. Placing
-S2's adjoints among S1's columns is PrefixVector.factored's alone.
+The same identity keeps a vector in factor space. The stochastic step at
+lambda >= solver.REFINE_LAMBDA (packed below it) solves on a prefix S2
+of its gradient batch S1, and every vector of its solve lies in span{g}
+plus S2's factor space: a PrefixVector, a multiple beta of g plus
+adjoints on S2's n2 columns, held in one buffer so a linear combination
+is one array operation. Its inner products, its dots with S2's backward
+factors and its jvp tangents read S1's Grams only through the blocks a
+PrefixFrame takes once per direction, at n2^2 cost per layer entry
+instead of n1^2. The trainer places g, the gradient's factors over S1,
+in its frame, and p back on S1 once, as BackpropFactors with one adjoint
+column per sample of S1, for the low-rank trial forward and theta +
+alpha p, the one parameter-length write. Placing S2's adjoints among
+S1's columns is PrefixVector.factored's alone.
 
 All kernels accept batched caches (samples as columns) and perform the
 per-sample recursions simultaneously; counters advance by the number of
@@ -169,7 +169,7 @@ class PrefixFrame:
 class PrefixVector:
     """A vector of span{g} plus S2's factor space, over a frame's S1.
 
-    Every vector of a stochastic direction solve lies there, Woodbury's
+    Every vector of a factor-space direction solve lies there, Woodbury's
     and hf's alike, as the range of the curvature touches only S2's
     columns. adjoints[l-1] is X_l, (m_l, n2), the vector's adjoints on
     S2's columns, beta g's included; its adjoints on S1's other columns

@@ -13,16 +13,16 @@ makes one full-set forward pass, the trial forward, and reuses it (or
 this iteration's own forward after a rejection) as the forward pass of
 the next iteration.
 
-In stochastic mode, where S2 is a prefix of S1, every curvature method
-keeps g and p in factor space: g goes into its diff.PrefixFrame once,
-right after the gradient, and the direction solver (smw_direction, or
-hf_cg_direction for hf) sees and returns only diff.PrefixVectors, from
-which grad_norm and step_norm are read. p is placed on S1 once, as
-diff.BackpropFactors; the trial forward is network.forward_low_rank from
-the layer-1 pre-activation the step's own forward kept and the frame's
-first-layer Gram, and theta + alpha * p is the step's one
-parameter-length write. The semi-stochastic step, whose S1 is the whole
-data set, stays packed.
+One rule, read once per step, picks the vector form: a stochastic step
+(S2 a prefix of S1) at lambda >= solver.REFINE_LAMBDA keeps g and p in
+factor space, and every other step is packed. In factor space g goes
+into its diff.PrefixFrame right after the gradient, the direction solver
+(smw_direction, or hf_cg_direction for hf) sees and returns only
+diff.PrefixVectors, and p is placed on S1 once, as diff.BackpropFactors,
+for network.forward_low_rank's trial forward and theta + alpha * p, the
+step's one parameter-length write. Below REFINE_LAMBDA the stochastic
+step is the packed step the semi-stochastic mode runs, as only packed
+refinement reaches its backward error.
 
 Every forward reads its inputs through data.Inputs.columns, which
 converts and standardizes only the samples it gathers: each stochastic
@@ -250,8 +250,7 @@ class Trainer:
             batch_size=s1.size,
         )
 
-    def _direction(self, positions, cache1, g, gfactors) -> solver.DirectionResult:
-        lam = self.damping.lam
+    def _direction(self, positions, cache1, g, gfactors, lam) -> solver.DirectionResult:
         if self.config.method == SMW_NG:
             factors = gfactors.cols(positions)
         else:
@@ -275,7 +274,8 @@ class Trainer:
         columns, the full set gathered once, serve every later step.
         """
         semi = self.config.semi_stochastic
-        factored = not semi
+        lam = self.damping.lam
+        factored = not semi and lam >= solver.REFINE_LAMBDA
         cache1 = self._iterate_cache()
         if cache1 is None:
             cache1 = forward(
@@ -291,8 +291,7 @@ class Trainer:
         if factored:
             frame = diff.PrefixFrame.of(g, positions.size)
             g = frame.gradient
-        lam_used = self.damping.lam
-        result = self._direction(positions, cache1, g, gfactors)
+        result = self._direction(positions, cache1, g, gfactors, lam)
         grad_norm = diff.norm(g)
         # The gradient and the full-batch factors are dead now; freed, they
         # no longer sit beside the trial forward's arrays at the step's peak.
@@ -320,15 +319,16 @@ class Trainer:
                 self.theta = trial
             self._iterate = (self.theta, trial_cache if accepted else cache1)
         else:
-            # The placed p expands once, each adjoint scaled by alpha, into
+            # A placed p expands once, each adjoint scaled by alpha, into
             # the fresh array that becomes theta + alpha * p.
-            step = p.expand_sum(weights=np.full(p.ncols, self.config.alpha))
+            alpha = self.config.alpha
+            step = p.expand_sum(weights=np.full(p.ncols, alpha)) if factored else p * alpha
             step += self.theta
             self.theta = step
         return self._record(
             batch_loss=f_before,
             rho=report.rho,
-            lam=lam_used,
+            lam=lam,
             grad_norm=grad_norm,
             step_norm=result.step_norm,
             accepted=accepted,

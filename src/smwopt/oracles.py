@@ -274,41 +274,63 @@ def relative_error(x, ref) -> float:
     return float(np.max(np.abs(x - ref))) / (float(np.max(np.abs(ref))) + 1e-30)
 
 
-def _trainer_step_case(rng, kind, method, lambda_lm, semi=False):
-    """One optim.Trainer.step on 12 random samples against theta + alpha p,
-    with p the dense solve over the S2 and the gradient over the S1 that a
-    copy of the trainer's sampler draws. The stochastic step takes n1=6,
-    n2=3 and alpha=0.5; the semi-stochastic one n1=12, the whole set in
-    index order, n2=3 and alpha=1. Returns the largest error relative to
-    alpha p's largest entry, and whether the step was accepted; a rejected
-    step reads 0 if it left theta bit for bit, and infinite if it moved
-    theta. hf runs CG at a tight tolerance."""
-    shape, spec, _ = make_net(rng, kind)
+def _trainer_step_setup(rng, kind, method, state, semi=False, m_in=None):
+    """An optim.Trainer on 12 random samples, with damping state, and the
+    dense B_t over the S2 and the gradient over the S1 that a copy of its
+    sampler draws. The stochastic trainer takes n1=6, n2=3 and alpha=0.5;
+    the semi-stochastic one n1=12, the whole set in index order, n2=3 and
+    alpha=1. hf runs CG at a tight tolerance."""
+    shape, spec, _ = make_net(rng, kind, m_in=m_in)
     n = 12
     x = rng.normal(size=(n, shape.input_size))
     y = random_targets(rng, kind, shape.output_size, n).T
     config = optim.OptimizerConfig(
         method=method, n1=n if semi else 6, n2=3, alpha=1.0 if semi else 0.5,
-        damping=damping.DampingState(lambda_lm=lambda_lm), semi_stochastic=semi,
+        damping=state, semi_stochastic=semi,
         cg=solver.CgConfig(max_iters=shape.num_params, rel_residual_tol=1e-15),
         seed=int(rng.integers(2**31)),
     )
     trainer = optim.Trainer(shape, spec, x, y, config)
-    theta, lam = trainer.theta, trainer.damping.lam
+    theta = trainer.theta
     s1, s2 = copy.deepcopy(trainer.sampler).sample_batches()
     if semi:
         s1 = np.arange(n)
     cache1 = network.forward(shape, theta, x[s1].T)
     g, _ = diff.gradient(shape, theta, cache1, y[s1].T, spec)
-    oracle = dense_direction_oracle(
-        shape, theta, x[s2].T, y[s2].T, spec, lam, method, g=g
-    )
+    b_mat, _ = build_curvature_matrix(shape, theta, x[s2].T, y[s2].T, spec, method)
+    return trainer, b_mat, g
+
+
+def _trainer_step_case(rng, kind, method, lambda_lm, semi=False):
+    """One step of _trainer_step_setup's trainer against theta + alpha p,
+    with p the dense solve. Returns the largest error relative to alpha
+    p's largest entry, and whether the step was accepted; a rejected step
+    reads 0 if it left theta bit for bit, and infinite if it moved theta."""
+    state = damping.DampingState(lambda_lm=lambda_lm)
+    trainer, b_mat, g = _trainer_step_setup(rng, kind, method, state, semi)
+    theta = trainer.theta
+    step = trainer.config.alpha * dense_direction(b_mat, state.lam, g).p
     rec = trainer.step()
     if not rec.accepted:
         return (0.0 if np.array_equal(trainer.theta, theta) else math.inf), False
-    step = config.alpha * oracle.p
     scale = float(np.max(np.abs(step))) + 1e-30
     return float(np.max(np.abs(trainer.theta - (theta + step)))) / scale, True
+
+
+def _small_lambda_step_cases(rng):
+    """One stochastic step of each curvature method at lambda = 1e-10,
+    where the trainer solves packed: the backward error of p = (theta_1 -
+    theta_0) / alpha for _trainer_step_setup's B_t and g. Solved in factor
+    space, where refinement cannot reach 1e-15, its worst case read
+    1.4e-15 to 7.1e-14 on seeds 0-9, against at most 6.7e-17 packed."""
+    state = damping.DampingState(lambda_lm=0.0, tau=1e-10)
+    for kind in loss_mod.LOSS_KINDS:
+        for method in (optim.SMW_GN, optim.SMW_NG, optim.HF):
+            trainer, b_mat, g = _trainer_step_setup(rng, kind, method, state, m_in=5)
+            theta = trainer.theta
+            trainer.step()
+            p = (trainer.theta - theta) / trainer.config.alpha
+            yield (backward_error(b_mat, state.lam, p, g),)
 
 
 def _gradient_cases(rng):
@@ -535,6 +557,7 @@ CHECKS = (
     )),
     (partial(_hf_cases, factored=True), (("hf_factored_vs_dense_direction", 1e-9),)),
     (_trainer_step_cases, (("trainer_step_vs_dense_direction", 1e-10),)),
+    (_small_lambda_step_cases, (("trainer_step_backward_error_small_lambda", 1e-15),)),
 )
 
 

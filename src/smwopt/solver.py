@@ -27,19 +27,19 @@ reverse-mode product J^T C q per sample.
 The algebra is written once for either form of g and p: packed, or a
 diff.PrefixVector in the frame the stochastic trainer places g in,
 whose curvature batch S2 is a prefix of the gradient batch S1. Every
-vector of a stochastic solve, Woodbury's with its refinement and CG's
-alike, lies in span{g} plus the range of B_t, which touches only S2's
-columns, so it is a multiple beta of g plus adjoints on S2's n2
-columns. U^T v reads the vector's tangents at S2, U q is the adjoints
-of the same reverse sweep, unexpanded, with beta 0, and the inner
-products cost n2^2, not n1^2, per layer entry, from S1's Grams seen
-from S2 (diff.PrefixFrame). No parameter-length vector is formed; the
-trainer places p on S1 once, after the solve. diff tells the two forms
-apart; nothing here does. The packed form stays for the semi-stochastic
-step and the dense checks: with g in a frame built from packed g,
---verify's lambda = 1e-10 instances (seeds 0-9) solved to residuals up
-to 4.1e-5 (gate 1e-8) and backward errors up to 4.8e-14 (gate 1e-15),
-measured at commit 76e1ad8, against 1.5e-13 and 7.2e-17 packed.
+vector of a factor-space solve, Woodbury's and CG's alike, lies in
+span{g} plus the range of B_t, which touches only S2's columns, so it
+is a multiple beta of g plus adjoints on S2's n2 columns. U^T v reads
+the vector's tangents at S2, U q is the adjoints of the same reverse
+sweep, unexpanded, with beta 0, and the inner products cost n2^2, not
+n1^2, per layer entry, from S1's Grams seen from S2 (diff.PrefixFrame).
+No parameter-length vector is formed; the trainer places p on S1 once,
+after the solve. diff tells the two forms apart; nothing here does. The
+trainer solves in factor space only at lam >= REFINE_LAMBDA. Below it,
+every refinement update rounds at the scale of the adjoints, not of p,
+and --verify's lambda = 1e-10 instances (seeds 0-9) reached backward
+errors up to 2.2e-14 in factor space against 7.2e-17 packed (gate
+1e-15), so every step there, stochastic or not, solves packed.
 
 The CG routine solves the Gauss-Newton system matrix-free to a relative
 residual tolerance, one jvp and one vjp over the curvature batch per

@@ -866,7 +866,7 @@ def test_verify_draws_and_aggregates_in_one_place():
     )
     assert len(draws(tree)) == len(draws(measure)) == 1
     names = [name for _, checks in oracles.CHECKS for name, _ in checks]
-    assert len(names) == len(set(names)) == 18
+    assert len(names) == len(set(names)) == 19
 
 
 def test_readme_line_count_matches_the_package():
@@ -1064,7 +1064,8 @@ class TestVerify:
         """Refinement's residual -g - B_t p without its lambda p term. With
         g over S2 alone lambda p is tiny, so the small-lambda residual
         passes at seed 0; with g over a wider S1, lambda p carries g's part
-        outside B_t's range, and only the backward error sees it."""
+        outside B_t's range, and only the backward errors see it: the
+        solver's, and that of the trainer's step, which refines packed."""
         apply_curvature = solver.apply_curvature
 
         def undamped(shape, theta, system, v, counters=None):
@@ -1076,7 +1077,8 @@ class TestVerify:
         assert oracles.verify(seed=0) == 1
         out = capsys.readouterr().out
         assert "FAIL smw_backward_error_wider_batch" in out
-        assert out.count("FAIL") == 1
+        assert "FAIL trainer_step_backward_error_small_lambda" in out
+        assert out.count("FAIL") == 2
 
     def test_grams_without_bias_term_fail(self, capsys, monkeypatch):
         """S1 input Grams without the +1 that pairs the bias blocks, in
@@ -1154,8 +1156,8 @@ class TestVerify:
     def test_curvature_batch_one_position_off_fails(self, capsys, monkeypatch):
         """Trainer.step's curvature batch taken at S1 positions 1..n2 instead
         of the prefix 0..n2-1 that the sampler's S2 is (a semi-stochastic
-        S2 one sample on, wrapping at the set's end). Only the trainer line
-        runs a Trainer."""
+        S2 one sample on, wrapping at the set's end). Only the two trainer
+        lines run a Trainer."""
         second_order_step = optim.Trainer._second_order_step
 
         def shifted(self, s1, positions):
@@ -1165,12 +1167,14 @@ class TestVerify:
         assert oracles.verify(seed=0) == 1
         out = capsys.readouterr().out
         assert "FAIL trainer_step_vs_dense_direction" in out
-        assert out.count("FAIL") == 1
+        assert "FAIL trainer_step_backward_error_small_lambda" in out
+        assert out.count("FAIL") == 2
 
     def test_curvature_batch_past_the_set_end_fails(self, capsys, monkeypatch):
         """Trainer.step's curvature batch one position on without wrapping:
         a semi-stochastic S2 then reaches index N and the step raises
-        IndexError. That fails the trainer line, and every other check
+        IndexError. That fails the trainer line; the stochastic S2 of the
+        small-lambda trainer line is off by one too, and every other check
         still reports."""
         oracles.verify(seed=0)
         clean = capsys.readouterr().out.splitlines()
@@ -1183,7 +1187,8 @@ class TestVerify:
         assert oracles.verify(seed=0) == 1
         out, err = capsys.readouterr()
         assert "FAIL trainer_step_vs_dense_direction" in out
-        assert out.count("FAIL") == 1
+        assert "FAIL trainer_step_backward_error_small_lambda" in out
+        assert out.count("FAIL") == 2
         assert "IndexError" in err
         names = [line.split(":")[0][5:] for line in clean if "max_error=" in line]
         assert len(names) > 1

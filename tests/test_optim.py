@@ -405,7 +405,7 @@ def _packed_step(trainer):
     f_before = float(np.mean(loss.loss_value(spec, cache1, y1)))
     g, gfactors = diff.gradient(shape, trainer.theta, cache1, y1, spec, counters)
     lam = trainer.damping.lam
-    result = trainer._direction(np.arange(s2.size), cache1, g, gfactors)
+    result = trainer._direction(np.arange(s2.size), cache1, g, gfactors, lam)
     trial = network.forward(shape, trainer.theta + result.p, x1, counters)
     f_after = float(np.mean(loss.loss_value(spec, trial, y1)))
     rho = damping.compute_rho(
@@ -420,7 +420,8 @@ def _packed_step(trainer):
 
 
 class TestFactoredStep:
-    """The stochastic curvature step keeps g and p in factor space."""
+    """At lambda >= REFINE_LAMBDA the stochastic curvature step keeps g and
+    p in factor space."""
 
     @staticmethod
     def _trainer(method, lambda_lm=1.0, tau=1e-3):
@@ -507,6 +508,44 @@ class TestFactoredStep:
         monkeypatch.setattr(optim, "forward_low_rank", spy_trial)
         trainer.step()
         assert calls == ["direction", "trial"]
+
+
+class TestPackedBelowRefineLambda:
+    """Below REFINE_LAMBDA the stochastic curvature step is packed, as only
+    packed refinement reaches the solve's backward error."""
+
+    @pytest.mark.parametrize("method", [optim.SMW_GN, optim.SMW_NG, optim.HF])
+    def test_no_frame_and_no_low_rank_trial(self, method, monkeypatch):
+        trainer = TestFactoredStep._trainer(method, lambda_lm=0.0, tau=1e-8)
+        assert trainer.damping.lam < solver.REFINE_LAMBDA
+
+        def refused(*args, **kwargs):
+            raise AssertionError("factor-space step below REFINE_LAMBDA")
+
+        monkeypatch.setattr(diff.PrefixFrame, "of", refused)
+        monkeypatch.setattr(optim, "forward_low_rank", refused)
+        for _ in range(3):
+            trainer.step()
+
+    def test_step_norm_is_the_applied_step(self):
+        """step_norm is ||theta_{t+1} - theta_t|| / alpha on unstandardized
+        regression data at lambda = 1e-9. Read from Grams, a factor-space
+        p's norm was 32% and 84% off at iterations 4 and 5."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(50, 4))
+        rng.integers(0, 3, 50)
+        y = rng.normal(size=(50, 1))
+        shape = network.NetworkShape((4, 5, 1), (network.LOGISTIC, network.LINEAR))
+        config = optim.OptimizerConfig(
+            method=optim.SMW_GN, n1=10, n2=5, alpha=0.1, seed=0,
+            damping=damping.DampingState(lambda_lm=0.0, tau=1e-9),
+        )
+        trainer = optim.Trainer(shape, loss.LossSpec(loss.SQUARED_ERROR), x, y, config)
+        for _ in range(8):
+            theta = trainer.theta
+            rec = trainer.step()
+            moved = np.linalg.norm(trainer.theta - theta) / config.alpha
+            assert rec.step_norm == pytest.approx(moved, rel=1e-9, abs=0.0)
 
 
 class TestSemiStochastic:
